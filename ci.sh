@@ -325,5 +325,24 @@ rm -rf "$replay"
 echo
 echo "==> figure replay + cc counters OK"
 
+# perfbench (the repository's benchmark, BENCHMARK.json): its own unit
+# tests — estimators, failure accounting, catalogue ↔ BENCHMARK.json —
+# and one short saturated-wire run that must check its own outputs and
+# lose nothing. The numbers of a 3 s run are not read; the ten-pair
+# comparison the benchmark exists for is `perfbench/run.sh`.
+run cargo test -q --offline --manifest-path perfbench/Cargo.toml
+echo
+echo "==> perfbench wire_sat smoke"
+pb_line=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload wire_sat --seed 7 --seconds 3 --trace 0 | tail -n 1)
+case "$pb_line" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+        echo "FAIL: perfbench wire_sat smoke: $pb_line"
+        exit 1
+        ;;
+esac
+echo "==> perfbench smoke OK ($pb_line)"
+
 echo
 echo "CI gate passed."

@@ -1,11 +1,52 @@
 //! Criterion microbenchmarks for the control-plane crypto hot paths:
 //! sign, single verify (cold-cache and cached), a 32-signature batch
-//! verify, and the sealed-box round trip. `ci.sh` runs this as a smoke
-//! test; numbers on the 1-core CI box carry ±20% noise, so treat them
-//! as ballpark (the deterministic op-count gate is the hard check).
+//! verify, the sealed-box round trip, and the three kernels under them
+//! (scalar reduction mod L, the X25519 ladder, a lazy field add/sub
+//! chain). `ci.sh` runs this as a smoke test; numbers on the 1-core CI
+//! box carry ±20% noise, so treat them as ballpark (the deterministic
+//! op-count gate is the hard check).
 
-use cellbricks_crypto::{open, seal, verify_batch, BatchItem, SigningKey, X25519SecretKey};
+use cellbricks_crypto::ed25519::scalar_reduce_wide;
+use cellbricks_crypto::field::Fe;
+use cellbricks_crypto::{open, seal, verify_batch, x25519, BatchItem, SigningKey, X25519SecretKey};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+
+fn bench_kernels(c: &mut Criterion) {
+    // A full-width input (what SHA-512 hands the reduction), chained so
+    // each reduction depends on the last.
+    let mut wide = [0xc3u8; 64];
+    c.bench_function("kernel/scalar_reduce_wide", |b| {
+        b.iter(|| {
+            let r = scalar_reduce_wide(black_box(&wide));
+            wide[..32].copy_from_slice(&r);
+            wide[63] = r[0] | 0x80;
+        });
+    });
+
+    let k = [0x55u8; 32];
+    let mut u = [9u8; 32];
+    c.bench_function("kernel/x25519_ladder", |b| {
+        b.iter(|| {
+            u = x25519(black_box(&k), &u);
+        });
+    });
+
+    // The add/sub pattern of one ladder step (two lazy adds feeding two
+    // carrying subs), 16 steps per iteration.
+    let mut x = Fe::from_bytes(&[0x42u8; 32]);
+    let mut z = Fe::from_bytes(&[0x17u8; 32]);
+    c.bench_function("kernel/fe_add_sub_chain", |b| {
+        b.iter(|| {
+            for _ in 0..16 {
+                let a = x.add(z);
+                let b = x.sub(z);
+                x = a.sub(b);
+                z = a.add(b).sub(x);
+            }
+            black_box((x, z));
+        });
+    });
+}
 
 fn bench_sign(c: &mut Criterion) {
     let sk = SigningKey::from_seed([1u8; 32]);
@@ -65,6 +106,7 @@ fn bench_sealed_box(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_kernels,
     bench_sign,
     bench_verify,
     bench_verify_batch,

@@ -53,13 +53,31 @@ pub mod opcount {
 
 /// A field element of GF(2²⁵⁵ − 19) in radix-2⁵¹ representation.
 ///
-/// Invariant maintained by all public constructors and operations:
-/// every limb is below 2⁵² (weakly reduced), so sums and products cannot
-/// overflow intermediate `u128` accumulators.
+/// Limb-bound contract (the donna/dalek one; table in DESIGN.md §8):
+///
+/// * **carried** — every limb below 2⁵² — is what `from_bytes`,
+///   `from_u64`, `sub`, `neg`, `mul`, `square` and `mul_small` return;
+/// * [`Fe::add`] does **not** carry: its result's limbs are the plain sums
+///   of its operands' limbs;
+/// * `mul`, `square`, `sub` and `neg` accept operands with limbs up to
+///   [`LAZY_LIMB_MAX`] = 2⁵⁴ — three chained `add`s of carried values —
+///   and `debug_assert` it; `mul_small` and everything that goes through
+///   `to_bytes` (`is_zero`, `is_odd`, `equals`, `==`) accept any limbs.
+///
+/// Nothing in this crate chains more than two `add`s before one of the
+/// carrying operations (`d.add(c)` with `d = z.add(z)` in the point
+/// additions is the deepest).
 #[derive(Clone, Copy, Debug)]
 pub struct Fe(pub(crate) [u64; 5]);
 
 const MASK51: u64 = (1u64 << 51) - 1;
+
+/// Largest limb `mul`/`square`/`sub`/`neg` accept. With limbs ≤ 2⁵⁴ the
+/// ×19 pre-scaling fits `u64` (19·2⁵⁴ < 2⁵⁹), every column sum of five
+/// such products fits `u128` (5·2⁵⁴·2⁵⁹ < 2¹¹⁶), the carry out of the
+/// un-scaled top column is below 2⁶⁰ so its 19-fold fits `u64`, and
+/// `16p − rhs` cannot go negative limb-wise (16·(2⁵¹ − 19) > 2⁵⁴).
+const LAZY_LIMB_MAX: u64 = 1 << 54;
 
 #[allow(clippy::should_implement_trait)] // `add`/`sub`/`mul`/`neg` mirror
                                          // the ref10 field API; operator traits would hide the reduction contract.
@@ -121,15 +139,13 @@ impl Fe {
         out
     }
 
-    /// Carry-propagate so every limb stays below 2⁵² (weak reduction);
-    /// folds the limb-4 carry back into limb 0 multiplied by 19.
+    /// Carry-propagate once so every limb ends below 2⁵² (weak
+    /// reduction); folds the limb-4 carry back into limb 0 multiplied by 19.
     ///
-    /// A single pass suffices for every caller: inputs are sums or
-    /// differences of weakly-reduced operands, so limbs are below 2⁵³,
-    /// the final carry is at most 4, and the 19-fold adds under 2⁷ to
-    /// limb 0 — which the masking already left below 2⁵¹. (The seed ran
-    /// two full passes here on every add/sub, the single hottest
-    /// redundancy in the field layer.)
+    /// A single pass suffices for the one caller, `sub`: its limbs are
+    /// below 2⁵⁶, so the final carry is at most 2⁵ and the 19-fold adds
+    /// under 2¹⁰ to limb 0 — which the masking already left below 2⁵¹.
+    #[inline]
     #[must_use]
     fn weak_reduce(mut self) -> Fe {
         let mut carry = 0u64;
@@ -140,6 +156,13 @@ impl Fe {
         }
         self.0[0] += carry * 19;
         self
+    }
+
+    /// True iff every limb is within the lazy-add bound the carrying
+    /// operations accept (see the type-level contract).
+    #[inline]
+    fn within_lazy_bound(&self) -> bool {
+        self.0.iter().all(|&l| l <= LAZY_LIMB_MAX)
     }
 
     /// Fully reduce into the canonical range [0, p).
@@ -180,73 +203,83 @@ impl Fe {
         t
     }
 
-    /// Field addition.
+    /// Field addition **without a carry pass**: limbs are summed as they
+    /// are. The result may feed `mul`/`square`/`sub`/`neg` as long as its
+    /// limbs stay within 2⁵⁴ (see the type-level contract).
+    #[inline]
     #[must_use]
     pub fn add(self, rhs: Fe) -> Fe {
-        let mut out = [0u64; 5];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0.iter())) {
-            *o = a + b;
-        }
-        Fe(out).weak_reduce()
+        Fe(std::array::from_fn(|i| self.0[i] + rhs.0[i]))
     }
 
-    /// Field subtraction.
+    /// Field subtraction; carries, so the result's limbs are below 2⁵².
+    #[inline]
     #[must_use]
     pub fn sub(self, rhs: Fe) -> Fe {
-        // Add 2p before subtracting so limbs never go negative.
-        const TWO_P: [u64; 5] = [
-            2 * (MASK51 - 18),
-            2 * MASK51,
-            2 * MASK51,
-            2 * MASK51,
-            2 * MASK51,
+        debug_assert!(self.within_lazy_bound() && rhs.within_lazy_bound());
+        // Add 16p before subtracting so limbs never go negative, even
+        // for an un-carried `rhs`.
+        const P16: [u64; 5] = [
+            16 * (MASK51 - 18),
+            16 * MASK51,
+            16 * MASK51,
+            16 * MASK51,
+            16 * MASK51,
         ];
-        let mut out = [0u64; 5];
-        for i in 0..5 {
-            out[i] = self.0[i] + TWO_P[i] - rhs.0[i];
-        }
-        Fe(out).weak_reduce()
+        Fe(std::array::from_fn(|i| self.0[i] + P16[i] - rhs.0[i])).weak_reduce()
     }
 
     /// Field negation.
+    #[inline]
     #[must_use]
     pub fn neg(self) -> Fe {
         Fe::ZERO.sub(self)
     }
 
+    /// Shared tail of `mul` and `square`: carry five `u128` column sums
+    /// (each below 2¹¹⁶, the top one below 2¹¹¹) down to limbs below 2⁵².
+    #[inline(always)]
+    fn carry_columns(t: [u128; 5]) -> Fe {
+        let mut out = [0u64; 5];
+        let mut carry = 0u64;
+        for (limb, col) in out.iter_mut().zip(t) {
+            let v = col + u128::from(carry);
+            *limb = (v as u64) & MASK51;
+            carry = (v >> 51) as u64;
+        }
+        // The top column holds no ×19 term, so its carry is below 2⁶⁰
+        // and the fold stays inside u64; its spill into limb 1 is under
+        // 2¹³, so the result is carried without another pass.
+        out[0] += carry * 19;
+        out[1] += out[0] >> 51;
+        out[0] &= MASK51;
+        Fe(out)
+    }
+
     /// Field multiplication.
+    #[inline]
     #[must_use]
     pub fn mul(self, rhs: Fe) -> Fe {
         #[cfg(any(test, feature = "op-count"))]
         opcount::record_mul();
+        debug_assert!(self.within_lazy_bound() && rhs.within_lazy_bound());
         let a = &self.0;
         let b = &rhs.0;
         let m = |x: u64, y: u64| u128::from(x) * u128::from(y);
 
-        // Schoolbook with the 19-fold for limbs >= 5.
-        let mut t = [0u128; 5];
-        t[0] = m(a[0], b[0]) + 19 * (m(a[1], b[4]) + m(a[2], b[3]) + m(a[3], b[2]) + m(a[4], b[1]));
-        t[1] = m(a[0], b[1]) + m(a[1], b[0]) + 19 * (m(a[2], b[4]) + m(a[3], b[3]) + m(a[4], b[2]));
-        t[2] = m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + 19 * (m(a[3], b[4]) + m(a[4], b[3]));
-        t[3] = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + 19 * m(a[4], b[4]);
-        t[4] = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
-
-        // Carry chain over u128 accumulators.
-        let mut out = [0u64; 5];
-        let mut carry: u128 = 0;
-        for i in 0..5 {
-            let v = t[i] + carry;
-            out[i] = (v as u64) & MASK51;
-            carry = v >> 51;
-        }
-        let fold = carry * 19;
-        let v = u128::from(out[0]) + fold;
-        out[0] = (v as u64) & MASK51;
-        out[1] += (v >> 51) as u64;
-        // Already weakly reduced: the chain masked every limb below 2⁵¹
-        // and the fold's spill into limb 1 is under 2¹³, so no further
-        // carry pass is needed.
-        Fe(out)
+        // Schoolbook with the 19-fold for limbs >= 5, the ×19 applied to
+        // the 64-bit operand rather than the 128-bit sum.
+        let b1_19 = b[1] * 19;
+        let b2_19 = b[2] * 19;
+        let b3_19 = b[3] * 19;
+        let b4_19 = b[4] * 19;
+        Self::carry_columns([
+            m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19),
+            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19),
+            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19),
+            m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19),
+            m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]),
+        ])
     }
 
     /// Field squaring.
@@ -254,33 +287,29 @@ impl Fe {
     /// Dedicated formula (15 limb products instead of `mul`'s 25); the
     /// per-column integer sums are identical to `self.mul(self)`, so the
     /// carry chain produces bit-identical limbs.
+    #[inline]
     #[must_use]
     pub fn square(self) -> Fe {
         #[cfg(any(test, feature = "op-count"))]
         opcount::record_square();
+        debug_assert!(self.within_lazy_bound());
         let a = &self.0;
         let m = |x: u64, y: u64| u128::from(x) * u128::from(y);
 
-        let mut t = [0u128; 5];
-        t[0] = m(a[0], a[0]) + 38 * (m(a[1], a[4]) + m(a[2], a[3]));
-        t[1] = 2 * m(a[0], a[1]) + 38 * m(a[2], a[4]) + 19 * m(a[3], a[3]);
-        t[2] = 2 * m(a[0], a[2]) + m(a[1], a[1]) + 38 * m(a[3], a[4]);
-        t[3] = 2 * (m(a[0], a[3]) + m(a[1], a[2])) + 19 * m(a[4], a[4]);
-        t[4] = 2 * (m(a[0], a[4]) + m(a[1], a[3])) + m(a[2], a[2]);
-
-        let mut out = [0u64; 5];
-        let mut carry: u128 = 0;
-        for i in 0..5 {
-            let v = t[i] + carry;
-            out[i] = (v as u64) & MASK51;
-            carry = v >> 51;
-        }
-        let fold = carry * 19;
-        let v = u128::from(out[0]) + fold;
-        out[0] = (v as u64) & MASK51;
-        out[1] += (v >> 51) as u64;
-        // Weakly reduced by the same argument as `mul`.
-        Fe(out)
+        // Doublings and ×19 on the 64-bit operands (2·19·2⁵⁴ < 2⁶⁰).
+        let d0 = 2 * a[0];
+        let d1 = 2 * a[1];
+        let d2 = 2 * a[2];
+        let d3 = 2 * a[3];
+        let a3_19 = 19 * a[3];
+        let a4_19 = 19 * a[4];
+        Self::carry_columns([
+            m(a[0], a[0]) + m(d1, a4_19) + m(d2, a3_19),
+            m(d0, a[1]) + m(d2, a4_19) + m(a[3], a3_19),
+            m(d0, a[2]) + m(a[1], a[1]) + m(d3, a4_19),
+            m(d0, a[3]) + m(d1, a[2]) + m(a[4], a4_19),
+            m(d0, a[4]) + m(d1, a[3]) + m(a[2], a[2]),
+        ])
     }
 
     /// Multiply by a small constant.
@@ -288,6 +317,8 @@ impl Fe {
     /// Per-limb scaling: with `k < 2³²` in limb 0 of a field element the
     /// schoolbook product degenerates to `t[i] = a[i]·k`, so this computes
     /// exactly the same column sums as `self.mul(Fe::from_u64(k))` did.
+    /// Accepts any limbs (`a[i]·k` stays below 2⁹⁶); the result is carried.
+    #[inline]
     #[must_use]
     pub fn mul_small(self, k: u32) -> Fe {
         let k = u128::from(k);
@@ -568,7 +599,87 @@ mod tests {
         assert_eq!(by_pow, by_mul);
     }
 
+    /// The canonical (fully reduced, hence carried) form of `x`: what an
+    /// eager implementation would hold after every operation.
+    fn eager(x: Fe) -> Fe {
+        Fe::from_bytes(&x.to_bytes())
+    }
+
+    /// Every carrying operation on `lazy` (and on a second lazy operand)
+    /// must produce the same field element as on the eagerly reduced
+    /// values.
+    fn assert_lazy_matches_eager(lazy: Fe, other: Fe) {
+        let (l, o) = (eager(lazy), eager(other));
+        assert_eq!(lazy.to_bytes(), l.to_bytes());
+        assert_eq!(lazy.mul(other), l.mul(o));
+        assert_eq!(other.mul(lazy), o.mul(l));
+        assert_eq!(lazy.square(), l.square());
+        assert_eq!(lazy.sub(other), l.sub(o));
+        assert_eq!(other.sub(lazy), o.sub(l));
+        assert_eq!(lazy.neg(), l.neg());
+        assert_eq!(lazy.mul_small(121_665), l.mul_small(121_665));
+        assert_eq!(lazy.is_zero(), l.is_zero());
+        assert_eq!(lazy.is_odd(), l.is_odd());
+        for out in [lazy.mul(other), lazy.square(), lazy.sub(other), lazy.neg()] {
+            assert!(
+                out.0.iter().all(|&limb| limb < 1 << 52),
+                "result not carried"
+            );
+        }
+    }
+
+    #[test]
+    fn limbs_at_the_lazy_bound_are_accepted() {
+        let top = Fe([LAZY_LIMB_MAX; 5]);
+        assert_lazy_matches_eager(top, top);
+        assert_lazy_matches_eager(top, Fe::ONE);
+        assert_lazy_matches_eager(Fe::ZERO, top);
+        // Four carried operands with every limb at its maximum stay inside.
+        let max_carried = Fe([(1 << 52) - 1; 5]);
+        let chain = max_carried
+            .add(max_carried)
+            .add(max_carried)
+            .add(max_carried);
+        assert!(chain.within_lazy_bound());
+        assert_lazy_matches_eager(chain, chain);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic]
+    fn limbs_past_the_lazy_bound_are_caught_in_debug_builds() {
+        let _ = Fe([LAZY_LIMB_MAX + 1, 0, 0, 0, 0]).square();
+    }
+
     proptest! {
+        #[test]
+        fn prop_lazy_add_chains_match_eager_reduction(
+            operands in proptest::collection::vec(any::<[[u8; 32]; 2]>(), 1..5),
+            other in proptest::collection::vec(any::<[[u8; 32]; 2]>(), 1..5),
+        ) {
+            // Carried operands as the code produces them: products and
+            // differences, not just freshly parsed (< 2⁵¹) values.
+            let carried = |[a, b]: &[[u8; 32]; 2], i: usize| {
+                let (x, y) = (Fe::from_bytes(a), Fe::from_bytes(b));
+                if i.is_multiple_of(2) { x.mul(y) } else { x.sub(y) }
+            };
+            let chain = |ops: &[[[u8; 32]; 2]]| {
+                let mut lazy = carried(&ops[0], 0);
+                let mut reference = eager(lazy);
+                for (i, op) in ops.iter().enumerate().skip(1) {
+                    let e = carried(op, i);
+                    lazy = lazy.add(e);
+                    reference = eager(reference.add(e));
+                }
+                (lazy, reference)
+            };
+            let (lazy, reference) = chain(&operands);
+            let (lazy_other, _) = chain(&other);
+            prop_assert!(lazy.within_lazy_bound());
+            prop_assert_eq!(lazy, reference);
+            assert_lazy_matches_eager(lazy, lazy_other);
+        }
+
         #[test]
         fn prop_mul_commutes(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
             let x = Fe::from_bytes(&a);

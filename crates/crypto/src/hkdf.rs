@@ -5,7 +5,7 @@
 //! derived from it with domain-separating `info` labels, mirroring the LTE
 //! key derivation tree (paper §4.1).
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacSha256Key};
 
 /// HKDF-Extract: derive a pseudo-random key from input keying material.
 #[must_use]
@@ -20,20 +20,14 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
 /// Panics if more than `255 * 32` bytes are requested (RFC 5869 limit).
 pub fn expand(prk: &[u8; 32], info: &[u8], out: &mut [u8]) {
     assert!(out.len() <= 255 * 32, "HKDF-Expand output too long");
-    let mut t: Vec<u8> = Vec::new();
-    let mut offset = 0;
-    let mut counter = 1u8;
-    while offset < out.len() {
-        let mut msg = Vec::with_capacity(t.len() + info.len() + 1);
-        msg.extend_from_slice(&t);
-        msg.extend_from_slice(info);
-        msg.push(counter);
-        let block = hmac_sha256(prk, &msg);
-        let take = (out.len() - offset).min(32);
-        out[offset..offset + take].copy_from_slice(&block[..take]);
-        t = block.to_vec();
-        offset += take;
-        counter = counter.checked_add(1).expect("HKDF counter overflow");
+    let keyed = HmacSha256Key::new(prk);
+    let mut t = [0u8; 32];
+    let mut t_len = 0; // T(0) is empty
+    for (i, chunk) in out.chunks_mut(32).enumerate() {
+        let counter = u8::try_from(i + 1).expect("at most 255 blocks");
+        t = keyed.mac(&[&t[..t_len], info, &[counter]]);
+        t_len = 32;
+        chunk.copy_from_slice(&t[..chunk.len()]);
     }
 }
 

@@ -2,31 +2,45 @@
 
 use crate::sha2::{Sha256, Sha512};
 
+/// An HMAC-SHA-256 key with its two padded key blocks already absorbed:
+/// each [`mac`](Self::mac) under it skips those two compressions. HKDF
+/// expands several blocks under one key, which is what this is for.
+pub(crate) struct HmacSha256Key {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacSha256Key {
+    pub(crate) fn new(key: &[u8]) -> Self {
+        let mut k = [0u8; 64];
+        if key.len() > 64 {
+            k[..32].copy_from_slice(&crate::sha2::sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&k.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&k.map(|b| b ^ 0x5c));
+        Self { inner, outer }
+    }
+
+    /// The MAC of the concatenation of `parts`.
+    pub(crate) fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// HMAC-SHA-256 of `data` under `key`.
 #[must_use]
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    let mut k = [0u8; 64];
-    if key.len() > 64 {
-        k[..32].copy_from_slice(&crate::sha2::sha256(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut pad = [0u8; 64];
-    for (p, b) in pad.iter_mut().zip(k.iter()) {
-        *p = b ^ 0x36;
-    }
-    let mut inner = Sha256::new();
-    inner.update(&pad);
-    inner.update(data);
-    let inner_digest = inner.finalize();
-
-    for (p, b) in pad.iter_mut().zip(k.iter()) {
-        *p = b ^ 0x5c;
-    }
-    let mut outer = Sha256::new();
-    outer.update(&pad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacSha256Key::new(key).mac(&[data])
 }
 
 /// HMAC-SHA-512 of `data` under `key`.

@@ -25,7 +25,7 @@
 
 use crate::ed25519::Point;
 use crate::field::Fe;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -480,9 +480,10 @@ fn key_cache() -> &'static [Mutex<KeyCache>; CACHE_STRIPES] {
 /// point that keeps coming back (a sealed-box recipient key). Two tiers:
 ///
 /// * `R16` — radix-16 projective Niels rows (`rows[i][j] = (j+1)·16ⁱ·P`,
-///   ~80 KiB, ~150 µs build): what every repeated peer gets on its
-///   second sighting. One multiplication is 64 cached additions, zero
-///   doublings, versus the ~255-step Montgomery ladder.
+///   ~80 KiB, ~150 µs build): what a repeated peer gets once it has
+///   paid about one build in ladder runs ([`DH_ADMIT_SIGHTINGS`]). One
+///   multiplication is 64 cached additions, zero doublings, versus the
+///   ~255-step Montgomery ladder.
 /// * `R256` — radix-256 affine Niels rows (~490 KiB, ~3 ms build): the
 ///   basepoint treatment, earned only by *hot* peers
 ///   ([`DH_PROMOTE_HITS`]) whose remaining traffic amortizes the build.
@@ -604,27 +605,56 @@ fn edwards_from_montgomery_u(u_bytes: &[u8; 32]) -> Option<Point> {
 /// How a peer u-coordinate is currently classified by the DH cache.
 enum DhState {
     /// On the curve, table built: take the fast path. `hits` counts
-    /// multiplications served, driving the R16 → R256 promotion.
-    Table { table: Arc<DhTable>, hits: u32 },
+    /// multiplications served, driving the R16 → R256 promotion;
+    /// `recent` is the second-chance bit eviction consults.
+    Table {
+        table: Arc<DhTable>,
+        hits: u32,
+        recent: bool,
+    },
     /// `u = −1` or a twist point: permanently ladder.
     Unsupported,
 }
 
+impl DhState {
+    fn table(&self) -> Option<Arc<DhTable>> {
+        match self {
+            DhState::Table { table, .. } => Some(Arc::clone(table)),
+            DhState::Unsupported => None,
+        }
+    }
+}
+
+/// One lock stripe of the DH cache: the sighting counts of peers still
+/// on the ladder, and the built tables in second-chance (CLOCK) order.
 struct DhCache {
-    /// Peers seen exactly once so far — tables are only built on the
-    /// second sighting, so one-shot ephemeral keys (every sealed-box
-    /// `open`) never pay a build.
-    seen_once: HashMap<[u8; 32], ()>,
+    /// Ladder runs paid so far by peers without a table, inside a FIFO
+    /// window: one-shot ephemeral keys (every sealed-box `open`) churn
+    /// through here without ever reaching [`DH_ADMIT_SIGHTINGS`].
+    seen: HashMap<[u8; 32], u8>,
     seen_order: VecDeque<[u8; 32]>,
     tables: HashMap<[u8; 32], DhState>,
     table_order: VecDeque<[u8; 32]>,
-    /// How many resident tables are R256, bounded by this stripe's
+    /// R256 tables resident or being built, bounded by this stripe's
     /// share of [`DH_R256_CAP`].
     promoted: usize,
 }
 
-/// Peers tracked as seen-once. Entries are 32 bytes; ephemeral keys
-/// churn through here without ever graduating to a table.
+/// What [`DhCache::lookup`] asks of its caller. The builds happen with
+/// the stripe unlocked (150 µs and 3 ms are long enough to stall every
+/// other worker whose peer hashes here) and are handed back through
+/// [`DhCache::install`] / [`DhCache::finish_promotion`].
+enum DhLookup {
+    Use(Arc<DhTable>),
+    Ladder,
+    /// The peer just paid its [`DH_ADMIT_SIGHTINGS`]-th ladder run.
+    Admit,
+    /// The peer earned the R256 tier and a slot is reserved for it.
+    Promote,
+}
+
+/// Peers whose sightings are being counted. Entries are 33 bytes;
+/// ephemeral keys churn through here without ever graduating to a table.
 const DH_SEEN_CAP: usize = 8192;
 
 /// Built tables (and twist verdicts). An R16 table is ~80 KiB, so this
@@ -632,108 +662,191 @@ const DH_SEEN_CAP: usize = 8192;
 /// sealed-box recipient (broker + telcos + active UE population slice).
 const DH_TABLE_CAP: usize = 256;
 
-/// Multiplications served before an R16 table is rebuilt as R256. The
-/// rebuild costs ~270 multiplications' worth of savings up front, so
-/// this wants peers with sustained traffic — broker and telco keys see
-/// thousands of seals, steadily-served subscriber keys hundreds, while
-/// short-lived UE keys never get close. Long-running serving loops
-/// measured best-of-N absorb the one-time builds in early reps.
-const DH_PROMOTE_HITS: u32 = 48;
+// Admission and promotion are ski-rental decisions: keep renting (the
+// ladder, or the lower tier) until the rent paid equals the price of
+// buying (the build), then buy — within 2× of the best offline choice
+// whatever the peer does next. The prices, measured on this tree by
+// `dh_cache_costs` (an `#[ignore]`d test below; 2-core KVM guest, each
+// in a hot loop, median of 8 runs):
+//
+//   ladder run            ≈  43 µs      R16 build   ≈ 155 µs
+//   R16 multiplication    ≈  10 µs      R256 build  ≈ 2.1 ms (3.3 ms when
+//   R256 multiplication   ≈ 4.6 µs                    its pages fault in)
+
+/// Sightings (ladder runs inside the seen window) after which a peer's
+/// R16 table is built: 155 µs of build ÷ 43 µs a ladder run ≈ 4 runs
+/// paid, so the build happens on the 5th. The seed rule — build on the
+/// second sighting — spent ≈ 17 µs per authorization on tables for
+/// uniform-stream UEs that were evicted before a second use.
+const DH_ADMIT_SIGHTINGS: u8 = 5;
+
+/// Multiplications an R16 table serves between attempts to rebuild it as
+/// R256: 2.1–3.3 ms of build ÷ ≈ 5.7 µs saved per use ≈ 370–580, rounded
+/// up to 600 because the hot-loop saving flatters a 490 KiB table that
+/// in service competes for cache with every other resident. Must move
+/// together with the eviction rule: second-chance eviction keeps hot
+/// tables resident, and promoting them at the seed's 48 hits filled
+/// every R256 slot (+32 MB resident on the saturated wire workload).
+const DH_PROMOTE_HITS: u32 = 600;
 
 /// Resident R256 tables (~490 KiB each): bounds hot-tier memory to
 /// ~47 MiB even if a pathological workload makes every peer hot.
 const DH_R256_CAP: usize = 96;
 
-fn dh_cache() -> &'static [Mutex<DhCache>; CACHE_STRIPES] {
-    static CACHE: OnceLock<[Mutex<DhCache>; CACHE_STRIPES]> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        std::array::from_fn(|_| {
-            Mutex::new(DhCache {
-                seen_once: HashMap::new(),
-                seen_order: VecDeque::new(),
-                tables: HashMap::new(),
-                table_order: VecDeque::new(),
-                promoted: 0,
-            })
-        })
-    })
-}
+impl DhCache {
+    fn new() -> DhCache {
+        DhCache {
+            seen: HashMap::new(),
+            seen_order: VecDeque::new(),
+            tables: HashMap::new(),
+            table_order: VecDeque::new(),
+            promoted: 0,
+        }
+    }
 
-/// Fetch (building on the second sighting) the radix-16 table for a
-/// repeated DH peer. `None` means "use the Montgomery ladder": the peer
-/// is new, one-shot so far, or not on the curve.
-pub(crate) fn dh_accel(u: &[u8; 32]) -> Option<Arc<DhTable>> {
-    let mut cache = dh_cache()[stripe_of(u[0])]
-        .lock()
-        .expect("dh cache poisoned");
-    let DhCache {
-        tables, promoted, ..
-    } = &mut *cache;
-    match tables.get_mut(u) {
-        Some(DhState::Table { table, hits }) => {
-            cellbricks_telemetry::counter("crypto.dhcache.hit").inc();
-            *hits += 1;
-            if *hits >= DH_PROMOTE_HITS
-                && *promoted < DH_R256_CAP / CACHE_STRIPES
-                && matches!(table.as_ref(), DhTable::R16(_))
-            {
-                // Hot peer: give it the radix-256 tier. The u-coordinate
-                // decompressed when the R16 table was built, so it still
-                // does.
-                if let Some(p) = edwards_from_montgomery_u(u) {
-                    cellbricks_telemetry::counter("crypto.dhcache.promote").inc();
-                    *table = Arc::new(dh_table_build_r256(&p));
-                    *promoted += 1;
+    fn lookup(&mut self, u: &[u8; 32]) -> DhLookup {
+        match self.tables.get_mut(u) {
+            Some(DhState::Table {
+                table,
+                hits,
+                recent,
+            }) => {
+                cellbricks_telemetry::counter("crypto.dhcache.hit").inc();
+                *hits = hits.wrapping_add(1);
+                *recent = true;
+                if *hits % DH_PROMOTE_HITS == 0
+                    && self.promoted < DH_R256_CAP / CACHE_STRIPES
+                    && matches!(table.as_ref(), DhTable::R16(_))
+                {
+                    self.promoted += 1;
+                    return DhLookup::Promote;
                 }
+                return DhLookup::Use(Arc::clone(table));
             }
-            return Some(Arc::clone(table));
-        }
-        Some(DhState::Unsupported) => {
-            cellbricks_telemetry::counter("crypto.dhcache.miss").inc();
-            return None;
-        }
-        None => {}
-    }
-    cellbricks_telemetry::counter("crypto.dhcache.miss").inc();
-    if cache.seen_once.remove(u).is_none() {
-        // First sighting: remember it, stay on the ladder.
-        cache.seen_once.insert(*u, ());
-        cache.seen_order.push_back(*u);
-        if cache.seen_order.len() > DH_SEEN_CAP / CACHE_STRIPES {
-            if let Some(old) = cache.seen_order.pop_front() {
-                cache.seen_once.remove(&old);
+            Some(DhState::Unsupported) => {
+                cellbricks_telemetry::counter("crypto.dhcache.miss").inc();
+                return DhLookup::Ladder;
             }
+            None => {}
         }
-        return None;
-    }
-    // Second sighting: this peer repeats — build (or condemn) its table.
-    let state = match edwards_from_montgomery_u(u) {
-        Some(p) => {
-            cellbricks_telemetry::counter("crypto.dhcache.build").inc();
-            DhState::Table {
-                table: Arc::new(dh_table_build(&p)),
-                hits: 0,
+        cellbricks_telemetry::counter("crypto.dhcache.miss").inc();
+        let sightings = match self.seen.entry(*u) {
+            Entry::Occupied(mut count) => {
+                *count.get_mut() += 1;
+                *count.get()
             }
-        }
-        None => DhState::Unsupported,
-    };
-    let out = match &state {
-        DhState::Table { table, .. } => Some(Arc::clone(table)),
-        DhState::Unsupported => None,
-    };
-    if cache.tables.insert(*u, state).is_none() {
-        cache.table_order.push_back(*u);
-        if cache.table_order.len() > DH_TABLE_CAP / CACHE_STRIPES {
-            if let Some(old) = cache.table_order.pop_front() {
-                if let Some(DhState::Table { table, .. }) = cache.tables.remove(&old) {
-                    if matches!(table.as_ref(), DhTable::R256(_)) {
-                        cache.promoted -= 1;
+            Entry::Vacant(slot) => {
+                slot.insert(1);
+                self.seen_order.push_back(*u);
+                if self.seen_order.len() > DH_SEEN_CAP / CACHE_STRIPES {
+                    if let Some(old) = self.seen_order.pop_front() {
+                        self.seen.remove(&old);
                     }
                 }
+                1
             }
+        };
+        if sightings < DH_ADMIT_SIGHTINGS {
+            return DhLookup::Ladder;
+        }
+        self.seen.remove(u);
+        DhLookup::Admit
+    }
+
+    /// Insert the verdict built for an admitted peer and return the
+    /// resident table. Re-checks first: another worker may have admitted
+    /// the same peer while this one was building.
+    fn install(&mut self, u: &[u8; 32], state: DhState) -> Option<Arc<DhTable>> {
+        if let Some(resident) = self.tables.get(u) {
+            return resident.table();
+        }
+        let out = state.table();
+        self.tables.insert(*u, state);
+        self.table_order.push_back(*u);
+        if self.table_order.len() > DH_TABLE_CAP / CACHE_STRIPES {
+            self.evict_one();
+        }
+        out
+    }
+
+    /// Second-chance eviction: a table hit since it last reached the
+    /// front goes round again with its bit cleared, so a stream of
+    /// newly admitted peers cannot push out the ones in steady use. One
+    /// sweep clears every bit, so this terminates.
+    fn evict_one(&mut self) {
+        while let Some(old) = self.table_order.pop_front() {
+            if let Some(DhState::Table { recent, .. }) = self.tables.get_mut(&old) {
+                if *recent {
+                    *recent = false;
+                    self.table_order.push_back(old);
+                    continue;
+                }
+            }
+            if let Some(DhState::Table { table, .. }) = self.tables.remove(&old) {
+                if matches!(table.as_ref(), DhTable::R256(_)) {
+                    self.promoted -= 1;
+                }
+            }
+            return;
         }
     }
-    out
+
+    /// Swap in the R256 table built for a [`DhLookup::Promote`], or give
+    /// the reserved slot back if the peer was evicted (or promoted by
+    /// another worker) meanwhile.
+    fn finish_promotion(&mut self, u: &[u8; 32], r256: &Arc<DhTable>) {
+        match self.tables.get_mut(u) {
+            Some(DhState::Table { table, .. }) if matches!(table.as_ref(), DhTable::R16(_)) => {
+                *table = Arc::clone(r256);
+            }
+            _ => self.promoted -= 1,
+        }
+    }
+}
+
+fn dh_cache() -> &'static [Mutex<DhCache>; CACHE_STRIPES] {
+    static CACHE: OnceLock<[Mutex<DhCache>; CACHE_STRIPES]> = OnceLock::new();
+    CACHE.get_or_init(|| std::array::from_fn(|_| Mutex::new(DhCache::new())))
+}
+
+/// Fetch the table for a repeated DH peer, building it when the peer
+/// has earned one (see [`DH_ADMIT_SIGHTINGS`], [`DH_PROMOTE_HITS`]).
+/// `None` means "use the Montgomery ladder": the peer is new, has not
+/// repeated enough yet, or is not on the curve.
+pub(crate) fn dh_accel(u: &[u8; 32]) -> Option<Arc<DhTable>> {
+    dh_accel_in(&dh_cache()[stripe_of(u[0])], u)
+}
+
+/// [`dh_accel`] against one stripe; tables are built with it unlocked.
+fn dh_accel_in(stripe: &Mutex<DhCache>, u: &[u8; 32]) -> Option<Arc<DhTable>> {
+    let locked = || stripe.lock().expect("dh cache poisoned");
+    let step = locked().lookup(u);
+    match step {
+        DhLookup::Use(table) => Some(table),
+        DhLookup::Ladder => None,
+        DhLookup::Admit => {
+            let state = match edwards_from_montgomery_u(u) {
+                Some(p) => {
+                    cellbricks_telemetry::counter("crypto.dhcache.build").inc();
+                    DhState::Table {
+                        table: Arc::new(dh_table_build(&p)),
+                        hits: 0,
+                        recent: true,
+                    }
+                }
+                None => DhState::Unsupported,
+            };
+            locked().install(u, state)
+        }
+        DhLookup::Promote => {
+            let p = edwards_from_montgomery_u(u)
+                .expect("a peer with an R16 table mapped to the curve when it was built");
+            cellbricks_telemetry::counter("crypto.dhcache.promote").inc();
+            let r256 = Arc::new(dh_table_build_r256(&p));
+            locked().finish_promotion(u, &r256);
+            Some(r256)
+        }
+    }
 }
 
 // ----- Verifier-key cache -----
@@ -779,6 +892,13 @@ type SigMemoKey = [u8; 160];
 struct SigMemo {
     map: HashMap<SigMemoKey, ()>,
     order: VecDeque<SigMemoKey>,
+    /// Doorkeeper: fingerprints of triples that verified once, direct-
+    /// mapped. A triple enters `map` on its *second* success, so the two
+    /// one-shot request signatures of every authorization (fresh nonce,
+    /// never seen again) cost 8 bytes here instead of a 160-byte entry
+    /// that pushes a recurring certificate out of the FIFO. A collision
+    /// only memoizes a verified triple one success early, or late.
+    verified_once: Vec<u64>,
 }
 
 /// Capacity of the verified-signature memo. Entries are 160 bytes, so
@@ -787,6 +907,11 @@ struct SigMemo {
 /// certificates — one entry per (certificate, signer) pair.
 const SIG_MEMO_CAP: usize = 16384;
 
+/// Doorkeeper slots per stripe (8 KiB): a recurring triple's second
+/// success finds its fingerprint unless ~1 000 one-shot signatures
+/// landed on the stripe in between.
+const SIG_ONCE_SLOTS: usize = 1024;
+
 fn sig_memo() -> &'static [Mutex<SigMemo>; CACHE_STRIPES] {
     static CACHE: OnceLock<[Mutex<SigMemo>; CACHE_STRIPES]> = OnceLock::new();
     CACHE.get_or_init(|| {
@@ -794,6 +919,7 @@ fn sig_memo() -> &'static [Mutex<SigMemo>; CACHE_STRIPES] {
             Mutex::new(SigMemo {
                 map: HashMap::new(),
                 order: VecDeque::new(),
+                verified_once: vec![0; SIG_ONCE_SLOTS],
             })
         })
     })
@@ -825,11 +951,21 @@ pub(crate) fn sig_memo_hit(key: &[u8; 32], sig: &[u8; 64], msg_hash: &[u8; 64]) 
     hit
 }
 
-/// Record a successful verification, evicting FIFO at cap.
+/// Record a successful verification. The first success of a triple only
+/// leaves its fingerprint with the doorkeeper; the second inserts it,
+/// evicting FIFO at cap.
 pub(crate) fn sig_memo_put(key: &[u8; 32], sig: &[u8; 64], msg_hash: &[u8; 64]) {
+    // Bytes 8..16 of R: uniform, and independent of the stripe byte.
+    let fingerprint = u64::from_le_bytes(sig[8..16].try_into().expect("8 bytes"))
+        ^ u64::from_le_bytes(msg_hash[..8].try_into().expect("8 bytes"));
     let mut memo = sig_memo()[stripe_of(sig[0])]
         .lock()
         .expect("sig memo poisoned");
+    let slot = &mut memo.verified_once[fingerprint as usize % SIG_ONCE_SLOTS];
+    if *slot != fingerprint {
+        *slot = fingerprint;
+        return;
+    }
     let k = sig_memo_key(key, sig, msg_hash);
     if memo.map.insert(k, ()).is_none() {
         memo.order.push_back(k);
@@ -870,5 +1006,172 @@ mod tests {
                 assert!(points_equal(&a, &b));
             }
         }
+    }
+
+    /// The u-coordinate of `k·B` for a small distinct `k`: a real curve
+    /// point per index, which is what an admitted peer must be.
+    fn peer_u(i: u32) -> [u8; 32] {
+        let mut k = [0u8; 32];
+        k[..4].copy_from_slice(&(i + 1).to_le_bytes());
+        let p = mul_base(&k);
+        p.z.add(p.y).mul(p.z.sub(p.y).invert()).to_bytes()
+    }
+
+    // The admission rule on one stripe, driven directly: a scan of peers
+    // that never reach the admission threshold builds nothing and evicts
+    // nobody, however long it runs; each hot peer is built exactly once;
+    // and the R256 tier stays inside its cap however many peers earn it.
+    #[test]
+    fn dh_cache_scan_never_builds_or_evicts_hot_peers() {
+        const HOT: u32 = 16; // more than the stripe's R256 share (12)
+        let stripe = Mutex::new(DhCache::new());
+        let hot: Vec<[u8; 32]> = (0..HOT).map(peer_u).collect();
+        // Scan keys are never decompressed (never admitted), so any 32
+        // distinct bytes do.
+        let scan_key = |i: u32| {
+            let mut u = [0x5au8; 32];
+            u[..4].copy_from_slice(&i.to_le_bytes());
+            u
+        };
+
+        let mut first_table: Vec<Option<Arc<DhTable>>> = vec![None; HOT as usize];
+        let mut r16_builds = 0;
+        let mut next_scan = 0u32;
+        // Each round: every hot peer once, then 16 scan sightings (four
+        // fresh keys, four sightings each — one short of admission).
+        for round in 0..2_500u32 {
+            for (slot, u) in hot.iter().enumerate() {
+                let got = dh_accel_in(&stripe, u);
+                let sightings = round + 1;
+                if sightings < u32::from(DH_ADMIT_SIGHTINGS) {
+                    assert!(got.is_none(), "admitted after {sightings} sightings");
+                    continue;
+                }
+                let got = got.expect("hot peer lost its table");
+                match &first_table[slot] {
+                    None => {
+                        assert!(matches!(got.as_ref(), DhTable::R16(_)));
+                        first_table[slot] = Some(got);
+                        r16_builds += 1;
+                    }
+                    Some(first) => assert!(
+                        Arc::ptr_eq(first, &got) || matches!(got.as_ref(), DhTable::R256(_)),
+                        "hot peer {slot} was evicted and rebuilt"
+                    ),
+                }
+            }
+            for _ in 0..4 {
+                for _ in 0..DH_ADMIT_SIGHTINGS - 1 {
+                    assert!(dh_accel_in(&stripe, &scan_key(next_scan)).is_none());
+                }
+                next_scan += 1;
+            }
+        }
+        assert_eq!(next_scan, 10_000);
+        assert_eq!(r16_builds, HOT);
+
+        let cache = stripe.lock().unwrap();
+        assert_eq!(cache.tables.len(), HOT as usize, "a scan peer was built");
+        assert!(cache.seen.len() <= DH_SEEN_CAP / CACHE_STRIPES);
+        let resident_r256 = cache
+            .tables
+            .values()
+            .filter(|s| matches!(s.table().as_deref(), Some(DhTable::R256(_))))
+            .count();
+        // 2 500 uses each: every hot peer tried to promote (at 600, 1 200,
+        // …), and exactly the stripe's share of the cap got a slot.
+        assert_eq!(resident_r256, DH_R256_CAP / CACHE_STRIPES);
+        assert_eq!(cache.promoted, resident_r256);
+    }
+
+    // Eviction gives a recently hit table a second chance: admitting one
+    // peer past the cap evicts the resident that has not been used, not
+    // the oldest.
+    #[test]
+    fn dh_cache_eviction_spares_recently_hit_tables() {
+        let cap = (DH_TABLE_CAP / CACHE_STRIPES) as u32;
+        let stripe = Mutex::new(DhCache::new());
+        let peers: Vec<[u8; 32]> = (0..=cap).map(|i| peer_u(100 + i)).collect();
+        let admit = |u: &[u8; 32]| {
+            for _ in 0..DH_ADMIT_SIGHTINGS {
+                let _ = dh_accel_in(&stripe, u);
+            }
+        };
+        for u in &peers[..cap as usize] {
+            admit(u);
+        }
+        // Age every bit, then touch all but peer 3.
+        for state in stripe.lock().unwrap().tables.values_mut() {
+            if let DhState::Table { recent, .. } = state {
+                *recent = false;
+            }
+        }
+        for (i, u) in peers[..cap as usize].iter().enumerate() {
+            if i != 3 {
+                assert!(dh_accel_in(&stripe, u).is_some());
+            }
+        }
+        admit(&peers[cap as usize]);
+        let cache = stripe.lock().unwrap();
+        assert_eq!(cache.tables.len(), cap as usize);
+        assert!(!cache.tables.contains_key(&peers[3]), "idle table kept");
+        assert!(
+            cache.tables.contains_key(&peers[0]),
+            "oldest hot table evicted"
+        );
+        assert!(cache.tables.contains_key(&peers[cap as usize]));
+    }
+
+    // Where DH_ADMIT_SIGHTINGS and DH_PROMOTE_HITS come from: run with
+    // `cargo test --release -p cellbricks-crypto dh_cache_costs -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn dh_cache_costs() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let u = peer_u(7);
+        let p = edwards_from_montgomery_u(&u).unwrap();
+        let mut k = [0x5bu8; 32];
+        k[0] &= 248;
+        k[31] = 0x40 | (k[31] & 0x3f);
+        let time = |n: u32, f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            for _ in 0..n {
+                f();
+            }
+            t.elapsed() / n
+        };
+        let r16 = dh_table_build(&p);
+        let r256 = dh_table_build_r256(&p);
+        println!(
+            "ladder run          {:?}",
+            time(400, &mut || {
+                black_box(crate::x25519::x25519(black_box(&k), &u));
+            })
+        );
+        println!(
+            "R16 multiplication  {:?}",
+            time(2000, &mut || {
+                black_box(mul_dh_table(black_box(&k), &r16));
+            })
+        );
+        println!(
+            "R256 multiplication {:?}",
+            time(2000, &mut || {
+                black_box(mul_dh_table(black_box(&k), &r256));
+            })
+        );
+        println!(
+            "R16 build           {:?}",
+            time(200, &mut || {
+                black_box(dh_table_build(black_box(&p)));
+            })
+        );
+        println!(
+            "R256 build          {:?}",
+            time(20, &mut || {
+                black_box(dh_table_build_r256(black_box(&p)));
+            })
+        );
     }
 }

@@ -52,10 +52,10 @@ fn derive_keys(
     ephemeral_pk: &[u8; 32],
     recipient_pk: &[u8; 32],
 ) -> ([u8; 32], [u8; 32]) {
-    let mut info = Vec::with_capacity(64 + 16);
-    info.extend_from_slice(b"cellbricks-seal:");
-    info.extend_from_slice(ephemeral_pk);
-    info.extend_from_slice(recipient_pk);
+    let mut info = [0u8; 16 + 64];
+    info[..16].copy_from_slice(b"cellbricks-seal:");
+    info[16..48].copy_from_slice(ephemeral_pk);
+    info[48..].copy_from_slice(recipient_pk);
     let mut okm = [0u8; 64];
     hkdf::derive(b"", shared, &info, &mut okm);
     let mut enc_key = [0u8; 32];

@@ -143,11 +143,9 @@ impl Sha256 {
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        while let Some((block, rest)) = data.split_first_chunk::<64>() {
+            self.compress(block);
+            data = rest;
         }
         if !data.is_empty() {
             self.buf[..data.len()].copy_from_slice(data);
@@ -159,12 +157,18 @@ impl Sha256 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Pad in one step: 0x80, zeros, and the 64-bit length in the last
+        // 8 bytes — of this block if they fit after the marker, else of
+        // one more. (`update` flushes at 64, so `buf_len` ≤ 63.)
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
@@ -268,11 +272,9 @@ impl Sha512 {
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 128 {
-            let mut block = [0u8; 128];
-            block.copy_from_slice(&data[..128]);
-            self.compress(&block);
-            data = &data[128..];
+        while let Some((block, rest)) = data.split_first_chunk::<128>() {
+            self.compress(block);
+            data = rest;
         }
         if !data.is_empty() {
             self.buf[..data.len()].copy_from_slice(data);
@@ -284,12 +286,17 @@ impl Sha512 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; 64] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0]);
+        // One-step padding as in `Sha256::finalize`, with a 128-bit
+        // length in the last 16 bytes.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 112 {
+            self.compress(&block);
+            block = [0; 128];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        block[112..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 64];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 8..i * 8 + 8].copy_from_slice(&w.to_be_bytes());
@@ -454,5 +461,46 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha512(&data), "split {split}");
         }
+    }
+
+    // Every message length 0..=257 — each padding case of both hashes,
+    // twice over: the marker and length in one block, the length pushed
+    // to an extra block, exact block multiples. The two constants are the
+    // digests of all 258 digests concatenated, computed independently:
+    //
+    //   f = hashlib.sha256()
+    //   for n in range(258):
+    //       f.update(hashlib.sha256(bytes((i*7+n) % 256 for i in range(n))).digest())
+    //
+    // (likewise sha512), and the byte-at-a-time padding this
+    // implementation used before produces the same two values.
+    #[test]
+    fn digests_of_every_length_to_257() {
+        let mut fold256 = Sha256::new();
+        let mut fold512 = Sha512::new();
+        for n in 0..=257usize {
+            let msg: Vec<u8> = (0..n).map(|i| ((i * 7 + n) % 256) as u8).collect();
+            fold256.update(&sha256(&msg));
+            fold512.update(&sha512(&msg));
+            // The same digest whatever `update` calls delivered the bytes.
+            let (a, b) = msg.split_at(n / 3);
+            let mut h256 = Sha256::new();
+            let mut h512 = Sha512::new();
+            for part in [a, b] {
+                h256.update(part);
+                h512.update(part);
+            }
+            assert_eq!(h256.finalize(), sha256(&msg), "sha256 length {n}");
+            assert_eq!(h512.finalize(), sha512(&msg), "sha512 length {n}");
+        }
+        assert_eq!(
+            hex(&fold256.finalize()),
+            "20cbd727cf88cf378289b88c715b382f14c0d53d49ff3365e37dbdf4337f9c11"
+        );
+        assert_eq!(
+            hex(&fold512.finalize()),
+            "86e4b8e720215718d187680954d279fc5c9495c3932c7359edad1a1f247eaafa\
+             740c5523f0883ca514ba1e6b713400ba4b0795eac08511cfc611484566fc2874"
+        );
     }
 }

@@ -25,7 +25,16 @@ fn counter_values() -> [u64; 3] {
     COUNTERS.map(|name| telemetry::counter(name).get())
 }
 
+/// The counters are process-global and `cargo test` runs this file's
+/// tests on parallel threads: without this, one test's packets land in
+/// the other's delta.
+static COUNTERS_IN_USE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn fig7_local() -> (Fig7Row, Fig7Row, [u64; 3]) {
+    // A panicking holder leaves the `()` as valid as ever.
+    let _exclusive = COUNTERS_IN_USE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let before = counter_values();
     let profile = ProcProfile::default();
     let bl = run_baseline(PLACEMENTS[0], &profile, 5, 42);
