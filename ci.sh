@@ -24,6 +24,13 @@ run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --release --workspace
 run cargo test -q --workspace
 
+# The examples are part of the claim: `broker_server` is the one
+# end-to-end check that a broker is the shared core plus ~20 lines over
+# `serve_tcp`; `quickstart` drives the core with a batch of one. Both
+# assert their own outcome.
+run cargo run --release -q --example broker_server
+run cargo run --release -q --example quickstart
+
 # Crypto op-count gate: signature verification through the precomputed
 # tables must spend at least 5x fewer field multiplications than the
 # seed double-and-add path it replaced. The tally (a thread-local
@@ -169,7 +176,7 @@ grep -q '"fault.unrecovered":0' results/exp_chaos.metrics.json
 echo
 echo "==> results/exp_chaos.metrics.json OK"
 
-# Broker-plane gate (ROADMAP item 2): authorization throughput must
+# Broker-plane gate (sharded sim brokers, PR 8): authorization throughput must
 # scale ~linearly in shard count, and a mid-burst shard-primary kill
 # must cost zero failed attaches (replica failover covers the outage).
 # The sweep is measured in *simulated* time, so the gauges are a pure
@@ -203,7 +210,7 @@ rm -rf "$bscratch"
 echo
 echo "==> exp_broker gates OK (k1 $bk1 au/s, k4 $bk4 au/s, kill failed_attaches 0)"
 
-# brokerd wire-service gate (ROADMAP item 3 / PR 9). Two layers:
+# brokerd wire-service gate (the wire adapter over real sockets). Two layers:
 #
 #   1. The *committed* results/exp_brokerd.metrics.json — written by the
 #      last full run — must itself record a served-auth/s at C=16 above
@@ -273,8 +280,9 @@ if [ "$(nproc)" -ge 4 ]; then
     brokerd_rate() { # brokerd_rate <workers> -> C=16 served-auth/s
         local d rate
         d=$(mktemp -d)
-        env CELLBRICKS_RESULTS_DIR="$d" CELLBRICKS_BROKERD_WORKERS="$1" \
-            cargo run --release -q -p cellbricks-bench --bin exp_brokerd >/dev/null
+        env CELLBRICKS_RESULTS_DIR="$d" \
+            cargo run --release -q -p cellbricks-bench --bin exp_brokerd -- \
+            --workers "$1" >/dev/null
         rate=$(metric "$d/exp_brokerd.metrics.json" "exp_brokerd.c16.served_per_sec")
         rm -rf "$d"
         echo "$rate"
@@ -342,7 +350,19 @@ case "$pb_line" in
         exit 1
         ;;
 esac
-echo "==> perfbench smoke OK ($pb_line)"
+echo "==> perfbench wire_sat smoke OK ($pb_line)"
+# The same check at batches of one — the path the simulated broker runs.
+echo "==> perfbench wire_paced smoke"
+pb_line=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload wire_paced --seed 7 --seconds 3 --trace 0 | tail -n 1)
+case "$pb_line" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+        echo "FAIL: perfbench wire_paced smoke: $pb_line"
+        exit 1
+        ;;
+esac
+echo "==> perfbench wire_paced smoke OK ($pb_line)"
 
 echo
 echo "CI gate passed."

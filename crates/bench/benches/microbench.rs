@@ -10,7 +10,8 @@ use cellbricks_core::attach_bench::{run_baseline, run_cellbricks, ProcProfile, P
 use cellbricks_core::billing::TrafficReport;
 use cellbricks_core::brokerd::{BrokerWire, Brokerd, BrokerdConfig};
 use cellbricks_core::principal::{BrokerKeys, TelcoKeys, UeKeys};
-use cellbricks_core::sap::{self, QosCap, SubscriberEntry};
+use cellbricks_core::sap::{self, QosCap};
+use cellbricks_core::{AuthState, BrokerCore};
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_crypto::ed25519::SigningKey;
 use cellbricks_net::{Endpoint, NodeId, Packet};
@@ -81,29 +82,16 @@ fn bench_crypto(c: &mut Criterion) {
         w2.telco.identity(),
         &mut w2.rng,
     );
-    let req_t = sap::telco_wrap_request(&w2.telco, req_u, qos());
-    c.bench_function("sap_broker_process", |b| {
+    let reqs = [sap::telco_wrap_request(&w2.telco, req_u, qos())];
+    c.bench_function("broker_core_authorize_one", |b| {
         let (sign_pk, encrypt_pk) = w2.ue.public();
-        let id = w2.ue.identity();
+        let mut core = BrokerCore::new(w2.broker.clone(), w2.ca.public_key(), w2.rng.fork(), 0);
         b.iter(|| {
-            sap::broker_process(
-                &w2.broker,
-                &w2.ca.public_key(),
-                black_box(&req_t),
-                |q| {
-                    (q == id).then_some(SubscriberEntry {
-                        sign_pk,
-                        encrypt_pk,
-                        plan_mbr_bps: 50_000_000,
-                        suspect: false,
-                        alias: 7,
-                        lawful_intercept: false,
-                    })
-                },
-                |_| true,
-                1,
-                &mut w2.rng,
-            )
+            // Fresh state per iteration: the same request is a replay
+            // (refused before its grant) against a state that saw it.
+            let mut state = AuthState::new(1);
+            state.provision(w2.ue.identity(), sign_pk, encrypt_pk, 50_000_000);
+            core.authorize(&mut state, black_box(&reqs), |_, _| true)
         })
     });
 }
@@ -178,6 +166,8 @@ fn bench_brokerd_scale(c: &mut Criterion) {
         req_t: req_t.encode(),
     }
     .encode();
+    // Every iteration after the first re-submits the same nonce, so this
+    // times the adapter + check stage up to the anti-replay refusal.
     c.bench_function("brokerd_authorize_1000_subscribers", |b| {
         let mut sink = Vec::new();
         b.iter(|| {

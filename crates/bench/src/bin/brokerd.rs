@@ -9,8 +9,8 @@
 //! * **Server** (default): bind `--listen`, provision the deterministic
 //!   `--seed`/`--n` population, and serve the staged pipeline — adaptive
 //!   batch window on the I/O stage, `--workers` crypto threads (default:
-//!   cores − 1, env `CELLBRICKS_BROKERD_WORKERS`) — for `--duration`
-//!   seconds (0 = forever). Counters print on exit.
+//!   cores − 1) — for `--duration` seconds (0 = forever). Counters print
+//!   on exit.
 //! * **Load generator** (`--connect`): `--clients C` sender threads,
 //!   each with its own socket, disjoint UE identities from the *same*
 //!   seed path, and `--burst N` pre-built requests pumped through a

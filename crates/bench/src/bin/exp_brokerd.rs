@@ -3,9 +3,9 @@
 //! Unlike the simulated-time experiments (fig7–10, `exp_broker`), this
 //! one measures the **wall clock**: a real server thread runs the staged
 //! pipeline of [`cellbricks_core::broker_server`] — adaptive batch
-//! window on the I/O stage, `--workers` crypto threads (default: cores −
-//! 1, env `CELLBRICKS_BROKERD_WORKERS`) — on a loopback UDP socket while
-//! C load-generator clients pump pre-built `AuthReq` frames at it. The
+//! window on the I/O stage, `--workers` crypto threads (default: one
+//! fewer than cores) — on a loopback UDP socket while C load-generator
+//! clients pump pre-built `AuthReq` frames at it. The
 //! quantity under test is the cross-connection batch-verify fast path:
 //! at C=1 the client runs strict ping-pong (window 1), so every batch
 //! holds one request and verification is per-request; at higher C the

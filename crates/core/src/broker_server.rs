@@ -1,69 +1,51 @@
-//! `brokerd` as a real wire service: the reusable server core behind the
-//! `brokerd` daemon binary.
+//! `brokerd` as a real wire service: the socket adapters over the
+//! shared [`BrokerCore`], behind the `brokerd` daemon binary.
 //!
 //! The paper's central deployment claim (§3, §5) is that the broker
 //! "needs no cellular infrastructure" — it is an ordinary online service
 //! behind a socket, deployed like Magma's Orc8r in the cloud, and it
 //! scales like one: across cores first, then across machines. This
-//! module is that service in miniature, structured as a **staged
-//! pipeline** so the crypto bill spreads over a pool of worker threads
-//! while the protocol semantics stay strictly sequential:
+//! module is that service in miniature:
 //!
 //! * **I/O stage** ([`serve`] over UDP, [`serve_tcp`] over TCP): drain
-//!   the transport, frame + wire decode, and flush replies. Batch
-//!   boundaries come from an adaptive batch-window controller
-//!   ([`ServeConfig`]): a batch closes when it reaches `batch_target`
-//!   requests or when its age exceeds a window that is continuously
-//!   re-derived from the measured per-batch service time against a
-//!   reply-latency SLO — continuous-batching style, so the window widens
-//!   when the server is fast (buying bigger batches) and collapses when
-//!   service time already eats the SLO.
-//! * **Crypto workers** (a pool of W `std::thread`s inside
-//!   [`BrokerServer`], bounded channels, no tokio): the expensive,
-//!   *pure* phases — pooled [`open_batch`], cross-connection
-//!   [`verify_batch`], error attribution, and `broker_grant_batch`
-//!   sealing — run on contiguous sub-batches, scattered chunk-per-worker
-//!   and gathered back in arrival order.
-//! * **Decision stage** (sequential, on the caller's thread): anti-replay
-//!   nonce admission, session-id allocation, and all RNG draws happen in
-//!   arrival order between the two worker phases, so a replayed nonce
-//!   observes every earlier request of its own batch and replies are
-//!   byte-identical at any worker count (see below).
+//!   the transport and flush replies. Batch boundaries come from an
+//!   adaptive batch-window controller ([`ServeConfig`]): a batch closes
+//!   when it reaches `batch_target` requests or when its age exceeds a
+//!   window that is continuously re-derived from the measured per-batch
+//!   service time against a reply-latency SLO — continuous-batching
+//!   style, so the window widens when the server is fast (buying bigger
+//!   batches) and collapses when service time already eats the SLO.
+//! * **[`BrokerServer::process_batch`]**: unframe + wire decode, hand
+//!   the decoded requests to the core as one batch, frame the verdicts
+//!   and count every input in exactly one [`WireCounters`] field. The
+//!   call is synchronous — when it returns, every reply for the batch
+//!   is in `out`, which is what makes shutdown drain-safe.
 //!
-//! **Determinism.** Grant replies consume randomness only through
-//! [`sap::grant_draws`], which the decision stage runs sequentially in
-//! grant order; workers get pre-drawn material and do only pure curve
-//! math ([`sap::broker_grant_batch_prepared`]). Batch field inversions
-//! compute the same (value-unique) inverses under any sub-batching, and
-//! Ed25519 signing is deterministic — so W=1, W=4 and the inline path
-//! produce byte-identical replies, and every replay gate keeps passing.
-//!
-//! What is and is not shared with the sim-side [`crate::brokerd::Brokerd`]
-//! is deliberate: the wire format ([`BrokerWire`]), the protocol core
-//! (`sap::broker_precheck`/`broker_grant`/`broker_authenticate_sequential`),
-//! the subscriber record shape and the bounded anti-replay window are the
-//! same code; the event-loop integration, billing/reputation state and
-//! fault injection remain sim-only. Traffic reports arriving on the wire
-//! are counted and dropped — billing ingest stays simulated (DESIGN §13).
+//! Everything that decides — pooled checks on the crypto workers,
+//! arrival-order anti-replay and RNG draws, pooled grants, replies
+//! byte-identical at any worker count and batch split — is
+//! [`crate::broker_core`]. This adapter admits every bTelco, and keeps a
+//! counter per grant rather than a billing session: traffic reports
+//! arriving on the wire are counted and dropped (DESIGN §13).
 
-use crate::brokerd::{BrokerWire, SubscriberRecord, NONCE_WINDOW_CAP};
+use crate::broker_core::{AuthState, BrokerCore};
+use crate::brokerd::BrokerWire;
 use crate::principal::{BrokerKeys, Identity, TelcoKeys, UeKeys};
-use crate::sap::{self, AuthReqT, QosCap, SubscriberEntry};
+use crate::sap::{self, AuthReqT, QosCap, SapError};
 use bytes::Bytes;
 use cellbricks_crypto::cert::CertificateAuthority;
-use cellbricks_crypto::ed25519::{verify_batch, BatchItem, VerifyingKey};
-use cellbricks_crypto::sealed::open_batch;
+use cellbricks_crypto::ed25519::VerifyingKey;
 use cellbricks_crypto::x25519::X25519PublicKey;
 use cellbricks_net::wire::{frame, read_frame, unframe, write_frame};
 use cellbricks_sim::SimRng;
 use cellbricks_telemetry as telemetry;
 use polling::Poller;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// The canonical broker name every helper in this module provisions
@@ -73,14 +55,6 @@ pub const BROKER_NAME: &str = "broker.example";
 
 /// The bTelco identity the load generator forwards requests as.
 pub const TELCO_NAME: &str = "tower-1.example";
-
-/// Wire-server configuration.
-pub struct BrokerServerConfig {
-    /// Broker keys + certificate.
-    pub keys: BrokerKeys,
-    /// The CA all certificates chain to.
-    pub ca: VerifyingKey,
-}
 
 /// Plain mirrors of the server-loop telemetry, cheap to read in tests
 /// and printed by the daemon on shutdown. The telemetry registry carries
@@ -103,362 +77,56 @@ pub struct WireCounters {
     pub batches: u64,
 }
 
-/// Pick the worker count: `CELLBRICKS_BROKERD_WORKERS` if set, else
+/// The default worker count (`--workers` overrides it):
 /// `available_parallelism - 1` (one core reserved for the I/O stage),
 /// clamped to 1..=8. On a single-core box this is 1 — the byte-identical
 /// baseline — so deterministic results never depend on the machine.
 #[must_use]
 pub fn default_workers() -> usize {
-    if let Some(w) = std::env::var("CELLBRICKS_BROKERD_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return w;
-    }
     std::thread::available_parallelism()
         .map(|p| p.get().saturating_sub(1).clamp(1, 8))
         .unwrap_or(1)
 }
 
-/// The transport-agnostic `brokerd` request processor: subscriber DB,
-/// bounded anti-replay window, session-id allocator, and the scatter /
-/// gather front of the crypto worker pool.
+/// The wire adapter's request processor: the broker core, the
+/// authorization state it decides over, and the per-input counters.
 pub struct BrokerServer {
-    cfg: Arc<BrokerServerConfig>,
-    subscribers: Arc<HashMap<Identity, SubscriberRecord>>,
-    seen_nonces: HashSet<[u8; 16]>,
-    nonce_order: VecDeque<[u8; 16]>,
-    next_session: u64,
-    next_alias: u64,
-    rng: SimRng,
-    pool: Option<CryptoPool>,
+    core: BrokerCore,
+    state: AuthState,
     /// Server-loop counters (also exported as telemetry).
     pub counters: WireCounters,
-    /// Scratch reused across batches: decoded requests awaiting verify.
-    pending: Vec<PendingAuth>,
-}
-
-/// One decoded `AuthReq` of the current batch, between decode and verify.
-struct PendingAuth {
-    slot: usize,
-    req_id: u64,
-    req: AuthReqT,
-}
-
-/// Verdict of the parallel check stage for one request: everything the
-/// sequential decision stage needs, minus the anti-replay call it must
-/// make itself in arrival order.
-enum Checked {
-    /// Signatures verified and policy passed; awaiting nonce admission.
-    Authorized(sap::AuthVec, SubscriberEntry),
-    /// Refused, with the exact [`sap::SapError`] code already attributed.
-    Refused(u8),
-}
-
-/// One authorized request between the decision stage and its grant.
-struct GrantItem {
-    idx: usize,
-    vec: sap::AuthVec,
-    entry: SubscriberEntry,
-    session_id: u64,
-}
-
-/// Owned grant work shipped to a crypto worker (the borrow-based
-/// [`sap::GrantJob`] is rebuilt worker-side).
-struct GrantWork {
-    req: AuthReqT,
-    vec: sap::AuthVec,
-    entry: SubscriberEntry,
-    session_id: u64,
-}
-
-/// Never split a batch below this many requests per chunk: tiny chunks
-/// pay scatter overhead without amortizing anything. With W=1 the chunk
-/// length is always ≥ the whole batch, so a single-worker pipeline runs
-/// the exact same pooled calls as the inline path.
-const MIN_CHUNK: usize = 4;
-
-/// Per-worker job-queue bound. A scatter sends at most one chunk per
-/// worker, so a small bound suffices; it exists to make any future
-/// misuse (flooding the pool without gathering) fail loudly by blocking.
-const POOL_QUEUE_BOUND: usize = 8;
-
-/// One granted request's output: the reply to seal onto the wire, the
-/// QoS the broker recorded, and the session secret.
-type GrantOut = (sap::BrokerReply, sap::QosInfo, [u8; 32]);
-
-enum PoolJob {
-    Check {
-        cfg: Arc<BrokerServerConfig>,
-        subs: Arc<HashMap<Identity, SubscriberRecord>>,
-        reqs: Vec<AuthReqT>,
-        chunk: usize,
-        tx: mpsc::Sender<(usize, Vec<Checked>)>,
-    },
-    Grant {
-        cfg: Arc<BrokerServerConfig>,
-        work: Vec<GrantWork>,
-        draws: Vec<sap::GrantDraws>,
-        chunk: usize,
-        tx: mpsc::Sender<(usize, Vec<GrantOut>)>,
-    },
-}
-
-/// The crypto worker pool: W persistent threads, one bounded job channel
-/// each. Chunk i of a scatter goes to worker i, results are gathered by
-/// chunk index — arrival order is preserved by construction.
-struct CryptoPool {
-    txs: Vec<mpsc::SyncSender<PoolJob>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    busy_ns: Vec<Arc<AtomicU64>>,
-    util_gauges: Vec<telemetry::Gauge>,
-    queued: Arc<AtomicUsize>,
-    started: Instant,
-}
-
-impl CryptoPool {
-    fn new(workers: usize) -> Self {
-        let queued = Arc::new(AtomicUsize::new(0));
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        let mut busy_ns = Vec::with_capacity(workers);
-        let mut util_gauges = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, rx) = mpsc::sync_channel::<PoolJob>(POOL_QUEUE_BOUND);
-            let busy = Arc::new(AtomicU64::new(0));
-            let busy2 = Arc::clone(&busy);
-            let queued2 = Arc::clone(&queued);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("brokerd-crypto-{i}"))
-                    .spawn(move || crypto_worker(&rx, &busy2, &queued2))
-                    .expect("spawn crypto worker"),
-            );
-            txs.push(tx);
-            busy_ns.push(busy);
-            util_gauges.push(telemetry::gauge(format!("brokerd.worker{i}.util_permille")));
-        }
-        Self {
-            txs,
-            handles,
-            busy_ns,
-            util_gauges,
-            queued,
-            started: Instant::now(),
-        }
-    }
-
-    fn workers(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Busy-time share of each worker since pool start, in permille.
-    fn utilization_permille(&self) -> Vec<u64> {
-        let wall = (self.started.elapsed().as_nanos() as u64).max(1);
-        self.busy_ns
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed) * 1000 / wall)
-            .collect()
-    }
-
-    fn publish_util(&self) {
-        for (util, gauge) in self.utilization_permille().iter().zip(&self.util_gauges) {
-            gauge.set(*util as i64);
-        }
-    }
-}
-
-impl Drop for CryptoPool {
-    fn drop(&mut self) {
-        // Closing the job channels ends each worker's recv loop.
-        self.txs.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn crypto_worker(rx: &mpsc::Receiver<PoolJob>, busy: &AtomicU64, queued: &AtomicUsize) {
-    while let Ok(job) = rx.recv() {
-        let t0 = Instant::now();
-        match job {
-            PoolJob::Check {
-                cfg,
-                subs,
-                reqs,
-                chunk,
-                tx,
-            } => {
-                let out = check_chunk(&cfg, &subs, &reqs);
-                let _ = tx.send((chunk, out));
-            }
-            PoolJob::Grant {
-                cfg,
-                work,
-                draws,
-                chunk,
-                tx,
-            } => {
-                let jobs: Vec<sap::GrantJob<'_>> = work
-                    .iter()
-                    .map(|g| sap::GrantJob {
-                        req: &g.req,
-                        vec: &g.vec,
-                        entry: &g.entry,
-                        session_id: g.session_id,
-                    })
-                    .collect();
-                let out = sap::broker_grant_batch_prepared(&cfg.keys, &jobs, &draws);
-                let _ = tx.send((chunk, out));
-            }
-        }
-        busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        queued.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-fn lookup_in(subs: &HashMap<Identity, SubscriberRecord>, id: Identity) -> Option<SubscriberEntry> {
-    subs.get(&id).map(|rec| SubscriberEntry {
-        sign_pk: rec.sign_pk,
-        encrypt_pk: rec.encrypt_pk,
-        plan_mbr_bps: rec.plan_mbr_bps,
-        suspect: false,
-        alias: rec.alias,
-        lawful_intercept: false,
-    })
-}
-
-/// Exact error attribution via the seed-order sequential checks — the
-/// same path the simulated broker falls back to. Pure with respect to
-/// server state, so it runs inside worker chunks.
-fn attribute_failure(
-    cfg: &BrokerServerConfig,
-    subs: &HashMap<Identity, SubscriberRecord>,
-    req: &AuthReqT,
-) -> u8 {
-    match sap::broker_authenticate_sequential(
-        &cfg.keys,
-        &cfg.ca,
-        req,
-        &|id| lookup_in(subs, id),
-        &|_| true,
-    ) {
-        // Unreachable in practice (precheck/verify failed), but if the
-        // sequential path accepts, refusing would be wrong — report the
-        // one error that cannot mint a session here.
-        Ok(_) => sap::SapError::PolicyRefused as u8,
-        Err(e) => e as u8,
-    }
-}
-
-/// The pure check stage over one chunk of decoded requests: structural /
-/// policy prechecks with the expensive unseals pooled into one
-/// [`open_batch`], then one pooled [`verify_batch`] spanning the chunk,
-/// with per-request fallback and exact attribution on failure. No server
-/// state is read or written — chunks from the same batch can run on any
-/// threads in any order and gather to the same verdicts.
-fn check_chunk<T: std::borrow::Borrow<AuthReqT>>(
-    cfg: &BrokerServerConfig,
-    subs: &HashMap<Identity, SubscriberRecord>,
-    reqs: &[T],
-) -> Vec<Checked> {
-    let pre: Vec<Option<Identity>> = reqs
-        .iter()
-        .map(|r| sap::broker_precheck_pre_open(&cfg.keys, r.borrow()))
-        .collect();
-    let boxes: Vec<&cellbricks_crypto::SealedBox> = reqs
-        .iter()
-        .zip(&pre)
-        .filter(|(_, id_t)| id_t.is_some())
-        .map(|(r, _)| &r.borrow().req_u.sealed_vec)
-        .collect();
-    let mut opened = open_batch(&cfg.keys.encrypt, &boxes).into_iter();
-    let self_id = cfg.keys.identity();
-    let prechecked: Vec<Option<(sap::AuthVec, SubscriberEntry, sap::AuthBatchMaterial)>> = reqs
-        .iter()
-        .zip(&pre)
-        .map(|(r, pre_id)| {
-            let id_t = (*pre_id)?;
-            let vec_bytes = opened.next().expect("one open per precheck").ok()?;
-            sap::broker_precheck_post_open(
-                self_id,
-                &cfg.ca,
-                r.borrow(),
-                id_t,
-                &vec_bytes,
-                &|id| lookup_in(subs, id),
-                &|_| true,
-            )
-        })
-        .collect();
-
-    // One pooled verify across the whole chunk; a failed pool degrades
-    // per-request (batch-of-3, then sequential attribution), preserving
-    // exact error codes.
-    let pooled_ok = {
-        let items: Vec<BatchItem<'_>> = prechecked
-            .iter()
-            .flatten()
-            .flat_map(|(_, _, material)| material.items())
-            .collect();
-        verify_batch(&items)
-    };
-    reqs.iter()
-        .zip(prechecked)
-        .map(|(r, checked)| match checked {
-            Some((vec, entry, material)) => {
-                if pooled_ok || verify_batch(&material.items()) {
-                    Checked::Authorized(vec, entry)
-                } else {
-                    Checked::Refused(attribute_failure(cfg, subs, r.borrow()))
-                }
-            }
-            None => Checked::Refused(attribute_failure(cfg, subs, r.borrow())),
-        })
-        .collect()
+    /// Scratch reused across batches: `(client slot, req_id)` of each
+    /// decoded request, and the requests themselves.
+    tags: Vec<(usize, u64)>,
+    reqs: Vec<AuthReqT>,
 }
 
 impl BrokerServer {
-    /// A fresh server with an empty subscriber DB and no worker pool:
-    /// every phase runs inline on the calling thread (the PR 9 shape,
-    /// still the simplest thing to unit-test against).
+    /// A fresh server with an empty subscriber DB, backed by a pool of
+    /// `workers` crypto threads (0 = every phase inline on the calling
+    /// thread). Replies are byte-identical at any worker count.
     #[must_use]
-    pub fn new(cfg: BrokerServerConfig, rng: SimRng) -> Self {
-        Self::with_workers(cfg, rng, 0)
-    }
-
-    /// A fresh server backed by a pool of `workers` crypto threads
-    /// (0 = inline). Replies are byte-identical at any worker count —
-    /// parallelism changes only where the pure phases execute.
-    #[must_use]
-    pub fn with_workers(cfg: BrokerServerConfig, rng: SimRng, workers: usize) -> Self {
+    pub fn new(keys: BrokerKeys, ca: VerifyingKey, rng: SimRng, workers: usize) -> Self {
         Self {
-            cfg: Arc::new(cfg),
-            subscribers: Arc::new(HashMap::new()),
-            seen_nonces: HashSet::new(),
-            nonce_order: VecDeque::new(),
-            next_session: 1,
-            next_alias: 1,
-            rng,
-            pool: (workers > 0).then(|| CryptoPool::new(workers)),
+            core: BrokerCore::new(keys, ca, rng, workers),
+            state: AuthState::new(1),
             counters: WireCounters::default(),
-            pending: Vec::new(),
+            tags: Vec::new(),
+            reqs: Vec::new(),
         }
     }
 
     /// Number of crypto workers (0 = inline processing).
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, CryptoPool::workers)
+        self.core.workers()
     }
 
     /// Busy-share of each crypto worker since startup, in permille of
     /// wall time. Empty for an inline server.
     #[must_use]
     pub fn worker_utilization_permille(&self) -> Vec<u64> {
-        self.pool
-            .as_ref()
-            .map_or_else(Vec::new, CryptoPool::utilization_permille)
+        self.core.worker_utilization_permille()
     }
 
     /// Provision a subscriber (same contract as the simulated broker).
@@ -469,38 +137,13 @@ impl BrokerServer {
         encrypt_pk: X25519PublicKey,
         plan_mbr_bps: u64,
     ) {
-        let alias = self.next_alias;
-        self.next_alias += 1;
-        Arc::make_mut(&mut self.subscribers).insert(
-            id,
-            SubscriberRecord {
-                sign_pk,
-                encrypt_pk,
-                plan_mbr_bps,
-                alias,
-            },
-        );
+        self.state.provision(id, sign_pk, encrypt_pk, plan_mbr_bps);
     }
 
     /// Number of provisioned subscribers.
     #[must_use]
     pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
-    /// Record a nonce; `false` means replay. FIFO-bounded exactly like
-    /// the simulated broker's window ([`NONCE_WINDOW_CAP`]).
-    fn insert_nonce(&mut self, nonce: [u8; 16]) -> bool {
-        if !self.seen_nonces.insert(nonce) {
-            return false;
-        }
-        self.nonce_order.push_back(nonce);
-        if self.nonce_order.len() > NONCE_WINDOW_CAP {
-            if let Some(oldest) = self.nonce_order.pop_front() {
-                self.seen_nonces.remove(&oldest);
-            }
-        }
-        true
+        self.state.subscriber_count()
     }
 
     fn bad_frame(&mut self) {
@@ -508,134 +151,19 @@ impl BrokerServer {
         telemetry::counter("core.brokerd.bad_frames").inc();
     }
 
-    /// The check stage: inline for a pool-less server, otherwise
-    /// scattered in contiguous chunks (chunk i → worker i) and gathered
-    /// back by chunk index, i.e. in arrival order.
-    fn run_checks(&self, pending: &[PendingAuth]) -> Vec<Checked> {
-        if pending.is_empty() {
-            return Vec::new();
-        }
-        let Some(pool) = &self.pool else {
-            let reqs: Vec<&AuthReqT> = pending.iter().map(|p| &p.req).collect();
-            return check_chunk(&self.cfg, &self.subscribers, &reqs);
-        };
-        let w = pool.workers();
-        let chunk_len = pending.len().div_ceil(w).max(MIN_CHUNK);
-        let (tx, rx) = mpsc::channel();
-        let mut sent = 0usize;
-        for (ci, slice) in pending.chunks(chunk_len).enumerate() {
-            pool.queued.fetch_add(1, Ordering::Relaxed);
-            pool.txs[ci % w]
-                .send(PoolJob::Check {
-                    cfg: Arc::clone(&self.cfg),
-                    subs: Arc::clone(&self.subscribers),
-                    reqs: slice.iter().map(|p| p.req.clone()).collect(),
-                    chunk: ci,
-                    tx: tx.clone(),
-                })
-                .expect("crypto worker alive");
-            sent += 1;
-        }
-        drop(tx);
-        telemetry::histogram("brokerd.queue_depth")
-            .record(pool.queued.load(Ordering::Relaxed) as u64);
-        let mut parts: Vec<Vec<Checked>> = (0..sent).map(|_| Vec::new()).collect();
-        for _ in 0..sent {
-            let (ci, out) = rx.recv().expect("crypto worker reply");
-            parts[ci] = out;
-        }
-        pool.publish_util();
-        parts.into_iter().flatten().collect()
-    }
-
-    /// The grant stage against pre-drawn RNG material: inline without a
-    /// pool, scattered/gathered with one. Each chunk pools its own seal
-    /// and signature inversions; the result is byte-identical to one big
-    /// [`sap::broker_grant_batch`] under the same rng.
-    fn run_grants(
-        &self,
-        pending: &[PendingAuth],
-        granted: Vec<GrantItem>,
-        draws: Vec<sap::GrantDraws>,
-    ) -> Vec<GrantOut> {
-        if granted.is_empty() {
-            return Vec::new();
-        }
-        let Some(pool) = &self.pool else {
-            let jobs: Vec<sap::GrantJob<'_>> = granted
-                .iter()
-                .map(|g| sap::GrantJob {
-                    req: &pending[g.idx].req,
-                    vec: &g.vec,
-                    entry: &g.entry,
-                    session_id: g.session_id,
-                })
-                .collect();
-            return sap::broker_grant_batch_prepared(&self.cfg.keys, &jobs, &draws);
-        };
-        let w = pool.workers();
-        let chunk_len = granted.len().div_ceil(w).max(MIN_CHUNK);
-        let (tx, rx) = mpsc::channel();
-        let mut items = granted.into_iter().zip(draws);
-        let mut sent = 0usize;
-        loop {
-            let pairs: Vec<_> = items.by_ref().take(chunk_len).collect();
-            if pairs.is_empty() {
-                break;
-            }
-            let mut work = Vec::with_capacity(pairs.len());
-            let mut chunk_draws = Vec::with_capacity(pairs.len());
-            for (g, d) in pairs {
-                work.push(GrantWork {
-                    req: pending[g.idx].req.clone(),
-                    vec: g.vec,
-                    entry: g.entry,
-                    session_id: g.session_id,
-                });
-                chunk_draws.push(d);
-            }
-            pool.queued.fetch_add(1, Ordering::Relaxed);
-            pool.txs[sent % w]
-                .send(PoolJob::Grant {
-                    cfg: Arc::clone(&self.cfg),
-                    work,
-                    draws: chunk_draws,
-                    chunk: sent,
-                    tx: tx.clone(),
-                })
-                .expect("crypto worker alive");
-            sent += 1;
-        }
-        drop(tx);
-        telemetry::histogram("brokerd.queue_depth")
-            .record(pool.queued.load(Ordering::Relaxed) as u64);
-        let mut parts: Vec<Vec<_>> = (0..sent).map(|_| Vec::new()).collect();
-        for _ in 0..sent {
-            let (ci, out) = rx.recv().expect("crypto worker reply");
-            parts[ci] = out;
-        }
-        parts.into_iter().flatten().collect()
-    }
-
     /// Process one readiness batch of raw datagrams. Each entry is
     /// `(client slot, datagram bytes)`; replies are appended to `out` as
-    /// `(client slot, framed reply bytes)` for the caller's flush pass.
-    ///
-    /// Pipeline phases: decode (sequential) → check (workers: pooled
-    /// open + cross-connection verify + attribution) → decide
-    /// (sequential: anti-replay in arrival order, session ids, RNG
-    /// draws) → grant (workers: pooled seal + sign) → emit (sequential,
-    /// arrival order). The call is synchronous — when it returns, every
-    /// reply for the batch is in `out`, which is what makes shutdown
-    /// drain-safe by construction.
+    /// `(client slot, framed reply bytes)` for the caller's flush pass,
+    /// in arrival order.
     pub fn process_batch(&mut self, datagrams: &[(usize, &[u8])], out: &mut Vec<(usize, Vec<u8>)>) {
         // Touch the error counter so it registers (at 0) in clean runs.
         let _ = telemetry::counter("core.brokerd.bad_frames");
         self.counters.batches += 1;
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.clear();
+        let mut tags = std::mem::take(&mut self.tags);
+        let mut reqs = std::mem::take(&mut self.reqs);
+        tags.clear();
+        reqs.clear();
 
-        // Phase 1: frame + wire decode.
         for &(slot, dgram) in datagrams {
             let Ok(payload) = unframe(dgram) else {
                 self.bad_frame();
@@ -643,12 +171,11 @@ impl BrokerServer {
             };
             match BrokerWire::decode(payload) {
                 Some(BrokerWire::AuthReq { req_id, req_t }) => match AuthReqT::decode(&req_t) {
-                    Some(req) => pending.push(PendingAuth { slot, req_id, req }),
-                    None => {
-                        // Same code the simulated broker returns for an
-                        // undecodable authReqT.
-                        self.push_err(out, slot, req_id, sap::SapError::Malformed as u8);
+                    Some(req) => {
+                        tags.push((slot, req_id));
+                        reqs.push(req);
                     }
+                    None => self.push_err(out, slot, req_id, SapError::Malformed),
                 },
                 Some(BrokerWire::Report { .. }) => {
                     self.counters.wire_reports += 1;
@@ -661,63 +188,17 @@ impl BrokerServer {
                 None => self.bad_frame(),
             }
         }
-        telemetry::histogram("brokerd.batch_size").record(pending.len() as u64);
+        telemetry::histogram("brokerd.batch_size").record(reqs.len() as u64);
 
-        // Phase 2: the parallel check stage (prechecks, pooled open,
-        // cross-connection verify, attribution) — pure, so it scatters.
-        let checked = self.run_checks(&pending);
-
-        // Phase 3: decide each request in arrival order — nonce replay
-        // checks must observe earlier requests of the same batch — and
-        // stage the authorized grants.
-        enum Outcome {
-            Grant,
-            Refuse(u8),
-        }
-        let mut outcomes: Vec<(usize, u64, Outcome)> = Vec::with_capacity(pending.len());
-        let mut granted: Vec<GrantItem> = Vec::new();
-        for (i, (p, chk)) in pending.iter().zip(checked).enumerate() {
-            match chk {
-                Checked::Authorized(vec, entry) => {
-                    if self.insert_nonce(vec.nonce) {
-                        let session_id = self.next_session;
-                        self.next_session += 1;
-                        granted.push(GrantItem {
-                            idx: i,
-                            vec,
-                            entry,
-                            session_id,
-                        });
-                        outcomes.push((p.slot, p.req_id, Outcome::Grant));
-                    } else {
-                        let code = sap::SapError::NonceMismatch as u8;
-                        outcomes.push((p.slot, p.req_id, Outcome::Refuse(code)));
-                    }
-                }
-                Checked::Refused(code) => {
-                    outcomes.push((p.slot, p.req_id, Outcome::Refuse(code)));
-                }
+        let verdicts = self.core.authorize(&mut self.state, &reqs, |_, _| true);
+        for (&(slot, req_id), verdict) in tags.iter().zip(verdicts) {
+            match verdict {
+                Ok(grant) => self.push_ok(out, slot, req_id, grant.reply.encode()),
+                Err(e) => self.push_err(out, slot, req_id, e),
             }
         }
-
-        // Phase 4: all RNG material is drawn here, sequentially, in
-        // grant order — workers then do only pure curve math, which is
-        // what keeps replies byte-identical at any worker count.
-        let draws = sap::grant_draws(&mut self.rng, granted.len());
-        let replies = self.run_grants(&pending, granted, draws);
-
-        // Phase 5: emit replies and refusals in arrival order.
-        let mut replies = replies.into_iter();
-        for (slot, req_id, outcome) in outcomes {
-            match outcome {
-                Outcome::Grant => {
-                    let (reply, _qos, _ss) = replies.next().expect("one reply per grant");
-                    self.push_ok(out, slot, req_id, reply.encode());
-                }
-                Outcome::Refuse(code) => self.push_err(out, slot, req_id, code),
-            }
-        }
-        self.pending = pending;
+        self.tags = tags;
+        self.reqs = reqs;
     }
 
     fn push_ok(&mut self, out: &mut Vec<(usize, Vec<u8>)>, slot: usize, req_id: u64, reply: Bytes) {
@@ -726,9 +207,16 @@ impl BrokerServer {
         out.push((slot, frame(&BrokerWire::AuthOk { req_id, reply }.encode())));
     }
 
-    fn push_err(&mut self, out: &mut Vec<(usize, Vec<u8>)>, slot: usize, req_id: u64, code: u8) {
+    fn push_err(
+        &mut self,
+        out: &mut Vec<(usize, Vec<u8>)>,
+        slot: usize,
+        req_id: u64,
+        err: SapError,
+    ) {
         self.counters.auth_errs += 1;
         telemetry::counter("brokerd.auth_rejected").inc();
+        let code = err as u8;
         out.push((slot, frame(&BrokerWire::AuthErr { req_id, code }.encode())));
     }
 }
@@ -942,8 +430,10 @@ enum TcpEvent {
     Frame(usize, Vec<u8>),
     /// The peer sent an oversized length prefix — protocol error; the
     /// connection is dropped and the frame counted against `bad_frames`.
+    /// The reader's last event.
     Bad(usize),
-    /// EOF or a transport error; the connection is gone.
+    /// EOF or a transport error; the connection is gone. The reader's
+    /// last event.
     Closed(usize),
 }
 
@@ -952,13 +442,136 @@ enum TcpEvent {
 /// serve loop falls this far behind.
 const TCP_EVENT_BOUND: usize = 4096;
 
+/// Most TCP connections held open at once; one past it is accepted and
+/// closed at once (counted in `brokerd.tcp_refused_conns`). Each live
+/// connection costs a reader thread and two descriptors, so the cap sits
+/// well inside a default 1024-descriptor limit.
+const MAX_TCP_CONNS: usize = 256;
+
+/// One live TCP connection: the write half and its reader thread.
+struct TcpConn {
+    stream: TcpStream,
+    reader: std::thread::JoinHandle<()>,
+}
+
+/// The connection table of [`serve_tcp`]. A slot is held from accept
+/// until its reader's last event ([`TcpEvent::Bad`] / [`TcpEvent::Closed`])
+/// — never freed earlier, so a reused slot cannot receive a previous
+/// connection's events — then the reader is joined and the slot reused:
+/// the table and the thread count are bounded by `cap` live connections
+/// however many come and go.
+struct TcpConns {
+    slots: Vec<Option<TcpConn>>,
+    cap: usize,
+    refused: u64,
+}
+
+impl TcpConns {
+    fn new(cap: usize) -> Self {
+        Self {
+            slots: Vec::new(),
+            cap,
+            refused: 0,
+        }
+    }
+
+    /// Accept every connection currently queued on the (nonblocking)
+    /// listener, spawning a blocking reader thread per connection.
+    fn accept_pending(
+        &mut self,
+        listener: &TcpListener,
+        tx: &mpsc::SyncSender<TcpEvent>,
+    ) -> io::Result<()> {
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _addr)) => stream,
+                Err(e) if polling::is_not_ready(&e) => return Ok(()),
+                Err(e) => return Err(e),
+            };
+            let id = match self.slots.iter().position(Option::is_none) {
+                Some(free) => free,
+                None if self.slots.len() < self.cap => {
+                    self.slots.push(None);
+                    self.slots.len() - 1
+                }
+                None => {
+                    self.refused += 1;
+                    telemetry::counter("brokerd.tcp_refused_conns").inc();
+                    continue; // dropping the stream closes it
+                }
+            };
+            stream.set_nodelay(true).ok();
+            let mut read_half = stream.try_clone()?;
+            let tx = tx.clone();
+            let reader = std::thread::Builder::new()
+                .name(format!("brokerd-tcp-{id}"))
+                .spawn(move || loop {
+                    match read_frame(&mut read_half) {
+                        Ok(payload) => {
+                            if tx.send(TcpEvent::Frame(id, frame(&payload))).is_err() {
+                                break;
+                            }
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                            let _ = tx.send(TcpEvent::Bad(id));
+                            break;
+                        }
+                        Err(_) => {
+                            let _ = tx.send(TcpEvent::Closed(id));
+                            break;
+                        }
+                    }
+                })
+                .expect("spawn tcp reader");
+            self.slots[id] = Some(TcpConn { stream, reader });
+        }
+    }
+
+    /// The reader of slot `id` sent its last event: close the stream,
+    /// reap the (exiting) thread and free the slot.
+    fn release(&mut self, id: usize) {
+        if let Some(conn) = self.slots[id].take() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            let _ = conn.reader.join();
+        }
+    }
+
+    /// Write one framed reply. A failed write shuts the stream down; the
+    /// reader then sees the error and reports [`TcpEvent::Closed`],
+    /// which is what frees the slot.
+    fn send(&mut self, id: usize, bytes: &[u8]) {
+        if let Some(conn) = &mut self.slots[id] {
+            if conn.stream.write_all(bytes).is_err() {
+                let _ = conn.stream.shutdown(Shutdown::Both);
+            }
+        }
+    }
+
+    fn handle(
+        &mut self,
+        ev: TcpEvent,
+        server: &mut BrokerServer,
+        batch: &mut Vec<(usize, Vec<u8>)>,
+    ) {
+        match ev {
+            TcpEvent::Frame(id, bytes) => batch.push((id, bytes)),
+            TcpEvent::Bad(id) => {
+                server.bad_frame();
+                self.release(id);
+            }
+            TcpEvent::Closed(id) => self.release(id),
+        }
+    }
+}
+
 /// The TCP I/O stage behind the same [`BrokerServer`] state machine:
 /// one blocking reader thread per accepted connection turns the byte
 /// stream into frames via [`read_frame`] (so requests bigger than any
 /// UDP datagram work end-to-end — the stream transport's whole point),
 /// the serve loop gathers frames across connections under the same
 /// adaptive batch window as [`serve`], and replies flush back on the
-/// accepting thread in arrival order.
+/// accepting thread in arrival order. At most [`MAX_TCP_CONNS`]
+/// connections are live at once.
 ///
 /// An oversized length prefix surfaces as `InvalidData` in the reader,
 /// counts one bad frame, and drops the connection — the stream cannot be
@@ -974,15 +587,14 @@ pub fn serve_tcp(
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let (tx, rx) = mpsc::sync_channel::<TcpEvent>(TCP_EVENT_BOUND);
-    let mut conns: Vec<Option<TcpStream>> = Vec::new();
-    let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut conns = TcpConns::new(MAX_TCP_CONNS);
     let mut batch: Vec<(usize, Vec<u8>)> = Vec::new();
     let mut replies: Vec<(usize, Vec<u8>)> = Vec::new();
     let mut win = BatchWindow::new(cfg);
     let wait_hist = telemetry::histogram("brokerd.batch_wait_ns");
 
     while !stop.load(Ordering::Relaxed) {
-        accept_pending(listener, &tx, &mut conns, &mut readers)?;
+        conns.accept_pending(listener, &tx)?;
         // Wait for the first frame of the next batch.
         let first = match rx.recv_timeout(cfg.wait_timeout) {
             Ok(ev) => ev,
@@ -991,12 +603,12 @@ pub fn serve_tcp(
         };
         let opened = Instant::now();
         batch.clear();
-        handle_tcp_event(first, server, &mut conns, &mut batch);
+        conns.handle(first, server, &mut batch);
         loop {
             // Drain whatever the readers already queued.
             while batch.len() < cfg.max_batch {
                 match rx.try_recv() {
-                    Ok(ev) => handle_tcp_event(ev, server, &mut conns, &mut batch),
+                    Ok(ev) => conns.handle(ev, server, &mut batch),
                     Err(_) => break,
                 }
             }
@@ -1008,7 +620,7 @@ pub fn serve_tcp(
                 break;
             }
             match rx.recv_timeout((win.window - age).max(MIN_POLL)) {
-                Ok(ev) => handle_tcp_event(ev, server, &mut conns, &mut batch),
+                Ok(ev) => conns.handle(ev, server, &mut batch),
                 Err(mpsc::RecvTimeoutError::Timeout) => break,
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
@@ -1028,87 +640,17 @@ pub fn serve_tcp(
             // Reply bytes are already length-prefixed frames (the exact
             // bytes `write_frame` would emit — one framing for datagram
             // and stream transports).
-            let ok = conns[*slot]
-                .as_mut()
-                .is_some_and(|stream| stream.write_all(bytes).is_ok());
-            if !ok {
-                conns[*slot] = None;
-            }
+            conns.send(*slot, bytes);
         }
         win.observe(t0.elapsed(), cfg);
     }
-    // Unblock the reader threads (they sit in blocking reads), then reap.
-    for conn in conns.iter().flatten() {
-        let _ = conn.shutdown(Shutdown::Both);
-    }
+    // Unblock the reader threads (they sit in blocking reads, or in a
+    // send on the full event channel), then reap.
     drop(rx);
-    for h in readers {
-        let _ = h.join();
+    for id in 0..conns.slots.len() {
+        conns.release(id);
     }
     Ok(())
-}
-
-/// Accept every connection currently queued on the (nonblocking)
-/// listener, spawning a blocking reader thread per connection.
-fn accept_pending(
-    listener: &TcpListener,
-    tx: &mpsc::SyncSender<TcpEvent>,
-    conns: &mut Vec<Option<TcpStream>>,
-    readers: &mut Vec<std::thread::JoinHandle<()>>,
-) -> io::Result<()> {
-    loop {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let id = conns.len();
-                stream.set_nodelay(true).ok();
-                let mut read_half = stream.try_clone()?;
-                let tx = tx.clone();
-                readers.push(
-                    std::thread::Builder::new()
-                        .name(format!("brokerd-tcp-{id}"))
-                        .spawn(move || loop {
-                            match read_frame(&mut read_half) {
-                                Ok(payload) => {
-                                    if tx.send(TcpEvent::Frame(id, frame(&payload))).is_err() {
-                                        break;
-                                    }
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                                    let _ = tx.send(TcpEvent::Bad(id));
-                                    break;
-                                }
-                                Err(_) => {
-                                    let _ = tx.send(TcpEvent::Closed(id));
-                                    break;
-                                }
-                            }
-                        })
-                        .expect("spawn tcp reader"),
-                );
-                conns.push(Some(stream));
-            }
-            Err(e) if polling::is_not_ready(&e) => return Ok(()),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn handle_tcp_event(
-    ev: TcpEvent,
-    server: &mut BrokerServer,
-    conns: &mut [Option<TcpStream>],
-    batch: &mut Vec<(usize, Vec<u8>)>,
-) {
-    match ev {
-        TcpEvent::Frame(id, bytes) => batch.push((id, bytes)),
-        TcpEvent::Bad(id) => {
-            server.bad_frame();
-            if let Some(conn) = conns[id].take() {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
-        }
-        TcpEvent::Closed(id) => conns[id] = None,
-    }
 }
 
 // ----- Deterministic population + load generator -----
@@ -1157,14 +699,7 @@ impl Population {
     /// (0 = inline), with every UE provisioned.
     #[must_use]
     pub fn server_with_workers(&self, rng: SimRng, workers: usize) -> BrokerServer {
-        let mut server = BrokerServer::with_workers(
-            BrokerServerConfig {
-                keys: self.broker.clone(),
-                ca: self.ca.public_key(),
-            },
-            rng,
-            workers,
-        );
+        let mut server = BrokerServer::new(self.broker.clone(), self.ca.public_key(), rng, workers);
         for ue in &self.ues {
             let (sign_pk, encrypt_pk) = ue.public();
             server.provision(ue.identity(), sign_pk, encrypt_pk, 50_000_000);
@@ -1298,12 +833,11 @@ pub fn run_client(cfg: &ClientConfig, requests: &[Vec<u8>]) -> io::Result<Client
         }
         // Retransmit anything stale.
         let now = Instant::now();
-        for (&req_id, (idx, sent)) in &mut outstanding {
+        for (idx, sent) in outstanding.values_mut() {
             if now.duration_since(*sent) >= cfg.retransmit_after {
                 sock.send(&requests[*idx])?;
                 *sent = now;
                 outcome.retransmits += 1;
-                let _ = req_id;
             }
         }
     }
@@ -1386,6 +920,8 @@ pub fn send_report_tcp(stream: &mut TcpStream, session_id: u64, sealed: &[u8]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+    use std::sync::Arc;
 
     fn served_world(n_ues: usize) -> (Population, BrokerServer) {
         let pop = population(7, n_ues);
@@ -1480,13 +1016,8 @@ mod tests {
         // Provision only UE 0 on a fresh server: requests from UE 1 are
         // structurally fine but unknown.
         let mut server2 = {
-            let mut s = BrokerServer::new(
-                BrokerServerConfig {
-                    keys: pop.broker.clone(),
-                    ca: pop.ca.public_key(),
-                },
-                SimRng::new(98),
-            );
+            let mut s =
+                BrokerServer::new(pop.broker.clone(), pop.ca.public_key(), SimRng::new(98), 0);
             let (spk, epk) = pop.ues[0].public();
             s.provision(pop.ues[0].identity(), spk, epk, 50_000_000);
             s
@@ -1530,8 +1061,8 @@ mod tests {
         let mut server = pop.server(SimRng::new(97));
         let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
         let addr = sock.local_addr().unwrap();
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let stop2 = std::sync::Arc::clone(&stop);
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
             serve(&mut server, &sock, &stop2, &ServeConfig::default()).expect("serve");
             server
@@ -1619,6 +1150,97 @@ mod tests {
             server.counters.wire_reports, 1,
             "the oversized-for-UDP report frame must arrive intact"
         );
+    }
+
+    /// Connection churn reuses slots and reaps readers: 3× cap sequential
+    /// connect/close cycles never grow the table past the cap, a
+    /// connection past the cap is refused (closed at once, counted), and
+    /// the freed table accepts — and serves — again.
+    #[test]
+    fn tcp_connection_table_is_bounded_under_churn() {
+        const CAP: usize = 4;
+        let pop = population(27, 1);
+        let mut server = pop.server(SimRng::new(94));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = mpsc::sync_channel(TCP_EVENT_BOUND);
+        let mut conns = TcpConns::new(CAP);
+        let mut batch = Vec::new();
+        // Accept until `want` connections are live (the listener is
+        // nonblocking, so a just-connected peer may not be queued yet).
+        let accept = |conns: &mut TcpConns, want: usize| {
+            let live = |c: &TcpConns| c.slots.iter().flatten().count();
+            while live(conns) < want {
+                conns.accept_pending(&listener, &tx).expect("accept");
+                std::thread::yield_now();
+            }
+        };
+
+        for _ in 0..3 * CAP {
+            let client = TcpStream::connect(addr).expect("connect");
+            accept(&mut conns, 1);
+            drop(client);
+            let closed = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("reader reports EOF");
+            conns.handle(closed, &mut server, &mut batch);
+            assert!(conns.slots.len() <= CAP);
+            assert!(
+                conns.slots.iter().all(Option::is_none),
+                "slot freed, reader reaped"
+            );
+        }
+        assert_eq!(conns.slots.len(), 1, "sequential churn reuses one slot");
+
+        // Fill to the cap; one more is accepted-then-closed.
+        let mut clients: Vec<TcpStream> = (0..CAP)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        accept(&mut conns, CAP);
+        let mut refused = TcpStream::connect(addr).expect("connect");
+        while conns.refused == 0 {
+            conns.accept_pending(&listener, &tx).expect("accept");
+            std::thread::yield_now();
+        }
+        assert_eq!(conns.slots.len(), CAP);
+        refused
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(
+            refused.read(&mut [0u8; 1]).ok(),
+            Some(0),
+            "refused peer sees EOF"
+        );
+
+        // Close one, and the table accepts and serves a new client.
+        drop(clients.pop());
+        let closed = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("reader reports EOF");
+        conns.handle(closed, &mut server, &mut batch);
+        let mut fresh = TcpStream::connect(addr).expect("connect");
+        accept(&mut conns, CAP);
+        let request = build_requests(&pop, &[0], 1, &mut SimRng::new(28)).remove(0);
+        fresh.write_all(&request).expect("send");
+        let frame_ev = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("reader frames it");
+        conns.handle(frame_ev, &mut server, &mut batch);
+        let mut replies = Vec::new();
+        let datagrams: Vec<(usize, &[u8])> = batch.iter().map(|(s, b)| (*s, &b[..])).collect();
+        server.process_batch(&datagrams, &mut replies);
+        for (slot, bytes) in &replies {
+            conns.send(*slot, bytes);
+        }
+        let reply = read_frame(&mut fresh).expect("reply on the reused slot");
+        assert!(matches!(
+            BrokerWire::decode(&reply),
+            Some(BrokerWire::AuthOk { .. })
+        ));
+        for id in 0..conns.slots.len() {
+            conns.release(id);
+        }
     }
 
     /// An oversized length prefix on a TCP stream counts one bad frame

@@ -7,8 +7,13 @@
 //! runs the Fig. 5 discrepancy check, and feeds the reputation system
 //! that gates future authorizations.
 //!
-//! The durable slice of that state (subscriber DB, billing sessions,
-//! reputation, anti-replay window) lives in a [`BrokerStore`] behind an
+//! Authorization itself is decided by the shared
+//! [`crate::broker_core::BrokerCore`]; this module is its simulator
+//! adapter — an `Endpoint` with a service delay line and outage
+//! windows — plus the billing and reputation state a grant opens.
+//!
+//! The durable slice of that state (the core's [`AuthState`], billing
+//! sessions, reputation) lives in a [`BrokerStore`] behind an
 //! `Arc<Mutex<_>>`: a standalone broker owns a private store, while a
 //! replica pair in a [`crate::broker_plane::BrokerPlane`] shares one —
 //! the paper's broker is a cloud service over replicated storage, so
@@ -16,9 +21,10 @@
 //! sessions and seen nonces.
 
 use crate::billing::{verify_cycle, CycleVerdict, TrafficReport};
+use crate::broker_core::{AuthState, BrokerCore, Grant};
 use crate::principal::{BrokerKeys, Identity};
 use crate::reputation::ReputationSystem;
-use crate::sap::{self, AuthReqT, SubscriberEntry};
+use crate::sap::{AuthReqT, SapError};
 use bytes::Bytes;
 use cellbricks_crypto::ed25519::{verify_batch, BatchItem, VerifyingKey};
 use cellbricks_crypto::x25519::X25519PublicKey;
@@ -26,7 +32,7 @@ use cellbricks_epc::wire::{Reader, Writer};
 use cellbricks_net::{Endpoint, EndpointFault, NodeId, Packet, PacketKind};
 use cellbricks_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use cellbricks_telemetry as telemetry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -44,7 +50,7 @@ pub enum BrokerWire {
     AuthOk {
         /// Correlation id.
         req_id: u64,
-        /// Encoded [`sap::BrokerReply`].
+        /// Encoded [`crate::sap::BrokerReply`].
         reply: Bytes,
     },
     /// Broker → bTelco: authorization refused.
@@ -125,19 +131,6 @@ impl BrokerWire {
     }
 }
 
-/// A subscriber record in the broker's database.
-#[derive(Clone)]
-pub struct SubscriberRecord {
-    /// UE signing public key.
-    pub sign_pk: VerifyingKey,
-    /// UE encryption public key.
-    pub encrypt_pk: X25519PublicKey,
-    /// Plan cap on MBR, bits/s.
-    pub plan_mbr_bps: u64,
-    /// Billing alias handed to bTelcos.
-    pub alias: u64,
-}
-
 /// Per-session billing state.
 struct Session {
     user: Identity,
@@ -154,15 +147,6 @@ struct Session {
     last_activity: SimTime,
 }
 
-/// FIFO cap on the anti-replay nonce window, mirroring the crypto-layer
-/// key caches: a replayed `authReqT` is only useful to an attacker while
-/// the original authorization is recent, so the window holds the most
-/// recent authorizations and evicts the oldest past the cap. 64 Ki
-/// nonces (1 MiB) is orders of magnitude more than any in-flight attach
-/// horizon; without the cap, million-UE attach churn grows the set
-/// forever.
-pub const NONCE_WINDOW_CAP: usize = 1 << 16;
-
 /// The durable state of one broker shard: everything the paper's broker
 /// keeps in replicated cloud storage, as opposed to the per-process
 /// state (service queue, busy horizon) that dies with an instance.
@@ -172,22 +156,15 @@ pub const NONCE_WINDOW_CAP: usize = 1 << 16;
 /// uncontended and exists to keep `Brokerd: Send` for the sharded
 /// engine.
 pub struct BrokerStore {
-    subscribers: HashMap<Identity, SubscriberRecord>,
+    /// What the broker core decides over: subscriber table, anti-replay
+    /// window, session/alias allocators.
+    auth: AuthState,
     reputation: ReputationSystem,
     sessions: HashMap<u64, Session>,
     /// Lazy idle-expiry heap over session ids: one live entry per
     /// session; popped entries whose session saw activity since are
     /// re-pushed at the refreshed deadline.
     expiry: EventQueue<u64>,
-    /// Nonces seen in authorized requests: a replayed `authReqT`
-    /// (captured on the wire and re-submitted, e.g. by a bTelco trying
-    /// to open ghost billing sessions) is rejected — the UE nonce in
-    /// `authVec` is the anti-replay anchor the paper describes (§4.1).
-    seen_nonces: HashSet<[u8; 16]>,
-    /// FIFO order of `seen_nonces` for bounded eviction.
-    nonce_order: VecDeque<[u8; 16]>,
-    next_session: u64,
-    next_alias: u64,
     /// Sessions reclaimed after going idle past the retention window.
     reclaimed: u64,
     /// Settled bytes across all sessions, including reclaimed ones.
@@ -198,58 +175,41 @@ pub struct BrokerStore {
     published_live: i64,
 }
 
-impl Default for BrokerStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl BrokerStore {
-    /// A fresh store; session ids start at 1.
+    /// A fresh store behind a shareable handle (for a replica pair).
+    /// Session ids start at `base` — shards of a broker plane carve the
+    /// id space so sessions stay globally unique.
     #[must_use]
-    pub fn new() -> Self {
-        Self::with_session_base(1)
-    }
-
-    /// A fresh store whose session ids start at `base` — shards of a
-    /// broker plane carve the id space so sessions stay globally unique.
-    #[must_use]
-    pub fn with_session_base(base: u64) -> Self {
-        Self {
-            subscribers: HashMap::new(),
+    pub fn shared(base: u64) -> Arc<Mutex<BrokerStore>> {
+        Arc::new(Mutex::new(Self {
+            auth: AuthState::new(base),
             reputation: ReputationSystem::new(),
             sessions: HashMap::new(),
             expiry: EventQueue::new(),
-            seen_nonces: HashSet::new(),
-            nonce_order: VecDeque::new(),
-            next_session: base,
-            next_alias: 1,
             reclaimed: 0,
             settled_dl_total: 0,
             settled_ul_total: 0,
             published_live: 0,
-        }
+        }))
     }
 
-    /// A shareable handle for a replica pair.
-    #[must_use]
-    pub fn shared(base: u64) -> Arc<Mutex<BrokerStore>> {
-        Arc::new(Mutex::new(Self::with_session_base(base)))
-    }
-
-    /// Record a nonce; `false` means it was already in the window (a
-    /// replay). Past [`NONCE_WINDOW_CAP`] the oldest nonce is evicted.
-    fn insert_nonce(&mut self, nonce: [u8; 16]) -> bool {
-        if !self.seen_nonces.insert(nonce) {
-            return false;
-        }
-        self.nonce_order.push_back(nonce);
-        if self.nonce_order.len() > NONCE_WINDOW_CAP {
-            if let Some(oldest) = self.nonce_order.pop_front() {
-                self.seen_nonces.remove(&oldest);
-            }
-        }
-        true
+    /// Open the billing session a grant authorized.
+    fn open_session(&mut self, grant: &Grant, now: SimTime, retention: SimDuration) {
+        self.sessions.insert(
+            grant.session_id,
+            Session {
+                user: grant.vec.id_u,
+                telco: grant.vec.id_t,
+                telco_sign_pk: grant.telco_key,
+                pending_ue: HashMap::new(),
+                pending_telco: HashMap::new(),
+                settled_dl: 0,
+                settled_ul: 0,
+                last_activity: now,
+            },
+        );
+        self.expiry.push(now + retention, grant.session_id);
+        self.publish_sessions_live();
     }
 
     /// Reclaim sessions idle past `retention`. Lazy-heap sweep: entries
@@ -330,13 +290,13 @@ pub struct Brokerd {
     node: NodeId,
     cfg: BrokerdConfig,
     store: Arc<Mutex<BrokerStore>>,
+    core: BrokerCore,
     pending: EventQueue<Packet>,
     /// The service is single-threaded: requests queue behind this.
     busy_until: SimTime,
     /// Unreachable before this instant: requests and reports arriving
     /// earlier are dropped (the sender's retry machinery must cover it).
     down_until: SimTime,
-    rng: SimRng,
     /// Accumulated processing time (Fig. 7 accounting).
     pub proc_time: SimDuration,
     /// Authorizations granted.
@@ -369,12 +329,12 @@ impl Brokerd {
     ) -> Self {
         Self {
             node,
+            core: BrokerCore::new(cfg.keys.clone(), cfg.ca, rng, 0),
             cfg,
             store,
             pending: EventQueue::new(),
             busy_until: SimTime::ZERO,
             down_until: SimTime::ZERO,
-            rng,
             proc_time: SimDuration::ZERO,
             auth_ok: 0,
             auth_err: 0,
@@ -404,24 +364,15 @@ impl Brokerd {
         encrypt_pk: X25519PublicKey,
         plan_mbr_bps: u64,
     ) {
-        let mut store = lock_store(&self.store);
-        let alias = store.next_alias;
-        store.next_alias += 1;
-        store.subscribers.insert(
-            id,
-            SubscriberRecord {
-                sign_pk,
-                encrypt_pk,
-                plan_mbr_bps,
-                alias,
-            },
-        );
+        lock_store(&self.store)
+            .auth
+            .provision(id, sign_pk, encrypt_pk, plan_mbr_bps);
     }
 
     /// Number of provisioned subscribers.
     #[must_use]
     pub fn subscriber_count(&self) -> usize {
-        lock_store(&self.store).subscribers.len()
+        lock_store(&self.store).auth.subscriber_count()
     }
 
     /// Billable (settled) downlink+uplink bytes for a session.
@@ -476,78 +427,42 @@ impl Brokerd {
     }
 
     fn handle_auth(&mut self, now: SimTime, src: Ipv4Addr, req_id: u64, req_t: &[u8]) {
-        let Some(req) = AuthReqT::decode(req_t) else {
-            self.auth_err += 1;
-            telemetry::counter("core.brokerd.auth_rejected").inc();
-            self.send_later(now, src, BrokerWire::AuthErr { req_id, code: 0 });
-            return;
-        };
-        // All durable-state work runs under one store lock; the reply is
-        // staged after the guard drops (`send_later` needs `&mut self`).
-        let outcome = {
-            let mut guard = lock_store(&self.store);
-            let store = &mut *guard;
-            let session_id = store.next_session;
-            let subscribers = &store.subscribers;
-            let reputation = &store.reputation;
-            let result = sap::broker_process(
-                &self.cfg.keys,
-                &self.cfg.ca,
-                &req,
-                |id| {
-                    subscribers.get(&id).map(|rec| SubscriberEntry {
-                        sign_pk: rec.sign_pk,
-                        encrypt_pk: rec.encrypt_pk,
-                        plan_mbr_bps: rec.plan_mbr_bps,
-                        suspect: reputation.is_suspect(id),
-                        alias: rec.alias,
-                        lawful_intercept: false,
-                    })
-                },
-                |telco| reputation.admit(telco),
-                session_id,
-                &mut self.rng,
-            );
-            match result {
-                Ok((reply, vec, _qos, _ss)) => {
-                    // Replay protection: each authVec nonce authorizes once.
-                    if store.insert_nonce(vec.nonce) {
-                        store.next_session += 1;
-                        store.sessions.insert(
-                            session_id,
-                            Session {
-                                user: vec.id_u,
-                                telco: vec.id_t,
-                                telco_sign_pk: req.t_cert.key,
-                                pending_ue: HashMap::new(),
-                                pending_telco: HashMap::new(),
-                                settled_dl: 0,
-                                settled_ul: 0,
-                                last_activity: now,
-                            },
-                        );
-                        store
-                            .expiry
-                            .push(now + self.cfg.session_retention, session_id);
-                        store.publish_sessions_live();
-                        Ok(reply.encode())
-                    } else {
-                        Err(sap::SapError::NonceMismatch as u8)
-                    }
+        let verdict = match AuthReqT::decode(req_t) {
+            None => Err(SapError::Malformed),
+            // A batch of one through the core, then the billing session
+            // a grant opens, all under one store lock; the reply is
+            // staged after the guard drops (`send_later` needs `&mut
+            // self`).
+            Some(req) => {
+                let mut guard = lock_store(&self.store);
+                let store = &mut *guard;
+                // Suspect users and disreputable bTelcos are refused
+                // (paper §4.3).
+                let reputation = &store.reputation;
+                let admit = |user, telco| !reputation.is_suspect(user) && reputation.admit(telco);
+                let verdict = self
+                    .core
+                    .authorize(&mut store.auth, std::slice::from_ref(&req), admit)
+                    .pop()
+                    .expect("one verdict per request");
+                if let Ok(grant) = &verdict {
+                    store.open_session(grant, now, self.cfg.session_retention);
                 }
-                Err(e) => Err(e as u8),
+                verdict
             }
         };
-        match outcome {
-            Ok(reply) => {
+        match verdict {
+            Ok(grant) => {
                 self.auth_ok += 1;
                 telemetry::counter("core.brokerd.auth_granted").inc();
                 telemetry::trace_instant("brokerd.auth_ok", "billing", now.as_nanos());
+                let reply = grant.reply.encode();
                 self.send_later(now, src, BrokerWire::AuthOk { req_id, reply });
             }
-            Err(code) => {
+            Err(e) => {
                 self.auth_err += 1;
                 telemetry::counter("core.brokerd.auth_rejected").inc();
+                let code = e as u8;
                 self.send_later(now, src, BrokerWire::AuthErr { req_id, code });
             }
         }
@@ -558,7 +473,7 @@ impl Brokerd {
         let store = lock_store(&self.store);
         let session = store.sessions.get(&session_id)?;
         if from_ue {
-            store.subscribers.get(&session.user).map(|rec| rec.sign_pk)
+            store.auth.subscriber(session.user).map(|e| e.sign_pk)
         } else {
             Some(session.telco_sign_pk)
         }
@@ -778,7 +693,7 @@ impl Endpoint for Brokerd {
 mod tests {
     use super::*;
     use crate::principal::{BrokerKeys, TelcoKeys, UeKeys};
-    use crate::sap::QosCap;
+    use crate::sap::{self, QosCap};
     use cellbricks_crypto::cert::CertificateAuthority;
     use cellbricks_net::Endpoint;
 
@@ -841,36 +756,6 @@ mod tests {
         brokerd.handle_packet(SimTime::ZERO, Packet::control(src, dst, wire), &mut sink);
         assert_eq!(brokerd.auth_ok, 1, "replay must not create a session");
         assert_eq!(brokerd.auth_err, 1);
-    }
-
-    /// Satellite regression: the anti-replay window is bounded (FIFO
-    /// eviction past the cap) while replays inside the window are still
-    /// rejected.
-    #[test]
-    fn nonce_window_bounded_with_fifo_eviction() {
-        let mut store = BrokerStore::new();
-        let nonce_of = |i: u64| -> [u8; 16] {
-            let mut n = [0u8; 16];
-            n[..8].copy_from_slice(&i.to_le_bytes());
-            n
-        };
-        for i in 0..(NONCE_WINDOW_CAP as u64 + 1_000) {
-            assert!(store.insert_nonce(nonce_of(i)), "fresh nonce {i} accepted");
-        }
-        assert_eq!(
-            store.seen_nonces.len(),
-            NONCE_WINDOW_CAP,
-            "window bounded at the cap"
-        );
-        assert_eq!(store.nonce_order.len(), NONCE_WINDOW_CAP);
-        // A replay inside the window is still caught...
-        let recent = nonce_of(NONCE_WINDOW_CAP as u64 + 999);
-        assert!(!store.insert_nonce(recent), "recent replay rejected");
-        // ...while the oldest entries were evicted (the replay horizon
-        // the cap trades away).
-        assert!(!store.seen_nonces.contains(&nonce_of(0)));
-        assert!(!store.seen_nonces.contains(&nonce_of(999)));
-        assert!(store.seen_nonces.contains(&nonce_of(1_000)));
     }
 
     /// A world with one UE attached (session id 1), for report tests.

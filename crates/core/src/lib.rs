@@ -8,8 +8,10 @@
 //! * **Secure attachment (SAP, §4.1)** — [`sap`]: public-key mutual
 //!   authentication between UE, broker and bTelco in a single
 //!   UE→bTelco→broker round trip, with the UE identity sealed against
-//!   IMSI catchers. [`principal`] holds the key bundles; [`brokerd`] is
-//!   the broker service; [`btelco`] the bTelco gateway (reusing the EPC
+//!   IMSI catchers. [`principal`] holds the key bundles; [`broker_core`]
+//!   is the broker's one authorization state machine, with [`brokerd`]
+//!   (simulated endpoint) and [`broker_server`] (real sockets) as its
+//!   adapters; [`btelco`] the bTelco gateway (reusing the EPC
 //!   bearer/pool/accounting substrate).
 //! * **Host-driven mobility (§4.2)** — [`ue::UeDevice`] detaches and
 //!   re-attaches across bTelcos on its own, letting MPTCP (in
@@ -28,6 +30,7 @@
 
 pub mod attach_bench;
 pub mod billing;
+pub mod broker_core;
 pub mod broker_plane;
 pub mod broker_server;
 pub mod brokerd;
@@ -38,8 +41,9 @@ pub mod sap;
 pub mod ue;
 
 pub use billing::{BasebandMeter, TrafficReport};
+pub use broker_core::{AuthState, BrokerCore};
 pub use broker_plane::{BrokerPlane, BrokerPlaneConfig, BrokerRing, ReplicaSite};
-pub use broker_server::{BrokerServer, BrokerServerConfig, ServeConfig};
+pub use broker_server::{BrokerServer, ServeConfig};
 pub use brokerd::{Brokerd, BrokerdConfig};
 pub use btelco::{BTelcoGateway, BTelcoGatewayConfig};
 pub use principal::{BrokerKeys, Identity, TelcoKeys, UeKeys};

@@ -21,13 +21,14 @@
 //! (`cellbricks_epc::aka::derive_*`).
 //!
 //! This module is pure protocol: message construction, verification and
-//! wire codecs. The endpoints live in [`crate::ue`], [`crate::btelco`]
-//! and [`crate::brokerd`].
+//! wire codecs. The endpoints live in [`crate::ue`] and
+//! [`crate::btelco`]; the broker's decision in [`crate::broker_core`],
+//! behind the [`crate::brokerd`] and [`crate::broker_server`] adapters.
 
 use crate::principal::{BrokerKeys, Identity, TelcoKeys, UeKeys};
 use bytes::Bytes;
 use cellbricks_crypto::cert::{Certificate, Role};
-use cellbricks_crypto::ed25519::{sign_batch, verify_batch, BatchItem, Signature, VerifyingKey};
+use cellbricks_crypto::ed25519::{sign_batch, BatchItem, Signature, VerifyingKey};
 use cellbricks_crypto::sealed::{open, seal, seal_begin_with, seal_finish_batch, SealedBox};
 use cellbricks_crypto::x25519::{X25519PublicKey, X25519SecretKey};
 use cellbricks_epc::wire::{Reader, Writer};
@@ -443,111 +444,8 @@ pub struct SubscriberEntry {
     pub lawful_intercept: bool,
 }
 
-/// Step 3 (broker): authenticate U and T, authorize, and build the reply
-/// (Fig. 3, bottom). `lookup` resolves a UE identity from the subscriber
-/// database; `telco_ok` is the reputation-system admission decision.
-///
-/// The three Ed25519 checks — the CA's signature on the bTelco
-/// certificate, the bTelco's signature on `authReqT`, and the UE's
-/// signature on the sealed `authVec` — are folded into a single batch
-/// verification ([`verify_batch`]) on the optimistic path. If anything
-/// at all fails (a bad signature, but also any structural or policy
-/// check), the request is re-run through the sequential seed-order
-/// checks so the returned [`SapError`] is exactly the one the
-/// unbatched implementation produced. Neither path consumes simulation
-/// RNG before the accept decision, so event streams are unchanged.
-#[allow(clippy::too_many_arguments)]
-pub fn broker_process(
-    keys: &BrokerKeys,
-    ca: &VerifyingKey,
-    req: &AuthReqT,
-    lookup: impl Fn(Identity) -> Option<SubscriberEntry>,
-    telco_ok: impl Fn(Identity) -> bool,
-    session_id: u64,
-    rng: &mut SimRng,
-) -> Result<(BrokerReply, AuthVec, QosInfo, [u8; 32]), SapError> {
-    let (vec, entry) = match broker_authenticate_batched(keys, ca, req, &lookup, &telco_ok) {
-        Some(ok) => ok,
-        None => broker_authenticate_sequential(keys, ca, req, &lookup, &telco_ok)?,
-    };
-    let (reply, qos, ss) = broker_grant(keys, req, &vec, &entry, session_id, rng);
-    Ok((reply, vec, qos, ss))
-}
-
-/// Step 3, second half: the request is authenticated and authorized —
-/// pick QoS, mint the shared secret, seal and sign both sub-responses.
-/// This is the only part of broker processing that consumes RNG, and it
-/// consumes it in exactly the order the combined [`broker_process`]
-/// always did, so splitting it out cannot perturb seeded event streams.
-///
-/// Exposed separately so the `brokerd` wire server can verify a whole
-/// readiness batch of requests first (one cross-connection Ed25519
-/// batch) and only then grant each one.
-#[must_use]
-pub fn broker_grant(
-    keys: &BrokerKeys,
-    req: &AuthReqT,
-    vec: &AuthVec,
-    entry: &SubscriberEntry,
-    session_id: u64,
-    rng: &mut SimRng,
-) -> (BrokerReply, QosInfo, [u8; 32]) {
-    // Grant QoS: the broker picks within the bTelco's capability and the
-    // user's plan.
-    let qos = QosInfo {
-        mbr_bps: entry.plan_mbr_bps.min(req.qos_cap.max_mbr_bps),
-        qci: req.qos_cap.qci_supported.first().copied().unwrap_or(9),
-        lawful_intercept: entry.lawful_intercept,
-    };
-
-    // Fresh shared secret = the session's KASME.
-    let ss = rng.seed32();
-
-    let t_body = {
-        let mut w = Writer::new();
-        w.put_u64(entry.alias)
-            .put_fixed(&vec.id_t.0)
-            .put_fixed(&ss)
-            .put_u64(qos.mbr_bps)
-            .put_u8(qos.qci)
-            .put_u8(u8::from(qos.lawful_intercept))
-            .put_u64(session_id);
-        w.finish()
-    };
-    let sealed_t = seal(rng, &X25519PublicKey(req.t_encrypt_pk), &t_body);
-    let resp_t = SignedSealed {
-        sig: keys.sign.sign(&sealed_t.to_bytes()),
-        sealed: sealed_t,
-    };
-
-    let u_body = {
-        let mut w = Writer::new();
-        w.put_fixed(&vec.id_u.0)
-            .put_fixed(&vec.id_t.0)
-            .put_fixed(&ss)
-            .put_fixed(&vec.nonce)
-            .put_u64(session_id);
-        w.finish()
-    };
-    let sealed_u = seal(rng, &entry.encrypt_pk, &u_body);
-    let resp_u = SignedSealed {
-        sig: keys.sign.sign(&sealed_u.to_bytes()),
-        sealed: sealed_u,
-    };
-
-    (
-        BrokerReply {
-            resp_t,
-            resp_u,
-            b_cert: keys.cert.clone(),
-        },
-        qos,
-        ss,
-    )
-}
-
 /// One authenticated request awaiting its grant, for
-/// [`broker_grant_batch`].
+/// [`broker_grant_batch_prepared`].
 pub struct GrantJob<'a> {
     /// The verified request.
     pub req: &'a AuthReqT,
@@ -559,21 +457,19 @@ pub struct GrantJob<'a> {
     pub session_id: u64,
 }
 
-/// The random material one [`broker_grant`] consumes, pre-drawn so the
-/// grant's curve work can run on any thread (or several) while the
-/// draws themselves stay a single sequential stream on the coordinator.
-/// Draw order per job is exactly [`broker_grant`]'s: shared secret,
-/// ephemeral-T, ephemeral-U.
+/// The random material one grant consumes, pre-drawn so the grant's
+/// curve work can run on any thread (or several) while the draws
+/// themselves stay a single sequential stream on the coordinator. Draw
+/// order per job: shared secret, ephemeral-T, ephemeral-U.
 pub struct GrantDraws {
     ss: [u8; 32],
     eph_t: X25519SecretKey,
     eph_u: X25519SecretKey,
 }
 
-/// Pre-draw the RNG material for `n` grants, in exactly the order
-/// [`broker_grant_batch`] (and per-request [`broker_grant`]) consumes
-/// it — so `grant_draws` + [`broker_grant_batch_prepared`] is
-/// stream-identical and byte-identical to the eager forms.
+/// Pre-draw the RNG material for `n` grants — the only part of broker
+/// processing that consumes RNG, in exactly the order a request-by-
+/// request grant (seal to T, then to U) would draw it.
 #[must_use]
 pub fn grant_draws(rng: &mut SimRng, n: usize) -> Vec<GrantDraws> {
     (0..n)
@@ -585,32 +481,17 @@ pub fn grant_draws(rng: &mut SimRng, n: usize) -> Vec<GrantDraws> {
         .collect()
 }
 
-/// [`broker_grant`] over a whole readiness batch, pooling the expensive
-/// field inversions: the four per-request seal inversions collapse into
-/// one shared inversion for the batch (`seal_finish_batch`), and the two
-/// per-request signature compressions into another (`sign_batch`).
-///
-/// Per request, RNG is consumed in exactly the order [`broker_grant`]
-/// consumes it (ss, ephemeral-T, ephemeral-U) and jobs are staged in
-/// slice order, so with the same rng this returns byte-identical replies
-/// to granting each job sequentially — the wire server's batched path
-/// and the simulator's sequential path cannot diverge.
-#[must_use]
-pub fn broker_grant_batch(
-    keys: &BrokerKeys,
-    jobs: &[GrantJob<'_>],
-    rng: &mut SimRng,
-) -> Vec<(BrokerReply, QosInfo, [u8; 32])> {
-    let draws = grant_draws(rng, jobs.len());
-    broker_grant_batch_prepared(keys, jobs, &draws)
-}
-
-/// The pure (rng-free) half of [`broker_grant_batch`]: all the curve
-/// math against pre-drawn [`GrantDraws`]. Splitting a batch into
-/// sub-batches and running each through this on a different worker
-/// yields byte-identical replies to one big batch — the shared batch
-/// inversion computes the same (unique) field inverses either way, and
-/// Ed25519 signing is deterministic per item.
+/// Step 3, second half (Fig. 3, bottom): the requests are authenticated
+/// and authorized — pick QoS, bind the pre-drawn shared secret (the
+/// session's KASME), seal and sign both sub-responses. Pure: all the
+/// curve math runs against pre-drawn [`GrantDraws`], and the expensive
+/// field inversions are pooled — the four per-request seal inversions
+/// collapse into one for the batch (`seal_finish_batch`), the two
+/// signature compressions into another (`sign_batch`). Splitting a
+/// batch into sub-batches and running each through this on a different
+/// worker yields byte-identical replies to one big batch — the shared
+/// batch inversion computes the same (unique) field inverses either
+/// way, and Ed25519 signing is deterministic per item.
 ///
 /// # Panics
 /// Panics if `draws` is shorter than `jobs`.
@@ -703,7 +584,7 @@ pub fn broker_grant_batch_prepared(
 /// three Ed25519 checks: CA over the bTelco certificate, bTelco over
 /// `authReqT`, UE over the sealed `authVec`. Owning the buffers lets a
 /// server pool the material of many requests — from different
-/// connections — into one [`verify_batch`] call.
+/// connections — into one `verify_batch` call.
 pub struct AuthBatchMaterial {
     cert_tbs: Vec<u8>,
     signed: Bytes,
@@ -740,33 +621,12 @@ impl AuthBatchMaterial {
     }
 }
 
-/// Step 3, first half: every check on an `authReqT` that does *not*
-/// involve a signature — certificate role/expiry, broker addressing,
-/// unsealing the `authVec`, subscriber lookup, and admission policy.
-/// `None` means something failed; the caller owning error attribution
-/// re-runs [`broker_authenticate_sequential`] via [`broker_process`] (or
-/// directly) to name the failure.
-///
-/// On success, returns the decoded `authVec`, the subscriber entry, and
-/// the [`AuthBatchMaterial`] whose three signatures still must verify —
-/// either alone ([`broker_process`]'s per-request batch) or pooled
-/// across many requests by the wire server.
-pub fn broker_precheck(
-    keys: &BrokerKeys,
-    ca: &VerifyingKey,
-    req: &AuthReqT,
-    lookup: &impl Fn(Identity) -> Option<SubscriberEntry>,
-    telco_ok: &impl Fn(Identity) -> bool,
-) -> Option<(AuthVec, SubscriberEntry, AuthBatchMaterial)> {
-    let id_t = broker_precheck_pre_open(keys, req)?;
-    let vec_bytes = open(&keys.encrypt, &req.req_u.sealed_vec).ok()?;
-    broker_precheck_post_open(keys.identity(), ca, req, id_t, &vec_bytes, lookup, telco_ok)
-}
-
-/// The [`broker_precheck`] checks that precede unsealing the `authVec`:
-/// certificate role/expiry and broker addressing. Split out so a wire
-/// server can run the expensive `open`s of a whole readiness batch as
-/// one [`open_batch`] between the two precheck halves.
+/// Step 3, first half: the checks on an `authReqT` that involve no
+/// signature and precede unsealing the `authVec` — certificate
+/// role/expiry and broker addressing. `None` means something failed;
+/// the caller re-runs [`broker_authenticate_sequential`] to name it.
+/// Split from [`broker_precheck_post_open`] so the expensive `open`s of
+/// a whole batch run as one `open_batch` between the two halves.
 pub fn broker_precheck_pre_open(keys: &BrokerKeys, req: &AuthReqT) -> Option<Identity> {
     req.t_cert.check_role_and_expiry(Role::BTelco, 0).ok()?;
     if req.req_u.broker_name != keys.name {
@@ -775,11 +635,12 @@ pub fn broker_precheck_pre_open(keys: &BrokerKeys, req: &AuthReqT) -> Option<Ide
     Some(Identity::of_name(&req.t_cert.subject))
 }
 
-/// The [`broker_precheck`] checks that follow unsealing: `authVec`
-/// decode, identity binding, subscriber lookup, admission policy, and
-/// assembling the signature material. `self_id` is the broker's own
-/// identity (`keys.identity()`); `id_t` is what
-/// [`broker_precheck_pre_open`] returned.
+/// The signature-free checks that follow unsealing: `authVec` decode,
+/// identity binding, subscriber lookup, admission policy, and
+/// assembling the [`AuthBatchMaterial`] whose three signatures still
+/// must verify (pooled across many requests by the broker core).
+/// `self_id` is the broker's own identity (`keys.identity()`); `id_t`
+/// is what [`broker_precheck_pre_open`] returned.
 #[allow(clippy::too_many_arguments)]
 pub fn broker_precheck_post_open(
     self_id: Identity,
@@ -815,26 +676,10 @@ pub fn broker_precheck_post_open(
     Some((vec, entry, material))
 }
 
-/// The optimistic attach path: run every cheap structural and policy
-/// check first, then all three signatures as one Ed25519 batch. `None`
-/// means "anything failed" — the caller falls back to
-/// [`broker_authenticate_sequential`], which owns error attribution.
-fn broker_authenticate_batched(
-    keys: &BrokerKeys,
-    ca: &VerifyingKey,
-    req: &AuthReqT,
-    lookup: &impl Fn(Identity) -> Option<SubscriberEntry>,
-    telco_ok: &impl Fn(Identity) -> bool,
-) -> Option<(AuthVec, SubscriberEntry)> {
-    let (vec, entry, material) = broker_precheck(keys, ca, req, lookup, telco_ok)?;
-    verify_batch(&material.items()).then_some((vec, entry))
-}
-
 /// The seed-order checks, one at a time, attributing the first failure.
 /// Signature checks go through the verifier-key cache (result-identical
-/// to uncached verification). Public because the `brokerd` wire server's
-/// fallback path needs the same exact error attribution after a pooled
-/// batch check fails.
+/// to uncached verification). The broker core runs this only to name
+/// the error after the pooled checks refuse a request.
 ///
 /// # Errors
 /// The [`SapError`] naming the first check that failed, in the exact
@@ -968,6 +813,7 @@ pub fn ue_verify_response(
 mod tests {
     use super::*;
     use cellbricks_crypto::cert::CertificateAuthority;
+    use cellbricks_crypto::ed25519::verify_batch;
 
     struct World {
         ca: CertificateAuthority,
@@ -1009,26 +855,115 @@ mod tests {
         }
     }
 
+    /// A fresh `authReqT` from the world's UE addressed to (and wrapped
+    /// by) the world's bTelco, plus the UE's nonce.
+    fn request(w: &mut World, cap: QosCap) -> (AuthReqT, [u8; 16]) {
+        let (req_u, nonce) = ue_build_request(
+            &w.ue,
+            "broker.example",
+            &w.broker.encrypt.public_key(),
+            w.telco.identity(),
+            &mut w.rng,
+        );
+        (telco_wrap_request(&w.telco, req_u, cap), nonce)
+    }
+
+    /// The reference grant: one request, sealed and signed eagerly off
+    /// the rng — the oracle the pooled-inversion path is pinned against.
+    fn broker_grant(
+        keys: &BrokerKeys,
+        req: &AuthReqT,
+        vec: &AuthVec,
+        entry: &SubscriberEntry,
+        session_id: u64,
+        rng: &mut SimRng,
+    ) -> (BrokerReply, QosInfo, [u8; 32]) {
+        let qos = QosInfo {
+            mbr_bps: entry.plan_mbr_bps.min(req.qos_cap.max_mbr_bps),
+            qci: req.qos_cap.qci_supported.first().copied().unwrap_or(9),
+            lawful_intercept: entry.lawful_intercept,
+        };
+        let ss = rng.seed32();
+        let t_body = {
+            let mut w = Writer::new();
+            w.put_u64(entry.alias)
+                .put_fixed(&vec.id_t.0)
+                .put_fixed(&ss)
+                .put_u64(qos.mbr_bps)
+                .put_u8(qos.qci)
+                .put_u8(u8::from(qos.lawful_intercept))
+                .put_u64(session_id);
+            w.finish()
+        };
+        let sealed_t = seal(rng, &X25519PublicKey(req.t_encrypt_pk), &t_body);
+        let resp_t = SignedSealed {
+            sig: keys.sign.sign(&sealed_t.to_bytes()),
+            sealed: sealed_t,
+        };
+        let u_body = {
+            let mut w = Writer::new();
+            w.put_fixed(&vec.id_u.0)
+                .put_fixed(&vec.id_t.0)
+                .put_fixed(&ss)
+                .put_fixed(&vec.nonce)
+                .put_u64(session_id);
+            w.finish()
+        };
+        let sealed_u = seal(rng, &entry.encrypt_pk, &u_body);
+        let resp_u = SignedSealed {
+            sig: keys.sign.sign(&sealed_u.to_bytes()),
+            sealed: sealed_u,
+        };
+        let reply = BrokerReply {
+            resp_t,
+            resp_u,
+            b_cert: keys.cert.clone(),
+        };
+        (reply, qos, ss)
+    }
+
+    /// Broker step 3 for one request against a one-entry subscriber
+    /// table: the seed-order checks, then a batch-of-one grant. The
+    /// optimistic precheck halves plus a batch verify must accept
+    /// exactly what the seed-order checks accept.
+    fn process(
+        w: &mut World,
+        req: &AuthReqT,
+        entry: Option<SubscriberEntry>,
+        telco_ok: bool,
+    ) -> Result<(BrokerReply, AuthVec, [u8; 32]), SapError> {
+        let ca = w.ca.public_key();
+        let lookup = |_: Identity| entry.clone();
+        let admit = |_: Identity| telco_ok;
+        let sequential = broker_authenticate_sequential(&w.broker, &ca, req, &lookup, &admit);
+        let optimistic = broker_precheck_pre_open(&w.broker, req)
+            .and_then(|id_t| {
+                let bytes = open(&w.broker.encrypt, &req.req_u.sealed_vec).ok()?;
+                let self_id = w.broker.identity();
+                broker_precheck_post_open(self_id, &ca, req, id_t, &bytes, &lookup, &admit)
+            })
+            .filter(|(_, _, material)| verify_batch(&material.items()));
+        assert_eq!(optimistic.is_some(), sequential.is_ok());
+        let (vec, entry) = sequential?;
+        let job = GrantJob {
+            req,
+            vec: &vec,
+            entry: &entry,
+            session_id: 1234,
+        };
+        let draws = grant_draws(&mut w.rng, 1);
+        let (reply, _qos, ss) = broker_grant_batch_prepared(&w.broker, &[job], &draws).remove(0);
+        Ok((reply, vec, ss))
+    }
+
     // The pooled-inversion grant path must be byte-identical to granting
     // each job through `broker_grant` with the same rng stream.
     #[test]
     fn grant_batch_matches_sequential() {
         let mut w = world();
-        let id_t = w.telco.identity();
         let entry = entry_for(&w);
         let lookup = |_: Identity| Some(entry.clone());
-        let reqs: Vec<AuthReqT> = (0..3)
-            .map(|_| {
-                let (req_u, _) = ue_build_request(
-                    &w.ue,
-                    "broker.example",
-                    &w.broker.encrypt.public_key(),
-                    id_t,
-                    &mut w.rng,
-                );
-                telco_wrap_request(&w.telco, req_u, qos_cap())
-            })
-            .collect();
+        let reqs: Vec<AuthReqT> = (0..3).map(|_| request(&mut w, qos_cap()).0).collect();
         let auth: Vec<(AuthVec, SubscriberEntry)> = reqs
             .iter()
             .map(|r| {
@@ -1057,7 +992,8 @@ mod tests {
                 session_id: 100 + i as u64,
             })
             .collect();
-        let batch = broker_grant_batch(&w.broker, &jobs, &mut rng_b);
+        let draws = grant_draws(&mut rng_b, jobs.len());
+        let batch = broker_grant_batch_prepared(&w.broker, &jobs, &draws);
         assert_eq!(batch.len(), seq.len());
         for ((ra, qa, sa), (rb, qb, sb)) in seq.iter().zip(&batch) {
             assert_eq!(ra.encode(), rb.encode());
@@ -1069,38 +1005,12 @@ mod tests {
     /// Run the whole protocol happy path; returns (ue body, telco body).
     fn run_protocol(w: &mut World) -> (RespUBody, RespTBody) {
         let id_t = w.telco.identity();
-        let (req_u, nonce) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        // Wire round trips at every hop.
-        let req_u = AuthReqU::decode(&req_u.encode()).unwrap();
-        let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
+        let (req_t, nonce) = request(w, qos_cap());
+        // Wire round trip on the way to the broker.
         let req_t = AuthReqT::decode(&req_t.encode()).unwrap();
 
         let entry = entry_for(w);
-        let (reply, vec, _qos, ss) = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |id| {
-                (id == w.ue.identity()).then_some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: entry.suspect,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1234,
-            &mut w.rng,
-        )
-        .expect("broker authorizes");
+        let (reply, vec, ss) = process(w, &req_t, Some(entry), true).expect("broker authorizes");
         assert_eq!(vec.id_u, w.ue.identity());
 
         let reply = BrokerReply::decode(&reply.encode()).unwrap();
@@ -1132,17 +1042,10 @@ mod tests {
     #[test]
     fn telco_never_sees_ue_identity() {
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
+        let (req_t, _) = request(&mut w, qos_cap());
         // The UE identity must not appear anywhere in the bytes the
         // bTelco handles (anti-IMSI-catcher, §4.1).
-        let wire = req_u.encode();
+        let wire = req_t.req_u.encode();
         let id = w.ue.identity().0;
         assert!(!wire.windows(id.len()).any(|win| win == id));
     }
@@ -1161,156 +1064,47 @@ mod tests {
         );
         let req_t = telco_wrap_request(&rogue, req_u, qos_cap());
         let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
+        let err = process(&mut w, &req_t, Some(entry), true).unwrap_err();
         assert_eq!(err, SapError::BadTelcoCert);
     }
 
     #[test]
     fn tampered_qos_cap_rejected() {
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        let mut req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
+        let (mut req_t, _) = request(&mut w, qos_cap());
         req_t.qos_cap.max_mbr_bps = 1; // Tamper after signing.
         let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
+        let err = process(&mut w, &req_t, Some(entry), true).unwrap_err();
         assert_eq!(err, SapError::BadTelcoSig);
     }
 
     #[test]
     fn unknown_user_rejected() {
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| None,
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
+        let (req_t, _) = request(&mut w, qos_cap());
+        let err = process(&mut w, &req_t, None, true).unwrap_err();
         assert_eq!(err, SapError::UnknownUser);
     }
 
     #[test]
     fn suspect_user_refused() {
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
-        let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: true,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
+        let (req_t, _) = request(&mut w, qos_cap());
+        let entry = SubscriberEntry {
+            suspect: true,
+            ..entry_for(&w)
+        };
+        let err = process(&mut w, &req_t, Some(entry), true).unwrap_err();
         assert_eq!(err, SapError::PolicyRefused);
     }
 
     #[test]
     fn disreputable_telco_refused() {
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
+        let (req_t, _) = request(&mut w, qos_cap());
         let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| false, // Reputation system says no.
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
+        // Reputation system says no.
+        let err = process(&mut w, &req_t, Some(entry), false).unwrap_err();
         assert_eq!(err, SapError::PolicyRefused);
     }
 
@@ -1320,34 +1114,10 @@ mod tests {
         // relays the request as its own: idT mismatch must be caught.
         let mut w = world();
         let other = TelcoKeys::generate("tower-2.example", &w.ca, &mut w.rng);
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            w.telco.identity(), // Addressed to tower-1...
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&other, req_u, qos_cap()); // ...relayed by tower-2.
+        let (addressed_to_tower_1, _) = request(&mut w, qos_cap());
+        let req_t = telco_wrap_request(&other, addressed_to_tower_1.req_u, qos_cap());
         let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
+        let err = process(&mut w, &req_t, Some(entry), true).unwrap_err();
         assert_eq!(err, SapError::TelcoMismatch);
     }
 
@@ -1357,14 +1127,7 @@ mod tests {
         let (u_body, _) = run_protocol(&mut w);
         // Run the protocol again; the old response must not verify
         // against the new nonce.
-        let id_t = w.telco.identity();
-        let (_req2, nonce2) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
+        let (_req2, nonce2) = request(&mut w, qos_cap());
         assert_ne!(u_body.nonce, nonce2);
     }
 
@@ -1373,34 +1136,9 @@ mod tests {
         let mut w = world();
         let mallory = UeKeys::generate(&mut w.rng);
         let id_t = w.telco.identity();
-        let (req_u, nonce) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
+        let (req_t, nonce) = request(&mut w, qos_cap());
         let entry = entry_for(&w);
-        let (reply, ..) = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap();
+        let (reply, ..) = process(&mut w, &req_t, Some(entry), true).unwrap();
         // Mallory cannot use the response addressed to our UE.
         let err = ue_verify_response(
             &mallory,
@@ -1416,16 +1154,9 @@ mod tests {
     #[test]
     fn wire_roundtrips() {
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        assert_eq!(AuthReqU::decode(&req_u.encode()).as_ref(), Some(&req_u));
-        let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
+        let (req_t, _) = request(&mut w, qos_cap());
+        let req_u = &req_t.req_u;
+        assert_eq!(AuthReqU::decode(&req_u.encode()).as_ref(), Some(req_u));
         assert_eq!(AuthReqT::decode(&req_t.encode()).as_ref(), Some(&req_t));
     }
 
@@ -1434,35 +1165,12 @@ mod tests {
         // A user under an LI order attaches through a capable bTelco:
         // the obligation rides qosInfo to the bTelco.
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
-        let entry = entry_for(&w);
-        let (reply, ..) = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: true,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap();
+        let (req_t, _) = request(&mut w, qos_cap());
+        let entry = SubscriberEntry {
+            lawful_intercept: true,
+            ..entry_for(&w)
+        };
+        let (reply, ..) = process(&mut w, &req_t, Some(entry), true).unwrap();
         let body = telco_verify_reply(&w.telco, &w.ca.public_key(), &reply).unwrap();
         assert!(
             body.qos.lawful_intercept,
@@ -1475,39 +1183,16 @@ mod tests {
         // The broker cannot silently drop an LI order: if the bTelco
         // cannot provision the tap, the attachment is refused.
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
         let cap = QosCap {
             li_capable: false,
             ..qos_cap()
         };
-        let req_t = telco_wrap_request(&w.telco, req_u, cap);
-        let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: true,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
+        let (req_t, _) = request(&mut w, cap);
+        let entry = SubscriberEntry {
+            lawful_intercept: true,
+            ..entry_for(&w)
+        };
+        let err = process(&mut w, &req_t, Some(entry), true).unwrap_err();
         assert_eq!(err, SapError::PolicyRefused);
     }
 

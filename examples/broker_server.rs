@@ -1,130 +1,58 @@
 //! `brokerd` as a real network service: the same SAP wire protocol the
 //! simulator uses, served over an actual TCP socket on localhost.
 //!
-//! A broker thread accepts length-prefixed [`BrokerWire`] frames; a
-//! "bTelco" client (with an in-process UE) connects, relays a genuine
-//! sealed+signed `authReqT`, and verifies the authorization it gets back.
-//! This demonstrates that the protocol layer is transport-agnostic — the
-//! paper deploys brokerd on AWS behind Magma's Orc8r the same way.
+//! The broker is the shared authorization core behind its socket
+//! adapter — `population(..).server(..)` provisions it, `serve_tcp`
+//! moves the length-prefixed [`BrokerWire`] frames. A "bTelco" client
+//! (with an in-process UE) connects, relays a genuine sealed+signed
+//! `authReqT`, and verifies the authorization it gets back. The paper
+//! deploys brokerd on AWS behind Magma's Orc8r the same way.
 //!
 //! Run with: `cargo run --example broker_server`
 
+use cellbricks::core::broker_server::{population, serve_tcp, ServeConfig, BROKER_NAME};
 use cellbricks::core::brokerd::BrokerWire;
-use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
-use cellbricks::core::sap::{self, QosCap, SubscriberEntry};
-use cellbricks::crypto::cert::CertificateAuthority;
+use cellbricks::core::sap::{self, QosCap};
 use cellbricks::net::wire::{read_frame, write_frame};
 use cellbricks::sim::SimRng;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-struct SubscriberDb {
-    users: HashMap<cellbricks::core::principal::Identity, SubscriberEntry>,
-}
-
 fn main() {
-    let mut rng = SimRng::new(7);
-    let ca = CertificateAuthority::from_seed([0xCA; 32]);
-    let broker_keys = BrokerKeys::generate("broker.example", &ca, &mut rng);
-    let telco_keys = TelcoKeys::generate("tower-1.example", &ca, &mut rng);
-    let ue_keys = UeKeys::generate(&mut rng);
-
-    // Provision the subscriber in the broker's database.
-    let (sign_pk, encrypt_pk) = ue_keys.public();
-    let db = Arc::new(Mutex::new(SubscriberDb {
-        users: HashMap::new(),
-    }));
-    db.lock().users.insert(
-        ue_keys.identity(),
-        SubscriberEntry {
-            sign_pk,
-            encrypt_pk,
-            plan_mbr_bps: 50_000_000,
-            suspect: false,
-            alias: 7,
-            lawful_intercept: false,
-        },
-    );
+    // The CA, the broker, one bTelco and one provisioned subscriber.
+    let pop = population(7, 1);
+    let (telco_keys, ue_keys) = (&pop.telco, &pop.ues[0]);
 
     // --- The broker service thread. ---
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
     println!("brokerd listening on {addr}");
-    let ca_pk = ca.public_key();
-    let server_keys = broker_keys.clone();
-    let server_db = Arc::clone(&db);
-    let server = std::thread::spawn(move || {
-        let mut server_rng = SimRng::new(99);
-        let (mut stream, peer) = listener.accept().expect("accept");
-        println!("brokerd: connection from {peer}");
-        let frame = match read_frame(&mut stream) {
-            Ok(frame) => frame,
-            Err(e) => {
-                // A hostile or garbled prefix (e.g. oversized length) is
-                // a protocol error: drop the connection, don't panic.
-                println!("brokerd: dropping connection from {peer}: {e}");
-                return;
-            }
-        };
-        let Some(BrokerWire::AuthReq { req_id, req_t }) = BrokerWire::decode(&frame) else {
-            panic!("brokerd: malformed request");
-        };
-        let req = sap::AuthReqT::decode(&req_t).expect("authReqT");
-        let db = server_db.lock();
-        let result = sap::broker_process(
-            &server_keys,
-            &ca_pk,
-            &req,
-            |id| {
-                db.users.get(&id).map(|e| SubscriberEntry {
-                    sign_pk: e.sign_pk,
-                    encrypt_pk: e.encrypt_pk,
-                    plan_mbr_bps: e.plan_mbr_bps,
-                    suspect: e.suspect,
-                    alias: e.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            42,
-            &mut server_rng,
-        );
-        let reply = match result {
-            Ok((reply, vec, qos, _ss)) => {
-                println!(
-                    "brokerd: authorized UE {:02x?}... on {} at {} Mbps",
-                    &vec.id_u.0[..4],
-                    req.t_cert.subject,
-                    qos.mbr_bps / 1_000_000
-                );
-                BrokerWire::AuthOk {
-                    req_id,
-                    reply: reply.encode(),
-                }
-            }
-            Err(e) => {
-                println!("brokerd: refused ({e:?})");
-                BrokerWire::AuthErr {
-                    req_id,
-                    code: e as u8,
-                }
-            }
-        };
-        write_frame(&mut stream, &reply.encode()).expect("write");
+    let mut server = pop.server(SimRng::new(99));
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop_server = Arc::clone(&stop);
+    let service = std::thread::spawn(move || {
+        serve_tcp(
+            &mut server,
+            &listener,
+            &stop_server,
+            &ServeConfig::default(),
+        )
+        .expect("serve");
+        server.counters
     });
 
     // --- The bTelco client (with its UE) on the main thread. ---
+    let mut rng = SimRng::new(8);
     let (req_u, nonce) = sap::ue_build_request(
-        &ue_keys,
-        "broker.example",
-        &broker_keys.encrypt.public_key(),
+        ue_keys,
+        BROKER_NAME,
+        &pop.broker.encrypt.public_key(),
         telco_keys.identity(),
         &mut rng,
     );
     let req_t = sap::telco_wrap_request(
-        &telco_keys,
+        telco_keys,
         req_u,
         QosCap {
             max_mbr_bps: 100_000_000,
@@ -149,14 +77,16 @@ fn main() {
         Some(BrokerWire::AuthOk { reply, .. }) => {
             let reply = sap::BrokerReply::decode(&reply).expect("reply");
             let t_body =
-                sap::telco_verify_reply(&telco_keys, &ca.public_key(), &reply).expect("verify");
+                sap::telco_verify_reply(telco_keys, &pop.ca.public_key(), &reply).expect("verify");
             println!(
-                "bTelco: authorization verified — UE alias #{}, session #{}",
-                t_body.ue_alias, t_body.session_id
+                "bTelco: authorization verified — UE alias #{}, session #{}, {} Mbps",
+                t_body.ue_alias,
+                t_body.session_id,
+                t_body.qos.mbr_bps / 1_000_000
             );
             let u_body = sap::ue_verify_response(
-                &ue_keys,
-                &broker_keys.sign.verifying_key(),
+                ue_keys,
+                &pop.broker.sign.verifying_key(),
                 &nonce,
                 telco_keys.identity(),
                 &reply.resp_u,
@@ -167,6 +97,11 @@ fn main() {
         }
         other => panic!("unexpected reply: {other:?}"),
     }
-    server.join().unwrap();
-    println!("done.");
+    stop.store(true, Ordering::Relaxed);
+    let counters = service.join().unwrap();
+    assert_eq!((counters.served_auths, counters.auth_errs), (1, 0));
+    println!(
+        "brokerd: served {} authorization; done.",
+        counters.served_auths
+    );
 }

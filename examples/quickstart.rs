@@ -12,7 +12,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
-use cellbricks::core::sap::{self, QosCap, SubscriberEntry};
+use cellbricks::core::sap::{self, QosCap};
+use cellbricks::core::{AuthState, BrokerCore};
 use cellbricks::crypto::cert::CertificateAuthority;
 use cellbricks::epc::aka::{derive_nas_enc_key, derive_nas_int_key};
 use cellbricks::sim::SimRng;
@@ -66,34 +67,21 @@ fn main() {
     );
 
     // --- Step 3: the broker authenticates BOTH parties and authorizes.
+    // The broker core decides batches of decoded requests against its
+    // durable state (subscriber table, anti-replay window, session
+    // ids); one attach is a batch of one.
     let (sign_pk, encrypt_pk) = ue.public();
-    let (reply, vec, qos, _ss) = sap::broker_process(
-        &broker,
-        &ca.public_key(),
-        &req_t,
-        |id| {
-            (id == ue.identity()).then_some(SubscriberEntry {
-                sign_pk,
-                encrypt_pk,
-                plan_mbr_bps: 50_000_000,
-                suspect: false,
-                alias: 7,
-                lawful_intercept: false,
-            })
-        },
-        |_telco| true, // Reputation system admits this bTelco.
-        1001,          // Billing session id.
-        &mut rng,
-    )
-    .expect("broker authorizes");
+    let mut state = AuthState::new(1001); // First billing session id.
+    state.provision(ue.identity(), sign_pk, encrypt_pk, 50_000_000);
+    let mut core = BrokerCore::new(broker.clone(), ca.public_key(), rng.fork(), 0);
+    let grant = core
+        .authorize(&mut state, &[req_t], |_ue, _telco| true) // Reputation admits both.
+        .remove(0)
+        .expect("broker authorizes");
+    let reply = grant.reply;
     println!("3. broker → bTelco  brokerReply (authRespT ‖ authRespU)");
     println!("   broker verified: bTelco cert ✓  bTelco sig ✓  UE sig ✓");
-    println!(
-        "   granted QoS: {} Mbps MBR, QCI {} (min of plan and qosCap)",
-        qos.mbr_bps / 1_000_000,
-        qos.qci
-    );
-    assert_eq!(vec.nonce, nonce);
+    assert_eq!(grant.vec.nonce, nonce);
 
     // --- Step 4: bTelco extracts its authorization proof; UE verifies.
     let t_body = sap::telco_verify_reply(&telco, &ca.public_key(), &reply)
@@ -101,6 +89,11 @@ fn main() {
     println!(
         "4. bTelco: authorization proof for UE alias #{} (never the identity)",
         t_body.ue_alias
+    );
+    println!(
+        "   granted QoS: {} Mbps MBR, QCI {} (min of plan and qosCap)",
+        t_body.qos.mbr_bps / 1_000_000,
+        t_body.qos.qci
     );
     let u_body = sap::ue_verify_response(
         &ue,

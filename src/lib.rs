@@ -23,7 +23,8 @@
 //!
 //! ```
 //! use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
-//! use cellbricks::core::sap::{self, QosCap, SubscriberEntry};
+//! use cellbricks::core::sap::{self, QosCap};
+//! use cellbricks::core::{AuthState, BrokerCore};
 //! use cellbricks::crypto::cert::CertificateAuthority;
 //! use cellbricks::sim::SimRng;
 //!
@@ -39,16 +40,13 @@
 //! let req_t = sap::telco_wrap_request(
 //!     &telco, req_u,
 //!     QosCap { max_mbr_bps: 100_000_000, qci_supported: vec![9], li_capable: true });
+//! // The broker core decides a batch of one against its state:
 //! let (sign_pk, encrypt_pk) = ue.public();
-//! let (reply, ..) = sap::broker_process(
-//!     &broker, &ca.public_key(), &req_t,
-//!     |id| (id == ue.identity()).then_some(SubscriberEntry {
-//!         sign_pk, encrypt_pk: encrypt_pk.clone(),
-//!         plan_mbr_bps: 50_000_000, suspect: false, alias: 1,
-//!         lawful_intercept: false,
-//!     }),
-//!     |_| true, 1, &mut rng,
-//! ).expect("authorized");
+//! let mut state = AuthState::new(1);
+//! state.provision(ue.identity(), sign_pk, encrypt_pk, 50_000_000);
+//! let mut core = BrokerCore::new(broker.clone(), ca.public_key(), rng.fork(), 0);
+//! let grant = core.authorize(&mut state, &[req_t], |_, _| true).remove(0).expect("authorized");
+//! let reply = grant.reply;
 //!
 //! // Both ends verify and share the session secret:
 //! let t = sap::telco_verify_reply(&telco, &ca.public_key(), &reply).unwrap();
