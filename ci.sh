@@ -335,34 +335,27 @@ echo "==> figure replay + cc counters OK"
 
 # perfbench (the repository's benchmark, BENCHMARK.json): its own unit
 # tests — estimators, failure accounting, catalogue ↔ BENCHMARK.json —
-# and one short saturated-wire run that must check its own outputs and
-# lose nothing. The numbers of a 3 s run are not read; the ten-pair
-# comparison the benchmark exists for is `perfbench/run.sh`.
+# and three short runs that must each check their own outputs and lose
+# nothing: the saturated wire, the wire at batches of one (the path the
+# simulated broker runs), and the mega world (wheel, engine and world:
+# every packet a UE sent must have reached its sink). The numbers of a
+# 3 s run are not read; the ten-pair comparison the benchmark exists for
+# is `perfbench/run.sh`.
 run cargo test -q --offline --manifest-path perfbench/Cargo.toml
-echo
-echo "==> perfbench wire_sat smoke"
-pb_line=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload wire_sat --seed 7 --seconds 3 --trace 0 | tail -n 1)
-case "$pb_line" in
-    *'"correct": true'*'"failed": 0,'*) ;;
-    *)
-        echo "FAIL: perfbench wire_sat smoke: $pb_line"
-        exit 1
-        ;;
-esac
-echo "==> perfbench wire_sat smoke OK ($pb_line)"
-# The same check at batches of one — the path the simulated broker runs.
-echo "==> perfbench wire_paced smoke"
-pb_line=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload wire_paced --seed 7 --seconds 3 --trace 0 | tail -n 1)
-case "$pb_line" in
-    *'"correct": true'*'"failed": 0,'*) ;;
-    *)
-        echo "FAIL: perfbench wire_paced smoke: $pb_line"
-        exit 1
-        ;;
-esac
-echo "==> perfbench wire_paced smoke OK ($pb_line)"
+for workload in wire_sat wire_paced sim_scale; do
+    echo
+    echo "==> perfbench $workload smoke"
+    pb_line=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 3 --trace 0 | tail -n 1)
+    case "$pb_line" in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *)
+            echo "FAIL: perfbench $workload smoke: $pb_line"
+            exit 1
+            ;;
+    esac
+    echo "==> perfbench $workload smoke OK ($pb_line)"
+done
 
 echo
 echo "CI gate passed."

@@ -1128,24 +1128,26 @@ mod tests {
             &requests,
         )
         .expect("tcp client");
-        // The report has no reply; give its frame time to land before
-        // stopping (it shares the server with the auth traffic).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            std::thread::sleep(Duration::from_millis(5));
-            if Instant::now() > deadline {
-                break;
-            }
-            if telemetry::counter("brokerd.wire_reports").get() > 0 {
-                break;
-            }
-        }
+        // The report has no reply, so follow it down the same stream with
+        // a frame that has one — a replay of an already-granted request.
+        // A connection's frames are handled in order: once the refusal
+        // is back, the report has been counted.
+        reporter
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        reporter.write_all(&requests[0]).expect("replay");
+        let refusal = read_frame(&mut reporter).expect("reply to the replay");
+        assert!(matches!(
+            BrokerWire::decode(&refusal),
+            Some(BrokerWire::AuthErr { req_id: 0, .. })
+        ));
         stop.store(true, Ordering::Relaxed);
         let server = handle.join().expect("server thread");
         assert_eq!(outcome.lost, 0, "no request may go unanswered");
         assert_eq!(outcome.ok, 24, "fresh nonces all authorize over TCP");
         assert_eq!(server.counters.bad_frames, 0);
         assert_eq!(server.counters.served_auths, 24);
+        assert_eq!(server.counters.auth_errs, 1, "the replay is refused");
         assert_eq!(
             server.counters.wire_reports, 1,
             "the oversized-for-UDP report frame must arrive intact"

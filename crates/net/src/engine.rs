@@ -15,9 +15,14 @@
 //! * **dirty set** — only endpoints that just received a packet or just
 //!   polled are re-queried for `poll_at()`; everything else is passive
 //!   and cannot have moved its own timer;
-//! * **reusable buffers** — arrivals and endpoint output are drained
-//!   into buffers owned by the driver, so the hot loop performs no
-//!   per-iteration allocation.
+//! * **no staging** — arrivals go from the world's wheel straight into
+//!   `handle_packet`, and endpoint output is drained into one buffer
+//!   owned by the driver, so the hot loop neither allocates nor copies
+//!   a packet it does not have to;
+//! * **windowed telemetry** — per-event counts are plain integers,
+//!   published to the registry when [`Driver::run_to`] /
+//!   [`Driver::run_window`] return: exact at every window boundary, at
+//!   most one window stale in between.
 //!
 //! The engine preserves the exact event order of the original
 //! scan-per-event loop: arrivals dispatch in queue order (time, then
@@ -57,9 +62,10 @@ impl FaultMetrics {
     }
 }
 
-/// Scheduler telemetry handles, registered once per [`Driver`]; the
-/// wall-clock service timers only run when telemetry is enabled so the
-/// disabled path costs one atomic load per dispatched event.
+/// Scheduler telemetry handles, registered once per [`Driver`]. The
+/// event counters and the depth gauge are published once per window
+/// (see [`Driver::publish_telemetry`]); the wall-clock service timers
+/// sample 1 event in 32, and only while telemetry is enabled.
 struct EngineMetrics {
     ev_arrival: telemetry::Counter,
     ev_poll: telemetry::Counter,
@@ -112,8 +118,6 @@ pub struct Driver {
     dirty_list: Vec<usize>,
     /// Endpoints due at the current instant (sorted to slice order).
     due: Vec<usize>,
-    /// Reusable arrival buffer (drained each iteration).
-    arrivals: Vec<(SimTime, NodeId, crate::packet::Packet)>,
     /// Reusable endpoint-output buffer.
     out: Vec<crate::packet::Packet>,
     /// The floor of the next run window (the previous window's end).
@@ -125,6 +129,13 @@ pub struct Driver {
     faults: FaultPlan,
     metrics: EngineMetrics,
     fault_metrics: Option<FaultMetrics>,
+    /// Events dispatched since the last publish.
+    ev_arrival: u64,
+    ev_poll: u64,
+    /// Arrivals dispatched in the latest instant that had any, and the
+    /// most in one instant since the last publish.
+    q_depth: i64,
+    q_depth_peak: i64,
     /// Last value this driver contributed to the shared
     /// `sim.scheduler.ready_events` gauge. Shard workers share one gauge
     /// (the registry is keyed by name), so each driver publishes deltas
@@ -161,13 +172,16 @@ impl Driver {
             dirty: Vec::new(),
             dirty_list: Vec::new(),
             due: Vec::new(),
-            arrivals: Vec::new(),
             out: Vec::new(),
             clock: from,
             svc_tick: 0,
             faults: FaultPlan::new(),
             metrics: EngineMetrics::register(),
             fault_metrics: None,
+            ev_arrival: 0,
+            ev_poll: 0,
+            q_depth: 0,
+            q_depth_peak: 0,
             q_depth_last: 0,
             arena_last: (0, 0, 0),
         }
@@ -424,7 +438,7 @@ impl Driver {
                 self.due.sort_unstable();
                 for k in 0..self.due.len() {
                     let i = self.due[k];
-                    self.metrics.ev_poll.inc();
+                    self.ev_poll += 1;
                     let t0 = self.sample_service_time(timed);
                     endpoints[i].poll(now, &mut self.out);
                     if let Some(t0) = t0 {
@@ -439,11 +453,33 @@ impl Driver {
             }
         }
         self.clock = self.clock.max(until);
+        self.publish_telemetry();
+        world.publish_telemetry();
         last
     }
 
-    /// Drain and dispatch every arrival due at `now` (the arrival half of
-    /// one [`advance`](Self::advance) iteration).
+    /// Publish this window's event counts and arrival depth. The depth
+    /// goes out as a delta against this driver's last contribution, with
+    /// the window's peak: shard workers share the gauge, so deltas sum
+    /// where a `set` would race.
+    fn publish_telemetry(&mut self) {
+        self.metrics
+            .ev_arrival
+            .add(std::mem::take(&mut self.ev_arrival));
+        self.metrics.ev_poll.add(std::mem::take(&mut self.ev_poll));
+        if telemetry::is_enabled() {
+            self.metrics.q_depth.add_with_peak(
+                self.q_depth - self.q_depth_last,
+                self.q_depth_peak - self.q_depth_last,
+            );
+            self.q_depth_last = self.q_depth;
+        }
+        self.q_depth_peak = self.q_depth;
+    }
+
+    /// Dispatch every arrival due at `now` (the arrival half of one
+    /// [`advance`](Self::advance) iteration), each handed from the world
+    /// to its endpoint without an intermediate copy.
     fn dispatch_arrivals(
         &mut self,
         now: SimTime,
@@ -451,30 +487,19 @@ impl Driver {
         endpoints: &mut [&mut dyn Endpoint],
         timed: bool,
     ) {
-        world.drain_arrivals_into(now, &mut self.arrivals);
-        if timed {
-            // Delta against this driver's last contribution: shard
-            // workers share the gauge, so deltas sum where a `set`
-            // would race (satellite: ready_events must aggregate).
-            // Steady state keeps a constant depth, so the common
-            // case writes nothing.
-            let depth = self.arrivals.len() as i64;
-            if depth != self.q_depth_last {
-                self.metrics.q_depth.add(depth - self.q_depth_last);
-                self.q_depth_last = depth;
-            }
-        }
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        for (_at, node, pkt) in arrivals.drain(..) {
-            if let Some(i) = endpoint_index(&self.node_map, node) {
-                self.metrics.ev_arrival.inc();
+        world.begin_arrivals(now);
+        let mut depth = 0;
+        while let Some((_at, arrival)) = world.next_arrival(now) {
+            depth += 1;
+            if let Some(i) = endpoint_index(&self.node_map, arrival.node) {
+                self.ev_arrival += 1;
                 let t0 = self.sample_service_time(timed);
-                let svc = match &pkt.kind {
+                let svc = match &arrival.pkt.kind {
                     PacketKind::Tcp(_) => &self.metrics.svc_tcp,
                     PacketKind::Udp { .. } => &self.metrics.svc_udp,
                     PacketKind::Control(_) => &self.metrics.svc_control,
                 };
-                endpoints[i].handle_packet(now, pkt, &mut self.out);
+                endpoints[i].handle_packet(now, arrival.pkt, &mut self.out);
                 if let Some(t0) = t0 {
                     svc.record(t0.elapsed().as_nanos() as u64);
                 }
@@ -487,7 +512,8 @@ impl Driver {
             // Packets delivered to nodes with no endpoint vanish (a
             // misconfigured topology shows up in link stats).
         }
-        self.arrivals = arrivals;
+        self.q_depth = depth;
+        self.q_depth_peak = self.q_depth_peak.max(depth);
     }
 
     /// Apply one due fault action: link faults go to the world, endpoint
@@ -759,6 +785,89 @@ mod tests {
         // The fault for b targets an endpoint that ignores it (default
         // impl on Periodic): delivery must not panic or stall the run.
         assert_eq!(driver.pending_faults(), 0);
+    }
+
+    type EventLog = std::rc::Rc<std::cell::RefCell<Vec<(SimTime, &'static str, &'static str)>>>;
+
+    /// Logs `(time, name, what)` for every poll and reception; pings
+    /// `peer` on each of its `polls` timer shots (all due at 10 ms) and
+    /// answers each reception in `replies`.
+    struct Scripted {
+        node: NodeId,
+        name: &'static str,
+        peer: Ipv4Addr,
+        polls: u32,
+        replies: u32,
+        log: EventLog,
+    }
+
+    impl Endpoint for Scripted {
+        fn node(&self) -> NodeId {
+            self.node
+        }
+        fn handle_packet(&mut self, now: SimTime, _pkt: Packet, out: &mut Vec<Packet>) {
+            self.log.borrow_mut().push((now, self.name, "recv"));
+            if self.replies > 0 {
+                self.replies -= 1;
+                out.push(Packet::control(IP_A, self.peer, Bytes::from_static(b"r")));
+            }
+        }
+        fn poll_at(&self) -> Option<SimTime> {
+            (self.polls > 0).then_some(SimTime::from_millis(10))
+        }
+        fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+            self.log.borrow_mut().push((now, self.name, "poll"));
+            self.polls -= 1;
+            if self.replies == 0 {
+                out.push(Packet::control(IP_A, self.peer, Bytes::from_static(b"p")));
+            }
+        }
+    }
+
+    /// A zero-latency send made while an instant's arrivals are being
+    /// dispatched is due at that same instant, but waits for the next
+    /// round: the timers due now run first. Pinned as a literal: every
+    /// committed figure was produced under this order.
+    #[test]
+    fn zero_latency_reply_waits_behind_same_instant_timers() {
+        let mut t = Topology::new();
+        let a = t.add_node("a");
+        let b = t.add_node("b");
+        let c = t.add_node("c");
+        let l = t.add_symmetric_link(a, b, LinkConfig::delay_only(SimDuration::ZERO));
+        t.add_default_route(a, l);
+        t.add_default_route(b, l);
+        let mut world = NetWorld::new(t, SimRng::new(1));
+        let log = EventLog::default();
+        let scripted = |node, name, peer, polls, replies| Scripted {
+            node,
+            name,
+            peer,
+            polls,
+            replies,
+            log: log.clone(),
+        };
+        // a pings b once; b answers during dispatch; c (no links: its
+        // pings find no route) ticks twice at the same instant.
+        let mut ea = scripted(a, "a", IP_B, 1, 0);
+        let mut eb = scripted(b, "b", IP_A, 0, 1);
+        let mut ec = scripted(c, "c", IP_B, 2, 0);
+        Driver::new().run_to(
+            &mut world,
+            &mut [&mut ea, &mut eb, &mut ec],
+            SimTime::from_secs(1),
+        );
+        let at = SimTime::from_millis(10);
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                (at, "a", "poll"),
+                (at, "c", "poll"),
+                (at, "b", "recv"),
+                (at, "c", "poll"),
+                (at, "a", "recv"),
+            ]
+        );
     }
 
     #[test]

@@ -37,9 +37,9 @@ pub trait Endpoint {
     fn inject_fault(&mut self, _now: SimTime, _fault: &EndpointFault) {}
 }
 
-struct Arrival {
-    node: NodeId,
-    pkt: Packet,
+pub(crate) struct Arrival {
+    pub(crate) node: NodeId,
+    pub(crate) pkt: Packet,
     /// Canonical stream key `(link << 1) | direction` — the total order
     /// over same-instant arrivals in sharded mode. 0 in legacy mode
     /// (where wheel FIFO order is the contract).
@@ -116,8 +116,9 @@ pub struct LinkStats {
     pub ba_policer_hits: u64,
 }
 
-/// Telemetry handles for the packet-moving hot path, registered once per
-/// [`NetWorld`] so `send` pays one relaxed atomic load when disabled.
+/// Telemetry handles for the packet-moving path, registered once per
+/// [`NetWorld`]. The per-packet ones are fed from a [`Tally`] once per
+/// window; only drops and policer hits record as they happen.
 struct WorldMetrics {
     sent: telemetry::Counter,
     delivered: telemetry::Counter,
@@ -150,6 +151,26 @@ impl WorldMetrics {
     }
 }
 
+/// Per-packet counts since the last [`NetWorld::publish_telemetry`], in
+/// plain integers so `send` and arrival dispatch execute no atomic.
+#[derive(Default)]
+struct Tally {
+    sent: u64,
+    delivered: u64,
+    delivered_bytes: u64,
+    /// Net change of packets in this world's wheel, and the highest that
+    /// running change has stood.
+    in_flight: i64,
+    in_flight_peak: i64,
+}
+
+impl Tally {
+    fn entered_wheel(&mut self) {
+        self.in_flight += 1;
+        self.in_flight_peak = self.in_flight_peak.max(self.in_flight);
+    }
+}
+
 /// The network: topology plus in-flight packets.
 pub struct NetWorld {
     topology: Topology,
@@ -161,10 +182,21 @@ pub struct NetWorld {
     /// Packets dropped because no route matched.
     pub no_route_drops: u64,
     metrics: WorldMetrics,
+    tally: Tally,
     /// Sharded-mode state; `None` on the legacy single-world path.
     shard: Option<Box<ShardState>>,
-    /// Scratch for the canonical-order drain (sharded mode only).
-    drain_scratch: Vec<(SimTime, u32, u64, NodeId, Packet)>,
+    /// Wheel insertion mark of the instant being dispatched (legacy mode).
+    arrival_mark: u64,
+    /// The instant's arrivals in reverse canonical order (sharded mode).
+    drain_scratch: Vec<(SimTime, Arrival)>,
+}
+
+impl Drop for NetWorld {
+    /// A world driven by hand (no [`crate::engine::Driver`]) still
+    /// publishes what it counted.
+    fn drop(&mut self) {
+        self.publish_telemetry();
+    }
 }
 
 impl NetWorld {
@@ -177,9 +209,26 @@ impl NetWorld {
             rng,
             no_route_drops: 0,
             metrics: WorldMetrics::register(),
+            tally: Tally::default(),
             shard: None,
+            arrival_mark: 0,
             drain_scratch: Vec::new(),
         }
+    }
+
+    /// Publish the per-packet tallies to the registry and zero them.
+    /// [`Driver`](crate::engine::Driver) calls this whenever it returns,
+    /// so every value read at a `run_to`/`run_window` boundary is exact;
+    /// in between, the registry is at most one window behind. Whether
+    /// recording is on is decided here, not when the packet moved.
+    pub fn publish_telemetry(&mut self) {
+        let t = std::mem::take(&mut self.tally);
+        self.metrics.sent.add(t.sent);
+        self.metrics.delivered.add(t.delivered);
+        self.metrics.delivered_bytes.add(t.delivered_bytes);
+        self.metrics
+            .in_flight
+            .add_with_peak(t.in_flight, t.in_flight_peak);
     }
 
     /// Split this world into one slice per shard of `plan`.
@@ -227,6 +276,7 @@ impl NetWorld {
                     rng: SimRng::new(mix(stream_seed, 0x5eed_0000 | s as u64)),
                     no_route_drops: 0,
                     metrics: WorldMetrics::register(),
+                    tally: Tally::default(),
                     shard: Some(Box::new(ShardState {
                         shard: s as u32,
                         node_shard: node_shard.clone(),
@@ -234,6 +284,7 @@ impl NetWorld {
                         dir_seq: vec![[0; 2]; links],
                         outbox: Vec::new(),
                     })),
+                    arrival_mark: 0,
                     drain_scratch: Vec::new(),
                 }
             })
@@ -259,7 +310,7 @@ impl NetWorld {
 
     /// Send `pkt` from `from`: routes one hop and schedules the arrival.
     pub fn send(&mut self, now: SimTime, from: NodeId, pkt: Packet) {
-        self.metrics.sent.inc();
+        self.tally.sent += 1;
         let Some(link) = self.topology.route(from, pkt.dst) else {
             self.no_route_drops += 1;
             self.metrics.no_route.inc();
@@ -298,8 +349,8 @@ impl NetWorld {
         }
         match offer {
             Offer::Deliver(at) => {
-                self.metrics.delivered.inc();
-                self.metrics.delivered_bytes.add(u64::from(size));
+                self.tally.delivered += 1;
+                self.tally.delivered_bytes += u64::from(size);
                 let (key, seq, remote) = match &mut self.shard {
                     Some(sh) => {
                         let d = usize::from(dir_is_ba);
@@ -332,7 +383,7 @@ impl NetWorld {
                             seq,
                         },
                     );
-                    self.metrics.in_flight.add(1);
+                    self.tally.entered_wheel();
                 }
             }
             Offer::Drop(cause) => {
@@ -354,38 +405,50 @@ impl NetWorld {
         self.arrivals.peek_time()
     }
 
-    /// Pop all arrivals due at or before `now`, appending them to `out` —
-    /// a caller-owned reusable buffer, so the hot loop never allocates a
-    /// fresh `Vec` per iteration.
+    /// Start handing out the arrivals due at or before `now`; follow
+    /// with [`next_arrival`](Self::next_arrival) until it returns `None`.
     ///
-    /// Legacy mode preserves the wheel's (time, FIFO) pop order exactly.
-    /// Sharded mode re-sorts the drained batch into the canonical
-    /// `(time, direction key, per-direction seq)` order — a total order
-    /// that does not depend on wheel insertion order, and therefore not
-    /// on which barrier window a cross-shard packet was injected in.
-    pub fn drain_arrivals_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, NodeId, Packet)>) {
-        let before = out.len();
+    /// Legacy mode hands them out straight from the wheel in its (time,
+    /// FIFO) pop order, up to the insertion mark taken here: a packet
+    /// sent at zero latency while the instant is being dispatched is due
+    /// too, but belongs to the next round. Sharded mode re-sorts the due
+    /// batch into the canonical `(time, direction key, per-direction
+    /// seq)` order — a total order that does not depend on wheel
+    /// insertion order, and therefore not on which barrier window a
+    /// cross-shard packet was injected in.
+    pub(crate) fn begin_arrivals(&mut self, now: SimTime) {
         if self.shard.is_some() {
             debug_assert!(self.drain_scratch.is_empty());
-            while let Some((at, arrival)) = self.arrivals.pop_due(now) {
-                self.drain_scratch
-                    .push((at, arrival.key, arrival.seq, arrival.node, arrival.pkt));
+            while let Some(due) = self.arrivals.pop_due(now) {
+                self.drain_scratch.push(due);
             }
-            self.drain_scratch.sort_unstable_by_key(|a| (a.0, a.1, a.2));
-            out.extend(
-                self.drain_scratch
-                    .drain(..)
-                    .map(|(at, _, _, node, pkt)| (at, node, pkt)),
-            );
+            self.drain_scratch
+                .sort_unstable_by_key(|(at, a)| std::cmp::Reverse((*at, a.key, a.seq)));
         } else {
-            while let Some((at, arrival)) = self.arrivals.pop_due(now) {
-                out.push((at, arrival.node, arrival.pkt));
-            }
+            self.arrival_mark = self.arrivals.mark();
         }
-        let drained = out.len() - before;
-        if drained > 0 {
-            self.metrics.in_flight.add(-(drained as i64));
-        }
+    }
+
+    /// The next arrival of the round [`begin_arrivals`](Self::begin_arrivals)
+    /// opened at `now`, as the wheel hands it out: re-packing it here
+    /// would copy the packet once more.
+    pub(crate) fn next_arrival(&mut self, now: SimTime) -> Option<(SimTime, Arrival)> {
+        let due = if self.shard.is_some() {
+            self.drain_scratch.pop()
+        } else {
+            self.arrivals.pop_due_before(now, self.arrival_mark)
+        };
+        self.tally.in_flight -= i64::from(due.is_some());
+        due
+    }
+
+    /// Pop all arrivals due at or before `now`, appending them to `out`
+    /// in dispatch order (for callers that drive a world by hand).
+    pub fn drain_arrivals_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, NodeId, Packet)>) {
+        self.begin_arrivals(now);
+        out.extend(
+            std::iter::from_fn(|| self.next_arrival(now)).map(|(at, a)| (at, a.node, a.pkt)),
+        );
     }
 
     /// Move this shard's pending cross-shard deliveries into `out`
@@ -408,7 +471,6 @@ impl NetWorld {
     pub fn inject_cross(&mut self, batch: impl IntoIterator<Item = CrossPacket>) {
         let sh = self.shard.as_ref().expect("inject_cross on legacy world");
         let shard = sh.shard;
-        let mut n = 0i64;
         for m in batch {
             assert_eq!(m.dst_shard, shard, "cross packet routed to wrong shard");
             self.arrivals.insert(
@@ -420,10 +482,7 @@ impl NetWorld {
                     seq: m.seq,
                 },
             );
-            n += 1;
-        }
-        if n > 0 {
-            self.metrics.in_flight.add(n);
+            self.tally.entered_wheel();
         }
     }
 

@@ -18,10 +18,11 @@
 //! highest bit where `t` differs from `cur` — which is exactly the
 //! deepest level at which `t`'s slot index exceeds `cur`'s, so scanning
 //! each level for the first occupied slot *after* `cur`'s finds the
-//! global minimum. A level-0 slot spans a single nanosecond: by the time
-//! an entry cascades down to level 0 its slot *is* its deadline, which is
-//! what makes exact FIFO ordering cheap (everything in the slot shares
-//! one instant).
+//! global minimum. To make it poppable, `cur` jumps to the earliest
+//! deadline in that bucket: the entries due exactly then become ready
+//! and the rest are re-filed against the new `cur` (see `ensure_ready`
+//! for why no other bucket is disturbed) — a lone timer, however far
+//! out, is ready in one step, not one step per level.
 //!
 //! Entries with a deadline at or before `cur` go straight to the `ready`
 //! buffer, keeping their original deadline; `ready` is kept sorted by
@@ -99,6 +100,9 @@ pub struct TimerWheel<E> {
     ready_head: usize,
     ready_dirty: bool,
     len: usize,
+    /// Jumps performed by `ensure_ready`.
+    #[cfg(test)]
+    steps: u64,
 }
 
 impl<E> Default for TimerWheel<E> {
@@ -122,6 +126,8 @@ impl<E> TimerWheel<E> {
             ready_head: 0,
             ready_dirty: false,
             len: 0,
+            #[cfg(test)]
+            steps: 0,
         }
     }
 
@@ -164,12 +170,14 @@ impl<E> TimerWheel<E> {
         self.next_seq += 1;
         let cell = match self.free.pop() {
             Some(c) => {
-                self.slab[c as usize] = Node {
-                    at,
-                    seq,
-                    event: Some(event),
-                    loc: Loc::Free,
-                };
+                // Field by field: building a `Node` and assigning it
+                // copies the event twice, and the engine's events are
+                // ~200-byte packets. A freed cell's `loc` is already
+                // `Free`.
+                let node = &mut self.slab[c as usize];
+                node.at = at;
+                node.seq = seq;
+                node.event = Some(event);
                 c
             }
             None => {
@@ -251,81 +259,63 @@ impl<E> TimerWheel<E> {
         ev
     }
 
-    /// Bitmask of slot indices strictly greater than `base`.
-    fn above(base: u64) -> u64 {
-        if base >= (SLOTS as u64 - 1) {
-            0
-        } else {
-            !0u64 << (base + 1)
-        }
-    }
-
-    /// Advance `cur` and cascade until the ready buffer holds the
-    /// earliest pending entries (sorted), or return `false` if empty.
+    /// Make the ready buffer hold the earliest pending entries (sorted),
+    /// advancing `cur` in one jump if nothing is ready yet; `false` if the
+    /// wheel is empty.
+    ///
+    /// The first occupied bucket the level scan finds holds the global
+    /// minimum, and every lower level is empty. `cur` jumps straight to
+    /// the minimum deadline in that bucket: any instant inside the
+    /// bucket's span leaves `cur`'s slot index unchanged at that level
+    /// and above, so no resident entry elsewhere ends up at or below
+    /// `cur`'s index. Entries due exactly then go to `ready`; the rest of
+    /// the bucket is re-filed against the new `cur`, strictly lower down
+    /// (a level-0 bucket is one exact nanosecond and empties into `ready`).
     fn ensure_ready(&mut self) -> bool {
-        loop {
-            if self.ready_head < self.ready.len() {
-                if self.ready_dirty {
-                    let (ready, slab) = (&mut self.ready, &self.slab);
-                    ready[self.ready_head..].sort_unstable_by_key(|&c| {
-                        let n = &slab[c as usize];
-                        (n.at, n.seq)
-                    });
-                    self.ready_dirty = false;
-                }
-                return true;
-            }
+        if self.len == 0 {
+            return false;
+        }
+        if self.ready_head == self.ready.len() {
             self.ready.clear();
             self.ready_head = 0;
-            self.ready_dirty = false;
-
-            let mut advanced = false;
-            for level in 0..LEVELS {
-                let shift = SLOT_BITS * level as u32;
-                let base = (self.cur >> shift) & (SLOTS as u64 - 1);
-                let mask = self.occupied[level] & Self::above(base);
-                if mask == 0 {
-                    continue;
-                }
-                let slot = u64::from(mask.trailing_zeros());
-                if level == 0 {
-                    // A level-0 slot is one exact nanosecond: activate it.
-                    self.cur = (self.cur & !(SLOTS as u64 - 1)) | slot;
-                    let idx = slot as usize;
-                    let mut bucket = std::mem::take(&mut self.slots[idx]);
-                    self.occupied[0] &= !(1 << slot);
-                    for &cell in &bucket {
-                        self.slab[cell as usize].loc = Loc::Ready;
-                    }
-                    self.ready.append(&mut bucket);
-                    self.slots[idx] = bucket;
-                    self.ready_dirty = true;
-                } else {
-                    // Jump to the slot's base time and redistribute its
-                    // entries one level down (or to ready if due exactly).
-                    let upper_shift = SLOT_BITS * (level as u32 + 1);
-                    let upper = if upper_shift >= 64 {
-                        0
-                    } else {
-                        (self.cur >> upper_shift) << upper_shift
-                    };
-                    self.cur = upper | (slot << shift);
-                    let idx = level * SLOTS + slot as usize;
-                    let mut bucket = std::mem::take(&mut self.slots[idx]);
-                    self.occupied[level] &= !(1 << slot);
-                    for &cell in &bucket {
-                        self.place(cell);
-                    }
-                    bucket.clear();
-                    self.slots[idx] = bucket;
-                }
-                advanced = true;
-                break;
+            #[cfg(test)]
+            {
+                self.steps += 1;
             }
-            if !advanced {
-                return false;
+            // Every resident entry sits above `cur`'s index at its level,
+            // so the lowest occupied slot of the lowest occupied level is
+            // the earliest bucket.
+            let level = (self.occupied.iter())
+                .position(|&mask| mask != 0)
+                .expect("pending entries but no occupied slot");
+            let slot = self.occupied[level].trailing_zeros() as usize;
+            debug_assert!(
+                slot as u64 > (self.cur >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1),
+                "resident entry at or below the scan position"
+            );
+            let idx = level * SLOTS + slot;
+            let mut bucket = std::mem::take(&mut self.slots[idx]);
+            self.occupied[level] &= !(1 << slot);
+            self.cur = bucket
+                .iter()
+                .map(|&c| self.slab[c as usize].at.as_nanos())
+                .min()
+                .expect("occupied bit set on an empty bucket");
+            for &cell in &bucket {
+                self.place(cell);
             }
+            bucket.clear();
+            self.slots[idx] = bucket;
         }
+        if self.ready_dirty {
+            let (ready, slab) = (&mut self.ready, &self.slab);
+            ready[self.ready_head..].sort_unstable_by_key(|&c| {
+                let n = &slab[c as usize];
+                (n.at, n.seq)
+            });
+            self.ready_dirty = false;
+        }
+        true
     }
 
     /// The instant of the earliest pending timer.
@@ -350,10 +340,28 @@ impl<E> TimerWheel<E> {
 
     /// Pop the earliest timer only if it is due at or before `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
+        self.pop_due_before(now, u64::MAX)
+    }
+
+    /// The insertion mark of this moment: every entry already inserted
+    /// compares below it, every later one at or above it.
+    #[must_use]
+    pub fn mark(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// [`pop_due`](Self::pop_due), restricted to entries inserted before
+    /// `mark` (see [`mark`](Self::mark)). Lets a caller pop an instant's
+    /// entries one at a time while inserting at that same instant or
+    /// later (not earlier: a late entry in the past would sort ahead of
+    /// the batch and end it), and still see exactly the batch that was
+    /// due when it took the mark.
+    pub fn pop_due_before(&mut self, now: SimTime, mark: u64) -> Option<(SimTime, E)> {
         if !self.ensure_ready() {
             return None;
         }
-        if self.slab[self.ready[self.ready_head] as usize].at > now {
+        let front = &self.slab[self.ready[self.ready_head] as usize];
+        if front.at > now || front.seq >= mark {
             return None;
         }
         Some(self.take_ready_front())
@@ -366,13 +374,14 @@ impl<E> TimerWheel<E> {
             self.ready.clear();
             self.ready_head = 0;
         }
-        let node = &mut self.slab[cell as usize];
-        node.loc = Loc::Free;
-        let at = node.at;
-        let ev = node.event.take().expect("ready entry without event");
         self.free.push(cell);
         self.len -= 1;
-        (at, ev)
+        // The event moves last, with nothing that can unwind after it, so
+        // it is copied once — slab to caller — and not via a temporary.
+        let node = &mut self.slab[cell as usize];
+        node.loc = Loc::Free;
+        let ev = node.event.take().expect("ready entry without event");
+        (node.at, ev)
     }
 }
 
@@ -499,6 +508,61 @@ mod tests {
     }
 
     #[test]
+    fn lone_timer_is_ready_in_one_step() {
+        // 10 ms from `cur` = 0 files at level 3; the jump must not walk
+        // it down through levels 2, 1 and 0.
+        let mut w = TimerWheel::new();
+        w.insert(SimTime::from_millis(10), ());
+        assert_eq!(w.peek_time(), Some(SimTime::from_millis(10)));
+        assert_eq!(w.steps, 1);
+        // Empty again: peeking scans nothing.
+        w.pop().unwrap();
+        assert_eq!(w.peek_time(), None);
+        assert_eq!(w.steps, 1);
+    }
+
+    #[test]
+    fn jump_keeps_fifo_among_entries_sharing_the_minimum() {
+        // Four entries in one level-3 bucket, two of them at its minimum.
+        let at = |ns| SimTime::from_millis(10) + SimDuration::from_nanos(ns);
+        let mut w = TimerWheel::new();
+        w.insert(at(700), "d");
+        w.insert(at(5), "a");
+        w.insert(at(9), "c");
+        w.insert(at(5), "b");
+        assert_eq!(w.peek_time(), Some(at(5)));
+        assert_eq!(w.steps, 1);
+        // An insert at the instant the wheel now stands on queues behind
+        // the two already due; one before it pops first.
+        w.insert(at(5), "b2");
+        w.insert(at(1), "past");
+        let order: Vec<_> = std::iter::from_fn(|| w.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (at(1), "past"),
+                (at(5), "a"),
+                (at(5), "b"),
+                (at(5), "b2"),
+                (at(9), "c"),
+                (at(700), "d"),
+            ]
+        );
+    }
+
+    #[test]
+    fn pop_due_before_stops_at_the_mark() {
+        let mut w = TimerWheel::new();
+        let t = SimTime::from_secs(1);
+        w.insert(t, "old");
+        let mark = w.mark();
+        assert_eq!(w.pop_due_before(t, mark), Some((t, "old")));
+        w.insert(t, "new");
+        assert_eq!(w.pop_due_before(t, mark), None);
+        assert_eq!(w.pop_due(t), Some((t, "new")));
+    }
+
+    #[test]
     fn freelist_recycles_cells() {
         let mut w = TimerWheel::new();
         for round in 0..10 {
@@ -516,6 +580,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::queue::EventQueue;
+    use crate::time::SimDuration;
     use proptest::prelude::*;
 
     proptest! {
@@ -579,64 +644,150 @@ mod proptests {
         fn prop_cancel_rearm_matches_oracle(
             ops in proptest::collection::vec((0u64..100_000, 0u8..4, 0usize..8), 1..200),
         ) {
-            let mut q: EventQueue<usize> = EventQueue::new();
+            let mut o = Oracle::default();
             let mut w = TimerWheel::new();
-            // Per-key live handle; the oracle models cancel by tracking
-            // which (key, nonce) pushes are still valid.
             let mut live: [Option<TimerId>; 8] = [None; 8];
-            let mut q_live: [Option<usize>; 8] = [None; 8];
-            let mut nonce = 0usize;
-            let drain_one = |q: &mut EventQueue<usize>,
-                                 q_live: &mut [Option<usize>; 8]|
-             -> Option<(SimTime, usize)> {
-                // Oracle pop: skip entries whose nonce is stale (the
-                // generation-style lazy invalidation the wheel replaces).
-                while let Some((at, v)) = q.pop() {
-                    let (key, n) = (v >> 32, v & 0xffff_ffff);
-                    if q_live[key] == Some(n) {
-                        q_live[key] = None;
-                        return Some((at, key));
-                    }
-                }
-                None
-            };
             for (t, op, key) in ops {
                 match op {
-                    0 | 1 => {
-                        // (Re-)arm `key` at t: cancel any live entry first.
-                        if let Some(id) = live[key].take() {
-                            w.cancel(id);
-                        }
-                        q_live[key] = Some(nonce);
-                        q.push(SimTime::from_nanos(t), (key << 32) | nonce);
-                        live[key] = Some(w.insert(SimTime::from_nanos(t), key));
-                        nonce += 1;
-                    }
+                    0 | 1 => rearm(&mut o, &mut w, &mut live, key, SimTime::from_nanos(t)),
                     2 => {
                         // Cancel `key` if armed.
                         if let Some(id) = live[key].take() {
                             prop_assert_eq!(w.cancel(id), Some(key));
                         }
-                        q_live[key] = None;
+                        o.cancel(key);
                     }
                     _ => {
-                        let expect = drain_one(&mut q, &mut q_live);
                         let got = w.pop();
                         if let Some((_, k)) = got {
                             live[k] = None;
                         }
-                        prop_assert_eq!(expect, got);
+                        prop_assert_eq!(o.pop_due(SimTime::FAR_FUTURE), got);
                     }
                 }
             }
             loop {
-                let expect = drain_one(&mut q, &mut q_live);
                 let got = w.pop();
-                prop_assert_eq!(expect, got);
+                prop_assert_eq!(o.pop_due(SimTime::FAR_FUTURE), got);
                 if got.is_none() {
                     break;
                 }
             }
         }
+
+        /// What the jump exercises: a wheel holding one to three timers
+        /// whose deadlines lie anywhere from nanoseconds to minutes ahead
+        /// (levels 0 to 6), re-armed and cancelled between pops, armed at
+        /// the instant the wheel stands on, in its past, and at a
+        /// deadline another timer already holds (FIFO inside the instant).
+        #[test]
+        fn prop_sparse_spread_matches_oracle(
+            ops in proptest::collection::vec((0u32..38, any::<u64>(), 0u8..8, 0usize..3), 1..120),
+        ) {
+            let mut o = Oracle::default();
+            let mut w = TimerWheel::new();
+            let mut live: [Option<TimerId>; 8] = [None; 8];
+            let (mut now, mut last_armed) = (SimTime::ZERO, SimTime::ZERO);
+            for (exp, bits, op, key) in ops {
+                // 2^exp ≤ delta < 2^(exp+1) ns: up to ~4.6 minutes.
+                let delta = SimDuration::from_nanos((1u64 << exp) | (bits & ((1u64 << exp) - 1)));
+                match op {
+                    0..=3 => {
+                        let at = match op {
+                            0 | 1 => now + delta,
+                            2 => [now, last_armed][(bits & 1) as usize],
+                            _ => SimTime::from_nanos(now.as_nanos().saturating_sub(delta.as_nanos())),
+                        };
+                        rearm(&mut o, &mut w, &mut live, key, at);
+                        last_armed = at;
+                    }
+                    4 => {
+                        if let Some(id) = live[key].take() {
+                            prop_assert_eq!(w.cancel(id), Some(key));
+                        }
+                        o.cancel(key);
+                    }
+                    _ => {
+                        let horizon = if op == 5 { SimTime::FAR_FUTURE } else { now + delta };
+                        prop_assert_eq!(o.peek_time(), w.peek_time());
+                        let got = w.pop_due(horizon);
+                        prop_assert_eq!(o.pop_due(horizon), got);
+                        if let Some((at, k)) = got {
+                            live[k] = None;
+                            now = now.max(at);
+                        }
+                    }
+                }
+                prop_assert_eq!(live.iter().flatten().count(), w.len());
+            }
+            loop {
+                let got = w.pop();
+                prop_assert_eq!(o.pop_due(SimTime::FAR_FUTURE), got);
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// `EventQueue` as the oracle for a wheel with `cancel`: one timer
+    /// per key, cancelled entries left in the heap and skipped when they
+    /// surface (the generation-style lazy invalidation the wheel
+    /// replaces).
+    #[derive(Default)]
+    struct Oracle {
+        q: EventQueue<usize>,
+        /// The nonce of each key's live push.
+        live: [Option<usize>; 8],
+        nonce: usize,
+    }
+
+    impl Oracle {
+        fn arm(&mut self, key: usize, at: SimTime) {
+            self.live[key] = Some(self.nonce);
+            self.q.push(at, (key << 32) | self.nonce);
+            self.nonce += 1;
+        }
+
+        fn cancel(&mut self, key: usize) {
+            self.live[key] = None;
+        }
+
+        fn skip_stale(&mut self) {
+            while let Some((_, &v)) = self.q.peek() {
+                if self.live[v >> 32] == Some(v & 0xffff_ffff) {
+                    break;
+                }
+                self.q.pop();
+            }
+        }
+
+        fn peek_time(&mut self) -> Option<SimTime> {
+            self.skip_stale();
+            self.q.peek_time()
+        }
+
+        fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, usize)> {
+            self.skip_stale();
+            let (at, v) = self.q.pop_due(now)?;
+            self.live[v >> 32] = None;
+            Some((at, v >> 32))
+        }
+    }
+
+    /// (Re-)arm `key` at `at` in both structures, cancelling its live
+    /// entry first.
+    fn rearm(
+        o: &mut Oracle,
+        w: &mut TimerWheel<usize>,
+        live: &mut [Option<TimerId>; 8],
+        key: usize,
+        at: SimTime,
+    ) {
+        if let Some(id) = live[key].take() {
+            w.cancel(id);
+        }
+        o.arm(key, at);
+        live[key] = Some(w.insert(at, key));
     }
 }

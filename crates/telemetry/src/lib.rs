@@ -31,6 +31,16 @@
 //! noise of uninstrumented code. Handles are cheap `Arc` clones meant
 //! to be captured once at construction time, not looked up per event.
 //!
+//! An enabled atomic add is still a lock-prefixed read-modify-write, and
+//! a loop that runs millions of times a second should not execute
+//! several per iteration. The simulation engine (`cellbricks-net`'s
+//! `Driver` and `NetWorld`) therefore tallies its per-event counters in
+//! plain integers and publishes them once per run window — with
+//! [`Gauge::add_with_peak`] carrying the window's high-water mark for
+//! gauges — so those metrics are **exact at every window boundary and
+//! at most one window stale in between**, and the enabled flag is
+//! sampled when the tally is published, not when the event happened.
+//!
 //! # Determinism
 //!
 //! Nothing here reads the wall clock or ambient randomness. Exports
@@ -130,6 +140,20 @@ impl Gauge {
         }
         let v = self.0.value.fetch_add(delta, Ordering::Relaxed) + delta;
         self.0.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Adjust the current value by `delta`, having stood `peak` above
+    /// its starting point on the way there — one publish for a caller
+    /// that kept the running value (and its high-water mark) locally.
+    #[inline]
+    pub fn add_with_peak(&self, delta: i64, peak: i64) {
+        if !self.0.enabled.load(Ordering::Relaxed) {
+            return;
+        }
+        let before = self.0.value.fetch_add(delta, Ordering::Relaxed);
+        self.0
+            .max
+            .fetch_max(before + peak.max(delta), Ordering::Relaxed);
     }
 
     /// Current value.
