@@ -335,14 +335,16 @@ echo "==> figure replay + cc counters OK"
 
 # perfbench (the repository's benchmark, BENCHMARK.json): its own unit
 # tests — estimators, failure accounting, catalogue ↔ BENCHMARK.json —
-# and three short runs that must each check their own outputs and lose
+# and four short runs that must each check their own outputs and lose
 # nothing: the saturated wire, the wire at batches of one (the path the
-# simulated broker runs), and the mega world (wheel, engine and world:
-# every packet a UE sent must have reached its sink). The numbers of a
-# 3 s run are not read; the ten-pair comparison the benchmark exists for
-# is `perfbench/run.sh`.
+# simulated broker runs), the mega world (wheel, engine and world:
+# every packet a UE sent must have reached its sink), and the figure
+# cells (3 s is two full passes, so the pass-to-pass replay-mismatch
+# check and the sanity bands on every cell run here too). The numbers
+# of a 3 s run are not read; the ten-pair comparison the benchmark
+# exists for is `perfbench/run.sh`.
 run cargo test -q --offline --manifest-path perfbench/Cargo.toml
-for workload in wire_sat wire_paced sim_scale; do
+for workload in wire_sat wire_paced sim_scale sim_figures; do
     echo
     echo "==> perfbench $workload smoke"
     pb_line=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \

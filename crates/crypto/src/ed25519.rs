@@ -1366,6 +1366,133 @@ mod tests {
         assert!(!verify_batch(&[good, bad_r]));
     }
 
+    // ---- ROADMAP 9(a): torsion in R, single vs batch ----
+
+    /// The eight torsion points, as multiples of a generator of order 8.
+    fn eight_torsion() -> [Point; 8] {
+        let t8 = Point::decompress(&from_hex32(
+            "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        ))
+        .expect("order-8 point decompresses");
+        let mut points = [Point::identity(); 8];
+        for i in 1..8 {
+            points[i] = points[i - 1].add(&t8);
+        }
+        let id = Point::identity().compress();
+        assert_ne!(points[4].compress(), id, "generator has order below 8");
+        assert_eq!(points[7].add(&t8).compress(), id);
+        points
+    }
+
+    /// What `sk.sign(msg)` returns, except that the nonce point is
+    /// `r·B + torsion` — with `k` and `S` computed over that `R`, as a
+    /// signer who knows the key can.
+    fn sign_with_torsion(sk: &SigningKey, msg: &[u8], torsion: &Point) -> Signature {
+        let mut h = Sha512::new();
+        h.update(&sk.prefix);
+        h.update(msg);
+        let r = Scalar::from_bytes_wide(&h.finalize());
+        let r_enc = precomp::mul_base(&r.to_bytes()).add(torsion).compress();
+        let mut h = Sha512::new();
+        h.update(&r_enc);
+        h.update(&sk.public.0);
+        h.update(msg);
+        let k = Scalar::from_bytes_wide(&h.finalize());
+        let mut out = [0u8; 64];
+        out[..32].copy_from_slice(&r_enc);
+        out[32..].copy_from_slice(&r.add(k.mul(Scalar::from_bytes(&sk.s))).to_bytes());
+        Signature(out)
+    }
+
+    /// Every split of `items` into a prefix and a suffix batch gives the
+    /// verdict single verification gives: a batch passes iff each member
+    /// does. Returns the first split and half that disagrees.
+    fn batch_disagreement(items: &[BatchItem<'_>]) -> Option<String> {
+        let single = |i: &BatchItem<'_>| {
+            let v = i.key.verify(i.msg, &i.sig);
+            assert_eq!(
+                i.key.verify_cached(i.msg, &i.sig),
+                v,
+                "verify_cached vs verify"
+            );
+            v
+        };
+        (0..=items.len()).find_map(|cut| {
+            [&items[..cut], &items[cut..]].into_iter().find_map(|part| {
+                let want = part.iter().all(single);
+                let got = verify_batch(part);
+                (got != want).then(|| {
+                    format!(
+                        "split at {cut}: batch of {} says {got}, singles say {want}",
+                        part.len()
+                    )
+                })
+            })
+        })
+    }
+
+    #[test]
+    fn one_torsioned_r_gets_one_verdict_at_every_position_and_split() {
+        let keys: Vec<SigningKey> = (0..4)
+            .map(|i| SigningKey::from_seed([70 + i; 32]))
+            .collect();
+        for (ti, torsion) in eight_torsion().iter().enumerate() {
+            for pos in 0..keys.len() {
+                let msgs: Vec<Vec<u8>> = (0..keys.len())
+                    .map(|i| format!("one torsioned R: t{ti} p{pos} i{i}").into_bytes())
+                    .collect();
+                let items: Vec<BatchItem<'_>> = (keys.iter().zip(&msgs).enumerate())
+                    .map(|(i, (sk, msg))| BatchItem {
+                        msg,
+                        sig: if i == pos {
+                            sign_with_torsion(sk, msg, torsion)
+                        } else {
+                            sk.sign(msg)
+                        },
+                        key: sk.verifying_key(),
+                    })
+                    .collect();
+                // Torsion 0 is the honest signature; every other one is
+                // rejected alone (`S·B − k·A = R − T ≠ R`).
+                let hostile = &items[pos];
+                assert_eq!(hostile.key.verify(hostile.msg, &hostile.sig), ti == 0);
+                assert_eq!(batch_disagreement(&items), None, "torsion {ti} at {pos}");
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "ROADMAP 9(a)"]
+    fn two_torsioned_rs_get_one_verdict() {
+        // Smallest failing case, tried first: a batch of exactly two
+        // signatures, both with `R + T₂` (the order-2 point, index 4).
+        // Each is rejected alone; the batch residual is `−(z₁ + z₂)·T₂`,
+        // and the coefficients are forced odd, so it vanishes for every
+        // transcript and the batch accepts. Two order-8 points cancel
+        // whenever `z₁ + z₂ ≡ 0 (mod 8)`, a quarter of all transcripts.
+        let torsion = eight_torsion();
+        let keys = [
+            SigningKey::from_seed([80; 32]),
+            SigningKey::from_seed([81; 32]),
+        ];
+        let all = (1..8).flat_map(|a| (1..8).map(move |b| (a, b)));
+        for (a, b) in std::iter::once((4, 4)).chain(all) {
+            let msgs = [a, b].map(|t| format!("two torsioned: {a} {b}, this one {t}"));
+            let items: Vec<BatchItem<'_>> = (0..2)
+                .map(|i| BatchItem {
+                    msg: msgs[i].as_bytes(),
+                    sig: sign_with_torsion(&keys[i], msgs[i].as_bytes(), &torsion[[a, b][i]]),
+                    key: keys[i].verifying_key(),
+                })
+                .collect();
+            assert_eq!(
+                batch_disagreement(&items),
+                None,
+                "R₁ + {a}·T₈ and R₂ + {b}·T₈ in one batch"
+            );
+        }
+    }
+
     // ---- seed-oracle equivalence (bit-identity of the new core) ----
 
     #[test]

@@ -42,6 +42,17 @@ fn endpoint_index(map: &[Option<u32>], node: NodeId) -> Option<usize> {
     map.get(node.0).copied().flatten().map(|i| i as usize)
 }
 
+/// The earlier of two optional instants, in scalar compares (an array
+/// `min` stores words and reloads vectors: a store-forwarding stall).
+#[inline]
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, None) => a,
+        (None, b) => b,
+    }
+}
+
 /// Fault-injection telemetry handles, registered lazily on the first
 /// applied fault so no-fault runs leave the metrics snapshot untouched.
 struct FaultMetrics {
@@ -391,11 +402,7 @@ impl Driver {
             let next_net = world.next_arrival_at();
             let next_poll = self.peek_timer();
             let next_fault = self.faults.next_at();
-            let Some(candidate) = [next_net, next_poll, next_fault]
-                .into_iter()
-                .flatten()
-                .min()
-            else {
+            let Some(candidate) = earlier(earlier(next_net, next_poll), next_fault) else {
                 break;
             };
             if candidate > until || (!inclusive && candidate >= until) {

@@ -38,8 +38,7 @@ pub use engine::{run_between, run_until, Driver};
 pub use fault::{BurstLoss, EndpointFault, FaultAction, FaultPlan};
 pub use link::{LinkConfig, RateSchedule, Shaper};
 pub use packet::{
-    Endpoint as EndpointAddr, MpSignal, Packet, PacketKind, SackBlocks, TcpFlags, TcpSegment,
-    MAX_SACK_BLOCKS,
+    Endpoint as EndpointAddr, MpSignal, Packet, PacketKind, TcpFlags, TcpSegment, MAX_SACK_BLOCKS,
 };
 pub use policy::{CarrierPolicy, TimeOfDay};
 pub use shard::{make_cells, merged_link_stats, run_sharded, ShardCell, ShardPlan};

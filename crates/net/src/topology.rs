@@ -11,32 +11,38 @@ pub struct NodeId(pub usize);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct LinkId(pub usize);
 
-/// A route entry: `dst/prefix_len → link`.
-#[derive(Clone, Debug)]
+/// A route entry `net/prefix_len → link`, chained to the route its node
+/// was given before it. 16 bytes: four to a cache line, never across two.
+#[derive(Clone, Copy)]
 struct Route {
     net: u32,
+    link: u32,
+    /// Index in [`Topology::older`] of the node's next-older route.
+    older: u32,
+    /// 0–32, or [`NO_ROUTE`].
     prefix_len: u8,
-    link: LinkId,
 }
 
+/// End of a route chain.
+const NONE: u32 = u32::MAX;
+/// `prefix_len` of the cell of a node that has no route.
+const NO_ROUTE: u8 = u8::MAX;
+
 impl Route {
-    fn matches(&self, ip: Ipv4Addr) -> bool {
-        if self.prefix_len == 0 {
-            return true;
-        }
-        let mask = u32::MAX << (32 - u32::from(self.prefix_len));
-        (u32::from(ip) & mask) == (self.net & mask)
+    const EMPTY: Route = Route {
+        net: 0,
+        link: 0,
+        older: NONE,
+        prefix_len: NO_ROUTE,
+    };
+
+    fn matches(&self, ip: u32) -> bool {
+        // In 64 bits a /0 shifts everything out, as it must.
+        self.prefix_len <= 32 && u64::from(ip ^ self.net) >> (32 - self.prefix_len) == 0
     }
 }
 
-pub(crate) struct Node {
-    pub(crate) name: String,
-    routes: Vec<Route>,
-    /// Partition label (bTelco/region) used by the sharded engine; nodes
-    /// default to region 0 and single-region topologies shard trivially.
-    pub(crate) region: u32,
-}
-
+#[derive(Clone)]
 pub(crate) struct Link {
     pub(crate) a: NodeId,
     pub(crate) b: NodeId,
@@ -48,9 +54,20 @@ pub(crate) struct Link {
 
 /// The static network topology: named nodes, configured links, and
 /// per-node longest-prefix route tables.
+///
+/// All routes live in one storage. `routes[node]` is the node's newest
+/// route, inline, so a leaf with its one default route is looked up in
+/// the single cache line that cell sits in and owns no allocation; each
+/// older route sits in `older`, chained newest-first from that cell.
 #[derive(Default)]
 pub struct Topology {
-    pub(crate) nodes: Vec<Node>,
+    routes: Vec<Route>,
+    older: Vec<Route>,
+    /// Partition label (bTelco/region) per node, for the sharded engine.
+    regions: Vec<u32>,
+    /// Node names, concatenated; node `i`'s ends at `name_ends[i]`.
+    names: String,
+    name_ends: Vec<u32>,
     pub(crate) links: Vec<Link>,
 }
 
@@ -69,24 +86,24 @@ impl Topology {
     /// Add a node tagged with a bTelco/region label. The sharded engine
     /// partitions the topology by this label (see `crate::shard`).
     pub fn add_node_in_region(&mut self, name: &str, region: u32) -> NodeId {
-        self.nodes.push(Node {
-            name: name.to_string(),
-            routes: Vec::new(),
-            region,
-        });
-        NodeId(self.nodes.len() - 1)
+        self.routes.push(Route::EMPTY);
+        self.regions.push(region);
+        self.names.push_str(name);
+        let end = u32::try_from(self.names.len()).expect("node names fit 4 GiB");
+        self.name_ends.push(end);
+        NodeId(self.routes.len() - 1)
     }
 
     /// Re-tag `node` with a region label (for topologies built by code
     /// that predates regions).
     pub fn set_region(&mut self, node: NodeId, region: u32) {
-        self.nodes[node.0].region = region;
+        self.regions[node.0] = region;
     }
 
     /// The region label of `node`.
     #[must_use]
     pub fn region(&self, node: NodeId) -> u32 {
-        self.nodes[node.0].region
+        self.regions[node.0]
     }
 
     /// Add a bidirectional link between `a` and `b` with per-direction
@@ -111,18 +128,34 @@ impl Topology {
     /// `link` (which must be attached to `node`).
     ///
     /// # Panics
-    /// Panics if the link is not attached to the node.
+    /// Panics if the link is not attached to the node, or `prefix_len`
+    /// exceeds 32.
     pub fn add_route(&mut self, node: NodeId, net: Ipv4Addr, prefix_len: u8, link: LinkId) {
+        assert!(prefix_len <= 32, "prefix length {prefix_len} > 32");
+        let link = self.attached(node, link);
+        let newest = &mut self.routes[node.0];
+        let older = if newest.prefix_len == NO_ROUTE {
+            NONE
+        } else {
+            self.older.push(*newest);
+            u32::try_from(self.older.len() - 1).expect("route count fits u32")
+        };
+        *newest = Route {
+            net: u32::from(net),
+            link,
+            older,
+            prefix_len,
+        };
+    }
+
+    /// `link` as a route stores it, checked to be attached to `node`.
+    fn attached(&self, node: NodeId, link: LinkId) -> u32 {
         let l = &self.links[link.0];
         assert!(
             l.a == node || l.b == node,
             "route link {link:?} not attached to node {node:?}"
         );
-        self.nodes[node.0].routes.push(Route {
-            net: u32::from(net),
-            prefix_len,
-            link,
-        });
+        u32::try_from(link.0).expect("link count fits u32")
     }
 
     /// Default route (0.0.0.0/0).
@@ -133,19 +166,51 @@ impl Topology {
     /// Replace any existing default route at `node` with one via `link`
     /// (how the UE's host retargets its radio link after a handover).
     pub fn replace_default_route(&mut self, node: NodeId, link: LinkId) {
-        self.nodes[node.0].routes.retain(|r| r.prefix_len != 0);
-        self.add_default_route(node, link);
+        // Unlink every default below the newest route. Their cells are
+        // not reused: a node has more than one only if it was *added*
+        // more than one, so what this strands is bounded by those calls.
+        let (mut above, mut at) = (None, self.routes[node.0].older);
+        while at != NONE {
+            let below = self.older[at as usize].older;
+            if self.older[at as usize].prefix_len != 0 {
+                above = Some(at);
+            } else if let Some(above) = above {
+                self.older[above as usize].older = below;
+            } else {
+                self.routes[node.0].older = below;
+            }
+            at = below;
+        }
+        if self.routes[node.0].prefix_len == 0 {
+            // A default is already the newest route — where removing it
+            // and adding the new one would put that: retarget it.
+            let link = self.attached(node, link);
+            let newest = &mut self.routes[node.0];
+            (newest.net, newest.link) = (0, link);
+        } else {
+            self.add_default_route(node, link);
+        }
     }
 
-    /// Longest-prefix route lookup for traffic from `node` to `dst`.
+    /// Longest-prefix route lookup for traffic from `node` to `dst`;
+    /// among matching routes of equal prefix length, the one added last.
     #[must_use]
+    #[inline]
     pub fn route(&self, node: NodeId, dst: Ipv4Addr) -> Option<LinkId> {
-        self.nodes[node.0]
-            .routes
-            .iter()
-            .filter(|r| r.matches(dst))
-            .max_by_key(|r| r.prefix_len)
-            .map(|r| r.link)
+        let dst = u32::from(dst);
+        let mut r = &self.routes[node.0];
+        let mut best: Option<&Route> = None;
+        // Newest first, so a later match must be strictly longer to win.
+        loop {
+            if r.matches(dst) && best.is_none_or(|b| r.prefix_len > b.prefix_len) {
+                best = Some(r);
+            }
+            if r.older == NONE {
+                break;
+            }
+            r = &self.older[r.older as usize];
+        }
+        best.map(|r| LinkId(r.link as usize))
     }
 
     /// The node at the far end of `link` from `node`.
@@ -167,13 +232,14 @@ impl Topology {
     /// Node name (for diagnostics).
     #[must_use]
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].name
+        let start = node.0.checked_sub(1).map_or(0, |prev| self.name_ends[prev]);
+        &self.names[start as usize..self.name_ends[node.0] as usize]
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.routes.len()
     }
 
     /// Number of links.
@@ -209,7 +275,7 @@ impl Topology {
     pub fn path_latency(&self, from: NodeId, to: NodeId) -> Option<cellbricks_sim::SimDuration> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
-        let mut best: Vec<Option<cellbricks_sim::SimDuration>> = vec![None; self.nodes.len()];
+        let mut best: Vec<Option<cellbricks_sim::SimDuration>> = vec![None; self.node_count()];
         let mut heap = BinaryHeap::new();
         best[from.0] = Some(cellbricks_sim::SimDuration::ZERO);
         heap.push(Reverse((cellbricks_sim::SimDuration::ZERO, from.0)));
@@ -238,37 +304,18 @@ impl Topology {
         best[to.0]
     }
 
-    /// Clone the topology for one shard: every node and link is present
-    /// (so `LinkId`/`NodeId` stay globally valid), but route tables are
-    /// kept only for nodes the shard owns — packets are only ever routed
-    /// from owned nodes, and dropping the rest keeps per-shard clones
-    /// lean at N=1M.
-    pub(crate) fn clone_for_shard(&self, owns: impl Fn(usize) -> bool) -> Topology {
+    /// Clone the topology for one shard: every node, link and route is
+    /// present, so `LinkId`/`NodeId` stay globally valid (a shard only
+    /// ever routes from the nodes it owns; a node's cell costs the same
+    /// 16 bytes with or without its route).
+    pub(crate) fn clone_for_shard(&self) -> Topology {
         Topology {
-            nodes: self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| Node {
-                    name: n.name.clone(),
-                    routes: if owns(i) {
-                        n.routes.clone()
-                    } else {
-                        Vec::new()
-                    },
-                    region: n.region,
-                })
-                .collect(),
-            links: self
-                .links
-                .iter()
-                .map(|l| Link {
-                    a: l.a,
-                    b: l.b,
-                    ab: l.ab.clone(),
-                    ba: l.ba.clone(),
-                })
-                .collect(),
+            routes: self.routes.clone(),
+            older: self.older.clone(),
+            regions: self.regions.clone(),
+            names: self.names.clone(),
+            name_ends: self.name_ends.clone(),
+            links: self.links.clone(),
         }
     }
 }
@@ -357,5 +404,167 @@ mod tests {
         t.add_route(a, Ipv4Addr::new(192, 168, 1, 7), 32, l);
         assert_eq!(t.route(a, Ipv4Addr::new(192, 168, 1, 7)), Some(l));
         assert_eq!(t.route(a, Ipv4Addr::new(192, 168, 1, 8)), None);
+    }
+
+    #[test]
+    fn node_names_and_regions_survive_the_move_out_of_the_hot_table() {
+        let mut t = Topology::new();
+        let a = t.add_node("alpha");
+        let b = t.add_node_in_region("", 3);
+        let c = t.add_node_in_region("gamma-2", 1);
+        assert_eq!(
+            [a, b, c].map(|n| (t.node_name(n), t.region(n))),
+            [("alpha", 0), ("", 3), ("gamma-2", 1)]
+        );
+        t.set_region(a, 9);
+        assert_eq!(t.clone_for_shard().region(a), 9);
+        assert_eq!(t.clone_for_shard().node_name(c), "gamma-2");
+    }
+
+    #[test]
+    #[should_panic(expected = "> 32")]
+    fn prefix_longer_than_an_address_rejected() {
+        let mut t = Topology::new();
+        let a = t.add_node("a");
+        let b = t.add_node("b");
+        let l = t.add_symmetric_link(a, b, cfg());
+        t.add_route(a, Ipv4Addr::new(10, 0, 0, 0), 33, l);
+    }
+
+    /// Build-cost guard: a leaf's only route lives in its own cell of the
+    /// node table — no cell of its own elsewhere — and adding a route is
+    /// O(1) however many its node already has (a hub with one route per
+    /// leaf would otherwise take ~10¹⁰ steps here).
+    #[test]
+    fn hundred_thousand_leaves_build_in_linear_time() {
+        const N: usize = 100_000;
+        let t0 = std::time::Instant::now();
+        let mut t = Topology::new();
+        let hub = t.add_node("hub");
+        for i in 0..N {
+            let leaf = t.add_node("leaf");
+            let l = t.add_symmetric_link(leaf, hub, cfg());
+            t.add_default_route(leaf, l);
+            assert!(t.older.is_empty(), "leaf {i} was given a route cell");
+            t.replace_default_route(leaf, l);
+        }
+        assert!(t.older.is_empty());
+        assert_eq!(t.routes.len(), N + 1);
+        for i in 0..N {
+            t.add_route(hub, Ipv4Addr::from(i as u32), 32, LinkId(i));
+        }
+        assert_eq!(t.older.len(), N - 1);
+        assert_eq!(t.route(hub, Ipv4Addr::from(7)), Some(LinkId(7)));
+        assert!(t0.elapsed().as_secs() < 20, "took {:?}", t0.elapsed());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use cellbricks_sim::SimDuration;
+    use proptest::prelude::*;
+
+    /// The route table as it was before the single storage: a `Vec` per
+    /// node in insertion order, looked up with `filter` + `max_by_key`
+    /// (which keeps the *last* of equal maxima).
+    #[derive(Default)]
+    struct Oracle(Vec<Vec<(u32, u8, LinkId)>>);
+
+    impl Oracle {
+        fn add(&mut self, node: NodeId, net: Ipv4Addr, prefix_len: u8, link: LinkId) {
+            self.0[node.0].push((u32::from(net), prefix_len, link));
+        }
+
+        fn replace_default(&mut self, node: NodeId, link: LinkId) {
+            self.0[node.0].retain(|r| r.1 != 0);
+            self.add(node, Ipv4Addr::UNSPECIFIED, 0, link);
+        }
+
+        fn route(&self, node: NodeId, dst: Ipv4Addr) -> Option<LinkId> {
+            let matches = |&&(net, len, _): &&(u32, u8, LinkId)| {
+                len == 0 || {
+                    let mask = u32::MAX << (32 - u32::from(len));
+                    (u32::from(dst) & mask) == (net & mask)
+                }
+            };
+            (self.0[node.0].iter().filter(matches))
+                .max_by_key(|r| r.1)
+                .map(|r| r.2)
+        }
+    }
+
+    const NETS: [Ipv4Addr; 5] = [
+        Ipv4Addr::new(10, 0, 0, 0),
+        Ipv4Addr::new(10, 1, 0, 0),
+        Ipv4Addr::new(10, 1, 2, 3),
+        Ipv4Addr::new(192, 168, 1, 7),
+        Ipv4Addr::new(10, 1, 2, 0),
+    ];
+    const PREFIXES: [u8; 6] = [0, 8, 16, 24, 32, 32];
+
+    proptest! {
+        /// Random `add_route` / `add_default_route` /
+        /// `replace_default_route` sequences over a small mesh that keeps
+        /// growing leaves — duplicate prefixes, several defaults, a /32
+        /// under a covering /8, routes added to old nodes after newer
+        /// ones exist — look up exactly as the per-node `Vec` did, on the
+        /// topology and on its shard clone.
+        #[test]
+        fn prop_route_matches_per_node_vec_oracle(
+            ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0usize..5, 0usize..6), 1..60),
+            probes in proptest::collection::vec(any::<u32>(), 4..5),
+        ) {
+            let cfg = LinkConfig::delay_only(SimDuration::from_millis(1));
+            let mut t = Topology::new();
+            let mut oracle = Oracle::default();
+            let mut links_of: Vec<Vec<LinkId>> = Vec::new();
+            for i in 0..4 {
+                let n = t.add_node("n");
+                oracle.0.push(Vec::new());
+                links_of.push(Vec::new());
+                for j in 0..i {
+                    let l = t.add_symmetric_link(NodeId(j), n, cfg.clone());
+                    links_of[j].push(l);
+                    links_of[i].push(l);
+                }
+            }
+            for (op, node, link, net, prefix) in ops {
+                let node = NodeId(node % links_of.len());
+                let link = links_of[node.0][link % links_of[node.0].len()];
+                match op {
+                    0..=2 => {
+                        t.add_route(node, NETS[net], PREFIXES[prefix], link);
+                        oracle.add(node, NETS[net], PREFIXES[prefix], link);
+                    }
+                    3 => {
+                        t.add_default_route(node, link);
+                        oracle.add(node, Ipv4Addr::UNSPECIFIED, 0, link);
+                    }
+                    4 => {
+                        t.replace_default_route(node, link);
+                        oracle.replace_default(node, link);
+                    }
+                    _ => {
+                        let leaf = t.add_node("leaf");
+                        let l = t.add_symmetric_link(leaf, node, cfg.clone());
+                        links_of[node.0].push(l);
+                        links_of.push(vec![l]);
+                        oracle.0.push(Vec::new());
+                    }
+                }
+                let shard = t.clone_for_shard();
+                for n in (0..links_of.len()).map(NodeId) {
+                    let dsts = (NETS.iter().copied())
+                        .chain([Ipv4Addr::new(10, 1, 9, 9), Ipv4Addr::new(8, 8, 8, 8)])
+                        .chain(probes.iter().map(|&p| Ipv4Addr::from(p)));
+                    for dst in dsts {
+                        let want = oracle.route(n, dst);
+                        prop_assert_eq!(t.route(n, dst), want, "node {:?} dst {}", n, dst);
+                        prop_assert_eq!(shard.route(n, dst), want, "shard: node {:?} dst {}", n, dst);
+                    }
+                }
+            }
+        }
     }
 }

@@ -48,6 +48,10 @@ pub(crate) struct Arrival {
     seq: u64,
 }
 
+// What the arrival wheel hands out must stay inside the 128 bytes LLVM
+// copies inline (see the assertion on `Packet`).
+const _: () = assert!(std::mem::size_of::<(SimTime, Arrival)>() <= 128);
+
 /// A packet bound for a node another shard owns, carried from the source
 /// shard's [`NetWorld`] to the destination shard at the conservative
 /// sync barrier (see [`crate::shard`]).
@@ -233,10 +237,10 @@ impl NetWorld {
 
     /// Split this world into one slice per shard of `plan`.
     ///
-    /// Each slice clones the topology (route tables only for owned
-    /// nodes) and carries its own arrival wheel; loss/burst decisions
-    /// switch from the world RNG to per-link-direction streams seeded
-    /// from `stream_seed`, which is what makes results bit-identical for
+    /// Each slice clones the topology and carries its own arrival
+    /// wheel; loss/burst decisions switch from the world RNG to
+    /// per-link-direction streams seeded from `stream_seed`, which is
+    /// what makes results bit-identical for
     /// any shard count (including 1). Sharded results therefore differ
     /// from the legacy path's — the legacy RNG stream is pinned by the
     /// figure-replay gate and is not touched.
@@ -269,7 +273,7 @@ impl NetWorld {
                     })
                     .collect();
                 NetWorld {
-                    topology: topo.clone_for_shard(|n| node_shard[n] == s as u32),
+                    topology: topo.clone_for_shard(),
                     arrivals: TimerWheel::new(),
                     // Unused by sharded sends; kept so the API surface
                     // (e.g. future per-shard jitter) has a stream.
@@ -401,6 +405,7 @@ impl NetWorld {
 
     /// The instant of the next pending arrival. `&mut` because peeking
     /// may advance the wheel's internal scan position.
+    #[inline]
     pub fn next_arrival_at(&mut self) -> Option<SimTime> {
         self.arrivals.peek_time()
     }
@@ -416,6 +421,7 @@ impl NetWorld {
     /// seq)` order — a total order that does not depend on wheel
     /// insertion order, and therefore not on which barrier window a
     /// cross-shard packet was injected in.
+    #[inline]
     pub(crate) fn begin_arrivals(&mut self, now: SimTime) {
         if self.shard.is_some() {
             debug_assert!(self.drain_scratch.is_empty());
@@ -432,6 +438,7 @@ impl NetWorld {
     /// The next arrival of the round [`begin_arrivals`](Self::begin_arrivals)
     /// opened at `now`, as the wheel hands it out: re-packing it here
     /// would copy the packet once more.
+    #[inline]
     pub(crate) fn next_arrival(&mut self, now: SimTime) -> Option<(SimTime, Arrival)> {
         let due = if self.shard.is_some() {
             self.drain_scratch.pop()

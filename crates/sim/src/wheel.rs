@@ -165,15 +165,15 @@ impl<E> TimerWheel<E> {
     /// Schedule `event` at instant `at`. Equivalent to
     /// [`EventQueue::push`](crate::EventQueue::push), additionally
     /// returning a handle usable with [`cancel`](Self::cancel).
+    #[inline]
     pub fn insert(&mut self, at: SimTime, event: E) -> TimerId {
         let seq = self.next_seq;
         self.next_seq += 1;
         let cell = match self.free.pop() {
             Some(c) => {
                 // Field by field: building a `Node` and assigning it
-                // copies the event twice, and the engine's events are
-                // ~200-byte packets. A freed cell's `loc` is already
-                // `Free`.
+                // copies the event twice. A freed cell's `loc` is
+                // already `Free`.
                 let node = &mut self.slab[c as usize];
                 node.at = at;
                 node.seq = seq;
@@ -323,6 +323,7 @@ impl<E> TimerWheel<E> {
     /// Takes `&mut self` (unlike
     /// [`EventQueue::peek_time`](crate::EventQueue::peek_time)) because
     /// peeking may advance the internal scan position.
+    #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         if !self.ensure_ready() {
             return None;
@@ -356,6 +357,7 @@ impl<E> TimerWheel<E> {
     /// later (not earlier: a late entry in the past would sort ahead of
     /// the batch and end it), and still see exactly the batch that was
     /// due when it took the mark.
+    #[inline]
     pub fn pop_due_before(&mut self, now: SimTime, mark: u64) -> Option<(SimTime, E)> {
         if !self.ensure_ready() {
             return None;
@@ -367,6 +369,7 @@ impl<E> TimerWheel<E> {
         Some(self.take_ready_front())
     }
 
+    #[inline]
     fn take_ready_front(&mut self) -> (SimTime, E) {
         let cell = self.ready[self.ready_head];
         self.ready_head += 1;

@@ -48,11 +48,6 @@ pub struct Host {
     accepted_tcp: Vec<SockId>,
     accepted_mp: Vec<MpId>,
     out: Vec<Packet>,
-    /// Reusable scratch for [`Host::flush`] (emitted segments / staged
-    /// packets); kept across calls so steady-state flushing is
-    /// allocation-free.
-    scratch_segs: Vec<TcpSegment>,
-    scratch_staged: Vec<Packet>,
     next_port: u16,
     next_token: u64,
     /// Packets dropped because their source address was stale.
@@ -87,8 +82,6 @@ impl Host {
             accepted_tcp: Vec::new(),
             accepted_mp: Vec::new(),
             out: Vec::new(),
-            scratch_segs: Vec::new(),
-            scratch_staged: Vec::new(),
             next_port: 49_152,
             next_token: (node.0 as u64) << 32,
             stale_src_drops: 0,
@@ -371,8 +364,8 @@ impl Host {
             }
         }
         // 3. New subflow joining an existing MPTCP connection.
-        if seg.flags.syn && !seg.flags.ack {
-            if let Some(MpSignal::Join { token }) = seg.mp {
+        if seg.flags.syn() && !seg.flags.ack() {
+            if let Some(MpSignal::Join { token }) = seg.mp() {
                 let local = EndpointAddr::new(self.addr.expect("checked above"), seg.dst_port);
                 let remote = EndpointAddr::new(src, seg.src_port);
                 if let Some(mp) = self.mps.iter_mut().flatten().find(|m| m.token == token) {
@@ -381,7 +374,7 @@ impl Host {
                 return;
             }
             // 4. New MPTCP connection on a listener.
-            if let Some(MpSignal::Capable { token }) = seg.mp {
+            if let Some(MpSignal::Capable { token }) = seg.mp() {
                 if self.mp_listen.contains(&seg.dst_port) {
                     let local = EndpointAddr::new(self.addr.expect("checked above"), seg.dst_port);
                     let remote = EndpointAddr::new(src, seg.src_port);
@@ -407,26 +400,27 @@ impl Host {
         if self.tcps.is_empty() && self.mps.is_empty() {
             return;
         }
-        let mut segs = std::mem::take(&mut self.scratch_segs);
-        let mut staged = std::mem::take(&mut self.scratch_staged);
+        // Sockets emit straight into `out`; what this call appended is
+        // then compacted in place, dropping stale-source packets.
+        let first = self.out.len();
         for tcp in self.tcps.iter_mut().flatten() {
-            tcp.poll(now, &mut segs);
-            for seg in segs.drain(..) {
-                staged.push(Packet::tcp(tcp.local.ip, tcp.remote.ip, seg));
-            }
+            tcp.poll(now, &mut self.out);
         }
         for mp in self.mps.iter_mut().flatten() {
-            mp.poll(now, &mut staged);
+            mp.poll(now, &mut self.out);
         }
-        for pkt in staged.drain(..) {
-            if self.addr == Some(pkt.src) {
-                self.out.push(pkt);
+        let mut kept = first;
+        for i in first..self.out.len() {
+            if self.addr == Some(self.out[i].src) {
+                if kept != i {
+                    self.out.swap(kept, i); // Only once something was dropped.
+                }
+                kept += 1;
             } else {
                 self.stale_src_drops += 1;
             }
         }
-        self.scratch_segs = segs;
-        self.scratch_staged = staged;
+        self.out.truncate(kept);
     }
 
     /// Run timers due at `now`.
@@ -604,19 +598,8 @@ mod tests {
     #[test]
     fn packets_to_foreign_address_ignored() {
         let (_world, mut client, _server) = two_host_world();
-        let seg = TcpSegment {
-            src_port: 1,
-            dst_port: 2,
-            seq: 0,
-            ack: 0,
-            flags: cellbricks_net::TcpFlags::SYN,
-            payload_len: 0,
-            window: 1000,
-            mp: None,
-            data_seq: None,
-            data_ack: None,
-            sack: cellbricks_net::SackBlocks::new(),
-        };
+        let mut seg = TcpSegment::new(1, 2, cellbricks_net::TcpFlags::SYN);
+        seg.window = 1000;
         client.host.tcp_listen(2);
         // Addressed to an IP this host doesn't own.
         client.host.handle_packet(
@@ -673,6 +656,145 @@ mod tests {
         assert!(
             after > before + 500_000,
             "resumed after IP change: {before} -> {after}"
+        );
+    }
+
+    /// Hand every staged packet of `a` to `b` and back until both are
+    /// quiet: a zero-delay, lossless wire between two hosts.
+    fn exchange(now: SimTime, a: &mut Host, b: &mut Host) {
+        let mut wire = Vec::new();
+        loop {
+            a.drain_out(&mut wire);
+            let a_quiet = wire.is_empty();
+            for p in wire.drain(..) {
+                b.handle_packet(now, p);
+            }
+            b.drain_out(&mut wire);
+            if a_quiet && wire.is_empty() {
+                break;
+            }
+            for p in wire.drain(..) {
+                a.handle_packet(now, p);
+            }
+        }
+    }
+
+    /// A server host whose every socket has something to send at
+    /// [`BUSY_AT`]: one plain TCP socket with 3 000 fresh bytes, and an
+    /// MPTCP connection with two live subflows — the first retransmits
+    /// (its 5 000 bytes were lost and its RTO is due), the second, joined
+    /// from a new client port, carries 4 000 fresh bytes.
+    fn busy_server() -> Host {
+        let t0 = SimTime::ZERO;
+        let rejoin_at_once = MpConfig {
+            address_worker_wait: SimDuration::ZERO,
+            ..MpConfig::default()
+        };
+        let mut client = Host::with_configs(
+            NodeId(0),
+            Some(CLIENT_IP),
+            TcpConfig::default(),
+            rejoin_at_once,
+        );
+        let mut server = Host::new(NodeId(1), Some(SERVER_IP));
+        server.tcp_listen(80);
+        server.mp_listen(5001);
+        client.tcp_connect(t0, EndpointAddr::new(SERVER_IP, 80));
+        client.mp_connect(t0, EndpointAddr::new(SERVER_IP, 5001));
+        exchange(t0, &mut client, &mut server);
+        let sock = server.take_accepted_tcp()[0];
+        let conn = server.take_accepted_mp()[0];
+        server.mp_write(t0, conn, 5_000);
+        server.drain_out(&mut Vec::new()); // Lost on the radio.
+
+        // The client re-attaches and is handed the same address back: its
+        // old subflow dies without a REMOVE_ADDR, so the server keeps both.
+        let t1 = SimTime::from_millis(500);
+        client.invalidate_addr(t1);
+        client.assign_addr(t1, CLIENT_IP);
+        exchange(t1, &mut client, &mut server);
+        assert_eq!(server.mp(conn).alive_subflows(), 2);
+        assert_eq!(server.mp(conn).data_acked(), 5_000);
+
+        server.tcp_mut(sock).write(3_000);
+        server.mp_mut(conn).write(4_000);
+        server
+    }
+
+    /// The first subflow's retransmission timer: 1 s after its data left.
+    const BUSY_AT: SimTime = SimTime::from_secs(1);
+
+    fn tcp_tuples(out: &[Packet]) -> Vec<(Ipv4Addr, Ipv4Addr, u16, u16, u64)> {
+        out.iter()
+            .map(|p| match &p.kind {
+                PacketKind::Tcp(seg) => (p.src, p.dst, seg.src_port, seg.dst_port, seg.seq),
+                other => panic!("not TCP: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flush_emission_order_is_pinned() {
+        let mut server = busy_server();
+        server.flush(BUSY_AT);
+        let mut out = Vec::new();
+        server.drain_out(&mut out);
+        // Plain sockets in table order, then MPTCP connections, each
+        // socket's segments in `poll` order (literal taken at 539a931,
+        // before `flush` emitted in place).
+        let to = |src_port, dst_port, seq| (SERVER_IP, CLIENT_IP, src_port, dst_port, seq);
+        assert_eq!(
+            tcp_tuples(&out),
+            vec![
+                to(80, 49152, 1),
+                to(80, 49152, 1461),
+                to(80, 49152, 2921),
+                to(5001, 49153, 1),
+                to(5001, 49154, 5001),
+                to(5001, 49154, 6461),
+                to(5001, 49154, 7921),
+            ]
+        );
+        assert_eq!(server.stale_src_drops, 0);
+    }
+
+    #[test]
+    fn stale_subflow_segments_counted_one_by_one() {
+        // The address moves under live sockets: each of the seven
+        // segments pinned above is counted, and none escapes.
+        let mut server = busy_server();
+        server.assign_addr(SimTime::from_millis(900), Ipv4Addr::new(1, 1, 1, 2));
+        server.flush(BUSY_AT);
+        assert_eq!(server.stale_src_drops, 7);
+        let mut out = Vec::new();
+        server.drain_out(&mut out);
+        assert!(out.is_empty(), "stale-source segments escaped: {out:?}");
+
+        // `invalidate_addr` first: MPTCP aborts its old-address subflows
+        // (they fall silent), the plain socket keeps trying and is
+        // counted, and only the new address's join SYN gets out — behind
+        // a datagram staged earlier, which compaction must not touch.
+        let mut client = Host::new(NodeId(0), Some(CLIENT_IP));
+        let server_ep = EndpointAddr::new(SERVER_IP, 80);
+        client.tcp_connect(SimTime::ZERO, server_ep);
+        client.mp_connect(SimTime::ZERO, server_ep);
+        client.drain_out(&mut out);
+        out.clear();
+        let new_ip = Ipv4Addr::new(10, 0, 0, 2);
+        client.invalidate_addr(SimTime::ZERO);
+        client.assign_addr(SimTime::ZERO, new_ip);
+        assert_eq!(client.stale_src_drops, 0, "nothing was due yet");
+        let udp = client.udp_bind(9000);
+        let at = SimTime::from_secs(1); // The SYN timers; the join worker was due at 0.5 s.
+        client.udp_send_media(at, udp, server_ep, 100);
+        client.poll(at);
+        assert_eq!(client.stale_src_drops, 1, "the plain socket's SYN retry");
+        client.drain_out(&mut out);
+        assert_eq!(out.len(), 2);
+        assert!(matches!(out[0].kind, PacketKind::Udp { .. }));
+        assert_eq!(
+            tcp_tuples(&out[1..]),
+            vec![(new_ip, SERVER_IP, 49154, 80, 0)]
         );
     }
 }

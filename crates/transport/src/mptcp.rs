@@ -337,7 +337,7 @@ impl MpConn {
             return;
         }
         // Learn the peer's data base for this subflow from the first DSS.
-        if let (Some(data_seq), None) = (seg.data_seq, self.subflows[idx].peer_data_base) {
+        if let (Some(data_seq), None) = (seg.data_seq(), self.subflows[idx].peer_data_base) {
             // Payload byte at subflow seq `seg.seq` is data byte `data_seq`;
             // subflow app bytes start at seq 1.
             self.subflows[idx].peer_data_base = Some(data_seq - (seg.seq - 1));
@@ -362,7 +362,7 @@ impl MpConn {
         }
 
         // REMOVE_ADDR: peer withdrew an address — kill matching subflows.
-        if let Some(MpSignal::RemoveAddr { addr }) = seg.mp {
+        if let Some(MpSignal::RemoveAddr { addr }) = seg.mp() {
             for sf in &mut self.subflows {
                 if sf.alive && sf.tcp.remote.ip == addr {
                     sf.alive = false;
@@ -465,15 +465,11 @@ impl MpConn {
                 }
             }
         }
-        let mut segs = Vec::new();
         for sf in &mut self.subflows {
             if !sf.alive && sf.tcp.poll_at().is_none() {
                 continue;
             }
-            sf.tcp.poll(now, &mut segs);
-            for seg in segs.drain(..) {
-                out.push(Packet::tcp(sf.tcp.local.ip, sf.tcp.remote.ip, seg));
-            }
+            sf.tcp.poll(now, out);
         }
     }
 
@@ -577,7 +573,7 @@ pub(crate) mod tests {
             if pkt.dst == self.server_ep.ip {
                 // Server side.
                 if self.server.is_none() {
-                    if let Some(MpSignal::Capable { token }) = seg.mp {
+                    if let Some(MpSignal::Capable { token }) = seg.mp() {
                         self.server = Some(MpConn::accept(
                             self.cfg.clone(),
                             token,
@@ -592,7 +588,7 @@ pub(crate) mod tests {
                 let server = self.server.as_mut().unwrap();
                 if let Some(idx) = server.match_subflow(pkt.src, seg) {
                     server.on_segment(self.now, idx, seg);
-                } else if let Some(MpSignal::Join { token }) = seg.mp {
+                } else if let Some(MpSignal::Join { token }) = seg.mp() {
                     assert_eq!(token, server.token);
                     server.accept_join(
                         self.server_ep,

@@ -13,7 +13,7 @@
 //! Reno and BBR swap without touching the mechanism below.
 
 use crate::cc::{self, AckKind, CcAlgo, CongestionControl, LossKind};
-use cellbricks_net::{EndpointAddr, MpSignal, SackBlocks, TcpFlags, TcpSegment, MAX_SACK_BLOCKS};
+use cellbricks_net::{EndpointAddr, MpSignal, Packet, TcpFlags, TcpSegment, MAX_SACK_BLOCKS};
 use cellbricks_sim::{SimDuration, SimTime};
 use cellbricks_telemetry as telemetry;
 use std::collections::BTreeMap;
@@ -224,7 +224,7 @@ impl Tcp {
         syn: &TcpSegment,
         now: SimTime,
     ) -> Tcp {
-        debug_assert!(syn.flags.syn && !syn.flags.ack);
+        debug_assert!(syn.flags.syn() && !syn.flags.ack());
         let mut tcp = Tcp::new(cfg, local, remote, TcpState::SynReceived);
         tcp.rcv_nxt = syn.seq + 1;
         tcp.peer_rwnd = syn.window;
@@ -405,13 +405,13 @@ impl Tcp {
     /// Follow with [`Tcp::poll`] to flush responses.
     pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) -> TcpEvents {
         let mut ev = TcpEvents {
-            data_ack: seg.data_ack,
+            data_ack: seg.data_ack(),
             ..TcpEvents::default()
         };
         if self.state == TcpState::Closed {
             return ev;
         }
-        if seg.flags.rst {
+        if seg.flags.rst() {
             self.abort();
             return ev;
         }
@@ -419,7 +419,7 @@ impl Tcp {
 
         match self.state {
             TcpState::SynSent => {
-                if seg.flags.syn && seg.flags.ack && seg.ack == 1 {
+                if seg.flags.syn() && seg.flags.ack() && seg.ack == 1 {
                     self.snd_una = 1;
                     self.snd_nxt = self.snd_nxt.max(1);
                     self.rcv_nxt = seg.seq + 1;
@@ -433,7 +433,7 @@ impl Tcp {
                 return ev;
             }
             TcpState::SynReceived => {
-                if seg.flags.ack && seg.ack >= 1 {
+                if seg.flags.ack() && seg.ack >= 1 {
                     self.snd_una = self.snd_una.max(1);
                     self.state = TcpState::Established;
                     self.rto_retries = 0;
@@ -441,7 +441,7 @@ impl Tcp {
                     let _ = self.take_rtt_sample_on_ack(now, seg.ack);
                     ev.connected = true;
                     // Fall through: the ACK may carry data.
-                } else if seg.flags.syn && !seg.flags.ack {
+                } else if seg.flags.syn() && !seg.flags.ack() {
                     // Duplicate SYN: re-send the SYN-ACK.
                     self.ack_pending = true;
                     return ev;
@@ -454,13 +454,13 @@ impl Tcp {
         }
 
         // --- Established processing ---
-        if seg.flags.ack {
+        if seg.flags.ack() {
             self.process_ack(now, seg);
         }
         if seg.payload_len > 0 {
             ev.delivered = self.process_payload(seg);
         }
-        if seg.flags.fin {
+        if seg.flags.fin() {
             let fin_seq = seg.seq + u64::from(seg.payload_len);
             self.peer_fin_seq = Some(fin_seq);
             self.ack_pending = true;
@@ -484,7 +484,7 @@ impl Tcp {
         // Merge the receiver's SACK blocks into the scoreboard. Fresh
         // SACK information permits another round of hole retransmission.
         let before = self.sacked_bytes();
-        for &(start, end) in &seg.sack {
+        for (start, end) in seg.sack_blocks() {
             if end <= start || end > self.snd_max {
                 continue; // Malformed or beyond anything sent.
             }
@@ -544,8 +544,8 @@ impl Tcp {
             }
         } else if ack == self.snd_una
             && seg.payload_len == 0
-            && !seg.flags.syn
-            && !seg.flags.fin
+            && !seg.flags.syn()
+            && !seg.flags.fin()
             && self.snd_max > self.snd_una
         {
             // Duplicate ACK. (No window inflation: with SACK, sending
@@ -614,8 +614,9 @@ impl Tcp {
 
     // ----- Output -----
 
-    /// Emit all segments that are due at `now`.
-    pub fn poll(&mut self, now: SimTime, out: &mut Vec<TcpSegment>) {
+    /// Emit all segments that are due at `now`, as packets from the
+    /// local to the remote address.
+    pub fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         // Discard a stale RTT sample (its segment was probably lost);
         // otherwise a single loss freezes RTT estimation forever.
         if let Some((_, sent_at)) = self.rtt_sample {
@@ -666,7 +667,7 @@ impl Tcp {
         self.rto_deadline
     }
 
-    fn emit_data(&mut self, now: SimTime, out: &mut Vec<TcpSegment>) {
+    fn emit_data(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         // Loss recovery: fill holes the SACK scoreboard exposes, lowest
         // first. Armed once per ACK/SACK event (never per poll) so
         // retransmissions stay ACK-clocked like RFC 6675's pipe rule.
@@ -720,28 +721,23 @@ impl Tcp {
             if u64::from(len) < u64::from(self.cfg.mss).min(available) {
                 break;
             }
-            let seg = self.make_data(self.snd_nxt, len);
+            out.push(self.make_data(self.snd_nxt, len));
             // Only fresh (never-sent) data is eligible for RTT sampling.
             if self.rtt_sample.is_none() && self.snd_nxt == self.snd_max {
                 self.rtt_sample = Some((self.snd_nxt + u64::from(len), now));
             }
             self.snd_nxt += u64::from(len);
             self.snd_max = self.snd_max.max(self.snd_nxt);
-            out.push(seg);
         }
         // FIN when everything is sent.
         if self.fin_requested && !self.fin_sent && self.snd_nxt == self.app_limit() {
             self.fin_sent = true;
             let mut seg = self.base_segment();
             seg.seq = self.snd_nxt;
-            seg.flags = TcpFlags {
-                fin: true,
-                ack: true,
-                ..TcpFlags::default()
-            };
+            seg.flags = TcpFlags::FIN_ACK;
             self.snd_nxt += 1; // FIN occupies one sequence number.
             self.snd_max = self.snd_max.max(self.snd_nxt);
-            out.push(seg);
+            out.push(self.packet(seg));
             self.ack_pending = false;
         }
     }
@@ -905,16 +901,24 @@ impl Tcp {
 
     // ----- Segment construction -----
 
+    fn packet(&self, seg: TcpSegment) -> Packet {
+        Packet::tcp(self.local.ip, self.remote.ip, seg)
+    }
+
     fn base_segment(&mut self) -> TcpSegment {
+        let mut seg = TcpSegment::new(self.local.port, self.remote.port, TcpFlags::ACK);
+        seg.ack = self.rcv_nxt;
+        seg.window = self.cfg.rwnd;
+        seg.set_mp(self.pending_mp.take());
+        seg.set_data_ack(self.data_ack_out);
         // Advertise up to 3 out-of-order ranges (RFC 2018): the most
         // recently received block first, then rotate through the rest so
         // the sender's scoreboard converges on the full picture across
         // successive ACKs.
-        let mut sack = SackBlocks::new();
         if let Some(recent) = self.ooo_recent {
             if let Some((&rs, &re)) = self.ooo.range(..=recent).next_back() {
                 if re > recent {
-                    sack.push((rs, re));
+                    seg.push_sack(rs, re);
                 }
             }
         }
@@ -925,78 +929,77 @@ impl Tcp {
             let n = self.sack_scratch.len();
             let mut idx = self.sack_rotate;
             for _ in 0..n {
-                if sack.len() >= MAX_SACK_BLOCKS {
+                if seg.sack_len() >= MAX_SACK_BLOCKS {
                     break;
                 }
                 let block = self.sack_scratch[idx % n];
-                if !sack.contains(&block) {
-                    sack.push(block);
+                if !seg.sack_blocks().any(|b| b == block) {
+                    seg.push_sack(block.0, block.1);
                 }
                 idx += 1;
             }
             self.sack_rotate = idx % n.max(1);
         }
-        TcpSegment {
-            src_port: self.local.port,
-            dst_port: self.remote.port,
-            seq: 0,
-            ack: self.rcv_nxt,
-            flags: TcpFlags::ACK,
-            payload_len: 0,
-            window: self.cfg.rwnd,
-            mp: self.pending_mp.take(),
-            data_seq: None,
-            data_ack: self.data_ack_out,
-            sack,
-        }
+        seg
     }
 
-    fn make_syn(&mut self) -> TcpSegment {
+    fn make_syn(&mut self) -> Packet {
         let mut seg = self.base_segment();
-        seg.seq = 0;
+        // Nothing is received before the handshake, so no SACK block
+        // hangs off the `ack` this rewrites.
+        debug_assert_eq!(seg.sack_len(), 0);
         seg.ack = 0;
         seg.flags = TcpFlags::SYN;
-        seg.mp = self.syn_mp;
-        seg.data_ack = None;
+        seg.set_mp(self.syn_mp);
+        seg.set_data_ack(None);
         self.snd_nxt = self.snd_nxt.max(1);
         self.snd_max = self.snd_max.max(1);
-        seg
+        self.packet(seg)
     }
 
-    fn make_syn_ack(&mut self) -> TcpSegment {
+    fn make_syn_ack(&mut self) -> Packet {
         let mut seg = self.base_segment();
-        seg.seq = 0;
         seg.flags = TcpFlags::SYN_ACK;
-        seg.mp = self.syn_mp;
+        seg.set_mp(self.syn_mp);
         self.snd_nxt = self.snd_nxt.max(1);
         self.snd_max = self.snd_max.max(1);
-        seg
+        self.packet(seg)
     }
 
-    fn make_ack(&mut self) -> TcpSegment {
-        self.base_segment()
+    fn make_ack(&mut self) -> Packet {
+        let seg = self.base_segment();
+        self.packet(seg)
     }
 
-    fn make_data(&mut self, seq: u64, len: u32) -> TcpSegment {
+    fn make_data(&mut self, seq: u64, len: u32) -> Packet {
         let mut seg = self.base_segment();
         seg.seq = seq;
         seg.payload_len = len;
         if let Some(base) = self.data_base {
             // Data bytes start at subflow seq 1 (0 is the SYN).
-            seg.data_seq = Some(base + (seq - 1));
+            seg.set_data_seq(Some(base + (seq - 1)));
         }
         self.ack_pending = false; // Data segments carry the ACK.
-        seg
+        self.packet(seg)
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use cellbricks_net::PacketKind;
     use std::net::Ipv4Addr;
 
     pub(crate) fn ep(last: u8, port: u16) -> EndpointAddr {
         EndpointAddr::new(Ipv4Addr::new(10, 0, 0, last), port)
+    }
+
+    /// The segment of a packet `Tcp::poll` emitted.
+    pub(crate) fn seg_of(pkt: Packet) -> TcpSegment {
+        match pkt.kind {
+            PacketKind::Tcp(seg) => seg,
+            other => panic!("Tcp emitted {other:?}"),
+        }
     }
 
     /// Drive two Tcp endpoints through an ideal (in-memory, lossless,
@@ -1049,12 +1052,12 @@ pub(crate) mod tests {
         fn flush(&mut self) {
             let mut out = Vec::new();
             self.a.poll(self.now, &mut out);
-            for seg in out.drain(..) {
-                self.offer(true, seg);
+            for pkt in out.drain(..) {
+                self.offer(true, seg_of(pkt));
             }
             self.b.poll(self.now, &mut out);
-            for seg in out.drain(..) {
-                self.offer(false, seg);
+            for pkt in out.drain(..) {
+                self.offer(false, seg_of(pkt));
             }
         }
 
@@ -1113,7 +1116,12 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         let mut client = client;
         client.poll(now, &mut out);
-        let syn = out.pop().unwrap();
+        let syn = seg_of(out.pop().unwrap());
+        assert_eq!(
+            syn.sack_len(),
+            0,
+            "a SYN rewrites `ack`: no block may hang off it"
+        );
         let server = Tcp::accept(TcpConfig::default(), ep(2, 80), ep(1, 4000), &syn, now);
         Loopback::new(client, server)
     }
@@ -1239,19 +1247,7 @@ pub(crate) mod tests {
     fn rst_aborts() {
         let mut lb = pair();
         lb.run(5);
-        let rst = TcpSegment {
-            src_port: 80,
-            dst_port: 4000,
-            seq: 0,
-            ack: 0,
-            flags: TcpFlags::RST,
-            payload_len: 0,
-            window: 0,
-            mp: None,
-            data_seq: None,
-            data_ack: None,
-            sack: SackBlocks::new(),
-        };
+        let rst = TcpSegment::new(80, 4000, TcpFlags::RST);
         lb.a.on_segment(lb.now, &rst);
         assert!(lb.a.is_aborted());
     }
@@ -1278,7 +1274,8 @@ pub(crate) mod tests {
         );
         let mut out = Vec::new();
         client.poll(now, &mut out);
-        assert_eq!(out[0].mp, Some(MpSignal::Capable { token: 99 }));
+        let syn = seg_of(out.remove(0));
+        assert_eq!(syn.mp(), Some(MpSignal::Capable { token: 99 }));
     }
 
     #[test]
@@ -1289,18 +1286,20 @@ pub(crate) mod tests {
         let mut client = Tcp::connect(TcpConfig::default(), ep(1, 4000), ep(2, 80), now, None);
         let mut out = Vec::new();
         client.poll(now, &mut out);
-        let syn = out.pop().unwrap();
+        let syn = seg_of(out.pop().unwrap());
         let mut server = Tcp::accept(TcpConfig::default(), ep(2, 80), ep(1, 4000), &syn, now);
         server.poll(now, &mut out);
-        let syn_ack = out.pop().unwrap();
+        let syn_ack = seg_of(out.pop().unwrap());
         client.on_segment(now, &syn_ack);
         assert!(client.is_established());
         client.data_base = Some(1000);
         client.write(1460);
         client.poll(now, &mut out);
-        let data_seg = out.iter().find(|s| s.payload_len > 0).expect("data");
+        let data_seg = (out.into_iter().map(seg_of))
+            .find(|s| s.payload_len > 0)
+            .expect("data");
         // First app byte is subflow seq 1 -> data_seq = 1000.
-        assert_eq!(data_seg.data_seq, Some(1000));
+        assert_eq!(data_seg.data_seq(), Some(1000));
     }
 }
 
