@@ -45,14 +45,6 @@ run cargo test --release -q -p cellbricks-crypto --features op-count \
 # CI_QUICK=1 the criterion shim collects fewer, shorter samples.
 run cargo bench -q -p cellbricks-crypto --bench ed25519
 
-# Smoke-check the telemetry pipeline end to end: a short fig7 run must
-# produce a metrics snapshot with the per-phase attach histograms.
-run cargo run --release -q -p cellbricks-bench --bin exp_fig7 -- --trials 3
-test -s results/fig7.metrics.json
-grep -q '"fig7.us-east-1.CB.total_ns"' results/fig7.metrics.json
-echo
-echo "==> results/fig7.metrics.json OK"
-
 # Smoke-check the engine-scale sweep: a reduced run must report the
 # scheduler events/sec gauges for each swept endpoint count.
 #
@@ -299,39 +291,38 @@ else
 fi
 
 # Figure-replay gate: the committed results/*.txt are claims this tree
-# must keep reproducing bit-for-bit. Every experiment is a pure function
-# of its seed (no wall clock, no ambient RNG), so each binary is rerun
-# into a scratch dir and its stdout diffed against the committed copy —
-# any drift in the simulation, transport, or congestion-control hot
-# paths (deliberate or accidental) turns the gate red until the figures
-# are regenerated and re-reviewed.
+# must keep reproducing bit-for-bit. Every figure cell is a pure function
+# of its seed (no wall clock, no ambient RNG), so `repro` regenerates all
+# eight figures into a scratch dir and each is diffed against the
+# committed copy — any drift in the simulation, transport, or
+# congestion-control hot paths (deliberate or accidental) turns the gate
+# red until the figures are regenerated and re-reviewed.
 replay=$(mktemp -d)
-for exp in fig7 fig8 fig9 fig10 table1 cc; do
-    echo
-    echo "==> replay exp_$exp"
-    env CELLBRICKS_RESULTS_DIR="$replay" \
-        cargo run --release -q -p cellbricks-bench --bin "exp_$exp" \
-        >"$replay/$exp.txt"
-    if ! diff -u "results/$exp.txt" "$replay/$exp.txt"; then
-        echo "FAIL: exp_$exp no longer reproduces results/$exp.txt byte-identically"
+run env CELLBRICKS_RESULTS_DIR="$replay" \
+    cargo run --release -q -p cellbricks-bench --bin repro -- --figure all
+for fig in fig7 table1 fig8 fig9 fig10 cc quic_ablation reputation; do
+    if ! diff -u "results/$fig.txt" "$replay/$fig.txt"; then
+        echo "FAIL: repro no longer reproduces results/$fig.txt byte-identically"
         exit 1
     fi
-    echo "==> results/$exp.txt replays byte-identically"
+    echo "==> results/$fig.txt replays byte-identically"
 done
 
-# The exp_cc replay above doubles as the CC ablation smoke: its metrics
-# snapshot must carry the per-algorithm cc.* counters, proving each
-# algorithm actually ran behind the trait (not silently defaulted).
-test -s "$replay/cc.metrics.json"
-for key in cc.cubic.loss_events cc.reno.loss_events cc.bbr.probe_rtt_entries; do
-    if ! grep -q "\"$key\"" "$replay/cc.metrics.json"; then
-        echo "FAIL: counter \"$key\" missing from cc.metrics.json"
+# The replay's metrics snapshots double as the telemetry smoke: fig7's
+# must carry the per-phase attach histograms, and cc's the
+# per-algorithm cc.* counters, proving each algorithm actually ran behind
+# the trait (not silently defaulted).
+for check in "fig7 fig7.us-east-1.CB.total_ns" "cc cc.cubic.loss_events" \
+    "cc cc.reno.loss_events" "cc cc.bbr.probe_rtt_entries"; do
+    set -- $check
+    if ! grep -q "\"$2\"" "$replay/$1.metrics.json"; then
+        echo "FAIL: \"$2\" missing from $1.metrics.json"
         exit 1
     fi
 done
 rm -rf "$replay"
 echo
-echo "==> figure replay + cc counters OK"
+echo "==> figure replay + fig7 histograms + cc counters OK"
 
 # perfbench (the repository's benchmark, BENCHMARK.json): its own unit
 # tests — estimators, failure accounting, catalogue ↔ BENCHMARK.json —

@@ -1,16 +1,22 @@
-//! Shared helpers for the experiment binaries that regenerate the paper's
-//! tables and figures. One binary per table/figure:
+//! Experiment harness for the paper's tables and figures. Every figure
+//! cell is defined once, in [`figures`]; the `repro` binary regenerates
+//! them:
 //!
-//! | binary | reproduces |
+//! | `repro --figure` | reproduces |
 //! |--------|------------|
-//! | `exp_fig7` | Fig. 7 — attach latency breakdown, BL vs CB |
-//! | `exp_table1` | Table 1 — application performance matrix |
-//! | `exp_fig8` | Fig. 8 — throughput timeseries across a handover |
-//! | `exp_fig9` | Fig. 9 — attach-latency factor analysis |
-//! | `exp_fig10` | Fig. 10 — day vs night rate policing |
-//! | `exp_reputation` | §4.3 extension — cheating-bTelco detection |
+//! | `fig7` | Fig. 7 — attach latency breakdown, BL vs CB |
+//! | `table1` | Table 1 — application performance matrix |
+//! | `fig8` | Fig. 8 — throughput timeseries across a handover |
+//! | `fig9` | Fig. 9 — attach-latency factor analysis |
+//! | `fig10` | Fig. 10 — day vs night rate policing |
+//! | `cc` | congestion-control ablation — CUBIC vs Reno vs BBR |
+//! | `quic_ablation` | §4.2 future work — MPTCP vs QUIC migration |
+//! | `reputation` | §4.3 extension — cheating-bTelco detection |
+//! | `all` (default) | every row above, in this order |
 //!
 //! Run with `--release`; the Table 1 matrix simulates hours of drive time.
+//! The other binaries (`exp_scale`, `exp_chaos`, `exp_broker`,
+//! `exp_brokerd`, `brokerd`) measure scale, faults and the wire service.
 
 // `deny` rather than the workspace-wide `forbid`: the alloc-counting
 // global allocator below is the one sanctioned unsafe block in the
@@ -18,12 +24,8 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use cellbricks_apps::emulation::{run, Arch, DriveOutcome, EmulationConfig, Workload};
-use cellbricks_net::TimeOfDay;
-use cellbricks_ran::RouteKind;
-use cellbricks_sim::SimDuration;
-
 pub mod alloc_count;
+pub mod figures;
 
 /// Every binary and bench in this crate allocates through the counting
 /// allocator, so any experiment can report `alloc.count` / `alloc.bytes`
@@ -32,21 +34,12 @@ pub mod alloc_count;
 #[global_allocator]
 static GLOBAL_ALLOC: alloc_count::CountingAllocator = alloc_count::CountingAllocator;
 
-/// Parse a `--duration <secs>` style flag from argv, with a default.
-#[must_use]
-pub fn arg_secs(flag: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parse a `--seed <n>` style flag.
+/// Parse a `--seed <n>` style flag from argv, with a default.
 #[must_use]
 pub fn arg_u64(flag: &str, default: u64) -> u64 {
-    arg_secs(flag, default)
+    arg_str(flag)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
 }
 
 /// Parse a `--listen <addr>` style flag with a string value.
@@ -82,31 +75,23 @@ pub fn rule(width: usize) -> String {
     "-".repeat(width)
 }
 
-/// Switch the global telemetry registry on for an experiment binary.
-///
-/// Every `exp_*` binary calls this first: recording is enabled unless the
-/// environment sets `CELLBRICKS_TELEMETRY=off` (the knob used to measure
-/// the instrumentation's disabled-mode overhead). Returns whether
-/// recording is on.
-pub fn telemetry_init() -> bool {
-    let off = std::env::var("CELLBRICKS_TELEMETRY")
-        .map(|v| v.eq_ignore_ascii_case("off") || v == "0")
-        .unwrap_or(false);
-    if !off {
-        cellbricks_telemetry::enable();
-    }
-    cellbricks_telemetry::is_enabled()
+/// Switch the global telemetry registry on; every binary calls this first.
+pub fn telemetry_init() {
+    cellbricks_telemetry::enable();
 }
 
-/// Export the experiment's telemetry: `results/<exp>.metrics.json` (flat
-/// counters/gauges/histogram summaries) and `results/<exp>.trace.json`
-/// (chrome://tracing). No-op when recording is disabled. Paths may be
-/// redirected with `CELLBRICKS_RESULTS_DIR`.
+/// Where experiments write their outputs: `CELLBRICKS_RESULTS_DIR`,
+/// default `results`.
+#[must_use]
+pub fn results_dir() -> String {
+    std::env::var("CELLBRICKS_RESULTS_DIR").unwrap_or_else(|_| "results".into())
+}
+
+/// Export the experiment's telemetry: `<results_dir>/<exp>.metrics.json`
+/// (flat counters/gauges/histogram summaries) and
+/// `<results_dir>/<exp>.trace.json` (chrome://tracing).
 pub fn telemetry_finish(exp: &str) {
-    if !cellbricks_telemetry::is_enabled() {
-        return;
-    }
-    let dir = std::env::var("CELLBRICKS_RESULTS_DIR").unwrap_or_else(|_| "results".into());
+    let dir = results_dir();
     let reg = cellbricks_telemetry::global();
     let metrics = format!("{dir}/{exp}.metrics.json");
     let trace = format!("{dir}/{exp}.trace.json");
@@ -120,115 +105,12 @@ pub fn telemetry_finish(exp: &str) {
     }
 }
 
-/// One fully-specified Table 1 cell runner.
-#[must_use]
-pub fn table1_cell(
-    route: RouteKind,
-    tod: TimeOfDay,
-    arch: Arch,
-    workload: Workload,
-    duration_s: u64,
-    seed: u64,
-) -> DriveOutcome {
-    let mut cfg = EmulationConfig::new(route, tod, arch, workload);
-    cfg.duration = SimDuration::from_secs(duration_s);
-    cfg.seed = seed;
-    run(&cfg)
-}
-
-/// Fig. 9 variant description.
-#[derive(Clone, Copy, Debug)]
-pub struct Fig9Variant {
-    /// Display label matching the paper's legend.
-    pub label: &'static str,
-    /// Attach latency `d`, milliseconds.
-    pub attach_ms: u64,
-    /// MPTCP address-worker wait, milliseconds.
-    pub wait_ms: u64,
-}
-
-/// The paper's Fig. 9 variants: modified MPTCP (no wait) at three attach
-/// latencies, plus unmodified (500 ms wait).
-pub const FIG9_VARIANTS: [Fig9Variant; 4] = [
-    Fig9Variant {
-        label: "mod. 32ms",
-        attach_ms: 32,
-        wait_ms: 0,
-    },
-    Fig9Variant {
-        label: "mod. 64ms",
-        attach_ms: 64,
-        wait_ms: 0,
-    },
-    Fig9Variant {
-        label: "mod. 128ms",
-        attach_ms: 128,
-        wait_ms: 0,
-    },
-    Fig9Variant {
-        label: "unmod.",
-        attach_ms: 32,
-        wait_ms: 500,
-    },
-];
-
-/// Post-handover relative performance: for each window length `n` in
-/// `1..=max_n` seconds, the mean over handovers of
-/// `Σ bytes_cb[h..h+n] / Σ bytes_tcp[h..h+n]`, in percent.
-#[must_use]
-pub fn relative_after_handover(
-    cb: &cellbricks_sim::TimeSeries,
-    tcp: &cellbricks_sim::TimeSeries,
-    handovers_s: &[f64],
-    max_n: usize,
-) -> Vec<f64> {
-    let cb_sums = cb.sums();
-    let tcp_sums = tcp.sums();
-    let mut out = Vec::with_capacity(max_n);
-    for n in 1..=max_n {
-        let mut ratios = Vec::new();
-        for &h in handovers_s {
-            let start = h as usize;
-            let end = start + n;
-            if end > cb_sums.len() || end > tcp_sums.len() {
-                continue;
-            }
-            let cb_bytes: f64 = cb_sums[start..end].iter().sum();
-            let tcp_bytes: f64 = tcp_sums[start..end].iter().sum();
-            if tcp_bytes > 0.0 {
-                ratios.push(cb_bytes / tcp_bytes * 100.0);
-            }
-        }
-        out.push(if ratios.is_empty() {
-            f64::NAN
-        } else {
-            ratios.iter().sum::<f64>() / ratios.len() as f64
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellbricks_sim::{SimTime, TimeSeries};
-
-    #[test]
-    fn relative_windows_compute() {
-        let mut cb = TimeSeries::new(SimDuration::from_secs(1));
-        let mut tcp = TimeSeries::new(SimDuration::from_secs(1));
-        for i in 0..20 {
-            tcp.record(SimTime::from_secs(i), 100.0);
-            cb.record(SimTime::from_secs(i), if i == 10 { 50.0 } else { 120.0 });
-        }
-        let rel = relative_after_handover(&cb, &tcp, &[10.0], 3);
-        assert!((rel[0] - 50.0).abs() < 1e-9);
-        assert!((rel[1] - 85.0).abs() < 1e-9);
-        assert!(rel[2] > rel[0]);
-    }
 
     #[test]
     fn arg_parser_defaults() {
-        assert_eq!(arg_secs("--nope", 77), 77);
+        assert_eq!(arg_u64("--nope", 77), 77);
     }
 }

@@ -510,8 +510,7 @@ impl Registry {
 ///
 /// Starts **disabled**: library code can register handles eagerly and
 /// pay only an atomic load per event until a binary opts in via
-/// [`enable`] (the bench harness does this at startup unless
-/// `CELLBRICKS_TELEMETRY=off`).
+/// [`enable`] (every bench harness binary does this at startup).
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(|| Registry::with_state(false, DEFAULT_TRACE_CAPACITY))

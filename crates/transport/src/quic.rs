@@ -12,7 +12,8 @@
 //!
 //! Unlike MPTCP's break-before-make subflow replacement, migration needs
 //! no new handshake and no address-worker delay, which is exactly the
-//! difference the `exp_quic_ablation` experiment measures.
+//! difference the `quic_ablation` figure (`repro --figure quic_ablation`)
+//! measures.
 //!
 //! Sans-IO design: the connection consumes datagrams and emits datagrams;
 //! the caller moves them (over a [`crate::Host`] UDP socket or anything

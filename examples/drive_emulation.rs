@@ -31,5 +31,7 @@ fn main() {
     let slowdown = (results[0] - results[1]) / results[0] * 100.0;
     println!("\nCellBricks slowdown vs MNO: {slowdown:+.2}%  (paper Table 1: −1.61% … +3.06%)");
     println!("Swap RouteKind / TimeOfDay / Workload to regenerate any Table 1 cell,");
-    println!("or run `cargo run --release -p cellbricks-bench --bin exp_table1` for all of them.");
+    println!(
+        "or run `cargo run --release -p cellbricks-bench --bin repro -- --figure table1` for all of them."
+    );
 }

@@ -2,32 +2,71 @@
 //! claims EXPERIMENTS.md reports, pinned as tests so regressions in any
 //! substrate (transport, policer, RAN, SAP) show up immediately.
 //!
-//! Durations are shortened relative to the experiment binaries; the
+//! The cells are the figure registry's own (`cellbricks_bench::figures`),
+//! with drives cut shorter than the committed figures run them; the
 //! assertions check orderings and coarse magnitudes, not exact values.
 
-use cellbricks::apps::emulation::{run, Arch, EmulationConfig, Workload};
-use cellbricks::core::attach_bench::{run_baseline, run_cellbricks, ProcProfile, PLACEMENTS};
+use cellbricks::apps::emulation::{Arch, DriveOutcome, EmulationConfig, Workload};
 use cellbricks::net::TimeOfDay;
 use cellbricks::ran::RouteKind;
 use cellbricks::sim::SimDuration;
+use cellbricks_bench::figures::{self, Apps, Cell, CellOutput, Family};
 
-fn quick(route: RouteKind, tod: TimeOfDay, arch: Arch, workload: Workload) -> EmulationConfig {
-    let mut cfg = EmulationConfig::new(route, tod, arch, workload);
-    cfg.duration = SimDuration::from_secs(150);
-    cfg
+/// Run the seed-42 `family` drive that `pick` selects, cut to `secs`:
+/// forced handovers that would leave under 10 s of drive after them are
+/// dropped. Returns the output and the handovers the cut drive kept.
+fn drive(
+    family: Family,
+    secs: u64,
+    pick: impl Fn(&EmulationConfig, Apps) -> bool,
+) -> (CellOutput, Vec<f64>) {
+    let mut cell = figures::cells(family, 42)
+        .into_iter()
+        .find(|c| matches!(c, Cell::Drive(cfg, apps) if pick(cfg, *apps)))
+        .expect("the registry has the cell");
+    let Cell::Drive(cfg, _) = &mut cell else {
+        unreachable!()
+    };
+    cfg.duration = SimDuration::from_secs(secs);
+    if let Some(handovers) = &mut cfg.forced_handovers_s {
+        handovers.retain(|&h| h + 10.0 <= secs as f64);
+    }
+    let handovers = cfg.forced_handovers_s.clone().unwrap_or_default();
+    (figures::run(&cell), handovers)
+}
+
+/// Table 1's `(route, tod, arch, workload)` cell on a 150 s drive.
+fn table1(route: RouteKind, tod: TimeOfDay, arch: Arch, workload: Workload) -> DriveOutcome {
+    let (out, _) = drive(Family::Table1, 150, |c, _| {
+        c.route == route && c.tod == tod && c.arch == arch && c.workload == workload
+    });
+    out.drive().clone()
+}
+
+/// Bytes delivered in the two seconds after each handover.
+fn post_handover_bytes(out: &CellOutput, handovers: &[f64]) -> f64 {
+    let sums = out.series().sums();
+    handovers
+        .iter()
+        .map(|&h| sums[h as usize] + sums[h as usize + 1])
+        .sum()
 }
 
 // --- Fig. 7 shape: CB saves exactly the S6A round trips. ---
 
 #[test]
 fn fig7_cb_saving_grows_with_cloud_distance() {
-    let p = ProcProfile::default();
-    let mut savings = Vec::new();
-    for placement in PLACEMENTS {
-        let bl = run_baseline(placement, &p, 5, 7);
-        let cb = run_cellbricks(placement, &p, 5, 7);
-        savings.push((bl.total_ms - cb.total_ms) / bl.total_ms);
+    let mut cell = figures::cells(Family::Fig7, 7).remove(0);
+    if let Cell::Fig7 { trials, .. } = &mut cell {
+        *trials = 5;
     }
+    let CellOutput::Fig7 { rows, .. } = figures::run(&cell) else {
+        unreachable!()
+    };
+    let savings: Vec<f64> = rows
+        .chunks(2)
+        .map(|p| (p[0].total_ms - p[1].total_ms) / p[0].total_ms)
+        .collect();
     // local < us-west < us-east (paper: ~0%, 14.0%, 40.8%).
     assert!(
         savings[0] < savings[1] && savings[1] < savings[2],
@@ -44,18 +83,18 @@ fn fig7_cb_saving_grows_with_cloud_distance() {
 
 #[test]
 fn table1_iperf_slowdown_within_paper_band() {
-    let mno = run(&quick(
+    let mno = table1(
         RouteKind::Downtown,
         TimeOfDay::Day,
         Arch::Mno,
         Workload::Iperf,
-    ));
-    let cb = run(&quick(
+    );
+    let cb = table1(
         RouteKind::Downtown,
         TimeOfDay::Day,
         Arch::CellBricks,
         Workload::Iperf,
-    ));
+    );
     let slowdown = (mno.iperf_mbps.unwrap() - cb.iperf_mbps.unwrap()) / mno.iperf_mbps.unwrap();
     // Paper: −1.61% … +3.06%; allow a wider CI for the short run.
     assert!(slowdown.abs() < 0.08, "slowdown {slowdown:.3}");
@@ -63,18 +102,18 @@ fn table1_iperf_slowdown_within_paper_band() {
 
 #[test]
 fn table1_day_night_throughput_regimes() {
-    let day = run(&quick(
+    let day = table1(
         RouteKind::Downtown,
         TimeOfDay::Day,
         Arch::Mno,
         Workload::Iperf,
-    ));
-    let night = run(&quick(
+    );
+    let night = table1(
         RouteKind::Downtown,
         TimeOfDay::Night,
         Arch::Mno,
         Workload::Iperf,
-    ));
+    );
     let d = day.iperf_mbps.unwrap();
     let n = night.iperf_mbps.unwrap();
     assert!((0.6..1.6).contains(&d), "day {d} Mbps");
@@ -84,18 +123,13 @@ fn table1_day_night_throughput_regimes() {
 
 #[test]
 fn table1_voip_mos_unaffected_by_architecture() {
-    let mno = run(&quick(
-        RouteKind::Suburb,
-        TimeOfDay::Day,
-        Arch::Mno,
-        Workload::Voip,
-    ));
-    let cb = run(&quick(
+    let mno = table1(RouteKind::Suburb, TimeOfDay::Day, Arch::Mno, Workload::Voip);
+    let cb = table1(
         RouteKind::Suburb,
         TimeOfDay::Day,
         Arch::CellBricks,
         Workload::Voip,
-    ));
+    );
     let (m, c) = (mno.mos.unwrap(), cb.mos.unwrap());
     assert!((4.0..4.5).contains(&m), "MNO MOS {m}");
     assert!((m - c).abs() < 0.1, "MOS {m} vs {c}");
@@ -103,18 +137,18 @@ fn table1_voip_mos_unaffected_by_architecture() {
 
 #[test]
 fn table1_video_levels_track_time_of_day() {
-    let day = run(&quick(
+    let day = table1(
         RouteKind::Downtown,
         TimeOfDay::Day,
         Arch::CellBricks,
         Workload::Video,
-    ));
-    let night = run(&quick(
+    );
+    let night = table1(
         RouteKind::Downtown,
         TimeOfDay::Night,
         Arch::CellBricks,
         Workload::Video,
-    ));
+    );
     let d = day.video_level.unwrap();
     let n = night.video_level.unwrap();
     assert!((1.2..2.6).contains(&d), "day level {d} (paper ≈2)");
@@ -123,10 +157,9 @@ fn table1_video_levels_track_time_of_day() {
 
 #[test]
 fn table1_mttho_ordering_matches_paper() {
-    // Highway < Downtown < Suburb MTTHO; night < day per route.
-    let get = |route, tod| run(&quick(route, tod, Arch::Mno, Workload::Ping)).mttho_s;
+    // Highway < Suburb MTTHO; night < day per route.
+    let get = |route, tod| table1(route, tod, Arch::Mno, Workload::Ping).mttho_s;
     let suburb_d = get(RouteKind::Suburb, TimeOfDay::Day);
-    let downtown_d = get(RouteKind::Downtown, TimeOfDay::Day);
     let highway_d = get(RouteKind::Highway, TimeOfDay::Day);
     let highway_n = get(RouteKind::Highway, TimeOfDay::Night);
     assert!(
@@ -137,23 +170,14 @@ fn table1_mttho_ordering_matches_paper() {
         highway_n < highway_d,
         "night {highway_n} vs day {highway_d}"
     );
-    let _ = downtown_d;
 }
 
 // --- Fig. 8/9 shape: the dip exists; lower attach latency is better. ---
 
 #[test]
 fn fig8_cb_dips_then_recovers_around_handover() {
-    let mut cfg = quick(
-        RouteKind::Downtown,
-        TimeOfDay::Day,
-        Arch::CellBricks,
-        Workload::Iperf,
-    );
-    cfg.duration = SimDuration::from_secs(50);
-    cfg.forced_handovers_s = Some(vec![23.5]);
-    let out = run(&cfg);
-    let rates = out.iperf_series.unwrap().rates_per_sec();
+    let (out, _) = drive(Family::Fig8, 50, |c, _| c.arch == Arch::CellBricks);
+    let rates = out.series().rates_per_sec();
     let steady: f64 = rates[10..20].iter().sum::<f64>() / 10.0;
     let dip = rates[23].min(rates[24]);
     let recovered: f64 = rates[30..40].iter().sum::<f64>() / 10.0;
@@ -169,24 +193,15 @@ fn fig8_cb_dips_then_recovers_around_handover() {
 
 #[test]
 fn fig9_unmodified_wait_hurts_first_second() {
-    let handovers = vec![30.0, 60.0, 90.0];
+    // Fig. 9's d = 32 ms arms: modified (no wait) and unmodified.
     let mk = |wait_ms: u64| {
-        let mut cfg = quick(
-            RouteKind::Downtown,
-            TimeOfDay::Night,
-            Arch::CellBricks,
-            Workload::Iperf,
-        );
-        cfg.duration = SimDuration::from_secs(110);
-        cfg.forced_handovers_s = Some(handovers.clone());
-        cfg.mptcp_wait = SimDuration::from_millis(wait_ms);
-        let out = run(&cfg);
-        let sums = out.iperf_series.unwrap();
-        let sums = sums.sums();
-        handovers
-            .iter()
-            .map(|&h| sums[h as usize] + sums[h as usize + 1])
-            .sum::<f64>()
+        let (out, handovers) = drive(Family::Fig9, 110, |c, _| {
+            c.arch == Arch::CellBricks
+                && c.attach_delay == SimDuration::from_millis(32)
+                && c.mptcp_wait == SimDuration::from_millis(wait_ms)
+        });
+        assert_eq!(handovers, [30.0, 60.0, 90.0]);
+        post_handover_bytes(&out, &handovers)
     };
     let no_wait = mk(0);
     let full_wait = mk(500);
@@ -200,54 +215,22 @@ fn fig9_unmodified_wait_hurts_first_second() {
 
 #[test]
 fn quic_migration_recovers_at_least_as_fast_as_patched_mptcp() {
-    use cellbricks::apps::emulation::run_with_apps;
-    use cellbricks::apps::iperf::{IperfClient, IperfServer, Transport};
-    use cellbricks::apps::quic_app::{QuicIperfClient, QuicIperfServer};
-    use cellbricks::net::EndpointAddr;
-    use std::net::Ipv4Addr;
-
-    const SRV_IP: Ipv4Addr = Ipv4Addr::new(52, 9, 1, 1);
-    let handovers = vec![30.0, 60.0, 90.0];
-    let mut cfg = quick(
-        RouteKind::Downtown,
-        TimeOfDay::Night,
-        Arch::CellBricks,
-        Workload::Iperf,
-    );
-    cfg.duration = SimDuration::from_secs(110);
-    cfg.forced_handovers_s = Some(handovers.clone());
-    cfg.mptcp_wait = SimDuration::ZERO;
-    cfg.attach_delay = SimDuration::from_millis(32);
-
-    let (mptcp, _, _) = run_with_apps(
-        &cfg,
-        IperfClient::new(
-            EndpointAddr::new(SRV_IP, 5001),
-            Transport::Mptcp,
-            SimDuration::from_secs(1),
-        ),
-        IperfServer::new(5001),
-    );
-    let (quic, server, _) = run_with_apps(
-        &cfg,
-        QuicIperfClient::new(EndpointAddr::new(SRV_IP, 8443), SimDuration::from_secs(1)),
-        QuicIperfServer::new(),
-    );
+    let (mptcp, handovers) = drive(Family::QuicAblation, 110, |c, apps| {
+        apps == Apps::MptcpIperf && c.mptcp_wait == SimDuration::ZERO
+    });
+    let (quic, _) = drive(Family::QuicAblation, 110, |_, apps| apps == Apps::QuicIperf);
+    let CellOutput::Iperf { migrations, .. } = quic else {
+        unreachable!()
+    };
     assert_eq!(
-        server.migrations,
+        migrations,
         handovers.len() as u32,
         "every handover migrated the path"
     );
     // Post-handover bytes in the 2 s after each handover: migration must
     // not lose to the patched (no-wait) MPTCP.
-    let window = |sums: &[f64]| -> f64 {
-        handovers
-            .iter()
-            .map(|&h| sums[h as usize] + sums[h as usize + 1])
-            .sum()
-    };
-    let quic_bytes = window(quic.series.sums());
-    let mptcp_bytes = window(mptcp.series.sums());
+    let quic_bytes = post_handover_bytes(&quic, &handovers);
+    let mptcp_bytes = post_handover_bytes(&mptcp, &handovers);
     assert!(
         quic_bytes > mptcp_bytes * 0.8,
         "QUIC {quic_bytes} vs MPTCP {mptcp_bytes} post-handover bytes"
