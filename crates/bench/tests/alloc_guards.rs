@@ -1,12 +1,13 @@
-//! Allocation guards for two paths that must not touch the allocator.
+//! Allocation guards for paths that must not touch the allocator.
 //!
 //! Linking `cellbricks-bench` installs its counting global allocator.
-//! The counters are process-wide, so both checks live in this file's
+//! The counters are process-wide, so every check lives in this file's
 //! single test: nothing else runs in the process while a phase is open.
 
+use bytes::Bytes;
 use cellbricks_bench::alloc_count::Phase;
-use cellbricks_net::{EndpointAddr, LinkConfig, NodeId, Packet, Topology};
-use cellbricks_sim::{SimDuration, SimTime};
+use cellbricks_net::{EndpointAddr, LinkConfig, NetWorld, NodeId, Packet, Topology};
+use cellbricks_sim::{SimDuration, SimRng, SimTime};
 use cellbricks_transport::Host;
 use std::net::Ipv4Addr;
 
@@ -86,8 +87,61 @@ fn leaf_nodes_and_their_routes_own_no_allocation() {
     assert_eq!(t.route(leaves[N - 1], SERVER_IP), Some(links[N - 1]));
 }
 
+/// 100 000 leaf directions, each with at most one packet in flight:
+/// leaf `i` sends at `i` µs over a 500 µs link, so about 500 are in
+/// flight at once. The arrival FIFOs' storage follows that, not the
+/// number of directions (a queue per direction would allocate for each
+/// of them), and once it has grown, a pass allocates nothing.
+fn arrival_storage_tracks_packets_in_flight_not_directions() {
+    const N: usize = 100_000;
+    let mut t = Topology::new();
+    let hub = t.add_node("hub");
+    let cfg = LinkConfig::delay_only(SimDuration::from_micros(500));
+    let leaves: Vec<NodeId> = (0..N)
+        .map(|_| {
+            let leaf = t.add_node("leaf");
+            let link = t.add_symmetric_link(leaf, hub, cfg.clone());
+            t.add_default_route(leaf, link);
+            leaf
+        })
+        .collect();
+    let mut world = NetWorld::new(t, SimRng::new(1));
+    let mut landed = Vec::new();
+    let mut pass = |t0: SimTime| {
+        let mut delivered = 0;
+        let mut drain = |world: &mut NetWorld, now| {
+            world.drain_arrivals_into(now, &mut landed);
+            delivered += landed.len();
+            landed.clear();
+        };
+        for (i, &leaf) in leaves.iter().enumerate() {
+            let now = t0 + SimDuration::from_micros(i as u64);
+            drain(&mut world, now);
+            let pkt = Packet::control(CLIENT_IP, SERVER_IP, Bytes::from_static(b"x"));
+            world.send(now, leaf, pkt);
+        }
+        drain(&mut world, t0 + SimDuration::from_secs(1));
+        assert_eq!(delivered, N);
+    };
+    let cold = Phase::start();
+    pass(SimTime::ZERO);
+    let (cold_allocs, cold_bytes) = cold.finish();
+    assert!(
+        cold_allocs < 64 && cold_bytes < 1 << 20,
+        "{cold_allocs} allocations, {cold_bytes} bytes for ≈ 500 in flight over {N} directions"
+    );
+    let warm = Phase::start();
+    pass(SimTime::from_secs(2));
+    let (warm_allocs, _) = warm.finish();
+    assert_eq!(
+        warm_allocs, 0,
+        "the warm arrival path reached the allocator"
+    );
+}
+
 #[test]
 fn hot_paths_stay_off_the_allocator() {
     steady_state_mptcp_flush_allocates_nothing();
     leaf_nodes_and_their_routes_own_no_allocation();
+    arrival_storage_tracks_packets_in_flight_not_directions();
 }

@@ -15,19 +15,20 @@
 //! * **dirty set** — only endpoints that just received a packet or just
 //!   polled are re-queried for `poll_at()`; everything else is passive
 //!   and cannot have moved its own timer;
-//! * **no staging** — arrivals go from the world's wheel straight into
-//!   `handle_packet`, and endpoint output is drained into one buffer
-//!   owned by the driver, so the hot loop neither allocates nor copies
-//!   a packet it does not have to;
+//! * **no staging** — arrivals go from the world's per-direction FIFOs
+//!   straight into `handle_packet`, and endpoint output is drained into
+//!   one buffer owned by the driver, so the hot loop neither allocates
+//!   nor copies a packet it does not have to;
 //! * **windowed telemetry** — per-event counts are plain integers,
 //!   published to the registry when [`Driver::run_to`] /
 //!   [`Driver::run_window`] return: exact at every window boundary, at
 //!   most one window stale in between.
 //!
 //! The engine preserves the exact event order of the original
-//! scan-per-event loop: arrivals dispatch in queue order (time, then
-//! FIFO), due endpoints poll in endpoint-slice order, and the clock never
-//! runs backwards. Invariants are documented in `DESIGN.md` §Engine.
+//! scan-per-event loop: arrivals dispatch in the world's merge order
+//! (time, then FIFO by send), due endpoints poll in endpoint-slice order,
+//! and the clock never runs backwards. Invariants are documented in
+//! `DESIGN.md` §Engine.
 
 use crate::fault::{EndpointFault, FaultAction, FaultPlan};
 use crate::packet::PacketKind;
@@ -427,9 +428,9 @@ impl Driver {
             }
 
             let timed = telemetry::is_enabled();
-            // Skip whole phases that cannot have work: a wheel peek or
-            // drain is not free (it may cascade), and in steady state
-            // most iterations carry exactly one arrival or one poll.
+            // Skip whole phases that cannot have work: a timer-wheel
+            // drain is not free (it may re-file a bucket), and in steady
+            // state most iterations carry exactly one arrival or one poll.
             let had_arrivals = next_net.is_some_and(|t| t <= now);
             if had_arrivals {
                 self.dispatch_arrivals(now, world, endpoints, timed);
@@ -494,19 +495,19 @@ impl Driver {
         endpoints: &mut [&mut dyn Endpoint],
         timed: bool,
     ) {
-        world.begin_arrivals(now);
+        world.begin_arrivals();
         let mut depth = 0;
-        while let Some((_at, arrival)) = world.next_arrival(now) {
+        while let Some((_, node, pkt)) = world.next_arrival(now) {
             depth += 1;
-            if let Some(i) = endpoint_index(&self.node_map, arrival.node) {
+            if let Some(i) = endpoint_index(&self.node_map, node) {
                 self.ev_arrival += 1;
                 let t0 = self.sample_service_time(timed);
-                let svc = match &arrival.pkt.kind {
+                let svc = match &pkt.kind {
                     PacketKind::Tcp(_) => &self.metrics.svc_tcp,
                     PacketKind::Udp { .. } => &self.metrics.svc_udp,
                     PacketKind::Control(_) => &self.metrics.svc_control,
                 };
-                endpoints[i].handle_packet(now, arrival.pkt, &mut self.out);
+                endpoints[i].handle_packet(now, pkt, &mut self.out);
                 if let Some(t0) = t0 {
                     svc.record(t0.elapsed().as_nanos() as u64);
                 }
@@ -873,6 +874,111 @@ mod tests {
                 (at, "b", "recv"),
                 (at, "c", "poll"),
                 (at, "a", "recv"),
+            ]
+        );
+    }
+
+    /// Sends one packet from `10.0.0.<id>` to `peer` at `at` (if set)
+    /// and answers the first `replies` receptions. Logs `(time, name,
+    /// "poll")` per poll and `(time, name, sender's name)` per reception.
+    struct OneShot {
+        node: NodeId,
+        id: u8,
+        peer: Ipv4Addr,
+        at: Option<SimTime>,
+        replies: u32,
+        log: EventLog,
+    }
+
+    const ONE_SHOT_NAMES: [&str; 4] = ["a", "b", "c", "d"];
+
+    impl OneShot {
+        fn send(&self, out: &mut Vec<Packet>) {
+            let src = Ipv4Addr::new(10, 0, 0, self.id);
+            out.push(Packet::control(src, self.peer, Bytes::from_static(b"o")));
+        }
+        fn name(&self) -> &'static str {
+            ONE_SHOT_NAMES[usize::from(self.id) - 1]
+        }
+    }
+
+    impl Endpoint for OneShot {
+        fn node(&self) -> NodeId {
+            self.node
+        }
+        fn handle_packet(&mut self, now: SimTime, pkt: Packet, out: &mut Vec<Packet>) {
+            let from = ONE_SHOT_NAMES[usize::from(pkt.src.octets()[3]) - 1];
+            self.log.borrow_mut().push((now, self.name(), from));
+            if self.replies > 0 {
+                self.replies -= 1;
+                self.send(out);
+            }
+        }
+        fn poll_at(&self) -> Option<SimTime> {
+            self.at
+        }
+        fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+            self.log.borrow_mut().push((now, self.name(), "poll"));
+            self.at = None;
+            self.send(out);
+        }
+    }
+
+    /// The same-instant rule under the sharded merge key. Two packets
+    /// land on b at 10 ms, from a (direction key 0) and from c (key 3);
+    /// b answers the first over a zero-latency direction (key 1), so the
+    /// answer is due at 10 ms and sorts between the two. It is skipped,
+    /// not dispatched and not a reason to end the round: c's packet is
+    /// still handled in the first round, d's timer next, then the answer.
+    #[test]
+    fn sharded_zero_latency_reply_skips_past_older_due_arrivals() {
+        const IP_C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+        let mut t = Topology::new();
+        let [a, b, c, d] = ONE_SHOT_NAMES.map(|n| t.add_node(n));
+        let ms = SimDuration::from_millis;
+        let l_ab = t.add_link(
+            a,
+            b,
+            LinkConfig::delay_only(ms(5)),
+            LinkConfig::delay_only(SimDuration::ZERO),
+        );
+        let l_bc = t.add_symmetric_link(b, c, LinkConfig::delay_only(ms(10)));
+        t.add_default_route(a, l_ab);
+        t.add_default_route(b, l_ab);
+        t.add_route(b, IP_C, 32, l_bc);
+        t.add_default_route(c, l_bc);
+        let plan = crate::shard::ShardPlan::by_region(&t, 1);
+        let mut world = NetWorld::new(t, SimRng::new(1))
+            .into_shards(&plan, 7)
+            .remove(0);
+        let log = EventLog::default();
+        let one_shot = |node, id, at: Option<u64>, replies| OneShot {
+            node,
+            id,
+            peer: IP_B,
+            at: at.map(SimTime::from_millis),
+            replies,
+            log: log.clone(),
+        };
+        let mut ea = one_shot(a, 1, Some(5), 0);
+        let mut eb = one_shot(b, 2, None, 1);
+        let mut ec = one_shot(c, 3, Some(0), 0);
+        let mut ed = one_shot(d, 4, Some(10), 0);
+        Driver::new().run_to(
+            &mut world,
+            &mut [&mut ea, &mut eb, &mut ec, &mut ed],
+            SimTime::from_secs(1),
+        );
+        let at = SimTime::from_millis(10);
+        assert_eq!(
+            *log.borrow(),
+            [
+                (SimTime::ZERO, "c", "poll"),
+                (SimTime::from_millis(5), "a", "poll"),
+                (at, "b", "a"),
+                (at, "b", "c"),
+                (at, "d", "poll"),
+                (at, "a", "b"),
             ]
         );
     }

@@ -189,6 +189,9 @@ pub(crate) struct Direction {
     pub(crate) config: LinkConfig,
     /// When the previous packet finishes service (FIFO ordering point).
     busy_until: SimTime,
+    /// Newest in-flight cell of this direction's arrival FIFO in the
+    /// world's slab, or `u32::MAX` when none is in flight.
+    pub(crate) fifo_tail: u32,
     /// Token-bucket level at `bucket_at` (bytes).
     bucket_level: f64,
     bucket_at: SimTime,
@@ -237,6 +240,7 @@ impl Direction {
         Self {
             config,
             busy_until: SimTime::ZERO,
+            fifo_tail: u32::MAX,
             bucket_level: initial_level,
             bucket_at: SimTime::ZERO,
             outage_until: SimTime::ZERO,
@@ -345,6 +349,9 @@ impl Direction {
             self.bucket_level = level;
             self.bucket_at = at;
         }
+        // `done ≥ start ≥` every earlier `done`, and nothing changes the
+        // latency after construction: a direction delivers in the order
+        // it accepts, which the world's per-direction FIFOs rely on.
         self.busy_until = done;
         self.delivered += 1;
         Offer::Deliver(done + self.config.latency)

@@ -1,7 +1,7 @@
 //! Sharded parallel stepping with conservative lookahead sync.
 //!
 //! The topology is partitioned by bTelco/region into shards; each shard
-//! owns its own [`NetWorld`] slice (arrival wheel + link state + route
+//! owns its own [`NetWorld`] slice (arrival FIFOs + link state + route
 //! tables for its nodes) and its own [`Driver`] (timer wheel, registry,
 //! dirty set), stepped on a `std::thread` worker. Workers advance in
 //! lockstep windows of `lookahead` = the minimum propagation latency of
@@ -19,11 +19,13 @@
 //!   consumes the same sample sequence under any partition.
 //! * Every delivery is tagged `(direction key, per-direction seq)` and
 //!   arrivals dispatch in `(time, key, seq)` order — a total order
-//!   independent of wheel insertion order, and therefore of which
-//!   barrier window a cross-shard packet happened to be injected in.
+//!   independent of when a packet joined its direction's FIFO, and
+//!   therefore of which barrier window a cross-shard packet happened to
+//!   be injected in.
 //! * Within a shard the [`Driver`] is the sequential engine unchanged;
-//!   mailbox push order between workers is racy, but injection feeds a
-//!   wheel whose drain is canonically re-sorted, so the race is erased.
+//!   mailbox push order between workers is racy, but each direction has
+//!   one producer whose order its mailbox keeps, and injection appends
+//!   to that direction's FIFO, so the race is erased.
 //!
 //! The single-shard **legacy** path (a `NetWorld` never split) is
 //! untouched: it draws from the world RNG in the pinned order, and the

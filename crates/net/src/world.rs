@@ -5,14 +5,22 @@
 //! and delivers them to the far-end node at the right virtual time.
 //! Protocol logic lives in [`Endpoint`] implementations — hosts, routers,
 //! gateways — driven by the [`crate::engine::Driver`] engine.
+//!
+//! A link direction delivers in the order it accepts (see
+//! `Direction::offer`), so in-flight packets need no sorting: each
+//! direction queues its own as a FIFO, and dispatch merges the heads of
+//! the non-empty ones (see `Arrivals`).
 
 use crate::fault::{BurstLoss, EndpointFault};
 use crate::link::{DropCause, Offer};
 use crate::packet::Packet;
 use crate::shard::{mix, ShardPlan};
 use crate::topology::{LinkId, NodeId, Topology};
-use cellbricks_sim::{EventQueue, SimRng, SimTime, TimerWheel};
+use cellbricks_sim::{SimRng, SimTime};
 use cellbricks_telemetry as telemetry;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A protocol participant attached to a topology node.
@@ -37,20 +45,115 @@ pub trait Endpoint {
     fn inject_fault(&mut self, _now: SimTime, _fault: &EndpointFault) {}
 }
 
-pub(crate) struct Arrival {
-    pub(crate) node: NodeId,
-    pub(crate) pkt: Packet,
-    /// Canonical stream key `(link << 1) | direction` — the total order
-    /// over same-instant arrivals in sharded mode. 0 in legacy mode
-    /// (where wheel FIFO order is the contract).
-    key: u32,
-    /// Per-stream insertion sequence (sharded mode; 0 in legacy mode).
+/// End of a cell list (a direction's FIFO, the freelist).
+const NIL: u32 = u32::MAX;
+
+/// One in-flight packet: a cell of the shared arrival slab, linked into
+/// the FIFO of the link direction carrying it.
+struct Cell {
+    at: SimTime,
+    /// Merge sequence: the append stamp (legacy mode) or the
+    /// per-direction delivery ordinal (sharded mode).
     seq: u64,
+    /// Append stamp; a cell stamped at or after the open round's mark
+    /// was sent during that round.
+    stamp: u64,
+    /// The next cell of the same FIFO, or of the freelist.
+    next: u32,
+    /// Direction id `(link << 1) | d` (`d` = 1 for b→a): the FIFO this
+    /// cell is in, and with it the destination node.
+    dir: u32,
+    pkt: Option<Packet>,
 }
 
-// What the arrival wheel hands out must stay inside the 128 bytes LLVM
-// copies inline (see the assertion on `Packet`).
-const _: () = assert!(std::mem::size_of::<(SimTime, Arrival)>() <= 128);
+// The 128-byte rule (DESIGN §5): a packet's one slot moves inline.
+const _: () = assert!(std::mem::size_of::<Cell>() <= 128);
+
+/// A non-empty direction's head cell in the merge index, ordered by
+/// `(at, key, seq)`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Head {
+    at: SimTime,
+    key: u32,
+    seq: u64,
+    cell: u32,
+}
+
+/// In-flight packets as per-direction FIFOs: one slab of `Cell`s, each
+/// direction's tail in its `Direction` (`fifo_tail`), and a binary heap
+/// over the head of every non-empty direction.
+///
+/// Legacy mode merges on `(time, 0, append stamp)` — time, then FIFO by
+/// send — and sharded mode on `(time, direction, per-direction ordinal)`,
+/// the canonical order no partition can perturb; the two modes differ in
+/// the merge key alone. Storage grows with packets in flight, not with
+/// directions: a direction with nothing in flight owns no cell and no
+/// heap entry.
+struct Arrivals {
+    cells: Vec<Cell>,
+    /// Freelist head, chained through `Cell::next`.
+    free: u32,
+    heads: BinaryHeap<Reverse<Head>>,
+    /// Heads skipped by the open round (see `NetWorld::next_arrival`).
+    parked: Vec<Head>,
+    /// The next append stamp, and its value when the open round began.
+    stamp: u64,
+    mark: u64,
+    /// `!0` in sharded mode (key = direction id), 0 in legacy mode.
+    key_mask: u32,
+}
+
+impl Arrivals {
+    fn new(key_mask: u32) -> Self {
+        Self {
+            cells: Vec::new(),
+            free: NIL,
+            heads: BinaryHeap::new(),
+            parked: Vec::new(),
+            stamp: 0,
+            mark: 0,
+            key_mask,
+        }
+    }
+
+    /// Queue `pkt`, due at `at`, behind the tail `*tail` of direction
+    /// `dir`'s FIFO; `seq` is its sharded-mode ordinal.
+    #[inline]
+    fn append(&mut self, tail: &mut u32, dir: u32, at: SimTime, seq: Option<u64>, pkt: Packet) {
+        let stamp = self.stamp;
+        self.stamp += 1;
+        let seq = seq.unwrap_or(stamp);
+        let cell = if self.free == NIL {
+            let c = u32::try_from(self.cells.len()).expect("arrival slab overflow");
+            self.cells.push(Cell {
+                at,
+                seq,
+                stamp,
+                next: NIL,
+                dir,
+                pkt: Some(pkt),
+            });
+            c
+        } else {
+            // Field by field, so the packet is copied once.
+            let c = self.free;
+            let cell = &mut self.cells[c as usize];
+            self.free = cell.next;
+            (cell.at, cell.seq, cell.stamp, cell.next, cell.dir) = (at, seq, stamp, NIL, dir);
+            cell.pkt = Some(pkt);
+            c
+        };
+        if *tail == NIL {
+            let key = dir & self.key_mask;
+            self.heads.push(Reverse(Head { at, key, seq, cell }));
+        } else {
+            let last = &mut self.cells[*tail as usize];
+            debug_assert!(at >= last.at, "link direction {dir} delivers out of order");
+            last.next = cell;
+        }
+        *tail = cell;
+    }
+}
 
 /// A packet bound for a node another shard owns, carried from the source
 /// shard's [`NetWorld`] to the destination shard at the conservative
@@ -58,8 +161,8 @@ const _: () = assert!(std::mem::size_of::<(SimTime, Arrival)>() <= 128);
 pub struct CrossPacket {
     dst_shard: u32,
     at: SimTime,
-    node: NodeId,
-    key: u32,
+    /// Direction id, which is also the sharded merge key.
+    dir: u32,
     seq: u64,
     pkt: Packet,
 }
@@ -162,14 +265,14 @@ struct Tally {
     sent: u64,
     delivered: u64,
     delivered_bytes: u64,
-    /// Net change of packets in this world's wheel, and the highest that
-    /// running change has stood.
+    /// Net change of packets queued in this world's arrival FIFOs, and
+    /// the highest that running change has stood.
     in_flight: i64,
     in_flight_peak: i64,
 }
 
 impl Tally {
-    fn entered_wheel(&mut self) {
+    fn queued(&mut self) {
         self.in_flight += 1;
         self.in_flight_peak = self.in_flight_peak.max(self.in_flight);
     }
@@ -178,10 +281,9 @@ impl Tally {
 /// The network: topology plus in-flight packets.
 pub struct NetWorld {
     topology: Topology,
-    /// In-flight deliveries, indexed by arrival instant. A [`TimerWheel`]
-    /// rather than an [`EventQueue`]: the slab freelist recycles queue
-    /// entries, so the steady-state delivery path allocates nothing.
-    arrivals: TimerWheel<Arrival>,
+    /// In-flight deliveries. The slab freelist recycles cells, so the
+    /// steady-state delivery path allocates nothing.
+    arrivals: Arrivals,
     rng: SimRng,
     /// Packets dropped because no route matched.
     pub no_route_drops: u64,
@@ -189,10 +291,6 @@ pub struct NetWorld {
     tally: Tally,
     /// Sharded-mode state; `None` on the legacy single-world path.
     shard: Option<Box<ShardState>>,
-    /// Wheel insertion mark of the instant being dispatched (legacy mode).
-    arrival_mark: u64,
-    /// The instant's arrivals in reverse canonical order (sharded mode).
-    drain_scratch: Vec<(SimTime, Arrival)>,
 }
 
 impl Drop for NetWorld {
@@ -209,14 +307,12 @@ impl NetWorld {
     pub fn new(topology: Topology, rng: SimRng) -> Self {
         Self {
             topology,
-            arrivals: TimerWheel::new(),
+            arrivals: Arrivals::new(0),
             rng,
             no_route_drops: 0,
             metrics: WorldMetrics::register(),
             tally: Tally::default(),
             shard: None,
-            arrival_mark: 0,
-            drain_scratch: Vec::new(),
         }
     }
 
@@ -238,7 +334,7 @@ impl NetWorld {
     /// Split this world into one slice per shard of `plan`.
     ///
     /// Each slice clones the topology and carries its own arrival
-    /// wheel; loss/burst decisions switch from the world RNG to
+    /// FIFOs; loss/burst decisions switch from the world RNG to
     /// per-link-direction streams seeded from `stream_seed`, which is
     /// what makes results bit-identical for
     /// any shard count (including 1). Sharded results therefore differ
@@ -250,7 +346,7 @@ impl NetWorld {
     #[must_use]
     pub fn into_shards(mut self, plan: &ShardPlan, stream_seed: u64) -> Vec<NetWorld> {
         assert!(
-            self.arrivals.is_empty(),
+            self.arrivals.heads.is_empty(),
             "into_shards with packets in flight"
         );
         let node_shard = plan.node_shard_arc();
@@ -274,7 +370,7 @@ impl NetWorld {
                     .collect();
                 NetWorld {
                     topology: topo.clone_for_shard(),
-                    arrivals: TimerWheel::new(),
+                    arrivals: Arrivals::new(!0),
                     // Unused by sharded sends; kept so the API surface
                     // (e.g. future per-shard jitter) has a stream.
                     rng: SimRng::new(mix(stream_seed, 0x5eed_0000 | s as u64)),
@@ -288,8 +384,6 @@ impl NetWorld {
                         dir_seq: vec![[0; 2]; links],
                         outbox: Vec::new(),
                     })),
-                    arrival_mark: 0,
-                    drain_scratch: Vec::new(),
                 }
             })
             .collect()
@@ -320,32 +414,28 @@ impl NetWorld {
             self.metrics.no_route.inc();
             return;
         };
-        let peer = self.topology.peer(link, from);
         let size = pkt.wire_size();
+        let l = &mut self.topology.links[link.0];
+        let is_ba = l.a != from;
+        let (dir, peer) = if is_ba {
+            (&mut l.ba, l.a)
+        } else {
+            (&mut l.ab, l.b)
+        };
+        let id = (link.0 as u32) << 1 | u32::from(is_ba);
         // Loss samples: legacy mode draws from the world RNG in the exact
         // order the figure-replay gate pins; sharded mode draws from the
         // per-direction stream so the sequence a direction sees does not
         // depend on the partition (see [`ShardState`]).
-        let dir_is_ba = {
-            let l = &self.topology.links[link.0];
-            l.a != from
+        let r = match &mut self.shard {
+            Some(sh) => &mut sh.dir_rngs[link.0][usize::from(is_ba)],
+            None => &mut self.rng,
         };
-        let (draw, burst_draw) = {
-            let l = &self.topology.links[link.0];
-            let dir = if dir_is_ba { &l.ba } else { &l.ab };
-            let has_burst = dir.burst_installed();
-            let r = match &mut self.shard {
-                Some(sh) => &mut sh.dir_rngs[link.0][usize::from(dir_is_ba)],
-                None => &mut self.rng,
-            };
-            let draw = r.unit();
-            // Links without a burst model consume exactly one sample per
-            // send, so installing one elsewhere never perturbs this
-            // link's stream.
-            (draw, has_burst.then(|| r.unit()))
-        };
-        let l = &mut self.topology.links[link.0];
-        let dir = if dir_is_ba { &mut l.ba } else { &mut l.ab };
+        let draw = r.unit();
+        // Links without a burst model consume exactly one sample per
+        // send, so installing one elsewhere never perturbs this link's
+        // stream.
+        let burst_draw = dir.burst_installed().then(|| r.unit());
         let policer_before = dir.policer_hits;
         let offer = dir.offer(now, size, draw, burst_draw);
         if dir.policer_hits != policer_before {
@@ -355,40 +445,27 @@ impl NetWorld {
             Offer::Deliver(at) => {
                 self.tally.delivered += 1;
                 self.tally.delivered_bytes += u64::from(size);
-                let (key, seq, remote) = match &mut self.shard {
-                    Some(sh) => {
-                        let d = usize::from(dir_is_ba);
-                        let seq = sh.dir_seq[link.0][d];
-                        sh.dir_seq[link.0][d] += 1;
-                        let key = (link.0 as u32) << 1 | d as u32;
-                        let dst = sh.node_shard[peer.0];
-                        (key, seq, (dst != sh.shard).then_some(dst))
-                    }
-                    None => (0, 0, None),
-                };
-                if let Some(dst_shard) = remote {
-                    // Bound for another shard: park it in the outbox for
-                    // the barrier exchange instead of the local wheel.
-                    self.shard.as_mut().unwrap().outbox.push(CrossPacket {
-                        dst_shard,
-                        at,
-                        node: peer,
-                        key,
-                        seq,
-                        pkt,
-                    });
-                } else {
-                    self.arrivals.insert(
-                        at,
-                        Arrival {
-                            node: peer,
+                let mut seq = None;
+                if let Some(sh) = &mut self.shard {
+                    let ordinal = sh.dir_seq[link.0][usize::from(is_ba)];
+                    sh.dir_seq[link.0][usize::from(is_ba)] = ordinal + 1;
+                    seq = Some(ordinal);
+                    let dst_shard = sh.node_shard[peer.0];
+                    if dst_shard != sh.shard {
+                        // Bound for another shard: the outbox carries it
+                        // to that shard's copy of this direction's FIFO.
+                        sh.outbox.push(CrossPacket {
+                            dst_shard,
+                            at,
+                            dir: id,
+                            seq: ordinal,
                             pkt,
-                            key,
-                            seq,
-                        },
-                    );
-                    self.tally.entered_wheel();
+                        });
+                        return;
+                    }
                 }
+                self.arrivals.append(&mut dir.fifo_tail, id, at, seq, pkt);
+                self.tally.queued();
             }
             Offer::Drop(cause) => {
                 match cause {
@@ -403,59 +480,80 @@ impl NetWorld {
         }
     }
 
-    /// The instant of the next pending arrival. `&mut` because peeking
-    /// may advance the wheel's internal scan position.
+    /// The instant of the next pending arrival.
     #[inline]
-    pub fn next_arrival_at(&mut self) -> Option<SimTime> {
-        self.arrivals.peek_time()
+    #[must_use]
+    pub fn next_arrival_at(&self) -> Option<SimTime> {
+        self.arrivals.heads.peek().map(|h| h.0.at)
     }
 
-    /// Start handing out the arrivals due at or before `now`; follow
-    /// with [`next_arrival`](Self::next_arrival) until it returns `None`.
+    /// Open a round of arrivals; follow with
+    /// [`next_arrival`](Self::next_arrival) until it returns `None`.
+    #[inline]
+    pub(crate) fn begin_arrivals(&mut self) {
+        self.arrivals.mark = self.arrivals.stamp;
+    }
+
+    /// The next arrival due at or before `now` in the open round, in
+    /// merge-key order, moved straight out of its slab cell; `None`
+    /// closes the round.
     ///
-    /// Legacy mode hands them out straight from the wheel in its (time,
-    /// FIFO) pop order, up to the insertion mark taken here: a packet
-    /// sent at zero latency while the instant is being dispatched is due
-    /// too, but belongs to the next round. Sharded mode re-sorts the due
-    /// batch into the canonical `(time, direction key, per-direction
-    /// seq)` order — a total order that does not depend on wheel
-    /// insertion order, and therefore not on which barrier window a
-    /// cross-shard packet was injected in.
+    /// A packet sent during the round (its stamp at or past the mark) is
+    /// skipped even if due: a zero-latency reply to an arrival waits for
+    /// the next round, behind the timers due now. In legacy mode such a
+    /// head sorts after every older due one, but under the sharded key it
+    /// can sort ahead of them, so it is parked until the round closes
+    /// rather than ending the round.
     #[inline]
-    pub(crate) fn begin_arrivals(&mut self, now: SimTime) {
-        if self.shard.is_some() {
-            debug_assert!(self.drain_scratch.is_empty());
-            while let Some(due) = self.arrivals.pop_due(now) {
-                self.drain_scratch.push(due);
+    pub(crate) fn next_arrival(&mut self, now: SimTime) -> Option<(SimTime, NodeId, Packet)> {
+        let q = &mut self.arrivals;
+        while let Some(mut top) = q.heads.peek_mut() {
+            let head = top.0;
+            if head.at > now {
+                break;
             }
-            self.drain_scratch
-                .sort_unstable_by_key(|(at, a)| std::cmp::Reverse((*at, a.key, a.seq)));
-        } else {
-            self.arrival_mark = self.arrivals.mark();
+            let cell = &mut q.cells[head.cell as usize];
+            if cell.stamp >= q.mark {
+                q.parked.push(PeekMut::pop(top).0);
+                continue;
+            }
+            let (dir, next) = (cell.dir, cell.next);
+            cell.next = q.free;
+            q.free = head.cell;
+            let l = &mut self.topology.links[(dir >> 1) as usize];
+            let (d, node) = if dir & 1 == 0 {
+                (&mut l.ab, l.b)
+            } else {
+                (&mut l.ba, l.a)
+            };
+            if next == NIL {
+                d.fifo_tail = NIL;
+                PeekMut::pop(top);
+            } else {
+                let n = &q.cells[next as usize];
+                top.0 = Head {
+                    at: n.at,
+                    seq: n.seq,
+                    cell: next,
+                    ..head
+                };
+            }
+            self.tally.in_flight -= 1;
+            // The packet moves last, straight from the slab to the caller.
+            let pkt = q.cells[head.cell as usize].pkt.take();
+            return Some((head.at, node, pkt.expect("queued cell without a packet")));
         }
-    }
-
-    /// The next arrival of the round [`begin_arrivals`](Self::begin_arrivals)
-    /// opened at `now`, as the wheel hands it out: re-packing it here
-    /// would copy the packet once more.
-    #[inline]
-    pub(crate) fn next_arrival(&mut self, now: SimTime) -> Option<(SimTime, Arrival)> {
-        let due = if self.shard.is_some() {
-            self.drain_scratch.pop()
-        } else {
-            self.arrivals.pop_due_before(now, self.arrival_mark)
-        };
-        self.tally.in_flight -= i64::from(due.is_some());
-        due
+        for h in q.parked.drain(..) {
+            q.heads.push(Reverse(h));
+        }
+        None
     }
 
     /// Pop all arrivals due at or before `now`, appending them to `out`
     /// in dispatch order (for callers that drive a world by hand).
     pub fn drain_arrivals_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, NodeId, Packet)>) {
-        self.begin_arrivals(now);
-        out.extend(
-            std::iter::from_fn(|| self.next_arrival(now)).map(|(at, a)| (at, a.node, a.pkt)),
-        );
+        self.begin_arrivals();
+        out.extend(std::iter::from_fn(|| self.next_arrival(now)));
     }
 
     /// Move this shard's pending cross-shard deliveries into `out`
@@ -467,10 +565,10 @@ impl NetWorld {
         }
     }
 
-    /// Accept cross-shard deliveries produced by other shards' worlds.
-    /// Arrival instants are conservatively in the future (≥ the barrier
-    /// horizon); the canonical drain order makes the wheel insertion
-    /// order here irrelevant.
+    /// Accept cross-shard deliveries produced by other shards' worlds:
+    /// each joins its direction's FIFO here. Arrival instants are
+    /// conservatively in the future (≥ the barrier horizon), and each
+    /// direction has one producer, whose order the mailboxes keep.
     ///
     /// # Panics
     /// Panics if called on a legacy (non-sharded) world or handed a
@@ -480,16 +578,11 @@ impl NetWorld {
         let shard = sh.shard;
         for m in batch {
             assert_eq!(m.dst_shard, shard, "cross packet routed to wrong shard");
-            self.arrivals.insert(
-                m.at,
-                Arrival {
-                    node: m.node,
-                    pkt: m.pkt,
-                    key: m.key,
-                    seq: m.seq,
-                },
-            );
-            self.tally.entered_wheel();
+            let l = &mut self.topology.links[(m.dir >> 1) as usize];
+            let d = if m.dir & 1 == 0 { &mut l.ab } else { &mut l.ba };
+            self.arrivals
+                .append(&mut d.fifo_tail, m.dir, m.at, Some(m.seq), m.pkt);
+            self.tally.queued();
         }
     }
 
@@ -530,8 +623,10 @@ impl NetWorld {
 pub struct Router {
     node: NodeId,
     delay: cellbricks_sim::SimDuration,
-    /// Packets waiting out their processing delay.
-    pending: EventQueue<Packet>,
+    /// Packets waiting out their processing delay. A FIFO: the delay is
+    /// constant and the clock monotone, so release instants never
+    /// decrease.
+    pending: VecDeque<(SimTime, Packet)>,
 }
 
 impl Router {
@@ -541,7 +636,7 @@ impl Router {
         Self {
             node,
             delay,
-            pending: EventQueue::new(),
+            pending: VecDeque::new(),
         }
     }
 }
@@ -555,18 +650,19 @@ impl Endpoint for Router {
         if self.delay == cellbricks_sim::SimDuration::ZERO {
             out.push(pkt);
         } else {
-            self.pending.push(now + self.delay, pkt);
+            let at = now + self.delay;
+            debug_assert!(self.pending.back().is_none_or(|(last, _)| *last <= at));
+            self.pending.push_back((at, pkt));
         }
     }
 
     fn poll_at(&self) -> Option<SimTime> {
-        self.pending.peek_time()
+        self.pending.front().map(|(at, _)| *at)
     }
 
     fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        while let Some((_, pkt)) = self.pending.pop_due(now) {
-            out.push(pkt);
-        }
+        let due = self.pending.partition_point(|(at, _)| *at <= now);
+        out.extend(self.pending.drain(..due).map(|(_, pkt)| pkt));
     }
 }
 
@@ -747,5 +843,176 @@ mod tests {
             received: vec![],
         };
         Driver::new().run_to(&mut world, &mut [&mut p1, &mut p2], SimTime::from_secs(1));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::link::{LinkConfig, RateSchedule, Shaper};
+    use bytes::Bytes;
+    use cellbricks_sim::{EventQueue, SimDuration};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::net::Ipv4Addr;
+
+    const NODES: usize = 5;
+
+    fn ip(node: usize) -> Ipv4Addr {
+        Ipv4Addr::new(10, 0, 0, node as u8)
+    }
+
+    /// A direction of kind delay-only, zero-latency, fixed-rate or token
+    /// bucket, optionally lossy.
+    fn config(kind: u8, latency_us: u64, lossy: bool) -> LinkConfig {
+        let latency = SimDuration::from_micros(latency_us);
+        let cfg = match kind % 4 {
+            0 => LinkConfig::delay_only(latency),
+            1 => LinkConfig::delay_only(SimDuration::ZERO),
+            2 => LinkConfig::fixed_rate(latency, 2e6, SimDuration::from_millis(30)),
+            _ => LinkConfig {
+                shaper: Shaper::TokenBucket {
+                    schedule: RateSchedule::Constant(1e6),
+                    burst_bytes: 3_000.0,
+                },
+                queue_cap: SimDuration::from_millis(50),
+                ..LinkConfig::delay_only(latency)
+            },
+        };
+        if lossy {
+            cfg.with_loss(0.2)
+        } else {
+            cfg
+        }
+    }
+
+    type LinkSpec = (usize, usize, u8, u8, u64, bool);
+
+    /// Link `a`–`b`, which becomes both ends' default route and their
+    /// host route to each other (the newest link wins).
+    fn add_link(t: &mut Topology, (a, b, ka, kb, lat, lossy): LinkSpec) -> Option<LinkId> {
+        (a != b).then(|| {
+            let (ab, ba) = (config(ka, lat, lossy), config(kb, lat / 2, lossy));
+            let l = t.add_link(NodeId(a), NodeId(b), ab, ba);
+            for (from, to) in [(a, b), (b, a)] {
+                t.add_default_route(NodeId(from), l);
+                t.add_route(NodeId(from), ip(to), 32, l);
+            }
+            l
+        })
+    }
+
+    /// The reference: the same link service on a copy of the topology
+    /// and of the RNG, every delivery filed in one `EventQueue` — time,
+    /// then insertion.
+    struct Reference {
+        topo: Topology,
+        rng: SimRng,
+        q: EventQueue<(NodeId, Packet)>,
+    }
+
+    impl Reference {
+        fn send(&mut self, now: SimTime, from: NodeId, pkt: Packet) {
+            let Some(link) = self.topo.route(from, pkt.dst) else {
+                return;
+            };
+            let l = &mut self.topo.links[link.0];
+            let (dir, peer) = if l.a == from {
+                (&mut l.ab, l.b)
+            } else {
+                (&mut l.ba, l.a)
+            };
+            let draw = self.rng.unit();
+            let burst = dir.burst_installed().then(|| self.rng.unit());
+            if let Offer::Deliver(at) = dir.offer(now, pkt.wire_size(), draw, burst) {
+                self.q.push(at, (peer, pkt));
+            }
+        }
+
+        fn drain(&mut self, now: SimTime) -> Vec<(SimTime, NodeId, Packet)> {
+            std::iter::from_fn(|| self.q.pop_due(now))
+                .map(|(at, (node, pkt))| (at, node, pkt))
+                .collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random small worlds — delay-only, zero-latency, fixed-rate and
+        /// token-bucket directions, some lossy — under sends at
+        /// nondecreasing instants (half of them at the same instant as the
+        /// previous op) interleaved with `drain_arrivals_into`, outage
+        /// windows, burst-loss windows and links added mid-run: the FIFO
+        /// world dispatches exactly the reference's `(at, node, pkt)`.
+        #[test]
+        fn prop_fifo_dispatch_matches_event_queue(
+            links in vec((0..NODES, 0..NODES, 0u8..4, 0u8..4, 0u64..3_000, any::<bool>()), 1..8),
+            ops in vec((0u8..8, 0..NODES, 0..NODES, 0u64..2_000), 1..200),
+            seed in any::<u64>(),
+        ) {
+            let mut t = Topology::new();
+            for i in 0..NODES {
+                t.add_node(&format!("n{i}"));
+            }
+            let mut ids: Vec<LinkId> = links.iter().filter_map(|&s| add_link(&mut t, s)).collect();
+            let mut reference = Reference {
+                topo: t.clone_for_shard(),
+                rng: SimRng::new(seed),
+                q: EventQueue::new(),
+            };
+            let mut world = NetWorld::new(t, SimRng::new(seed));
+            let (mut now, mut sent, mut got) = (SimTime::ZERO, 0u64, Vec::new());
+            for (op, x, y, dt) in ops {
+                now += SimDuration::from_micros(if dt < 1_000 { 0 } else { dt });
+                match op {
+                    0..=4 => {
+                        let payload = Bytes::from(sent.to_le_bytes().to_vec());
+                        let pkt = Packet::control(ip(x), ip(y), payload);
+                        sent += 1;
+                        reference.send(now, NodeId(x), pkt.clone());
+                        world.send(now, NodeId(x), pkt);
+                    }
+                    5 => {
+                        got.clear();
+                        world.drain_arrivals_into(now, &mut got);
+                        prop_assert_eq!(&got, &reference.drain(now));
+                    }
+                    6 if !ids.is_empty() => {
+                        let link = ids[x % ids.len()];
+                        let until = now + SimDuration::from_micros(10 * dt);
+                        world.set_outage(link, until);
+                        let l = &mut reference.topo.links[link.0];
+                        (l.ab.outage_until, l.ba.outage_until) = (until, until);
+                    }
+                    7 if dt % 2 == 0 => {
+                        let spec = (x, y, (dt >> 1) as u8, (dt >> 3) as u8, dt, dt % 3 == 0);
+                        if let Some(l) = add_link(world.topology_mut(), spec) {
+                            prop_assert_eq!(add_link(&mut reference.topo, spec), Some(l));
+                            ids.push(l);
+                        }
+                    }
+                    7 if !ids.is_empty() => {
+                        let link = ids[x % ids.len()];
+                        let model = (y % 2 == 0).then_some(BurstLoss {
+                            p_enter: 0.3,
+                            p_exit: 0.4,
+                            loss_good: 0.05,
+                            loss_bad: 0.8,
+                        });
+                        world.set_burst_loss(link, model);
+                        let l = &mut reference.topo.links[link.0];
+                        l.ab.set_burst_loss(model);
+                        l.ba.set_burst_loss(model);
+                    }
+                    _ => {}
+                }
+            }
+            let end = now + SimDuration::from_secs(10);
+            got.clear();
+            world.drain_arrivals_into(end, &mut got);
+            prop_assert_eq!(&got, &reference.drain(end));
+            prop_assert!(world.next_arrival_at().is_none() && reference.q.is_empty());
+        }
     }
 }

@@ -184,8 +184,8 @@ fn run_sharded_totals_equal_single_world_totals() {
     run_sharded(&mut cells, &mut sets, until, lookahead);
     assert_eq!(counters(), single.0);
     assert_eq!((pa.received, pb.received), (single.2, single.3));
-    // Every packet crosses the barrier: it enters the destination
-    // shard's wheel one window before it lands, so the value drains to
+    // Every packet crosses the barrier: it joins the destination
+    // shard's FIFO one window before it lands, so the value drains to
     // zero; the peak depends on which worker published first.
     assert_eq!(in_flight().0, 0);
 }

@@ -340,30 +340,9 @@ impl<E> TimerWheel<E> {
     }
 
     /// Pop the earliest timer only if it is due at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
-        self.pop_due_before(now, u64::MAX)
-    }
-
-    /// The insertion mark of this moment: every entry already inserted
-    /// compares below it, every later one at or above it.
-    #[must_use]
-    pub fn mark(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// [`pop_due`](Self::pop_due), restricted to entries inserted before
-    /// `mark` (see [`mark`](Self::mark)). Lets a caller pop an instant's
-    /// entries one at a time while inserting at that same instant or
-    /// later (not earlier: a late entry in the past would sort ahead of
-    /// the batch and end it), and still see exactly the batch that was
-    /// due when it took the mark.
     #[inline]
-    pub fn pop_due_before(&mut self, now: SimTime, mark: u64) -> Option<(SimTime, E)> {
-        if !self.ensure_ready() {
-            return None;
-        }
-        let front = &self.slab[self.ready[self.ready_head] as usize];
-        if front.at > now || front.seq >= mark {
+    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
+        if !self.ensure_ready() || self.slab[self.ready[self.ready_head] as usize].at > now {
             return None;
         }
         Some(self.take_ready_front())
@@ -551,18 +530,6 @@ mod tests {
                 (at(700), "d"),
             ]
         );
-    }
-
-    #[test]
-    fn pop_due_before_stops_at_the_mark() {
-        let mut w = TimerWheel::new();
-        let t = SimTime::from_secs(1);
-        w.insert(t, "old");
-        let mark = w.mark();
-        assert_eq!(w.pop_due_before(t, mark), Some((t, "old")));
-        w.insert(t, "new");
-        assert_eq!(w.pop_due_before(t, mark), None);
-        assert_eq!(w.pop_due(t), Some((t, "new")));
     }
 
     #[test]
