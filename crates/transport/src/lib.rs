@@ -32,6 +32,7 @@ pub mod cc;
 pub mod host;
 pub mod mptcp;
 pub mod quic;
+mod ranges;
 pub mod tcp;
 
 pub use cc::{Bbr, CcAlgo, CongestionControl, Cubic, Reno};

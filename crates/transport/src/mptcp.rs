@@ -16,11 +16,11 @@
 //! CellBricks' sequential bTelco switching exactly, but not concurrent
 //! multipath striping.
 
+use crate::ranges::RangeSet;
 use crate::tcp::{Tcp, TcpConfig};
 use cellbricks_net::{EndpointAddr, MpSignal, Packet, TcpSegment};
 use cellbricks_sim::{SimDuration, SimTime};
 use cellbricks_telemetry as telemetry;
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// MPTCP tuning parameters.
@@ -76,7 +76,7 @@ pub struct MpConn {
 
     // Data-level receiver state.
     data_rcv_nxt: u64,
-    data_ooo: BTreeMap<u64, u64>,
+    data_ooo: RangeSet,
     data_delivered_unread: u64,
 
     // Client-side address management.
@@ -149,7 +149,7 @@ impl MpConn {
             data_written: Some(0),
             data_snd_una: 0,
             data_rcv_nxt: 0,
-            data_ooo: BTreeMap::new(),
+            data_ooo: RangeSet::default(),
             data_delivered_unread: 0,
             local_addr,
             worker_due: None,
@@ -417,18 +417,9 @@ impl MpConn {
         }
         let before = self.data_rcv_nxt;
         if start <= self.data_rcv_nxt {
-            self.data_rcv_nxt = end;
-            while let Some((&s, &e)) = self.data_ooo.range(..=self.data_rcv_nxt).next_back() {
-                if s <= self.data_rcv_nxt {
-                    self.data_ooo.remove(&s);
-                    self.data_rcv_nxt = self.data_rcv_nxt.max(e);
-                } else {
-                    break;
-                }
-            }
+            self.data_rcv_nxt = self.data_ooo.absorb(end);
         } else {
-            let entry = self.data_ooo.entry(start).or_insert(end);
-            *entry = (*entry).max(end);
+            self.data_ooo.insert_max(start, end);
         }
         self.data_delivered_unread += self.data_rcv_nxt - before;
         // Piggyback the data ACK on every alive subflow's next segment.

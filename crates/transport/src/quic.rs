@@ -20,6 +20,7 @@
 //! else). Headers are real encoded bytes; stream payload is content-free
 //! padding, like the TCP model.
 
+use crate::ranges::RangeSet;
 use bytes::Bytes;
 use cellbricks_net::EndpointAddr;
 use cellbricks_sim::{SimDuration, SimTime};
@@ -156,12 +157,10 @@ pub struct QuicConn {
     sent: BTreeMap<u64, Sent>,
     /// Total stream bytes the app wrote (None = unbounded bulk).
     app_written: Option<u64>,
-    /// Stream bytes acknowledged contiguously... (per-range below).
-    send_acked: BTreeMap<u64, u64>,
     /// Next fresh stream offset to send.
     send_next: u64,
     /// Ranges needing retransmission.
-    lost: BTreeMap<u64, u64>,
+    lost: RangeSet,
     // Congestion control (RFC 9002 NewReno).
     cwnd: f64,
     ssthresh: f64,
@@ -174,12 +173,12 @@ pub struct QuicConn {
     pto_count: u32,
 
     // --- Receive side ---
-    rcv: BTreeMap<u64, u64>, // received stream ranges
+    rcv: RangeSet, // received stream ranges
     delivered_unread: u64,
     rcv_contig: u64,
     /// Received packet numbers (for ACK generation).
     rcv_pkts_cumulative: u64,
-    rcv_pkts: BTreeMap<u64, u64>,
+    rcv_pkts: RangeSet,
     ack_pending: bool,
 
     // --- Path management ---
@@ -222,9 +221,8 @@ impl QuicConn {
             next_pkt_num: 0,
             sent: BTreeMap::new(),
             app_written: Some(0),
-            send_acked: BTreeMap::new(),
             send_next: 0,
-            lost: BTreeMap::new(),
+            lost: RangeSet::default(),
             cwnd: 10.0 * f64::from(MAX_DATAGRAM_PAYLOAD),
             ssthresh: f64::INFINITY,
             in_flight: 0,
@@ -233,11 +231,11 @@ impl QuicConn {
             rttvar: SimDuration::ZERO,
             pto_deadline: None,
             pto_count: 0,
-            rcv: BTreeMap::new(),
+            rcv: RangeSet::default(),
             delivered_unread: 0,
             rcv_contig: 0,
             rcv_pkts_cumulative: 0,
-            rcv_pkts: BTreeMap::new(),
+            rcv_pkts: RangeSet::default(),
             ack_pending: false,
             last_seen_from: None,
             challenge: None,
@@ -293,7 +291,7 @@ impl QuicConn {
             self.cwnd,
             self.in_flight,
             self.sent.len(),
-            self.lost.len(),
+            self.lost.as_slice().len(),
             self.send_next,
             self.pto_deadline,
         )
@@ -304,7 +302,7 @@ impl QuicConn {
     pub fn debug_rcv(&self) -> (u64, Vec<(u64, u64)>, Vec<u64>) {
         (
             self.rcv_pkts_cumulative,
-            self.rcv_pkts.iter().map(|(&s, &e)| (s, e)).collect(),
+            self.rcv_pkts.as_slice().to_vec(),
             self.sent.keys().copied().collect(),
         )
     }
@@ -394,16 +392,8 @@ impl QuicConn {
         }
         // Coalesce with adjacent ranges so a single hole leaves a single
         // range above it (ACK frames carry at most 3 ranges).
-        Self::merge_range(&mut self.rcv_pkts, pkt_num, pkt_num + 1);
-        // Merge contiguous ranges from the cumulative point.
-        while let Some((&s, &e)) = self.rcv_pkts.range(..=self.rcv_pkts_cumulative).next_back() {
-            if s <= self.rcv_pkts_cumulative {
-                self.rcv_pkts.remove(&s);
-                self.rcv_pkts_cumulative = self.rcv_pkts_cumulative.max(e);
-            } else {
-                break;
-            }
-        }
+        self.rcv_pkts.merge(pkt_num, pkt_num + 1);
+        self.rcv_pkts_cumulative = self.rcv_pkts.absorb(self.rcv_pkts_cumulative);
     }
 
     fn on_stream(&mut self, offset: u64, len: u64) {
@@ -411,16 +401,9 @@ impl QuicConn {
         if end <= self.rcv_contig {
             return;
         }
-        Self::merge_range(&mut self.rcv, offset.max(self.rcv_contig), end);
+        self.rcv.merge(offset.max(self.rcv_contig), end);
         let before = self.rcv_contig;
-        while let Some((&s, &e)) = self.rcv.range(..=self.rcv_contig).next_back() {
-            if s <= self.rcv_contig {
-                self.rcv.remove(&s);
-                self.rcv_contig = self.rcv_contig.max(e);
-            } else {
-                break;
-            }
-        }
+        self.rcv_contig = self.rcv.absorb(self.rcv_contig);
         self.delivered_unread += self.rcv_contig - before;
     }
 
@@ -437,9 +420,6 @@ impl QuicConn {
             if let Some(meta) = self.sent.remove(&p) {
                 newly_acked_bytes += u64::from(meta.size);
                 self.in_flight = self.in_flight.saturating_sub(u64::from(meta.size));
-                if let Some((off, len)) = meta.stream {
-                    Self::merge_range(&mut self.send_acked, off, off + u64::from(len));
-                }
                 latest_acked_at = Some(meta.at);
             }
         }
@@ -487,7 +467,7 @@ impl QuicConn {
                 if let Some(meta) = self.sent.remove(&p) {
                     self.in_flight = self.in_flight.saturating_sub(u64::from(meta.size));
                     if let Some((off, len)) = meta.stream {
-                        Self::merge_range(&mut self.lost, off, off + u64::from(len));
+                        self.lost.merge(off, off + u64::from(len));
                     }
                 }
             }
@@ -503,25 +483,6 @@ impl QuicConn {
         } else {
             Some(now + self.pto())
         };
-    }
-
-    fn merge_range(map: &mut BTreeMap<u64, u64>, mut start: u64, mut end: u64) {
-        loop {
-            let overlap = map
-                .range(..=end)
-                .next_back()
-                .filter(|&(_, &e)| e >= start)
-                .map(|(&s, &e)| (s, e));
-            match overlap {
-                Some((s, e)) => {
-                    map.remove(&s);
-                    start = start.min(s);
-                    end = end.max(e);
-                }
-                None => break,
-            }
-        }
-        map.insert(start, end);
     }
 
     fn pto(&self) -> SimDuration {
@@ -550,7 +511,7 @@ impl QuicConn {
                     if let Some(meta) = self.sent.remove(&p) {
                         self.in_flight = self.in_flight.saturating_sub(u64::from(meta.size));
                         if let Some((off, len)) = meta.stream {
-                            Self::merge_range(&mut self.lost, off, off + u64::from(len));
+                            self.lost.merge(off, off + u64::from(len));
                         }
                     }
                 }
@@ -587,13 +548,8 @@ impl QuicConn {
         // Stream data: retransmissions first, then fresh, within cwnd.
         if self.established {
             while (self.in_flight as f64) < self.cwnd {
-                if let Some((&s, &e)) = self.lost.iter().next() {
-                    let len = (e - s).min(u64::from(MAX_DATAGRAM_PAYLOAD)) as u32;
-                    self.lost.remove(&s);
-                    if s + u64::from(len) < e {
-                        self.lost.insert(s + u64::from(len), e);
-                    }
-                    self.emit(now, vec![], Some((s, len)), out);
+                if let Some((s, e)) = self.lost.pop_front(u64::from(MAX_DATAGRAM_PAYLOAD)) {
+                    self.emit(now, vec![], Some((s, (e - s) as u32)), out);
                     continue;
                 }
                 let limit = self.app_written.unwrap_or(u64::MAX / 2);
@@ -628,10 +584,11 @@ impl QuicConn {
         // then declared lost by the packet threshold).
         let ranges: Vec<(u64, u64)> = self
             .rcv_pkts
+            .as_slice()
             .iter()
             .rev()
             .take(3)
-            .map(|(&s, &e)| (s, e))
+            .copied()
             .collect();
         Frame::Ack {
             cumulative: self.rcv_pkts_cumulative,
@@ -971,31 +928,6 @@ mod proptests {
         #[test]
         fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = decode_header(&bytes);
-        }
-
-        #[test]
-        fn prop_merge_range_invariants(
-            ranges in proptest::collection::vec((0u64..1000, 1u64..100), 1..20),
-        ) {
-            let mut map = BTreeMap::new();
-            let mut total_points = std::collections::BTreeSet::new();
-            for (start, len) in ranges {
-                QuicConn::merge_range(&mut map, start, start + len);
-                for p in start..start + len {
-                    total_points.insert(p);
-                }
-            }
-            // The map covers exactly the union of inserted ranges...
-            let covered: u64 = map.iter().map(|(s, e)| e - s).sum();
-            prop_assert_eq!(covered, total_points.len() as u64);
-            // ...with disjoint, non-adjacent, ordered entries.
-            let entries: Vec<(u64, u64)> = map.iter().map(|(&s, &e)| (s, e)).collect();
-            for w in entries.windows(2) {
-                prop_assert!(w[0].1 < w[1].0, "ranges must stay disjoint: {entries:?}");
-            }
-            for (s, e) in entries {
-                prop_assert!(s < e);
-            }
         }
     }
 }

@@ -13,10 +13,10 @@
 //! Reno and BBR swap without touching the mechanism below.
 
 use crate::cc::{self, AckKind, CcAlgo, CongestionControl, LossKind};
+use crate::ranges::RangeSet;
 use cellbricks_net::{EndpointAddr, MpSignal, Packet, TcpFlags, TcpSegment, MAX_SACK_BLOCKS};
 use cellbricks_sim::{SimDuration, SimTime};
 use cellbricks_telemetry as telemetry;
-use std::collections::BTreeMap;
 
 /// Telemetry handles shared by every connection (registered per `Tcp`;
 /// the cells are process-global, so the histograms aggregate across
@@ -130,7 +130,7 @@ pub struct Tcp {
     force_retransmit_head: bool,
     /// Receiver-reported SACK ranges (merged), i.e. bytes the peer holds
     /// above the cumulative ACK.
-    sacked: BTreeMap<u64, u64>,
+    sacked: RangeSet,
     /// Hole-scan cursor for SACK-based retransmission.
     retx_next: u64,
     /// Total bytes the application has written (None = unbounded bulk).
@@ -151,16 +151,14 @@ pub struct Tcp {
 
     // --- Receiver ---
     rcv_nxt: u64,
-    /// Out-of-order ranges: start → end (exclusive).
-    ooo: BTreeMap<u64, u64>,
+    /// Out-of-order segments keyed by start (not merged: each is
+    /// advertised as its own SACK block).
+    ooo: RangeSet,
     /// Start of the most recently updated out-of-order range (advertised
     /// first, per RFC 2018).
     ooo_recent: Option<u64>,
     /// Rotation cursor so successive ACKs advertise different blocks.
     sack_rotate: usize,
-    /// Reusable scratch for flattening `ooo` during SACK-block selection
-    /// (cleared each use; avoids a per-ACK allocation).
-    sack_scratch: Vec<(u64, u64)>,
     /// In-order payload bytes delivered but not yet read by the app.
     delivered_unread: u64,
     peer_fin_seq: Option<u64>,
@@ -252,7 +250,7 @@ impl Tcp {
             recover: 0,
             in_recovery: false,
             force_retransmit_head: false,
-            sacked: BTreeMap::new(),
+            sacked: RangeSet::default(),
             retx_next: 0,
             app_written: Some(0),
             fin_requested: false,
@@ -264,10 +262,9 @@ impl Tcp {
             rto_retries: 0,
             rtt_sample: None,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
+            ooo: RangeSet::default(),
             ooo_recent: None,
             sack_rotate: 0,
-            sack_scratch: Vec::new(),
             delivered_unread: 0,
             peer_fin_seq: None,
             ack_pending: false,
@@ -367,7 +364,7 @@ impl Tcp {
         (
             self.in_recovery,
             self.dup_acks,
-            self.sacked_bytes(),
+            self.sacked.total(),
             self.cc.ssthresh(),
         )
     }
@@ -483,14 +480,16 @@ impl Tcp {
         }
         // Merge the receiver's SACK blocks into the scoreboard. Fresh
         // SACK information permits another round of hole retransmission.
-        let before = self.sacked_bytes();
+        let before = self.sacked.total();
         for (start, end) in seg.sack_blocks() {
             if end <= start || end > self.snd_max {
                 continue; // Malformed or beyond anything sent.
             }
-            self.merge_sack(start, end);
+            if end > self.snd_una {
+                self.sacked.merge(start.max(self.snd_una), end);
+            }
         }
-        if self.in_recovery && self.sacked_bytes() != before {
+        if self.in_recovery && self.sacked.total() != before {
             self.force_retransmit_head = true;
         }
         if ack > self.snd_una {
@@ -500,17 +499,7 @@ impl Tcp {
             let newly = ack - self.snd_una;
             self.snd_una = ack;
             self.rto_retries = 0;
-            // Drop scoreboard entries at or below the cumulative ACK.
-            // Removing one entry per iteration (rather than collecting
-            // the keys first) keeps this allocation-free; a re-inserted
-            // tail keyed at `ack` is outside `..ack`, so the loop
-            // terminates.
-            while let Some((&key, &end)) = self.sacked.range(..ack).next() {
-                self.sacked.remove(&key);
-                if end > ack {
-                    self.sacked.insert(ack, end);
-                }
-            }
+            self.sacked.trim_below(ack);
             self.retx_next = self.snd_una;
             let rtt = self.take_rtt_sample_on_ack(now, ack);
             let flight = self.effective_flight();
@@ -583,20 +572,10 @@ impl Tcp {
         }
         let before = self.rcv_nxt;
         if start <= self.rcv_nxt {
-            self.rcv_nxt = end;
-            // Merge any now-contiguous out-of-order ranges.
-            while let Some((&s, &e)) = self.ooo.range(..=self.rcv_nxt).next_back() {
-                if s <= self.rcv_nxt {
-                    self.ooo.remove(&s);
-                    self.rcv_nxt = self.rcv_nxt.max(e);
-                } else {
-                    break;
-                }
-            }
+            // Absorb any now-contiguous out-of-order ranges.
+            self.rcv_nxt = self.ooo.absorb(end);
         } else {
-            // Out of order: record the range (coalescing overlaps lazily).
-            let entry = self.ooo.entry(start).or_insert(end);
-            *entry = (*entry).max(end);
+            self.ooo.insert_max(start, end);
             self.ooo_recent = Some(start);
         }
         let delivered = self.rcv_nxt - before;
@@ -676,15 +655,11 @@ impl Tcp {
             let mut quota = 2u32;
             let mut seq = self.retx_next.max(self.snd_una);
             while quota > 0 && seq < self.snd_max.min(self.app_limit()) {
-                if let Some(covered_to) = self.sack_cover(seq) {
+                if let Some((_, covered_to)) = self.sacked.covering(seq) {
                     seq = covered_to;
                     continue;
                 }
-                let hole_end = self
-                    .sacked
-                    .range(seq..)
-                    .next()
-                    .map_or(self.snd_max, |(&s2, _)| s2);
+                let hole_end = self.sacked.next_start(seq).unwrap_or(self.snd_max);
                 let len = self.sendable_at(seq).min((hole_end - seq) as u32);
                 if len == 0 {
                     break;
@@ -701,7 +676,7 @@ impl Tcp {
         loop {
             let window = (self.cc.cwnd() as u64)
                 .min(u64::from(self.peer_rwnd))
-                .saturating_add(self.sacked_bytes());
+                .saturating_add(self.sacked.total());
             let limit = self.snd_una + window;
             if self.snd_nxt >= limit {
                 break;
@@ -789,51 +764,10 @@ impl Tcp {
         self.rto_deadline = Some(now + self.rto);
     }
 
-    /// Merge `[start, end)` into the SACK scoreboard, coalescing overlaps.
-    fn merge_sack(&mut self, mut start: u64, mut end: u64) {
-        if end <= self.snd_una {
-            return;
-        }
-        start = start.max(self.snd_una);
-        // Absorb any ranges overlapping or adjacent to [start, end).
-        loop {
-            let overlap = self
-                .sacked
-                .range(..=end)
-                .next_back()
-                .filter(|&(&_s, &e)| e >= start)
-                .map(|(&s, &e)| (s, e));
-            match overlap {
-                Some((s, e)) => {
-                    self.sacked.remove(&s);
-                    start = start.min(s);
-                    end = end.max(e);
-                }
-                None => break,
-            }
-        }
-        self.sacked.insert(start, end);
-    }
-
-    /// Bytes the receiver has acknowledged selectively.
-    fn sacked_bytes(&self) -> u64 {
-        self.sacked.iter().map(|(s, e)| e - s).sum()
-    }
-
     /// Outstanding bytes actually believed in flight (RFC 6675 pipe-ish):
     /// sent minus cumulative-acked minus selectively-acked.
     fn effective_flight(&self) -> u64 {
-        (self.snd_max - self.snd_una).saturating_sub(self.sacked_bytes())
-    }
-
-    /// Is `[seq, seq+1)` covered by the SACK scoreboard? If so, return
-    /// the end of the covering range.
-    fn sack_cover(&self, seq: u64) -> Option<u64> {
-        self.sacked
-            .range(..=seq)
-            .next_back()
-            .filter(|(_, &e)| e > seq)
-            .map(|(_, &e)| e)
+        (self.snd_max - self.snd_una).saturating_sub(self.sacked.total())
     }
 
     fn outstanding(&self) -> bool {
@@ -911,35 +845,7 @@ impl Tcp {
         seg.window = self.cfg.rwnd;
         seg.set_mp(self.pending_mp.take());
         seg.set_data_ack(self.data_ack_out);
-        // Advertise up to 3 out-of-order ranges (RFC 2018): the most
-        // recently received block first, then rotate through the rest so
-        // the sender's scoreboard converges on the full picture across
-        // successive ACKs.
-        if let Some(recent) = self.ooo_recent {
-            if let Some((&rs, &re)) = self.ooo.range(..=recent).next_back() {
-                if re > recent {
-                    seg.push_sack(rs, re);
-                }
-            }
-        }
-        if !self.ooo.is_empty() {
-            self.sack_scratch.clear();
-            self.sack_scratch
-                .extend(self.ooo.iter().map(|(&s2, &e)| (s2, e)));
-            let n = self.sack_scratch.len();
-            let mut idx = self.sack_rotate;
-            for _ in 0..n {
-                if seg.sack_len() >= MAX_SACK_BLOCKS {
-                    break;
-                }
-                let block = self.sack_scratch[idx % n];
-                if !seg.sack_blocks().any(|b| b == block) {
-                    seg.push_sack(block.0, block.1);
-                }
-                idx += 1;
-            }
-            self.sack_rotate = idx % n.max(1);
-        }
+        push_sack_blocks(&mut seg, &self.ooo, self.ooo_recent, &mut self.sack_rotate);
         seg
     }
 
@@ -984,10 +890,43 @@ impl Tcp {
     }
 }
 
+/// Advertise up to [`MAX_SACK_BLOCKS`] out-of-order ranges (RFC 2018):
+/// the one holding the most recently received segment first, then the
+/// queue's entries by index from `rotate` on, so the sender's scoreboard
+/// converges on the full picture across successive ACKs.
+pub(crate) fn push_sack_blocks(
+    seg: &mut TcpSegment,
+    ooo: &RangeSet,
+    recent: Option<u64>,
+    rotate: &mut usize,
+) {
+    if let Some((start, end)) = recent.and_then(|r| ooo.covering(r)) {
+        seg.push_sack(start, end);
+    }
+    let blocks = ooo.as_slice();
+    let n = blocks.len();
+    if n == 0 {
+        return;
+    }
+    let mut idx = *rotate;
+    for _ in 0..n {
+        if seg.sack_len() >= MAX_SACK_BLOCKS {
+            break;
+        }
+        let block = blocks[idx % n];
+        if !seg.sack_blocks().any(|b| b == block) {
+            seg.push_sack(block.0, block.1);
+        }
+        idx += 1;
+    }
+    *rotate = idx % n;
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use cellbricks_net::PacketKind;
+    use cellbricks_sim::SimRng;
     use std::net::Ipv4Addr;
 
     pub(crate) fn ep(last: u8, port: u16) -> EndpointAddr {
@@ -1002,8 +941,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// Drive two Tcp endpoints through an ideal (in-memory, lossless,
-    /// fixed-delay) channel until quiescent or `steps` exhausted.
+    /// Drive two Tcp endpoints through an in-memory, fixed-delay channel
+    /// (lossless unless told otherwise) until quiescent or `steps`
+    /// exhausted.
     pub(crate) struct Loopback {
         pub(crate) a: Tcp,
         pub(crate) b: Tcp,
@@ -1016,8 +956,19 @@ pub(crate) mod tests {
         /// Payload-bearing segments to drop (by data-emission index);
         /// pure ACKs always pass.
         pub(crate) drop_data_indices: Vec<usize>,
+        /// Seeded loss and extra delay for every segment, both ways.
+        pub(crate) perturb: Option<Perturb>,
         pub(crate) emitted: usize,
         pub(crate) data_emitted: usize,
+    }
+
+    /// Each segment is dropped with probability `loss`, else delayed by
+    /// an extra uniform draw below `max_extra`, so segments overtake one
+    /// another.
+    pub(crate) struct Perturb {
+        pub(crate) rng: SimRng,
+        pub(crate) loss: f64,
+        pub(crate) max_extra: SimDuration,
     }
 
     impl Loopback {
@@ -1030,6 +981,7 @@ pub(crate) mod tests {
                 wire: Vec::new(),
                 drop_indices: Vec::new(),
                 drop_data_indices: Vec::new(),
+                perturb: None,
                 emitted: 0,
                 data_emitted: 0,
             }
@@ -1044,8 +996,13 @@ pub(crate) mod tests {
                 self.data_emitted += 1;
                 drop |= self.drop_data_indices.contains(&didx);
             }
+            let mut at = self.now + self.delay;
+            if let Some(p) = &mut self.perturb {
+                drop |= p.rng.chance(p.loss);
+                at += SimDuration::from_nanos(p.rng.uniform_u64(0, p.max_extra.as_nanos()));
+            }
             if !drop {
-                self.wire.push((self.now + self.delay, to_b, seg));
+                self.wire.push((at, to_b, seg));
             }
         }
 
@@ -1306,7 +1263,7 @@ pub(crate) mod tests {
 #[cfg(test)]
 mod proptests {
     use super::tests::*;
-
+    use cellbricks_sim::{SimDuration, SimRng};
     use proptest::prelude::*;
 
     proptest! {
@@ -1345,6 +1302,50 @@ mod proptests {
                 prop_assert!(lb.a.cwnd() >= 1460);
                 prop_assert!(lb.a.flight_size() <= bytes + 2);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Exactly-once in-order delivery both ways when every segment,
+        /// ACKs and handshake included, may be lost or overtaken (extra
+        /// delay up to 5× the path's 20 ms RTT): the exchange goes quiet
+        /// within the step budget, and after every step each sender's
+        /// running SACK total equals a recount. (Loss stays below 15 %:
+        /// past that, nine straight losses of one segment or its ACK —
+        /// the connection's abort rule — stop being rare.)
+        #[test]
+        fn prop_delivery_exact_under_loss_and_reordering(
+            seed in any::<u64>(),
+            bytes in (1_000u64..150_000, 0u64..30_000),
+            loss_pct in 0u32..15,
+            max_extra_ms in 1u64..100,
+        ) {
+            let mut lb = pair();
+            lb.perturb = Some(Perturb {
+                rng: SimRng::new(seed),
+                loss: f64::from(loss_pct) / 100.0,
+                max_extra: SimDuration::from_millis(max_extra_ms),
+            });
+            lb.a.write(bytes.0);
+            lb.b.write(bytes.1);
+            let mut quiet = false;
+            for _ in 0..20_000 {
+                if !lb.step() {
+                    quiet = true;
+                    break;
+                }
+                for tcp in [&lb.a, &lb.b] {
+                    let recount: u64 = tcp.sacked.as_slice().iter().map(|&(s, e)| e - s).sum();
+                    prop_assert_eq!(tcp.sacked.total(), recount);
+                }
+            }
+            prop_assert!(quiet, "still busy after the step budget at {}", lb.now);
+            prop_assert_eq!(lb.b.take_delivered(), bytes.0);
+            prop_assert_eq!(lb.a.take_delivered(), bytes.1);
+            prop_assert_eq!(lb.a.bytes_acked(), bytes.0);
+            prop_assert_eq!(lb.b.bytes_acked(), bytes.1);
         }
     }
 }
