@@ -92,23 +92,19 @@ rm -rf "$scratch"
 echo
 echo "==> exp_scale gates OK (committed n10k ${committed_eps} ev/s >= ${ENGINE_N10K_FLOOR}; n1k alloc.count $fresh_alloc <= $alloc_cap)"
 
-# Mega-fleet gates (sharded engine). Floor protocol, documented here
+# Mega-fleet gates. Floor protocol, documented here
 # because every number below depends on it:
 #
 #   * Wall-clock throughput on a shared box is noisy in one direction
 #     only — interference makes a run slower, never faster — so each
 #     fresh gate takes the BEST of N=3 runs as the box's capability.
 #   * Floors are set at roughly 1/3 of the dev-box best-of-3 (n100k
-#     measured ~3.9M ev/s single-shard), so a modest CI box still
+#     measured ~3.9M ev/s), so a modest CI box still
 #     clears them; the gate exists to catch multiplicative regressions
 #     (an accidental O(N) scan, a lost early-out), not 10% drift.
 #   * The committed baseline (results/exp_scale.metrics.json, written
 #     by the last full sweep) must itself clear the floors — a PR can
 #     only re-commit it from a run that does.
-#
-# CELLBRICKS_SHARDS picks the engine: 1 (default) is the legacy
-# single-shard path; >1 partitions the 8-region mega topology by
-# region and steps the shards under the conservative barrier.
 MEGA_N100K_FLOOR=1300000
 MEGA_N1M_FLOOR=1000000
 for gate in "n100000 $MEGA_N100K_FLOOR" "n1000000 $MEGA_N1M_FLOOR"; do
@@ -120,11 +116,11 @@ for gate in "n100000 $MEGA_N100K_FLOOR" "n1000000 $MEGA_N1M_FLOOR"; do
     fi
 done
 
-mega_best() { # mega_best <n> <shards> <runs> -> best ev/s over <runs> runs
-    local n=$1 shards=$2 runs=$3 best=0 d eps
+mega_best() { # mega_best <n> <runs> -> best ev/s over <runs> runs
+    local n=$1 runs=$2 best=0 d eps
     for _ in $(seq "$runs"); do
         d=$(mktemp -d)
-        env CELLBRICKS_RESULTS_DIR="$d" CELLBRICKS_SHARDS="$shards" \
+        env CELLBRICKS_RESULTS_DIR="$d" \
             cargo run --release -q -p cellbricks-bench --bin exp_scale -- \
             --mega-only "$n" >/dev/null
         eps=$(metric "$d/exp_scale.metrics.json" "exp_scale.mega.n$n.events_per_sec")
@@ -135,29 +131,13 @@ mega_best() { # mega_best <n> <shards> <runs> -> best ev/s over <runs> runs
 }
 
 echo
-echo "==> mega n100k fresh best-of-3 (CELLBRICKS_SHARDS=${CELLBRICKS_SHARDS:-1})"
-fresh_mega=$(mega_best 100000 "${CELLBRICKS_SHARDS:-1}" 3)
+echo "==> mega n100k fresh best-of-3"
+fresh_mega=$(mega_best 100000 3)
 if [ "$fresh_mega" -lt "$MEGA_N100K_FLOOR" ]; then
     echo "FAIL: fresh mega n100k best-of-3 $fresh_mega ev/s < floor $MEGA_N100K_FLOOR"
     exit 1
 fi
 echo "==> mega gates OK (committed floors; fresh n100k best-of-3 $fresh_mega ev/s)"
-
-# Multi-shard speedup gate: 4 shards must beat the committed
-# single-shard n10k baseline by >= 1.5x. Only meaningful with real
-# cores under the workers — on fewer than 4 cores the barrier adds
-# overhead without adding parallelism, so the gate is skipped.
-if [ "$(nproc)" -ge 4 ]; then
-    want=$((ENGINE_N10K_FLOOR * 3 / 2))
-    sharded_eps=$(mega_best 10000 4 3)
-    if [ "$sharded_eps" -lt "$want" ]; then
-        echo "FAIL: 4-shard mega n10k best-of-3 $sharded_eps ev/s < 1.5x single-shard floor $want"
-        exit 1
-    fi
-    echo "==> multi-shard speedup OK (4 shards: $sharded_eps ev/s >= $want)"
-else
-    echo "==> multi-shard speedup gate skipped ($(nproc) core(s) < 4)"
-fi
 
 # Chaos gate: every scripted fault class (link flap, burst loss, bTelco
 # crash+restart, broker outage) must converge — the run itself asserts,
@@ -265,9 +245,8 @@ echo "==> exp_brokerd gates OK (committed c16 $wk au/s, win ${ww}x100; fresh $fr
 # Both rates come from fresh full runs on the same box, so the ratio
 # cancels machine speed. W=1 replies are byte-identical to the inline
 # server (pinned by crates/core/tests/broker_pipeline.rs), so the
-# comparison is apples to apples. Skipped below 4 cores — same pattern
-# as the multi-shard gate: without real parallelism the worker pool
-# only adds hand-off overhead.
+# comparison is apples to apples. Skipped below 4 cores: without real
+# parallelism the worker pool only adds hand-off overhead.
 if [ "$(nproc)" -ge 4 ]; then
     brokerd_rate() { # brokerd_rate <workers> -> C=16 served-auth/s
         local d rate

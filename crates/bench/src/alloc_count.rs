@@ -92,27 +92,3 @@ impl Phase {
         (count, bytes)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counts_a_boxed_allocation() {
-        let phase = Phase::start();
-        let v: Vec<u8> = Vec::with_capacity(4096);
-        let (count, bytes) = phase.finish();
-        drop(v);
-        assert!(count >= 1, "allocation not counted");
-        assert!(bytes >= 4096, "bytes not counted: {bytes}");
-    }
-
-    #[test]
-    fn dealloc_does_not_count() {
-        let v: Vec<u8> = Vec::with_capacity(64);
-        let phase = Phase::start();
-        drop(v);
-        let (count, _) = phase.finish();
-        assert_eq!(count, 0, "dealloc must not count");
-    }
-}

@@ -39,10 +39,7 @@ use cellbricks_core::sap::QosCap;
 use cellbricks_core::ue::{UeDevice, UeDeviceConfig};
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_epc::enb::Enb;
-use cellbricks_net::{
-    make_cells, run_sharded, Driver, Endpoint, LinkConfig, NetWorld, NodeId, Packet, Router,
-    ShardPlan, Topology,
-};
+use cellbricks_net::{Driver, Endpoint, LinkConfig, NetWorld, NodeId, Packet, Router, Topology};
 use cellbricks_sim::{percentile, Arena, SimDuration, SimRng, SimTime};
 use cellbricks_telemetry as telemetry;
 use std::collections::HashMap;
@@ -152,8 +149,6 @@ impl Endpoint for MegaUe {
 }
 
 struct MegaWorld {
-    topology_plan: ShardPlan,
-    lookahead: Option<SimDuration>,
     world: NetWorld,
     hub: Router,
     gws: Vec<Router>,
@@ -163,7 +158,6 @@ struct MegaWorld {
 
 struct MegaResult {
     n: usize,
-    shards: usize,
     events_per_sec: f64,
     bytes_per_ue: f64,
     sent: u64,
@@ -174,10 +168,9 @@ struct MegaResult {
 /// sink each) hanging off a hub, and `n` [`MegaUe`]s round-robined
 /// across the regions. Every UE ticks once per `n` µs (≈1M packets/s
 /// fleet-wide at any N) staggered by its index; every 16th UE targets
-/// the *next* region's sink, so a sharded run has steady cross-shard
-/// traffic. The 2 ms gateway↔hub links are the only links that can
-/// cross shards — they set the conservative lookahead.
-fn build_mega(n: usize, seed: u64, duration: SimDuration, shards: usize) -> MegaWorld {
+/// the *next* region's sink, so the inter-region fabric (the 2 ms
+/// gateway↔hub links) carries steady traffic.
+fn build_mega(n: usize, seed: u64, duration: SimDuration) -> MegaWorld {
     let mut t = Topology::new();
     let hub_node = t.add_node_in_region("hub", 0);
     let hub = Router::new(hub_node, SimDuration::from_micros(1));
@@ -235,13 +228,7 @@ fn build_mega(n: usize, seed: u64, duration: SimDuration, shards: usize) -> Mega
         });
     }
 
-    // The plan and lookahead come from the topology *before* the world
-    // consumes it.
-    let plan = ShardPlan::by_region(&t, shards);
-    let lookahead = plan.lookahead(&t);
     MegaWorld {
-        topology_plan: plan,
-        lookahead,
         world: NetWorld::new(t, SimRng::new(seed)),
         hub,
         gws,
@@ -250,9 +237,9 @@ fn build_mega(n: usize, seed: u64, duration: SimDuration, shards: usize) -> Mega
     }
 }
 
-fn run_mega(n: usize, seed: u64, duration: SimDuration, shards: usize) -> MegaResult {
+fn run_mega(n: usize, seed: u64, duration: SimDuration) -> MegaResult {
     let build_phase = cellbricks_bench::alloc_count::Phase::start();
-    let mut mw = build_mega(n, seed, duration, shards);
+    let mut mw = build_mega(n, seed, duration);
     let (_, build_bytes) = build_phase.export(&format!("exp_scale.mega.n{n}.build"));
     let bytes_per_ue = build_bytes as f64 / n as f64;
     telemetry::gauge(format!("exp_scale.mega.n{n}.bytes_per_ue")).set(bytes_per_ue as i64);
@@ -266,44 +253,24 @@ fn run_mega(n: usize, seed: u64, duration: SimDuration, shards: usize) -> MegaRe
     let ev0 = sched_events();
     let run_phase = cellbricks_bench::alloc_count::Phase::start();
     let t0 = std::time::Instant::now();
-    if shards > 1 {
-        let lookahead = mw.lookahead.expect("mega topology has cross-shard links");
-        let plan = mw.topology_plan;
-        let mut cells = make_cells(mw.world, &plan, seed ^ 0x6d65_6761);
-        let mut buckets: Vec<Vec<&mut (dyn Endpoint + Send)>> =
-            (0..cells.len()).map(|_| Vec::new()).collect();
-        buckets[plan.shard_of(Endpoint::node(&mw.hub))].push(&mut mw.hub);
-        for gw in &mut mw.gws {
-            buckets[plan.shard_of(Endpoint::node(gw))].push(gw);
-        }
-        for sink in &mut mw.sinks {
-            buckets[plan.shard_of(Endpoint::node(sink))].push(sink);
-        }
-        for ue in mw.ues.iter_mut() {
-            buckets[plan.shard_of(ue.node)].push(ue);
-        }
-        run_sharded(&mut cells, &mut buckets, until, lookahead);
-    } else {
-        let mut endpoints: Vec<&mut dyn Endpoint> =
-            Vec::with_capacity(mw.ues.len() + 2 * MEGA_REGIONS as usize + 1);
-        endpoints.push(&mut mw.hub);
-        for gw in &mut mw.gws {
-            endpoints.push(gw);
-        }
-        for sink in &mut mw.sinks {
-            endpoints.push(sink);
-        }
-        for ue in mw.ues.iter_mut() {
-            endpoints.push(ue);
-        }
-        Driver::new().run_to(&mut mw.world, &mut endpoints, until);
+    let mut endpoints: Vec<&mut dyn Endpoint> =
+        Vec::with_capacity(mw.ues.len() + 2 * MEGA_REGIONS as usize + 1);
+    endpoints.push(&mut mw.hub);
+    for gw in &mut mw.gws {
+        endpoints.push(gw);
     }
+    for sink in &mut mw.sinks {
+        endpoints.push(sink);
+    }
+    for ue in mw.ues.iter_mut() {
+        endpoints.push(ue);
+    }
+    Driver::new().run_to(&mut mw.world, &mut endpoints, until);
     let wall = t0.elapsed();
     run_phase.export(&format!("exp_scale.mega.n{n}.run"));
     let events = sched_events() - ev0;
     let eps = events_per_sec(events, wall);
     telemetry::gauge(format!("exp_scale.mega.n{n}.events_per_sec")).set(eps as i64);
-    telemetry::gauge(format!("exp_scale.mega.n{n}.shards")).set(shards as i64);
 
     let sent: u64 = mw.ues.iter().map(|u| u.sent).sum();
     let received: u64 = mw.sinks.iter().map(|s| s.received).sum();
@@ -313,7 +280,6 @@ fn run_mega(n: usize, seed: u64, duration: SimDuration, shards: usize) -> MegaRe
     );
     MegaResult {
         n,
-        shards,
         events_per_sec: eps,
         bytes_per_ue,
         sent,
@@ -612,21 +578,21 @@ fn run_engine_sweep(n: usize, seed: u64) -> EngineResult {
     }
 }
 
-fn print_mega_header(shards: usize) {
+fn print_mega_header() {
     println!();
-    println!("Mega — SoA arena UEs, {MEGA_REGIONS} regions, {shards} shard(s)");
-    println!("{}", "-".repeat(78));
+    println!("Mega — SoA arena UEs, {MEGA_REGIONS} regions");
+    println!("{}", "-".repeat(70));
     println!(
-        "{:>9} {:>7} {:>14} {:>10} {:>12} {:>12}",
-        "N", "shards", "ev/s", "bytes/UE", "sent", "received"
+        "{:>9} {:>14} {:>10} {:>12} {:>12}",
+        "N", "ev/s", "bytes/UE", "sent", "received"
     );
-    println!("{}", "-".repeat(78));
+    println!("{}", "-".repeat(70));
 }
 
 fn print_mega_row(r: &MegaResult) {
     println!(
-        "{:>9} {:>7} {:>14.0} {:>10.0} {:>12} {:>12}",
-        r.n, r.shards, r.events_per_sec, r.bytes_per_ue, r.sent, r.received
+        "{:>9} {:>14.0} {:>10.0} {:>12} {:>12}",
+        r.n, r.events_per_sec, r.bytes_per_ue, r.sent, r.received
     );
 }
 
@@ -634,7 +600,6 @@ fn main() {
     cellbricks_bench::telemetry_init();
     let seed = cellbricks_bench::arg_u64("--seed", 42);
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let shards = cellbricks_bench::env_shards();
 
     // `--engine-only N` / `--mega-only N`: one row of one table (CI's
     // best-of-N floor protocol re-runs these to take the fastest of
@@ -651,10 +616,10 @@ fn main() {
     }
     let mega_only = cellbricks_bench::arg_u64("--mega-only", 0) as usize;
     if mega_only > 0 {
-        print_mega_header(shards);
-        let r = run_mega(mega_only, seed, SimDuration::from_secs(3), shards);
+        print_mega_header();
+        let r = run_mega(mega_only, seed, SimDuration::from_secs(3));
         print_mega_row(&r);
-        println!("{}", "-".repeat(78));
+        println!("{}", "-".repeat(70));
         cellbricks_bench::telemetry_finish("exp_scale");
         return;
     }
@@ -722,7 +687,7 @@ fn main() {
          off a cliff if waking an endpoint costs a scan of all N."
     );
 
-    print_mega_header(shards);
+    print_mega_header();
     let mega_ns: &[usize] = if smoke {
         &[10_000]
     } else {
@@ -730,18 +695,16 @@ fn main() {
     };
     let mega_dur = SimDuration::from_secs(if smoke { 3 } else { 10 });
     for &n in mega_ns {
-        let r = run_mega(n, seed, mega_dur, shards);
+        let r = run_mega(n, seed, mega_dur);
         print_mega_row(&r);
     }
-    println!("{}", "-".repeat(78));
+    println!("{}", "-".repeat(70));
     println!(
         "reading: a mega UE is a timer and a destination in a dense SoA\n\
          arena — the per-UE attach machinery is measured above; this row\n\
-         measures whether the *engine* (timing wheel, dense node map,\n\
-         shard barrier) sustains a million endpoints. bytes/UE is the\n\
-         allocator bill of building the world, divided by N. Set\n\
-         CELLBRICKS_SHARDS>1 to run the conservative-lookahead parallel\n\
-         engine; results are then bit-identical for any shard count."
+         measures whether the *engine* (arrival FIFOs, timing wheel, dense\n\
+         node map) sustains a million endpoints. bytes/UE is the\n\
+         allocator bill of building the world, divided by N."
     );
     cellbricks_bench::telemetry_finish("exp_scale");
 }

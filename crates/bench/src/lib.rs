@@ -57,18 +57,6 @@ pub fn arg_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
-/// The `CELLBRICKS_SHARDS` engine knob: how many shards the scale
-/// experiments split the topology into. Defaults to 1 — the legacy
-/// single-shard path whose figure output is diffed byte-for-byte in CI.
-#[must_use]
-pub fn env_shards() -> usize {
-    std::env::var("CELLBRICKS_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// Render one horizontal rule matching a header width.
 #[must_use]
 pub fn rule(width: usize) -> String {

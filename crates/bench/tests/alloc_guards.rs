@@ -176,8 +176,22 @@ fn arrival_storage_tracks_packets_in_flight_not_directions() {
     );
 }
 
+/// The counter itself: an allocation counts with its bytes, a
+/// deallocation does not count.
+fn counter_counts_allocations_not_deallocations() {
+    let phase = Phase::start();
+    let v: Vec<u8> = Vec::with_capacity(4096);
+    let (count, bytes) = phase.finish();
+    assert!(count >= 1, "allocation not counted");
+    assert!(bytes >= 4096, "bytes not counted: {bytes}");
+    let phase = Phase::start();
+    drop(v);
+    assert_eq!(phase.finish().0, 0, "dealloc must not count");
+}
+
 #[test]
 fn hot_paths_stay_off_the_allocator() {
+    counter_counts_allocations_not_deallocations();
     steady_state_mptcp_flush_allocates_nothing(false);
     steady_state_mptcp_flush_allocates_nothing(true);
     leaf_nodes_and_their_routes_own_no_allocation();

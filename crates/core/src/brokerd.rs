@@ -152,9 +152,9 @@ struct Session {
 /// state (service queue, busy horizon) that dies with an instance.
 ///
 /// Shared via `Arc<Mutex<_>>` between the replicas of a shard; the
-/// simulation is single-threaded per engine shard, so the lock is
-/// uncontended and exists to keep `Brokerd: Send` for the sharded
-/// engine.
+/// simulation is single-threaded, so the lock is uncontended and exists
+/// to keep `Brokerd: Send`, so a whole simulated world can move to
+/// another thread.
 pub struct BrokerStore {
     /// What the broker core decides over: subscriber table, anti-replay
     /// window, session/alias allocators.

@@ -20,9 +20,8 @@
 //!   one buffer owned by the driver, so the hot loop neither allocates
 //!   nor copies a packet it does not have to;
 //! * **windowed telemetry** — per-event counts are plain integers,
-//!   published to the registry when [`Driver::run_to`] /
-//!   [`Driver::run_window`] return: exact at every window boundary, at
-//!   most one window stale in between.
+//!   published to the registry when [`Driver::run_to`] returns: exact at
+//!   every window boundary, at most one window stale in between.
 //!
 //! The engine preserves the exact event order of the original
 //! scan-per-event loop: arrivals dispatch in the world's merge order
@@ -149,10 +148,10 @@ pub struct Driver {
     q_depth: i64,
     q_depth_peak: i64,
     /// Last value this driver contributed to the shared
-    /// `sim.scheduler.ready_events` gauge. Shard workers share one gauge
-    /// (the registry is keyed by name), so each driver publishes deltas
-    /// against its own last value and the gauge reads as the sum across
-    /// workers — a plain `set` would race and clobber.
+    /// `sim.scheduler.ready_events` gauge. Every `Driver` in the process
+    /// shares one gauge (the registry is keyed by name), so each publishes
+    /// deltas against its own last value and the gauge reads as the sum
+    /// across drivers — a plain `set` would clobber another driver's.
     q_depth_last: i64,
     /// Same delta scheme for the `sim.arena.engine.*` gauges.
     arena_last: (i64, i64, i64),
@@ -264,7 +263,8 @@ impl Driver {
     /// Publish the engine's dense per-endpoint tables (the registry,
     /// timer index and dirty set — the NodeId-keyed "engine arena") to
     /// the `sim.arena.engine.*` gauges, as deltas against this driver's
-    /// previous contribution so shard workers sum instead of clobber.
+    /// previous contribution so the drivers of one process sum instead of
+    /// clobber.
     fn publish_arena_stats(&mut self) {
         let cap = (self.node_map.capacity()
             + self.scheduled.capacity()
@@ -353,48 +353,6 @@ impl Driver {
         until: SimTime,
     ) -> SimTime {
         self.sync_registry(endpoints);
-        self.advance(world, endpoints, until, true)
-    }
-
-    /// (Re)build the registry and mark every endpoint dirty. Called
-    /// implicitly by [`run_to`](Self::run_to); the sharded barrier loop
-    /// calls it once per segment so the per-window
-    /// [`run_window`](Self::run_window) can skip the O(N) re-mark.
-    ///
-    /// # Panics
-    /// Panics if two endpoints share a node.
-    pub fn sync(&mut self, endpoints: &[&mut dyn Endpoint]) {
-        self.sync_registry(endpoints);
-    }
-
-    /// Advance through events *strictly before* `until` — one
-    /// conservative-sync window `[clock, until)`. Unlike
-    /// [`run_to`](Self::run_to) this neither re-syncs the registry (call
-    /// [`sync`](Self::sync) when the endpoint set or its timers may have
-    /// changed externally) nor processes events at exactly `until`,
-    /// which belong to the next window — after the barrier has injected
-    /// any cross-shard packets arriving then.
-    ///
-    /// # Panics
-    /// Panics if endpoints livelock.
-    pub fn run_window(
-        &mut self,
-        world: &mut NetWorld,
-        endpoints: &mut [&mut dyn Endpoint],
-        until: SimTime,
-    ) -> SimTime {
-        self.advance(world, endpoints, until, false)
-    }
-
-    /// The shared event loop behind [`run_to`] (inclusive horizon) and
-    /// [`run_window`] (exclusive horizon).
-    fn advance(
-        &mut self,
-        world: &mut NetWorld,
-        endpoints: &mut [&mut dyn Endpoint],
-        until: SimTime,
-        inclusive: bool,
-    ) -> SimTime {
         let mut last = self.clock;
         let mut same_instant_iters = 0u64;
 
@@ -406,7 +364,7 @@ impl Driver {
             let Some(candidate) = earlier(earlier(next_net, next_poll), next_fault) else {
                 break;
             };
-            if candidate > until || (!inclusive && candidate >= until) {
+            if candidate > until {
                 break;
             }
             // Endpoints may report "as soon as possible" with a past
@@ -468,8 +426,8 @@ impl Driver {
 
     /// Publish this window's event counts and arrival depth. The depth
     /// goes out as a delta against this driver's last contribution, with
-    /// the window's peak: shard workers share the gauge, so deltas sum
-    /// where a `set` would race.
+    /// the window's peak: every driver in the process shares the gauge,
+    /// so deltas sum where a `set` would clobber.
     fn publish_telemetry(&mut self) {
         self.metrics
             .ev_arrival
@@ -486,7 +444,7 @@ impl Driver {
     }
 
     /// Dispatch every arrival due at `now` (the arrival half of one
-    /// [`advance`](Self::advance) iteration), each handed from the world
+    /// [`run_to`](Self::run_to) iteration), each handed from the world
     /// to its endpoint without an intermediate copy.
     fn dispatch_arrivals(
         &mut self,
@@ -874,111 +832,6 @@ mod tests {
                 (at, "b", "recv"),
                 (at, "c", "poll"),
                 (at, "a", "recv"),
-            ]
-        );
-    }
-
-    /// Sends one packet from `10.0.0.<id>` to `peer` at `at` (if set)
-    /// and answers the first `replies` receptions. Logs `(time, name,
-    /// "poll")` per poll and `(time, name, sender's name)` per reception.
-    struct OneShot {
-        node: NodeId,
-        id: u8,
-        peer: Ipv4Addr,
-        at: Option<SimTime>,
-        replies: u32,
-        log: EventLog,
-    }
-
-    const ONE_SHOT_NAMES: [&str; 4] = ["a", "b", "c", "d"];
-
-    impl OneShot {
-        fn send(&self, out: &mut Vec<Packet>) {
-            let src = Ipv4Addr::new(10, 0, 0, self.id);
-            out.push(Packet::control(src, self.peer, Bytes::from_static(b"o")));
-        }
-        fn name(&self) -> &'static str {
-            ONE_SHOT_NAMES[usize::from(self.id) - 1]
-        }
-    }
-
-    impl Endpoint for OneShot {
-        fn node(&self) -> NodeId {
-            self.node
-        }
-        fn handle_packet(&mut self, now: SimTime, pkt: Packet, out: &mut Vec<Packet>) {
-            let from = ONE_SHOT_NAMES[usize::from(pkt.src.octets()[3]) - 1];
-            self.log.borrow_mut().push((now, self.name(), from));
-            if self.replies > 0 {
-                self.replies -= 1;
-                self.send(out);
-            }
-        }
-        fn poll_at(&self) -> Option<SimTime> {
-            self.at
-        }
-        fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-            self.log.borrow_mut().push((now, self.name(), "poll"));
-            self.at = None;
-            self.send(out);
-        }
-    }
-
-    /// The same-instant rule under the sharded merge key. Two packets
-    /// land on b at 10 ms, from a (direction key 0) and from c (key 3);
-    /// b answers the first over a zero-latency direction (key 1), so the
-    /// answer is due at 10 ms and sorts between the two. It is skipped,
-    /// not dispatched and not a reason to end the round: c's packet is
-    /// still handled in the first round, d's timer next, then the answer.
-    #[test]
-    fn sharded_zero_latency_reply_skips_past_older_due_arrivals() {
-        const IP_C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
-        let mut t = Topology::new();
-        let [a, b, c, d] = ONE_SHOT_NAMES.map(|n| t.add_node(n));
-        let ms = SimDuration::from_millis;
-        let l_ab = t.add_link(
-            a,
-            b,
-            LinkConfig::delay_only(ms(5)),
-            LinkConfig::delay_only(SimDuration::ZERO),
-        );
-        let l_bc = t.add_symmetric_link(b, c, LinkConfig::delay_only(ms(10)));
-        t.add_default_route(a, l_ab);
-        t.add_default_route(b, l_ab);
-        t.add_route(b, IP_C, 32, l_bc);
-        t.add_default_route(c, l_bc);
-        let plan = crate::shard::ShardPlan::by_region(&t, 1);
-        let mut world = NetWorld::new(t, SimRng::new(1))
-            .into_shards(&plan, 7)
-            .remove(0);
-        let log = EventLog::default();
-        let one_shot = |node, id, at: Option<u64>, replies| OneShot {
-            node,
-            id,
-            peer: IP_B,
-            at: at.map(SimTime::from_millis),
-            replies,
-            log: log.clone(),
-        };
-        let mut ea = one_shot(a, 1, Some(5), 0);
-        let mut eb = one_shot(b, 2, None, 1);
-        let mut ec = one_shot(c, 3, Some(0), 0);
-        let mut ed = one_shot(d, 4, Some(10), 0);
-        Driver::new().run_to(
-            &mut world,
-            &mut [&mut ea, &mut eb, &mut ec, &mut ed],
-            SimTime::from_secs(1),
-        );
-        let at = SimTime::from_millis(10);
-        assert_eq!(
-            *log.borrow(),
-            [
-                (SimTime::ZERO, "c", "poll"),
-                (SimTime::from_millis(5), "a", "poll"),
-                (at, "b", "a"),
-                (at, "b", "c"),
-                (at, "d", "poll"),
-                (at, "a", "b"),
             ]
         );
     }

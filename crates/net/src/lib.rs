@@ -29,7 +29,6 @@ pub mod fault;
 pub mod link;
 pub mod packet;
 pub mod policy;
-pub mod shard;
 pub mod topology;
 pub mod wire;
 pub mod world;
@@ -41,6 +40,5 @@ pub use packet::{
     Endpoint as EndpointAddr, MpSignal, Packet, PacketKind, TcpFlags, TcpSegment, MAX_SACK_BLOCKS,
 };
 pub use policy::{CarrierPolicy, TimeOfDay};
-pub use shard::{make_cells, merged_link_stats, run_sharded, ShardCell, ShardPlan};
 pub use topology::{LinkId, NodeId, Topology};
-pub use world::{CrossPacket, Endpoint, LinkStats, NetWorld, Router};
+pub use world::{Endpoint, LinkStats, NetWorld, Router};

@@ -59,11 +59,11 @@ pub(crate) struct Link {
 /// route, inline, so a leaf with its one default route is looked up in
 /// the single cache line that cell sits in and owns no allocation; each
 /// older route sits in `older`, chained newest-first from that cell.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Topology {
     routes: Vec<Route>,
     older: Vec<Route>,
-    /// Partition label (bTelco/region) per node, for the sharded engine.
+    /// bTelco/region label per node.
     regions: Vec<u32>,
     /// Node names, concatenated; node `i`'s ends at `name_ends[i]`.
     names: String,
@@ -83,8 +83,7 @@ impl Topology {
         self.add_node_in_region(name, 0)
     }
 
-    /// Add a node tagged with a bTelco/region label. The sharded engine
-    /// partitions the topology by this label (see `crate::shard`).
+    /// Add a node tagged with a bTelco/region label.
     pub fn add_node_in_region(&mut self, name: &str, region: u32) -> NodeId {
         self.routes.push(Route::EMPTY);
         self.regions.push(region);
@@ -92,12 +91,6 @@ impl Topology {
         let end = u32::try_from(self.names.len()).expect("node names fit 4 GiB");
         self.name_ends.push(end);
         NodeId(self.routes.len() - 1)
-    }
-
-    /// Re-tag `node` with a region label (for topologies built by code
-    /// that predates regions).
-    pub fn set_region(&mut self, node: NodeId, region: u32) {
-        self.regions[node.0] = region;
     }
 
     /// The region label of `node`.
@@ -256,15 +249,6 @@ impl Topology {
         (l.a, l.b)
     }
 
-    /// The propagation-delay floor of `link`: the smaller of its two
-    /// directions' configured latencies. The sharded engine's lookahead
-    /// is the minimum of this over all inter-shard links.
-    #[must_use]
-    pub fn link_latency_floor(&self, link: LinkId) -> cellbricks_sim::SimDuration {
-        let l = &self.links[link.0];
-        l.ab.config.latency.min(l.ba.config.latency)
-    }
-
     /// One-way propagation latency of the cheapest path `from → to`,
     /// summing each hop's directional latency floor (no queueing, no
     /// jitter). Dijkstra over the static link set — deterministic, and
@@ -302,21 +286,6 @@ impl Topology {
             }
         }
         best[to.0]
-    }
-
-    /// Clone the topology for one shard: every node, link and route is
-    /// present, so `LinkId`/`NodeId` stay globally valid (a shard only
-    /// ever routes from the nodes it owns; a node's cell costs the same
-    /// 16 bytes with or without its route).
-    pub(crate) fn clone_for_shard(&self) -> Topology {
-        Topology {
-            routes: self.routes.clone(),
-            older: self.older.clone(),
-            regions: self.regions.clone(),
-            names: self.names.clone(),
-            name_ends: self.name_ends.clone(),
-            links: self.links.clone(),
-        }
     }
 }
 
@@ -416,9 +385,6 @@ mod tests {
             [a, b, c].map(|n| (t.node_name(n), t.region(n))),
             [("alpha", 0), ("", 3), ("gamma-2", 1)]
         );
-        t.set_region(a, 9);
-        assert_eq!(t.clone_for_shard().region(a), 9);
-        assert_eq!(t.clone_for_shard().node_name(c), "gamma-2");
     }
 
     #[test]
@@ -508,8 +474,7 @@ mod proptests {
         /// `replace_default_route` sequences over a small mesh that keeps
         /// growing leaves — duplicate prefixes, several defaults, a /32
         /// under a covering /8, routes added to old nodes after newer
-        /// ones exist — look up exactly as the per-node `Vec` did, on the
-        /// topology and on its shard clone.
+        /// ones exist — look up exactly as the per-node `Vec` did.
         #[test]
         fn prop_route_matches_per_node_vec_oracle(
             ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0usize..5, 0usize..6), 1..60),
@@ -553,7 +518,6 @@ mod proptests {
                         oracle.0.push(Vec::new());
                     }
                 }
-                let shard = t.clone_for_shard();
                 for n in (0..links_of.len()).map(NodeId) {
                     let dsts = (NETS.iter().copied())
                         .chain([Ipv4Addr::new(10, 1, 9, 9), Ipv4Addr::new(8, 8, 8, 8)])
@@ -561,7 +525,6 @@ mod proptests {
                     for dst in dsts {
                         let want = oracle.route(n, dst);
                         prop_assert_eq!(t.route(n, dst), want, "node {:?} dst {}", n, dst);
-                        prop_assert_eq!(shard.route(n, dst), want, "shard: node {:?} dst {}", n, dst);
                     }
                 }
             }

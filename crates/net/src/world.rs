@@ -14,14 +14,12 @@
 use crate::fault::{BurstLoss, EndpointFault};
 use crate::link::{DropCause, Offer};
 use crate::packet::Packet;
-use crate::shard::{mix, ShardPlan};
 use crate::topology::{LinkId, NodeId, Topology};
 use cellbricks_sim::{SimRng, SimTime};
 use cellbricks_telemetry as telemetry;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// A protocol participant attached to a topology node.
 ///
@@ -52,11 +50,8 @@ const NIL: u32 = u32::MAX;
 /// the FIFO of the link direction carrying it.
 struct Cell {
     at: SimTime,
-    /// Merge sequence: the append stamp (legacy mode) or the
-    /// per-direction delivery ordinal (sharded mode).
-    seq: u64,
-    /// Append stamp; a cell stamped at or after the open round's mark
-    /// was sent during that round.
+    /// Append stamp: the merge tie-break at equal `at`. A cell stamped at
+    /// or after the open round's mark was sent during that round.
     stamp: u64,
     /// The next cell of the same FIFO, or of the freelist.
     next: u32,
@@ -67,67 +62,54 @@ struct Cell {
 }
 
 // The 128-byte rule (DESIGN §5): a packet's one slot moves inline.
-const _: () = assert!(std::mem::size_of::<Cell>() <= 128);
+const _: () = assert!(std::mem::size_of::<Cell>() == 120);
 
 /// A non-empty direction's head cell in the merge index, ordered by
-/// `(at, key, seq)`.
+/// `(at, stamp)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Head {
     at: SimTime,
-    key: u32,
-    seq: u64,
+    stamp: u64,
     cell: u32,
 }
 
 /// In-flight packets as per-direction FIFOs: one slab of `Cell`s, each
 /// direction's tail in its `Direction` (`fifo_tail`), and a binary heap
-/// over the head of every non-empty direction.
-///
-/// Legacy mode merges on `(time, 0, append stamp)` — time, then FIFO by
-/// send — and sharded mode on `(time, direction, per-direction ordinal)`,
-/// the canonical order no partition can perturb; the two modes differ in
-/// the merge key alone. Storage grows with packets in flight, not with
-/// directions: a direction with nothing in flight owns no cell and no
-/// heap entry.
+/// over the head of every non-empty direction, merged on `(time, append
+/// stamp)` — time, then FIFO by send. Storage grows with packets in
+/// flight, not with directions: a direction with nothing in flight owns
+/// no cell and no heap entry.
 struct Arrivals {
     cells: Vec<Cell>,
     /// Freelist head, chained through `Cell::next`.
     free: u32,
     heads: BinaryHeap<Reverse<Head>>,
-    /// Heads skipped by the open round (see `NetWorld::next_arrival`).
-    parked: Vec<Head>,
     /// The next append stamp, and its value when the open round began.
     stamp: u64,
     mark: u64,
-    /// `!0` in sharded mode (key = direction id), 0 in legacy mode.
-    key_mask: u32,
 }
 
 impl Arrivals {
-    fn new(key_mask: u32) -> Self {
+    fn new() -> Self {
         Self {
             cells: Vec::new(),
             free: NIL,
             heads: BinaryHeap::new(),
-            parked: Vec::new(),
             stamp: 0,
             mark: 0,
-            key_mask,
         }
     }
 
     /// Queue `pkt`, due at `at`, behind the tail `*tail` of direction
-    /// `dir`'s FIFO; `seq` is its sharded-mode ordinal.
+    /// `dir`'s FIFO.
     #[inline]
-    fn append(&mut self, tail: &mut u32, dir: u32, at: SimTime, seq: Option<u64>, pkt: Packet) {
+    fn append(&mut self, tail: &mut u32, dir: u32, at: SimTime, pkt: Packet) {
         let stamp = self.stamp;
         self.stamp += 1;
-        let seq = seq.unwrap_or(stamp);
         let cell = if self.free == NIL {
             let c = u32::try_from(self.cells.len()).expect("arrival slab overflow");
             self.cells.push(Cell {
                 at,
-                seq,
                 stamp,
                 next: NIL,
                 dir,
@@ -139,13 +121,12 @@ impl Arrivals {
             let c = self.free;
             let cell = &mut self.cells[c as usize];
             self.free = cell.next;
-            (cell.at, cell.seq, cell.stamp, cell.next, cell.dir) = (at, seq, stamp, NIL, dir);
+            (cell.at, cell.stamp, cell.next, cell.dir) = (at, stamp, NIL, dir);
             cell.pkt = Some(pkt);
             c
         };
         if *tail == NIL {
-            let key = dir & self.key_mask;
-            self.heads.push(Reverse(Head { at, key, seq, cell }));
+            self.heads.push(Reverse(Head { at, stamp, cell }));
         } else {
             let last = &mut self.cells[*tail as usize];
             debug_assert!(at >= last.at, "link direction {dir} delivers out of order");
@@ -153,57 +134,6 @@ impl Arrivals {
         }
         *tail = cell;
     }
-}
-
-/// A packet bound for a node another shard owns, carried from the source
-/// shard's [`NetWorld`] to the destination shard at the conservative
-/// sync barrier (see [`crate::shard`]).
-pub struct CrossPacket {
-    dst_shard: u32,
-    at: SimTime,
-    /// Direction id, which is also the sharded merge key.
-    dir: u32,
-    seq: u64,
-    pkt: Packet,
-}
-
-impl CrossPacket {
-    /// The shard that owns the destination node.
-    #[must_use]
-    pub fn dst_shard(&self) -> usize {
-        self.dst_shard as usize
-    }
-
-    /// The arrival instant at the destination node.
-    #[must_use]
-    pub fn arrives_at(&self) -> SimTime {
-        self.at
-    }
-}
-
-/// Sharded-mode state of a [`NetWorld`] slice (absent on the legacy
-/// single-world path, which the figure-replay gate pins byte-for-byte).
-///
-/// Determinism across shard counts hinges on two ideas here:
-/// * every link **direction** gets its own RNG stream, seeded from
-///   `(stream_seed, link, dir)` — a direction is only ever exercised by
-///   the shard owning its source node, so the sample sequence any
-///   direction sees is the same no matter how nodes are partitioned;
-/// * every delivered packet is tagged `(key, seq)` = (direction, per-
-///   direction insertion ordinal), and arrivals dispatch in
-///   `(time, key, seq)` order — a total order independent of which shard
-///   produced the packet or when it crossed the barrier.
-struct ShardState {
-    /// This world's shard index.
-    shard: u32,
-    /// Owning shard per node, indexed by dense `NodeId`.
-    node_shard: Arc<Vec<u32>>,
-    /// One RNG per link direction, indexed `[link][dir]`.
-    dir_rngs: Vec<[SimRng; 2]>,
-    /// Per-direction delivery ordinals, indexed `[link][dir]`.
-    dir_seq: Vec<[u64; 2]>,
-    /// Deliveries bound for other shards, awaiting the barrier.
-    outbox: Vec<CrossPacket>,
 }
 
 /// Per-link delivery/drop counters.
@@ -289,8 +219,6 @@ pub struct NetWorld {
     pub no_route_drops: u64,
     metrics: WorldMetrics,
     tally: Tally,
-    /// Sharded-mode state; `None` on the legacy single-world path.
-    shard: Option<Box<ShardState>>,
 }
 
 impl Drop for NetWorld {
@@ -307,18 +235,17 @@ impl NetWorld {
     pub fn new(topology: Topology, rng: SimRng) -> Self {
         Self {
             topology,
-            arrivals: Arrivals::new(0),
+            arrivals: Arrivals::new(),
             rng,
             no_route_drops: 0,
             metrics: WorldMetrics::register(),
             tally: Tally::default(),
-            shard: None,
         }
     }
 
     /// Publish the per-packet tallies to the registry and zero them.
     /// [`Driver`](crate::engine::Driver) calls this whenever it returns,
-    /// so every value read at a `run_to`/`run_window` boundary is exact;
+    /// so every value read at a `run_to` boundary is exact;
     /// in between, the registry is at most one window behind. Whether
     /// recording is on is decided here, not when the packet moved.
     pub fn publish_telemetry(&mut self) {
@@ -329,70 +256,6 @@ impl NetWorld {
         self.metrics
             .in_flight
             .add_with_peak(t.in_flight, t.in_flight_peak);
-    }
-
-    /// Split this world into one slice per shard of `plan`.
-    ///
-    /// Each slice clones the topology and carries its own arrival
-    /// FIFOs; loss/burst decisions switch from the world RNG to
-    /// per-link-direction streams seeded from `stream_seed`, which is
-    /// what makes results bit-identical for
-    /// any shard count (including 1). Sharded results therefore differ
-    /// from the legacy path's — the legacy RNG stream is pinned by the
-    /// figure-replay gate and is not touched.
-    ///
-    /// # Panics
-    /// Panics if packets are already in flight (split before traffic).
-    #[must_use]
-    pub fn into_shards(mut self, plan: &ShardPlan, stream_seed: u64) -> Vec<NetWorld> {
-        assert!(
-            self.arrivals.heads.is_empty(),
-            "into_shards with packets in flight"
-        );
-        let node_shard = plan.node_shard_arc();
-        assert_eq!(
-            node_shard.len(),
-            self.topology.node_count(),
-            "shard plan built for a different topology"
-        );
-        let links = self.topology.link_count();
-        let topo = std::mem::take(&mut self.topology);
-        (0..plan.shards())
-            .map(|s| {
-                let dir_rngs = (0..links)
-                    .map(|l| {
-                        let l = l as u64;
-                        [
-                            SimRng::new(mix(stream_seed, l << 1)),
-                            SimRng::new(mix(stream_seed, (l << 1) | 1)),
-                        ]
-                    })
-                    .collect();
-                NetWorld {
-                    topology: topo.clone_for_shard(),
-                    arrivals: Arrivals::new(!0),
-                    // Unused by sharded sends; kept so the API surface
-                    // (e.g. future per-shard jitter) has a stream.
-                    rng: SimRng::new(mix(stream_seed, 0x5eed_0000 | s as u64)),
-                    no_route_drops: 0,
-                    metrics: WorldMetrics::register(),
-                    tally: Tally::default(),
-                    shard: Some(Box::new(ShardState {
-                        shard: s as u32,
-                        node_shard: node_shard.clone(),
-                        dir_rngs,
-                        dir_seq: vec![[0; 2]; links],
-                        outbox: Vec::new(),
-                    })),
-                }
-            })
-            .collect()
-    }
-
-    /// This world's shard index (`None` on the legacy path).
-    #[must_use]
-    pub fn shard_id(&self) -> Option<usize> {
-        self.shard.as_ref().map(|s| s.shard as usize)
     }
 
     /// The topology (routes may be inspected but links carry state).
@@ -417,25 +280,14 @@ impl NetWorld {
         let size = pkt.wire_size();
         let l = &mut self.topology.links[link.0];
         let is_ba = l.a != from;
-        let (dir, peer) = if is_ba {
-            (&mut l.ba, l.a)
-        } else {
-            (&mut l.ab, l.b)
-        };
+        let dir = if is_ba { &mut l.ba } else { &mut l.ab };
         let id = (link.0 as u32) << 1 | u32::from(is_ba);
-        // Loss samples: legacy mode draws from the world RNG in the exact
-        // order the figure-replay gate pins; sharded mode draws from the
-        // per-direction stream so the sequence a direction sees does not
-        // depend on the partition (see [`ShardState`]).
-        let r = match &mut self.shard {
-            Some(sh) => &mut sh.dir_rngs[link.0][usize::from(is_ba)],
-            None => &mut self.rng,
-        };
-        let draw = r.unit();
-        // Links without a burst model consume exactly one sample per
-        // send, so installing one elsewhere never perturbs this link's
-        // stream.
-        let burst_draw = dir.burst_installed().then(|| r.unit());
+        // Loss samples come from the world RNG in the exact order the
+        // figure-replay gate pins. Links without a burst model consume
+        // exactly one sample per send, so installing one elsewhere never
+        // perturbs this link's stream.
+        let draw = self.rng.unit();
+        let burst_draw = dir.burst_installed().then(|| self.rng.unit());
         let policer_before = dir.policer_hits;
         let offer = dir.offer(now, size, draw, burst_draw);
         if dir.policer_hits != policer_before {
@@ -445,26 +297,7 @@ impl NetWorld {
             Offer::Deliver(at) => {
                 self.tally.delivered += 1;
                 self.tally.delivered_bytes += u64::from(size);
-                let mut seq = None;
-                if let Some(sh) = &mut self.shard {
-                    let ordinal = sh.dir_seq[link.0][usize::from(is_ba)];
-                    sh.dir_seq[link.0][usize::from(is_ba)] = ordinal + 1;
-                    seq = Some(ordinal);
-                    let dst_shard = sh.node_shard[peer.0];
-                    if dst_shard != sh.shard {
-                        // Bound for another shard: the outbox carries it
-                        // to that shard's copy of this direction's FIFO.
-                        sh.outbox.push(CrossPacket {
-                            dst_shard,
-                            at,
-                            dir: id,
-                            seq: ordinal,
-                            pkt,
-                        });
-                        return;
-                    }
-                }
-                self.arrivals.append(&mut dir.fifo_tail, id, at, seq, pkt);
+                self.arrivals.append(&mut dir.fifo_tail, id, at, pkt);
                 self.tally.queued();
             }
             Offer::Drop(cause) => {
@@ -498,55 +331,45 @@ impl NetWorld {
     /// merge-key order, moved straight out of its slab cell; `None`
     /// closes the round.
     ///
-    /// A packet sent during the round (its stamp at or past the mark) is
-    /// skipped even if due: a zero-latency reply to an arrival waits for
-    /// the next round, behind the timers due now. In legacy mode such a
-    /// head sorts after every older due one, but under the sharded key it
-    /// can sort ahead of them, so it is parked until the round closes
-    /// rather than ending the round.
+    /// A packet sent during the round (its stamp at or past the mark)
+    /// ends the round even if due: a zero-latency reply to an arrival
+    /// waits for the next round, behind the timers due now. It was sent
+    /// at `now`, so it is due no earlier, and its stamp is newer than
+    /// every cell queued before the round: every older due head sorts
+    /// ahead of it.
     #[inline]
     pub(crate) fn next_arrival(&mut self, now: SimTime) -> Option<(SimTime, NodeId, Packet)> {
         let q = &mut self.arrivals;
-        while let Some(mut top) = q.heads.peek_mut() {
-            let head = top.0;
-            if head.at > now {
-                break;
-            }
-            let cell = &mut q.cells[head.cell as usize];
-            if cell.stamp >= q.mark {
-                q.parked.push(PeekMut::pop(top).0);
-                continue;
-            }
-            let (dir, next) = (cell.dir, cell.next);
-            cell.next = q.free;
-            q.free = head.cell;
-            let l = &mut self.topology.links[(dir >> 1) as usize];
-            let (d, node) = if dir & 1 == 0 {
-                (&mut l.ab, l.b)
-            } else {
-                (&mut l.ba, l.a)
+        let mut top = q.heads.peek_mut()?;
+        let head = top.0;
+        if head.at > now || head.stamp >= q.mark {
+            return None;
+        }
+        let cell = &mut q.cells[head.cell as usize];
+        let (dir, next) = (cell.dir, cell.next);
+        cell.next = q.free;
+        q.free = head.cell;
+        let l = &mut self.topology.links[(dir >> 1) as usize];
+        let (d, node) = if dir & 1 == 0 {
+            (&mut l.ab, l.b)
+        } else {
+            (&mut l.ba, l.a)
+        };
+        if next == NIL {
+            d.fifo_tail = NIL;
+            PeekMut::pop(top);
+        } else {
+            let n = &q.cells[next as usize];
+            top.0 = Head {
+                at: n.at,
+                stamp: n.stamp,
+                cell: next,
             };
-            if next == NIL {
-                d.fifo_tail = NIL;
-                PeekMut::pop(top);
-            } else {
-                let n = &q.cells[next as usize];
-                top.0 = Head {
-                    at: n.at,
-                    seq: n.seq,
-                    cell: next,
-                    ..head
-                };
-            }
-            self.tally.in_flight -= 1;
-            // The packet moves last, straight from the slab to the caller.
-            let pkt = q.cells[head.cell as usize].pkt.take();
-            return Some((head.at, node, pkt.expect("queued cell without a packet")));
         }
-        for h in q.parked.drain(..) {
-            q.heads.push(Reverse(h));
-        }
-        None
+        self.tally.in_flight -= 1;
+        // The packet moves last, straight from the slab to the caller.
+        let pkt = q.cells[head.cell as usize].pkt.take();
+        Some((head.at, node, pkt.expect("queued cell without a packet")))
     }
 
     /// Pop all arrivals due at or before `now`, appending them to `out`
@@ -554,36 +377,6 @@ impl NetWorld {
     pub fn drain_arrivals_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, NodeId, Packet)>) {
         self.begin_arrivals();
         out.extend(std::iter::from_fn(|| self.next_arrival(now)));
-    }
-
-    /// Move this shard's pending cross-shard deliveries into `out`
-    /// (called by the barrier loop after each window). No-op in legacy
-    /// mode.
-    pub fn drain_outbox_into(&mut self, out: &mut Vec<CrossPacket>) {
-        if let Some(sh) = &mut self.shard {
-            out.append(&mut sh.outbox);
-        }
-    }
-
-    /// Accept cross-shard deliveries produced by other shards' worlds:
-    /// each joins its direction's FIFO here. Arrival instants are
-    /// conservatively in the future (≥ the barrier horizon), and each
-    /// direction has one producer, whose order the mailboxes keep.
-    ///
-    /// # Panics
-    /// Panics if called on a legacy (non-sharded) world or handed a
-    /// packet owned by a different shard.
-    pub fn inject_cross(&mut self, batch: impl IntoIterator<Item = CrossPacket>) {
-        let sh = self.shard.as_ref().expect("inject_cross on legacy world");
-        let shard = sh.shard;
-        for m in batch {
-            assert_eq!(m.dst_shard, shard, "cross packet routed to wrong shard");
-            let l = &mut self.topology.links[(m.dir >> 1) as usize];
-            let d = if m.dir & 1 == 0 { &mut l.ab } else { &mut l.ba };
-            self.arrivals
-                .append(&mut d.fifo_tail, m.dir, m.at, Some(m.seq), m.pkt);
-            self.tally.queued();
-        }
     }
 
     /// Blackhole both directions of `link` until `until` (radio outage
@@ -957,7 +750,7 @@ mod proptests {
             }
             let mut ids: Vec<LinkId> = links.iter().filter_map(|&s| add_link(&mut t, s)).collect();
             let mut reference = Reference {
-                topo: t.clone_for_shard(),
+                topo: t.clone(),
                 rng: SimRng::new(seed),
                 q: EventQueue::new(),
             };

@@ -1,14 +1,10 @@
 //! The engine's telemetry contract: `Driver` and `NetWorld` count their
 //! per-event metrics in plain integers and publish them when a window
-//! ends, so the registry is *exact* at every `run_to` / `run_sharded`
-//! boundary (and at most one window stale in between). Every expected
+//! ends, so the registry is *exact* at every `run_to` boundary (and at most one window stale in between). Every expected
 //! value below is computed by hand from the traffic pattern.
 
 use bytes::Bytes;
-use cellbricks_net::{
-    make_cells, run_sharded, Driver, Endpoint, LinkConfig, NetWorld, NodeId, Packet, ShardPlan,
-    Topology,
-};
+use cellbricks_net::{Driver, Endpoint, LinkConfig, NetWorld, NodeId, Packet, Topology};
 use cellbricks_sim::{SimDuration, SimRng, SimTime};
 use cellbricks_telemetry as telemetry;
 use std::net::Ipv4Addr;
@@ -95,11 +91,11 @@ impl Endpoint for Sender {
     }
 }
 
-/// Nodes `a` (region 0) and `b` (region 1) joined by a lossless link.
+/// Nodes `a` and `b` joined by a lossless link.
 fn two_node_world(latency: SimDuration) -> (NetWorld, NodeId, NodeId) {
     let mut t = Topology::new();
-    let a = t.add_node_in_region("a", 0);
-    let b = t.add_node_in_region("b", 1);
+    let a = t.add_node("a");
+    let b = t.add_node("b");
     let l = t.add_symmetric_link(a, b, LinkConfig::delay_only(latency));
     t.add_default_route(a, l);
     t.add_default_route(b, l);
@@ -153,41 +149,17 @@ fn burst_inside_one_window_leaves_value_zero_and_max_k() {
 }
 
 #[test]
-fn run_sharded_totals_equal_single_world_totals() {
+fn two_way_totals_are_exact() {
     let _registry = exclusive_registry();
-    let until = SimTime::from_secs(1);
     // 20 packets each way over a 5 ms link, both ends chatting.
-    let endpoints = |a, b| {
-        (
-            Sender::new(a, IP_A, IP_B, 1, 20),
-            Sender::new(b, IP_B, IP_A, 1, 20),
-        )
-    };
-
     let (mut world, a, b) = two_node_world(SimDuration::from_millis(5));
-    let (mut pa, mut pb) = endpoints(a, b);
-    Driver::new().run_to(&mut world, &mut [&mut pa, &mut pb], until);
-    let single = (counters(), in_flight(), pa.received, pb.received);
+    let mut pa = Sender::new(a, IP_A, IP_B, 1, 20);
+    let mut pb = Sender::new(b, IP_B, IP_A, 1, 20);
+    Driver::new().run_to(&mut world, &mut [&mut pa, &mut pb], SimTime::from_secs(1));
     let size = u64::from(packet(IP_A, IP_B).wire_size());
-    assert_eq!(single.0, [40, 40, 40 * size, 40, 40]);
-    assert_eq!(single.1, (0, 2));
-
-    telemetry::global().reset();
-    let (world, a, b) = two_node_world(SimDuration::from_millis(5));
-    let plan = ShardPlan::by_region(world.topology(), 2);
-    let lookahead = plan.lookahead(world.topology()).unwrap();
-    let mut cells = make_cells(world, &plan, 99);
-    let (mut pa, mut pb) = endpoints(a, b);
-    let mut sets: Vec<Vec<&mut (dyn Endpoint + Send)>> = vec![vec![], vec![]];
-    sets[plan.shard_of(a)].push(&mut pa);
-    sets[plan.shard_of(b)].push(&mut pb);
-    run_sharded(&mut cells, &mut sets, until, lookahead);
-    assert_eq!(counters(), single.0);
-    assert_eq!((pa.received, pb.received), (single.2, single.3));
-    // Every packet crosses the barrier: it joins the destination
-    // shard's FIFO one window before it lands, so the value drains to
-    // zero; the peak depends on which worker published first.
-    assert_eq!(in_flight().0, 0);
+    assert_eq!(counters(), [40, 40, 40 * size, 40, 40]);
+    assert_eq!(in_flight(), (0, 2));
+    assert_eq!((pa.received, pb.received), (20, 20));
 }
 
 #[test]

@@ -1,7 +1,6 @@
-//! Consistent-hash ring properties (ISSUE 8 satellite), in the style of
-//! `tests/shard_invariance.rs`: the properties that make resharding the
-//! broker plane safe are checked over generated identity populations,
-//! not hand-picked examples.
+//! Consistent-hash ring properties: the properties that make resharding
+//! the broker plane safe are checked over generated identity
+//! populations, not hand-picked examples.
 //!
 //! - **Determinism**: shard assignment is a pure function of the shard
 //!   set — two independently built rings always agree, across runs and
