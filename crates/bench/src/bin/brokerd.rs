@@ -8,9 +8,10 @@
 //!
 //! * **Server** (default): bind `--listen`, provision the deterministic
 //!   `--seed`/`--n` population, and serve the staged pipeline — adaptive
-//!   batch window on the I/O stage, `--workers` crypto threads (default:
-//!   cores − 1) — for `--duration` seconds (0 = forever). Counters print
-//!   on exit.
+//!   batch window on the I/O stage, each batch's crypto split across
+//!   `--workers` threads, the I/O thread included (default: cores, at
+//!   most 8) — for `--duration` seconds (0 = forever). Counters print on
+//!   exit.
 //! * **Load generator** (`--connect`): `--clients C` sender threads,
 //!   each with its own socket, disjoint UE identities from the *same*
 //!   seed path, and `--burst N` pre-built requests pumped through a
@@ -91,10 +92,6 @@ fn serve_mode(listen: &str, seed: u64, n_ues: usize, duration_s: u64, workers: u
             wait.value_at_quantile(0.99) / 1000,
             telemetry::gauge("brokerd.batch_window_ns").get() / 1000,
         );
-    }
-    let util = server.worker_utilization_permille();
-    if !util.is_empty() {
-        println!("brokerd: worker utilization (permille): {util:?}");
     }
 }
 

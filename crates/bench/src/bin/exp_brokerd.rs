@@ -3,8 +3,9 @@
 //! Unlike the simulated-time experiments (fig7–10, `exp_broker`), this
 //! one measures the **wall clock**: a real server thread runs the staged
 //! pipeline of [`cellbricks_core::broker_server`] — adaptive batch
-//! window on the I/O stage, `--workers` crypto threads (default: one
-//! fewer than cores) — on a loopback UDP socket while C load-generator
+//! window on the I/O stage, each batch's crypto split across `--workers`
+//! threads, the I/O thread included (default: cores, at most 8) — on a
+//! loopback UDP socket while C load-generator
 //! clients pump pre-built `AuthReq` frames at it. The
 //! quantity under test is the cross-connection batch-verify fast path:
 //! at C=1 the client runs strict ping-pong (window 1), so every batch
@@ -179,7 +180,7 @@ fn measure(
     win
 }
 
-/// The TCP stream-transport smoke: a fresh pooled server on a loopback
+/// The TCP stream-transport smoke: a fresh server on a loopback
 /// listener, two windowed clients, and one Report frame far larger than
 /// the UDP receive buffer — the frame a datagram transport cannot carry.
 fn tcp_smoke(pop: &Arc<Population>, seed: u64, workers: usize, burst: usize) {
@@ -290,25 +291,16 @@ fn print_server_stats(server: &cellbricks_core::BrokerServer) {
         batch.value_at_quantile(0.99),
         batch.max()
     );
-    // The batch-window controller and worker pool, next to the rate they
-    // produce: how long batches waited to close, how deep the worker
-    // queues ran, and how busy each crypto worker was.
+    // The batch-window controller next to the rate it produces: how
+    // long batches waited to close, and how many threads split them.
     let wait = telemetry::histogram("brokerd.batch_wait_ns").snapshot();
-    let depth = telemetry::histogram("brokerd.queue_depth").snapshot();
     println!(
-        "pipeline: batch wait p50 {} us p99 {} us · window {} us · \
-         queue depth p50 {} max {} · {} workers",
+        "pipeline: batch wait p50 {} us p99 {} us · window {} us · {} workers",
         wait.value_at_quantile(0.50) / 1000,
         wait.value_at_quantile(0.99) / 1000,
         telemetry::gauge("brokerd.batch_window_ns").get() / 1000,
-        depth.value_at_quantile(0.50),
-        depth.max(),
         server.workers(),
     );
-    let util = server.worker_utilization_permille();
-    if !util.is_empty() {
-        println!("workers: utilization (permille of wall clock): {util:?}");
-    }
     // The process-global verifier/DH caches are what the wire server
     // shares across connections; their hit rates belong next to the
     // served-auth/s they explain.

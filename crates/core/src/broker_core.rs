@@ -7,21 +7,27 @@
 //! request is a batch of one) and gets one [`Verdict`] per request, in
 //! arrival order. Three phases:
 //!
-//! * **check** (pure; on the crypto workers when there is a pool):
-//!   prechecks around one pooled [`open_batch`], then one pooled
-//!   [`verify_batch`] across the chunk. Anything that fails is re-run
-//!   through [`sap::broker_authenticate_sequential`] purely to name the
-//!   error.
+//! * **check** (pure): prechecks around one pooled [`open_batch`], then
+//!   one pooled [`verify_batch`] across the chunk. Anything that fails
+//!   is re-run through [`sap::broker_authenticate_sequential`] purely to
+//!   name the error.
 //! * **decide** (sequential, arrival order): the adapter's admission
 //!   policy, anti-replay, session ids and every RNG draw
 //!   ([`sap::grant_draws`]) — so a replay observes every earlier request
 //!   of its own batch, nothing is drawn or sealed for a refused request,
 //!   and replies are byte-identical at any worker count or batch split.
 //!   Policy sits here because the simulator's reputation system lives
-//!   behind a lock and cannot follow a chunk onto a worker; it is the
-//!   *last* check of the seed-order path, so the named error is the same.
-//! * **grant** (pure; workers again): pooled seal + sign against the
-//!   pre-drawn material ([`sap::broker_grant_batch_prepared`]).
+//!   behind a lock and cannot follow a chunk onto another thread; it is
+//!   the *last* check of the seed-order path, so the named error is the
+//!   same.
+//! * **grant** (pure): pooled seal + sign against the pre-drawn material
+//!   ([`sap::broker_grant_batch_prepared`]).
+//!
+//! With W ≥ 2 workers each pure phase splits its batch into at most W
+//! contiguous ranges: the calling thread runs the first, scoped threads
+//! borrowing the batch run the rest, and the results are concatenated
+//! in range order. No thread outlives the call, and a batch too small to
+//! split never spawns one — W = 0 and W = 1 are the same inline path.
 //!
 //! The durable half ([`AuthState`]) is kept apart from the per-process
 //! half ([`BrokerCore`]) so the replicas of one shard decide over one
@@ -35,11 +41,8 @@ use cellbricks_crypto::ed25519::{verify_batch, BatchItem, VerifyingKey};
 use cellbricks_crypto::sealed::open_batch;
 use cellbricks_crypto::x25519::X25519PublicKey;
 use cellbricks_sim::SimRng;
-use cellbricks_telemetry as telemetry;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Instant;
+use std::ops::Range;
 
 /// FIFO cap on the anti-replay nonce window, mirroring the crypto-layer
 /// key caches: a replayed `authReqT` is only useful to an attacker while
@@ -55,9 +58,7 @@ type Subscribers = HashMap<Identity, SubscriberEntry>;
 /// The durable authorization state of one broker (shard): what the
 /// paper's broker keeps in replicated cloud storage.
 pub struct AuthState {
-    /// Behind an `Arc` so crypto workers read it lock-free while the
-    /// decision stage holds `&mut self`.
-    subscribers: Arc<Subscribers>,
+    subscribers: Subscribers,
     /// Nonces seen in authorized requests: a replayed `authReqT`
     /// (captured on the wire and re-submitted, e.g. by a bTelco trying
     /// to open ghost billing sessions) is rejected — the UE nonce in
@@ -76,7 +77,7 @@ impl AuthState {
     #[must_use]
     pub fn new(session_base: u64) -> Self {
         Self {
-            subscribers: Arc::new(HashMap::new()),
+            subscribers: HashMap::new(),
             seen_nonces: HashSet::new(),
             nonce_order: VecDeque::new(),
             next_session: session_base,
@@ -95,7 +96,7 @@ impl AuthState {
     ) {
         let alias = self.next_alias;
         self.next_alias += 1;
-        Arc::make_mut(&mut self.subscribers).insert(
+        self.subscribers.insert(
             id,
             SubscriberEntry {
                 sign_pk,
@@ -160,7 +161,6 @@ pub type Verdict = Result<Grant, SapError>;
 type Checked = Result<(AuthVec, SubscriberEntry), SapError>;
 
 /// One authorized request between the decision stage and its grant.
-#[derive(Clone)]
 struct GrantItem {
     idx: usize,
     vec: AuthVec,
@@ -177,138 +177,41 @@ struct CoreKeys {
     ca: VerifyingKey,
 }
 
-/// Never split a batch below this many requests per chunk: tiny chunks
-/// pay scatter overhead without amortizing anything. With W=1 the chunk
-/// length is always ≥ the whole batch, so a single-worker pipeline runs
-/// the exact same pooled calls as the inline path.
+/// Never split a batch below this many requests per range: tiny ranges
+/// pay a thread spawn without amortizing anything.
 const MIN_CHUNK: usize = 4;
 
-/// Per-worker job-queue bound. A scatter sends at most one chunk per
-/// worker, so a small bound suffices; it exists to make any future
-/// misuse (flooding the pool without gathering) fail loudly by blocking.
-const POOL_QUEUE_BOUND: usize = 8;
-
-/// One chunk of a scatter, closed over its inputs and result channel.
-type PoolJob = Box<dyn FnOnce() + Send>;
-
-/// One crypto worker: its bounded job channel, thread, and busy clock.
-struct Worker {
-    tx: mpsc::SyncSender<PoolJob>,
-    handle: std::thread::JoinHandle<()>,
-    busy_ns: Arc<AtomicU64>,
-    util_gauge: telemetry::Gauge,
-}
-
-/// The crypto worker pool: W persistent threads. Chunk i of a scatter
-/// goes to worker i, results are gathered by chunk index — arrival order
-/// is preserved by construction.
-struct CryptoPool {
-    workers: Vec<Worker>,
-    queued: Arc<AtomicUsize>,
-    started: Instant,
-}
-
-impl CryptoPool {
-    fn new(workers: usize) -> Self {
-        let queued = Arc::new(AtomicUsize::new(0));
-        let workers = (0..workers)
-            .map(|i| {
-                let (tx, rx) = mpsc::sync_channel::<PoolJob>(POOL_QUEUE_BOUND);
-                let busy_ns = Arc::new(AtomicU64::new(0));
-                let (busy, queued) = (Arc::clone(&busy_ns), Arc::clone(&queued));
-                let handle = std::thread::Builder::new()
-                    .name(format!("brokerd-crypto-{i}"))
-                    .spawn(move || crypto_worker(&rx, &busy, &queued))
-                    .expect("spawn crypto worker");
-                let util_gauge = telemetry::gauge(format!("brokerd.worker{i}.util_permille"));
-                Worker {
-                    tx,
-                    handle,
-                    busy_ns,
-                    util_gauge,
-                }
-            })
-            .collect();
-        Self {
-            workers,
-            queued,
-            started: Instant::now(),
-        }
-    }
-
-    /// Busy-time share of each worker since pool start, in permille.
-    fn utilization_permille(&self) -> Vec<u64> {
-        let wall = (self.started.elapsed().as_nanos() as u64).max(1);
-        self.workers
-            .iter()
-            .map(|w| w.busy_ns.load(Ordering::Relaxed) * 1000 / wall)
-            .collect()
-    }
-
-    fn publish_util(&self) {
-        for (util, w) in self.utilization_permille().iter().zip(&self.workers) {
-            w.util_gauge.set(*util as i64);
-        }
-    }
-
-    /// Contiguous chunk length for `n` items over this pool.
-    fn chunk_len(&self, n: usize) -> usize {
-        n.div_ceil(self.workers.len()).max(MIN_CHUNK)
-    }
-
-    /// Run `run` over each of `chunks` on the workers (chunk i → worker
-    /// i mod W) and gather the results back by chunk index, i.e. in
-    /// arrival order.
-    fn scatter<C: Send + 'static, R: Send + 'static>(
-        &self,
-        chunks: impl Iterator<Item = C>,
-        run: impl Fn(C) -> Vec<R> + Clone + Send + 'static,
-    ) -> Vec<R> {
-        let (tx, rx) = mpsc::channel();
-        let mut sent = 0usize;
-        for chunk in chunks {
-            let (tx, run) = (tx.clone(), run.clone());
-            self.queued.fetch_add(1, Ordering::Relaxed);
-            self.workers[sent % self.workers.len()]
-                .tx
-                .send(Box::new(move || {
-                    let _ = tx.send((sent, run(chunk)));
-                }))
-                .expect("crypto worker alive");
-            sent += 1;
-        }
-        drop(tx);
-        telemetry::histogram("brokerd.queue_depth")
-            .record(self.queued.load(Ordering::Relaxed) as u64);
-        let mut parts: Vec<Vec<R>> = (0..sent).map(|_| Vec::new()).collect();
-        for _ in 0..sent {
-            let (ci, out) = rx.recv().expect("crypto worker reply");
-            parts[ci] = out;
-        }
-        parts.into_iter().flatten().collect()
-    }
-}
-
-impl Drop for CryptoPool {
-    fn drop(&mut self) {
-        for w in self.workers.drain(..) {
-            drop(w.tx); // closing its job channel ends the worker's recv loop
-            let _ = w.handle.join();
-        }
-    }
-}
-
-fn crypto_worker(rx: &mpsc::Receiver<PoolJob>, busy: &AtomicU64, queued: &AtomicUsize) {
-    while let Ok(job) = rx.recv() {
-        let t0 = Instant::now();
-        job();
-        busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        queued.fetch_sub(1, Ordering::Relaxed);
+/// Split `0..n` into at most `parallelism` near-equal contiguous ranges
+/// (0 counts as 1), each at least [`MIN_CHUNK`] long unless the whole
+/// batch is shorter, and run `run` over each: the first on the calling
+/// thread, the rest on scoped threads that borrow the caller's inputs.
+/// The results are concatenated in range order, i.e. in arrival order.
+/// A batch that fits one range never spawns, so `parallelism` 0 and 1
+/// are the same inline call.
+fn scatter<R: Send>(
+    parallelism: usize,
+    n: usize,
+    run: impl Fn(Range<usize>) -> Vec<R> + Sync,
+) -> Vec<R> {
+    let k = (n / MIN_CHUNK).clamp(1, parallelism.max(1)).min(n);
+    let range = move |i: usize| i * n / k..(i + 1) * n / k;
+    match k {
+        0 => Vec::new(),
+        1 => run(0..n),
+        _ => std::thread::scope(|s| {
+            let run = &run;
+            let rest: Vec<_> = (1..k).map(|i| s.spawn(move || run(range(i)))).collect();
+            let mut out = run(range(0));
+            for h in rest {
+                out.extend(h.join().expect("crypto range"));
+            }
+            out
+        }),
     }
 }
 
 /// Exact error attribution via the seed-order sequential checks. Pure
-/// with respect to broker state, so it runs inside worker chunks.
+/// with respect to broker state, so it runs inside any range.
 fn attribute_failure(ctx: &CoreKeys, subs: &Subscribers, req: &AuthReqT) -> SapError {
     match sap::broker_authenticate_sequential(
         &ctx.keys,
@@ -402,41 +305,34 @@ fn grant_chunk<'a>(
     sap::broker_grant_batch_prepared(keys, &jobs, draws)
 }
 
-/// The per-process half of a broker: keys + CA, the grant rng, and the
-/// optional crypto worker pool. See the module docs for the phases.
+/// The per-process half of a broker: keys + CA, the grant rng, and how
+/// many threads the pure phases may split a batch across. See the
+/// module docs for the phases.
 pub struct BrokerCore {
-    ctx: Arc<CoreKeys>,
+    ctx: CoreKeys,
     rng: SimRng,
-    pool: Option<CryptoPool>,
+    workers: usize,
 }
 
 impl BrokerCore {
-    /// A core backed by a pool of `workers` crypto threads (0 = every
-    /// phase inline on the calling thread). Verdicts are byte-identical
-    /// at any worker count — parallelism changes only where the pure
-    /// phases execute.
+    /// A core that splits the pure phases of a batch across `workers`
+    /// threads, the calling thread included (0 and 1 = every phase
+    /// inline on the calling thread). Verdicts are byte-identical at any
+    /// worker count — parallelism changes only where the pure phases
+    /// execute.
     #[must_use]
     pub fn new(keys: BrokerKeys, ca: VerifyingKey, rng: SimRng, workers: usize) -> Self {
         Self {
-            ctx: Arc::new(CoreKeys { keys, ca }),
+            ctx: CoreKeys { keys, ca },
             rng,
-            pool: (workers > 0).then(|| CryptoPool::new(workers)),
+            workers,
         }
     }
 
-    /// Number of crypto workers (0 = inline processing).
+    /// The configured worker count (0 or 1 = inline processing).
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.workers.len())
-    }
-
-    /// Busy-share of each crypto worker since startup, in permille of
-    /// wall time. Empty for an inline core.
-    #[must_use]
-    pub fn worker_utilization_permille(&self) -> Vec<u64> {
-        self.pool
-            .as_ref()
-            .map_or_else(Vec::new, CryptoPool::utilization_permille)
+        self.workers
     }
 
     /// Decide one batch of decoded requests against `state`; one verdict
@@ -482,9 +378,9 @@ impl BrokerCore {
             .collect();
 
         // All RNG material is drawn here, sequentially, in grant order —
-        // workers then do only pure curve math.
+        // the grant ranges then do only pure curve math.
         let draws = sap::grant_draws(&mut self.rng, granted.len());
-        let replies = self.run_grants(reqs, &granted, draws);
+        let replies = self.run_grants(reqs, &granted, &draws);
 
         let mut grants = granted.into_iter().zip(replies);
         refused
@@ -504,53 +400,26 @@ impl BrokerCore {
             .collect()
     }
 
-    /// The check stage: inline without a pool, otherwise scattered in
-    /// contiguous chunks.
-    fn run_checks(&self, subs: &Arc<Subscribers>, reqs: &[AuthReqT]) -> Vec<Checked> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let Some(pool) = &self.pool else {
-            return check_chunk(&self.ctx, subs, reqs);
-        };
-        let (ctx, table) = (Arc::clone(&self.ctx), Arc::clone(subs));
-        let out = pool.scatter(
-            reqs.chunks(pool.chunk_len(reqs.len())).map(<[_]>::to_vec),
-            move |reqs| check_chunk(&ctx, &table, &reqs),
-        );
-        pool.publish_util();
-        out
+    /// The check stage, split into contiguous ranges of the batch.
+    fn run_checks(&self, subs: &Subscribers, reqs: &[AuthReqT]) -> Vec<Checked> {
+        scatter(self.workers, reqs.len(), |r| {
+            check_chunk(&self.ctx, subs, &reqs[r])
+        })
     }
 
-    /// The grant stage against pre-drawn RNG material: inline without a
-    /// pool, scattered with one. Each chunk pools its own seal and
-    /// signature inversions; the result is byte-identical to one big
+    /// The grant stage against pre-drawn RNG material, split into
+    /// contiguous ranges of the grants. Each range pools its own seal
+    /// and signature inversions; the result is byte-identical to one big
     /// batch under the same draws.
     fn run_grants(
         &self,
         reqs: &[AuthReqT],
         granted: &[GrantItem],
-        draws: Vec<sap::GrantDraws>,
+        draws: &[sap::GrantDraws],
     ) -> Vec<GrantOut> {
-        if granted.is_empty() {
-            return Vec::new();
-        }
-        let Some(pool) = &self.pool else {
-            let work = granted.iter().map(|g| (&reqs[g.idx], g));
-            return grant_chunk(&self.ctx.keys, work, &draws);
-        };
-        let ctx = Arc::clone(&self.ctx);
-        let mut draws = draws.into_iter();
-        let chunks = granted.chunks(pool.chunk_len(granted.len())).map(|slice| {
-            let work: Vec<(AuthReqT, GrantItem)> = slice
-                .iter()
-                .map(|g| (reqs[g.idx].clone(), g.clone()))
-                .collect();
-            let draws: Vec<sap::GrantDraws> = draws.by_ref().take(slice.len()).collect();
-            (work, draws)
-        });
-        pool.scatter(chunks, move |(work, draws)| {
-            grant_chunk(&ctx.keys, work.iter().map(|(req, g)| (req, g)), &draws)
+        scatter(self.workers, granted.len(), |r| {
+            let work = granted[r.clone()].iter().map(|g| (&reqs[g.idx], g));
+            grant_chunk(&self.ctx.keys, work, &draws[r])
         })
     }
 }
@@ -558,6 +427,35 @@ impl BrokerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Over parallelism 0..=9 × n 0..=300, the ranges `scatter` runs
+    /// cover `0..n` exactly once and come back in order, there are at
+    /// most `max(parallelism, 1)` of them, each holds at least
+    /// `MIN_CHUNK` items unless the whole batch is shorter, and the
+    /// first runs on the calling thread.
+    #[test]
+    fn scatter_ranges_partition_the_batch_in_order() {
+        let caller = std::thread::current().id();
+        for parallelism in 0..=9 {
+            for n in 0..=300 {
+                let ran = scatter(parallelism, n, |r| vec![(r, std::thread::current().id())]);
+                assert!(ran.len() <= parallelism.max(1), "p={parallelism} n={n}");
+                let mut next = 0;
+                for (r, _) in &ran {
+                    assert_eq!(r.start, next, "p={parallelism} n={n}: gap or overlap");
+                    assert!(
+                        n < MIN_CHUNK || r.len() >= MIN_CHUNK,
+                        "p={parallelism} n={n}: range {r:?} below MIN_CHUNK"
+                    );
+                    next = r.end;
+                }
+                assert_eq!(next, n, "p={parallelism} n={n}: ranges stop short");
+                if let Some((_, first)) = ran.first() {
+                    assert_eq!(*first, caller, "p={parallelism} n={n}: first range inline");
+                }
+            }
+        }
+    }
 
     /// The anti-replay window is bounded (FIFO eviction past the cap)
     /// while replays inside the window are still rejected.

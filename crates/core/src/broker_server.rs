@@ -21,7 +21,7 @@
 //!   call is synchronous — when it returns, every reply for the batch
 //!   is in `out`, which is what makes shutdown drain-safe.
 //!
-//! Everything that decides — pooled checks on the crypto workers,
+//! Everything that decides — pooled checks split across threads,
 //! arrival-order anti-replay and RNG draws, pooled grants, replies
 //! byte-identical at any worker count and batch split — is
 //! [`crate::broker_core`]. This adapter admits every bTelco, and keeps a
@@ -78,13 +78,14 @@ pub struct WireCounters {
 }
 
 /// The default worker count (`--workers` overrides it):
-/// `available_parallelism - 1` (one core reserved for the I/O stage),
-/// clamped to 1..=8. On a single-core box this is 1 — the byte-identical
-/// baseline — so deterministic results never depend on the machine.
+/// `available_parallelism`, clamped to 1..=8. The I/O thread runs the
+/// first range of every split batch itself, so no core is reserved for
+/// it. On a single-core box this is 1, the inline path; replies are
+/// byte-identical at any count, so results never depend on the machine.
 #[must_use]
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
-        .map(|p| p.get().saturating_sub(1).clamp(1, 8))
+        .map(|p| p.get().clamp(1, 8))
         .unwrap_or(1)
 }
 
@@ -102,9 +103,10 @@ pub struct BrokerServer {
 }
 
 impl BrokerServer {
-    /// A fresh server with an empty subscriber DB, backed by a pool of
-    /// `workers` crypto threads (0 = every phase inline on the calling
-    /// thread). Replies are byte-identical at any worker count.
+    /// A fresh server with an empty subscriber DB whose crypto splits
+    /// each batch across `workers` threads, the calling thread included
+    /// (0 and 1 = every phase inline). Replies are byte-identical at any
+    /// worker count.
     #[must_use]
     pub fn new(keys: BrokerKeys, ca: VerifyingKey, rng: SimRng, workers: usize) -> Self {
         Self {
@@ -116,17 +118,10 @@ impl BrokerServer {
         }
     }
 
-    /// Number of crypto workers (0 = inline processing).
+    /// The configured worker count (0 or 1 = inline processing).
     #[must_use]
     pub fn workers(&self) -> usize {
         self.core.workers()
-    }
-
-    /// Busy-share of each crypto worker since startup, in permille of
-    /// wall time. Empty for an inline server.
-    #[must_use]
-    pub fn worker_utilization_permille(&self) -> Vec<u64> {
-        self.core.worker_utilization_permille()
     }
 
     /// Provision a subscriber (same contract as the simulated broker).
@@ -688,15 +683,16 @@ pub fn population(seed: u64, n_ues: usize) -> Population {
 }
 
 impl Population {
-    /// An inline (pool-less) server over this population, with every UE
+    /// An inline server over this population, with every UE
     /// provisioned.
     #[must_use]
     pub fn server(&self, rng: SimRng) -> BrokerServer {
         self.server_with_workers(rng, 0)
     }
 
-    /// A server over this population backed by `workers` crypto threads
-    /// (0 = inline), with every UE provisioned.
+    /// A server over this population whose crypto splits each batch
+    /// across `workers` threads (0 and 1 = inline), with every UE
+    /// provisioned.
     #[must_use]
     pub fn server_with_workers(&self, rng: SimRng, workers: usize) -> BrokerServer {
         let mut server = BrokerServer::new(self.broker.clone(), self.ca.public_key(), rng, workers);
@@ -1093,7 +1089,7 @@ mod tests {
         );
     }
 
-    /// End-to-end over a real loopback TCP stream with a pooled server:
+    /// End-to-end over a real loopback TCP stream with a W = 2 server:
     /// windowed client, plus a Report frame far larger than the UDP
     /// receive buffer to prove the stream transport's point.
     #[test]

@@ -489,7 +489,7 @@ pub fn grant_draws(rng: &mut SimRng, n: usize) -> Vec<GrantDraws> {
 /// collapse into one for the batch (`seal_finish_batch`), the two
 /// signature compressions into another (`sign_batch`). Splitting a
 /// batch into sub-batches and running each through this on a different
-/// worker yields byte-identical replies to one big batch — the shared
+/// thread yields byte-identical replies to one big batch — the shared
 /// batch inversion computes the same (unique) field inverses either
 /// way, and Ed25519 signing is deterministic per item.
 ///

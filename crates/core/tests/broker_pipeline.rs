@@ -3,10 +3,10 @@
 //!
 //! The parallel crypto stage is only allowed to change *when* work
 //! happens, never *what* comes out: every grant's randomness is drawn by
-//! the sequential decision phase (in arrival order) before the work is
-//! scattered, and chunks gather back by index. So the replies must be
-//! byte-identical across worker counts — including `W = 0`, the inline
-//! path that is the PR 9 single-threaded server — and across how the
+//! the sequential decision phase (in arrival order) before the batch is
+//! split, and the ranges' results are concatenated in range order. So
+//! the replies must be byte-identical across worker counts — including
+//! `W = 0`, the inline path (`W = 1` is the same path) — and across how the
 //! same request stream happens to be sliced into batches. These tests
 //! pin both properties, plus the shutdown contract: stopping the serve
 //! loop mid-stream loses no reply the server claims to have sent and
@@ -79,7 +79,7 @@ fn replies_for(
     all
 }
 
-/// W = 0 (inline, the PR 9 code path), W = 1, and W = 4 must produce
+/// W = 0 (inline; W = 1 is the same path), W = 2, and W = 4 must produce
 /// byte-identical reply streams for the same requests and grant rng:
 /// parallelism may only move work across threads, never change bytes.
 #[test]
@@ -89,7 +89,7 @@ fn worker_count_never_changes_reply_bytes() {
     let splits = [12usize, 12, 12];
     let inline = replies_for(&pop, 0, &reqs, &splits);
     assert_eq!(inline.len(), reqs.len());
-    for workers in [1usize, 4] {
+    for workers in [2usize, 4] {
         let pooled = replies_for(&pop, workers, &reqs, &splits);
         assert_eq!(
             inline, pooled,
@@ -144,7 +144,7 @@ fn duplicated_and_reordered_stream_keeps_the_invariants() {
     let n = dgrams.len();
     let (reference, counters) = serve_stream(&pop, 0, &dgrams, &[n]);
     for (workers, splits) in [
-        (1, vec![n]),
+        (2, vec![n]),
         (4, vec![n]),
         (4, vec![1; n]),
         (4, vec![5, 1, 11, n - 17]),
@@ -220,7 +220,7 @@ fn sim_replay_does_not_shift_later_replies() {
 
 /// One seed, one stream — with a replay, a bad UE signature and an
 /// unknown subscriber in it — through both adapters: the simulated
-/// broker and the wire server (inline and pooled) must answer with the
+/// broker and the wire server (at any worker count) must answer with the
 /// same `AuthOk`/`AuthErr` payload bytes.
 #[test]
 fn sim_and_wire_adapters_emit_identical_payloads() {
@@ -267,7 +267,7 @@ fn sim_and_wire_adapters_emit_identical_payloads() {
         sim.iter().map(refusal).collect::<Vec<_>>(),
         [None, None, replay, bad_sig, unknown, None]
     );
-    for workers in [0usize, 1, 4] {
+    for workers in [0usize, 2, 4] {
         let (wire, _) = serve_stream(&served, workers, &stream, &[stream.len()]);
         let wire: Vec<Vec<u8>> = wire
             .iter()
@@ -283,8 +283,8 @@ fn sim_and_wire_adapters_emit_identical_payloads() {
 /// Stop the serve loop while a W = 4 pipeline is mid-stream and account
 /// for every reply: the client receives exactly as many replies as the
 /// server counts served (a gathered batch is always fully processed and
-/// flushed before the stop flag is honored — nothing is lost in the
-/// pool), and no `req_id` is ever answered twice (nothing is duplicated).
+/// flushed before the stop flag is honored — nothing is lost between
+/// threads), and no `req_id` is ever answered twice (nothing is duplicated).
 #[test]
 fn stop_mid_stream_loses_and_duplicates_nothing() {
     let pop = Arc::new(population(SEED, 8));

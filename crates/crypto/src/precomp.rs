@@ -446,10 +446,10 @@ struct KeyCache {
 /// to ~4 MiB worst-case.
 const KEY_CACHE_CAP: usize = 4096;
 
-/// Lock stripes per process-global cache. The `brokerd` pipeline runs
-/// verification on W parallel workers, each hammering the same caches;
-/// a single mutex would serialize exactly the phase the workers exist
-/// to parallelize. Striping by a uniformly-distributed key byte keeps
+/// Lock stripes per process-global cache. At W ≥ 2 the broker core
+/// splits each batch's verification across W threads, each hammering
+/// the same caches; a single mutex would serialize exactly the phase
+/// the split exists to parallelize. Striping by a uniformly-distributed key byte keeps
 /// contention ~1/8th while preserving the lookup contract: a given key
 /// always lands on the same stripe, so hit/miss behavior is unchanged;
 /// only eviction order differs (per-stripe FIFO, same total capacity).
