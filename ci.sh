@@ -326,12 +326,13 @@ echo "==> figure replay + fig7 histograms + cc counters OK"
 # cells (3 s is two full passes, so the pass-to-pass replay-mismatch
 # check and the sanity bands on every cell run here too). The numbers
 # of a 3 s run are not read; the ten-pair comparison the benchmark
-# exists for is `perfbench/run.sh`.
-run cargo test -q --offline --manifest-path perfbench/Cargo.toml
+# exists for is `perfbench/run.sh`. `--locked` checks the frozen
+# `perfbench/Cargo.lock` instead of rewriting it.
+run cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
 for workload in wire_sat wire_paced sim_scale sim_figures; do
     echo
     echo "==> perfbench $workload smoke"
-    pb_line=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    pb_line=$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 7 --seconds 3 --trace 0 | tail -n 1)
     case "$pb_line" in
         *'"correct": true'*'"failed": 0,'*) ;;

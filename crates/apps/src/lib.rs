@@ -31,7 +31,3 @@ pub mod quic_app;
 pub mod video;
 pub mod voip;
 pub mod web;
-
-pub use emulation::{Arch, DriveOutcome, EmulationConfig, RadioFlaps, Workload};
-pub use harness::{App, AppHost};
-pub use metrics::mos_from_network;

@@ -74,7 +74,7 @@ impl App for PingClient {
             w.put_u64(self.next_seq).put_u64(now.as_nanos());
             // Pad to a 64-byte ICMP-ish probe.
             w.put_fixed(&[0u8; 48]);
-            host.udp_send(now, sock, self.server, w.finish());
+            host.udp_send(sock, self.server, w.finish());
             self.next_seq += 1;
             self.sent += 1;
             self.next_send += self.interval;
@@ -111,10 +111,10 @@ impl App for EchoServer {
         self.sock = Some(host.udp_bind(self.port));
     }
 
-    fn on_activity(&mut self, now: SimTime, host: &mut Host) {
+    fn on_activity(&mut self, _now: SimTime, host: &mut Host) {
         let Some(sock) = self.sock else { return };
         for (_at, from, payload, _pad) in host.udp_recv(sock) {
-            host.udp_send(now, sock, from, Bytes::from(payload.to_vec()));
+            host.udp_send(sock, from, Bytes::from(payload.to_vec()));
             self.echoed += 1;
         }
     }

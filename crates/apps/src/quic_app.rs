@@ -14,14 +14,14 @@ const QUIC_PORT: u16 = 8443;
 
 fn pump(conn: &mut QuicConn, sock: UdpId, now: SimTime, host: &mut Host) {
     // Inbound.
-    for (at, from, payload, padding) in host.udp_recv(sock) {
-        conn.on_datagram(at, from, &payload, padding);
+    for (at, from, payload, _) in host.udp_recv(sock) {
+        conn.on_datagram(at, from, &payload);
     }
     // Outbound.
     let mut out = Vec::new();
     conn.poll(now, &mut out);
     for (to, hdr, pad) in out {
-        host.udp_send_padded(now, sock, to, Bytes::from(hdr.to_vec()), pad);
+        host.udp_send_padded(sock, to, Bytes::from(hdr.to_vec()), pad);
     }
 }
 
@@ -50,13 +50,6 @@ impl QuicIperfClient {
             series: TimeSeries::new(bin),
             total_bytes: 0,
         }
-    }
-
-    /// Path migrations the connection's peer validated (from our side we
-    /// count local address changes absorbed).
-    #[must_use]
-    pub fn addr_changes(&self) -> u32 {
-        self.conn.as_ref().map_or(0, |c| c.migrations)
     }
 }
 
@@ -128,9 +121,9 @@ impl App for QuicIperfServer {
         if self.conn.is_none() {
             // Accept the first client we hear from.
             let datagrams = host.udp_recv(sock);
-            if let Some((at, from, payload, padding)) = datagrams.into_iter().next() {
+            if let Some((at, from, payload, _)) = datagrams.into_iter().next() {
                 let mut conn = QuicConn::server(0xC0FFEE, from);
-                conn.on_datagram(at, from, &payload, padding);
+                conn.on_datagram(at, from, &payload);
                 conn.set_bulk();
                 self.conn = Some(conn);
             } else {

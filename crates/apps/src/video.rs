@@ -104,7 +104,7 @@ impl VideoClient {
         let Some(sock) = self.sock else { return };
         let mut w = Writer::new();
         w.put_u8(level as u8);
-        host.udp_send(now, sock, self.control, w.finish());
+        host.udp_send(sock, self.control, w.finish());
         self.outstanding = Some((level, bytes, 0, now));
     }
 }

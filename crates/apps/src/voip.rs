@@ -157,7 +157,7 @@ impl App for VoipPeer {
                 if let Some(target) = self.target() {
                     let mut w = Writer::new();
                     w.put_fixed(b"INVITE  "); // 8-byte marker, no seq.
-                    host.udp_send(now, sock, target, w.finish().slice(0..6));
+                    host.udp_send(sock, target, w.finish().slice(0..6));
                 }
             }
         }
@@ -168,7 +168,7 @@ impl App for VoipPeer {
                 let mut w = Writer::new();
                 w.put_u64(self.next_seq).put_u64(self.next_frame.as_nanos());
                 w.put_fixed(&[0u8; FRAME_BYTES - 16]);
-                host.udp_send(self.next_frame, sock, target, w.finish());
+                host.udp_send(sock, target, w.finish());
                 self.next_seq += 1;
             }
             self.next_frame += FRAME_INTERVAL;

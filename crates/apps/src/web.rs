@@ -154,22 +154,15 @@ impl WebClient {
         }
     }
 
-    fn request(&mut self, now: SimTime, host: &mut Host, conn_idx: usize, bytes: u64) {
+    fn request(&mut self, host: &mut Host, conn_idx: usize, bytes: u64) {
         let req_id = self.next_req_id;
         self.next_req_id += 1;
-        self.send_request(now, host, conn_idx, req_id, bytes);
+        self.send_request(host, conn_idx, req_id, bytes);
         self.expected[conn_idx] += bytes;
         self.outstanding.push((conn_idx, req_id, bytes));
     }
 
-    fn send_request(
-        &mut self,
-        now: SimTime,
-        host: &mut Host,
-        conn_idx: usize,
-        req_id: u32,
-        bytes: u64,
-    ) {
+    fn send_request(&mut self, host: &mut Host, conn_idx: usize, req_id: u32, bytes: u64) {
         let Some(sock) = self.sock else { return };
         let mut w = Writer::new();
         // Identify the connection: for TCP by local port, for MPTCP by
@@ -180,7 +173,7 @@ impl WebClient {
             .put_u16(self.conn_port(host, conn_idx))
             .put_u32(req_id)
             .put_u64(bytes);
-        host.udp_send(now, sock, self.control, w.finish());
+        host.udp_send(sock, self.control, w.finish());
     }
 
     fn start_page(&mut self, now: SimTime, host: &mut Host) {
@@ -220,13 +213,12 @@ impl WebClient {
         self.phase = Phase::Connecting;
     }
 
-    fn issue_batch(&mut self, now: SimTime, host: &mut Host) {
+    fn issue_batch(&mut self, host: &mut Host) {
         let per_conn = self.model.objects_per_batch.max(1);
         for k in 0..per_conn {
             let conn_idx = (k as usize) % self.conns.len();
-            self.request(now, host, conn_idx, self.model.object_bytes);
+            self.request(host, conn_idx, self.model.object_bytes);
         }
-        let _ = per_conn;
         self.phase = Phase::Batch;
     }
 
@@ -271,7 +263,7 @@ impl App for WebClient {
             );
             let pending = self.outstanding.clone();
             for (conn_idx, req_id, bytes) in pending {
-                self.send_request(now, host, conn_idx, req_id, bytes);
+                self.send_request(host, conn_idx, req_id, bytes);
             }
         }
         match self.phase {
@@ -284,7 +276,7 @@ impl App for WebClient {
                 let ready = (0..self.conns.len()).all(|i| self.conn_established(host, i));
                 if ready {
                     // Fetch the HTML on the first connection.
-                    self.request(now, host, 0, self.model.html_bytes);
+                    self.request(host, 0, self.model.html_bytes);
                     self.phase = Phase::Html;
                 }
             }
@@ -302,7 +294,7 @@ impl App for WebClient {
                     self.current_batch += 1;
                     #[cfg(feature = "debug-trace")]
                     eprintln!("issue batch {} at {now}", self.current_batch);
-                    self.issue_batch(now, host);
+                    self.issue_batch(host);
                 }
             }
             Phase::Batch => {

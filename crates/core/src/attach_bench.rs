@@ -112,8 +112,6 @@ pub struct Fig7Row {
     pub agw_cloud_ms: f64,
     /// Leftover (network) time per attach.
     pub other_ms: f64,
-    /// Trials run.
-    pub trials: u32,
 }
 
 /// Telemetry handles for one Fig. 7 cell: per-phase attach-latency
@@ -280,7 +278,6 @@ pub fn run_baseline(
         enb_ms,
         agw_cloud_ms,
         other_ms: total_ms - ue_ms - enb_ms - agw_cloud_ms,
-        trials,
     }
 }
 
@@ -427,7 +424,6 @@ pub fn run_cellbricks(
         enb_ms,
         agw_cloud_ms,
         other_ms: total_ms - ue_ms - enb_ms - agw_cloud_ms,
-        trials,
     }
 }
 

@@ -110,22 +110,6 @@ impl TrafficReport {
         broker_sk: &X25519SecretKey,
         reporter_pk: &VerifyingKey,
     ) -> Option<TrafficReport> {
-        let (report, body, sig) = TrafficReport::open_deferring_verify(bytes, broker_sk)?;
-        if !reporter_pk.verify_cached(&body, &sig) {
-            return None;
-        }
-        Some(report)
-    }
-
-    /// Broker side, bulk ingest: open and decode a sealed report but
-    /// leave the signature unchecked, returning the signed body bytes and
-    /// signature so the caller can fold them into one Ed25519 batch
-    /// (`cellbricks_crypto::verify_batch`) spanning many reports.
-    #[must_use]
-    pub fn open_deferring_verify(
-        bytes: &[u8],
-        broker_sk: &X25519SecretKey,
-    ) -> Option<(TrafficReport, Vec<u8>, Signature)> {
         let sealed = SealedBox::from_bytes(bytes)?;
         let plain = open(broker_sk, &sealed).ok()?;
         let mut r = Reader::new(&plain);
@@ -135,7 +119,10 @@ impl TrafficReport {
             return None;
         }
         let report = TrafficReport::decode(&body)?;
-        Some((report, body, sig))
+        if !reporter_pk.verify_cached(&body, &sig) {
+            return None;
+        }
+        Some(report)
     }
 }
 
@@ -151,10 +138,6 @@ pub struct BasebandMeter {
     cycle_started: SimTime,
     ul_bytes: u64,
     dl_bytes: u64,
-    dl_expected: u64,
-    dl_lost: u64,
-    delay_sum_ms: f64,
-    delay_samples: u64,
 }
 
 impl BasebandMeter {
@@ -175,10 +158,6 @@ impl BasebandMeter {
             cycle_started: now,
             ul_bytes: 0,
             dl_bytes: 0,
-            dl_expected: 0,
-            dl_lost: 0,
-            delay_sum_ms: 0.0,
-            delay_samples: 0,
         }
     }
 
@@ -191,24 +170,11 @@ impl BasebandMeter {
     /// Record received downlink bytes (PDCP counters in a real baseband).
     pub fn account_dl(&mut self, bytes: u64) {
         self.dl_bytes += bytes;
-        self.dl_expected += bytes;
     }
 
     /// Record transmitted uplink bytes.
     pub fn account_ul(&mut self, bytes: u64) {
         self.ul_bytes += bytes;
-    }
-
-    /// Record downlink loss observed at the RLC layer.
-    pub fn account_dl_loss(&mut self, bytes: u64) {
-        self.dl_lost += bytes;
-        self.dl_expected += bytes;
-    }
-
-    /// Record a packet-delay sample, milliseconds.
-    pub fn account_delay(&mut self, delay_ms: f64) {
-        self.delay_sum_ms += delay_ms;
-        self.delay_samples += 1;
     }
 
     /// Close the reporting cycle: emit the signed, sealed report and
@@ -220,35 +186,24 @@ impl BasebandMeter {
         self.cycle_started = now;
         self.ul_bytes = 0;
         self.dl_bytes = 0;
-        self.dl_expected = 0;
-        self.dl_lost = 0;
-        self.delay_sum_ms = 0.0;
-        self.delay_samples = 0;
         report.sign_and_seal(&self.signer, &self.broker_pk, rng)
     }
 
+    /// The meter counts bytes only: the loss and delay fields go out as
+    /// 0, so Fig. 5 tolerates the fixed ε alone.
     fn build_report(&self, elapsed: SimDuration) -> TrafficReport {
         let secs = elapsed.as_secs_f64().max(1e-9);
-        let loss_ppm = if self.dl_expected == 0 {
-            0
-        } else {
-            ((self.dl_lost as f64 / self.dl_expected as f64) * 1e6) as u32
-        };
         TrafficReport {
             session_id: self.session_id,
             seq: self.seq,
             ul_bytes: self.ul_bytes,
             dl_bytes: self.dl_bytes,
             duration_ms: (secs * 1e3) as u64,
-            dl_loss_ppm: loss_ppm,
+            dl_loss_ppm: 0,
             ul_loss_ppm: 0,
             avg_dl_kbps: (self.dl_bytes as f64 * 8.0 / secs / 1e3) as u32,
             avg_ul_kbps: (self.ul_bytes as f64 * 8.0 / secs / 1e3) as u32,
-            delay_ms: if self.delay_samples == 0 {
-                0
-            } else {
-                (self.delay_sum_ms / self.delay_samples as f64) as u32
-            },
+            delay_ms: 0,
         }
     }
 }
@@ -372,18 +327,13 @@ mod tests {
         let mut meter = BasebandMeter::new(5, sk.clone(), broker_sk.public_key(), SimTime::ZERO);
         meter.account_dl(500_000);
         meter.account_ul(1_000);
-        meter.account_dl_loss(5_000);
-        meter.account_delay(40.0);
-        meter.account_delay(52.0);
         let sealed = meter.emit_report(SimTime::from_secs(30), &mut rng);
         let r = TrafficReport::open_and_verify(&sealed, &broker_sk, &sk.verifying_key()).unwrap();
         assert_eq!(r.seq, 0);
         assert_eq!(r.dl_bytes, 500_000);
         assert_eq!(r.ul_bytes, 1_000);
         assert_eq!(r.duration_ms, 30_000);
-        assert_eq!(r.delay_ms, 46);
-        // loss = 5k / 505k ≈ 9900 ppm.
-        assert!((i64::from(r.dl_loss_ppm) - 9900).abs() < 100);
+        assert_eq!((r.dl_loss_ppm, r.delay_ms), (0, 0));
         // Second cycle starts clean with the next seq.
         let sealed2 = meter.emit_report(SimTime::from_secs(60), &mut rng);
         let r2 = TrafficReport::open_and_verify(&sealed2, &broker_sk, &sk.verifying_key()).unwrap();

@@ -37,7 +37,7 @@ use cellbricks_crypto::ed25519::VerifyingKey;
 use cellbricks_crypto::x25519::X25519PublicKey;
 use cellbricks_net::NodeId;
 use cellbricks_sim::{SimDuration, SimRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// SplitMix64 finalizer: cheap, well-mixed, dependency-free.
@@ -103,16 +103,6 @@ impl BrokerRing {
     pub fn remove_shard(&mut self, shard: u32) {
         self.points.retain(|&(_, s)| s != shard);
         assert!(!self.points.is_empty(), "cannot remove the last shard");
-    }
-
-    /// Distinct shards on the ring.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.points
-            .iter()
-            .map(|&(_, s)| s)
-            .collect::<BTreeSet<_>>()
-            .len()
     }
 
     /// The shard owning `id`: the first virtual node at or clockwise
@@ -309,24 +299,6 @@ impl BrokerPlane {
             .collect()
     }
 
-    /// Authorizations granted across the plane.
-    #[must_use]
-    pub fn auth_ok(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.primary.auth_ok + s.standby.auth_ok)
-            .sum()
-    }
-
-    /// Authorizations refused across the plane.
-    #[must_use]
-    pub fn auth_err(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.primary.auth_err + s.standby.auth_err)
-            .sum()
-    }
-
     /// Live billing sessions across the plane (each shard's store
     /// counted once).
     #[must_use]
@@ -352,7 +324,6 @@ mod tests {
             assert_eq!(a.shard_of(&k), b.shard_of(&k));
             assert!(a.shard_of(&k) < 4);
         }
-        assert_eq!(a.shard_count(), 4);
     }
 
     #[test]

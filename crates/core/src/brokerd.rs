@@ -26,7 +26,7 @@ use crate::principal::{BrokerKeys, Identity};
 use crate::reputation::ReputationSystem;
 use crate::sap::{AuthReqT, SapError};
 use bytes::Bytes;
-use cellbricks_crypto::ed25519::{verify_batch, BatchItem, VerifyingKey};
+use cellbricks_crypto::ed25519::VerifyingKey;
 use cellbricks_crypto::x25519::X25519PublicKey;
 use cellbricks_epc::wire::{Reader, Writer};
 use cellbricks_net::{Endpoint, EndpointFault, NodeId, Packet, PacketKind};
@@ -350,12 +350,6 @@ impl Brokerd {
         Arc::clone(&self.store)
     }
 
-    /// True while the broker is unreachable at `now`.
-    #[must_use]
-    pub fn is_down(&self, now: SimTime) -> bool {
-        now < self.down_until
-    }
-
     /// Provision a subscriber (issue keys out of band; store publics).
     pub fn provision(
         &mut self,
@@ -408,11 +402,6 @@ impl Brokerd {
     #[must_use]
     pub fn reputation(&self) -> ReputationRef<'_> {
         ReputationRef(lock_store(&self.store))
-    }
-
-    /// Reset Fig. 7 accounting.
-    pub fn reset_accounting(&mut self) {
-        self.proc_time = SimDuration::ZERO;
     }
 
     fn send_later(&mut self, now: SimTime, dst: Ipv4Addr, msg: BrokerWire) {
@@ -515,8 +504,7 @@ impl Brokerd {
         }
     }
 
-    /// Book a report whose signature has already been checked (either
-    /// individually or as part of an Ed25519 batch).
+    /// Book a report whose signature has already been checked.
     fn accept_report(&mut self, session_id: u64, from_ue: bool, report: TrafficReport) {
         let mut guard = lock_store(&self.store);
         let store = &mut *guard;
@@ -564,56 +552,6 @@ impl Brokerd {
             store.reputation.record_cycle(telco, verdict);
             drop(guard);
             self.cycles_checked += 1;
-        }
-    }
-
-    /// Opt-in bulk ingest for traffic reports: unseal every report, then
-    /// check all of their signatures as one Ed25519 batch
-    /// ([`cellbricks_crypto::verify_batch`]) instead of one Strauss
-    /// chain each. Reports that fail structurally (unknown session,
-    /// unsealing or parse failure) — and every report of a batch whose
-    /// combined check fails — go through the per-report path, so
-    /// accounting, suspect-marking and telemetry end up exactly as if
-    /// each report had been handled individually.
-    pub fn ingest_reports(&mut self, reports: &[(u64, bool, Bytes)]) {
-        // Same eager registration as `handle_report`.
-        let _ = telemetry::counter("core.billing.claims_rejected");
-        let mut verifiable = Vec::with_capacity(reports.len());
-        let mut structural_failures = Vec::new();
-        for (i, (session_id, from_ue, sealed)) in reports.iter().enumerate() {
-            let opened = self.reporter_pk(*session_id, *from_ue).and_then(|pk| {
-                TrafficReport::open_deferring_verify(sealed, &self.cfg.keys.encrypt)
-                    .map(|(report, body, sig)| (report, body, sig, pk))
-            });
-            match opened {
-                Some(item) => verifiable.push((i, item)),
-                None => structural_failures.push(i),
-            }
-        }
-        let batch_ok = {
-            let items: Vec<BatchItem<'_>> = verifiable
-                .iter()
-                .map(|(_, (_, body, sig, pk))| BatchItem {
-                    msg: body,
-                    sig: *sig,
-                    key: *pk,
-                })
-                .collect();
-            verify_batch(&items)
-        };
-        for (i, (report, _, _, _)) in verifiable {
-            let (session_id, from_ue, ref sealed) = reports[i];
-            if batch_ok {
-                self.accept_report(session_id, from_ue, report);
-            } else {
-                // At least one signature in the batch is bad; re-check
-                // each report individually to attribute the failures.
-                self.handle_report(session_id, from_ue, sealed);
-            }
-        }
-        for i in structural_failures {
-            let (session_id, from_ue, ref sealed) = reports[i];
-            self.handle_report(session_id, from_ue, sealed);
         }
     }
 }
@@ -835,28 +773,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_ingest_settles_a_cycle() {
+    fn report_settles_a_cycle() {
         let (mut brokerd, ue_keys, telco_keys, broker_keys, mut rng) = attached_world();
         let broker_pk = broker_keys.encrypt.public_key();
         let ue_sealed = report(1_000).sign_and_seal(&ue_keys.sign, &broker_pk, &mut rng);
         let t_sealed = report(1_000).sign_and_seal(&telco_keys.sign, &broker_pk, &mut rng);
-        brokerd.ingest_reports(&[(1, true, ue_sealed), (1, false, t_sealed)]);
+        brokerd.handle_report(1, true, &ue_sealed);
+        brokerd.handle_report(1, false, &t_sealed);
         assert_eq!(brokerd.cycles_checked, 1);
         assert_eq!(brokerd.settled_bytes(1), Some((1_000, 10)));
         assert_eq!(brokerd.bad_reports, 0);
     }
 
     #[test]
-    fn batch_ingest_bad_signature_falls_back_to_sequential() {
+    fn report_bad_signature_falls_back_to_sequential() {
         let (mut brokerd, ue_keys, telco_keys, broker_keys, mut rng) = attached_world();
         let broker_pk = broker_keys.encrypt.public_key();
         // Forged UE report: seals fine, but is signed by the wrong key,
-        // so only the signature check can catch it — first the combined
-        // batch, then the per-report re-check that attributes it.
+        // so only the per-report signature check can catch it.
         let forger = UeKeys::generate(&mut rng);
         let forged = report(500).sign_and_seal(&forger.sign, &broker_pk, &mut rng);
         let t_sealed = report(1_000).sign_and_seal(&telco_keys.sign, &broker_pk, &mut rng);
-        brokerd.ingest_reports(&[(1, true, forged), (1, false, t_sealed)]);
+        brokerd.handle_report(1, true, &forged);
+        brokerd.handle_report(1, false, &t_sealed);
         assert_eq!(brokerd.bad_reports, 1, "forged report must be rejected");
         assert_eq!(brokerd.cycles_checked, 0, "no cycle without the UE side");
         assert!(
@@ -866,13 +805,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_ingest_unknown_session_rejected() {
+    fn report_unknown_session_rejected() {
         let (mut brokerd, ue_keys, _telco_keys, broker_keys, mut rng) = attached_world();
         let broker_pk = broker_keys.encrypt.public_key();
         let mut r = report(100);
         r.session_id = 99;
         let sealed = r.sign_and_seal(&ue_keys.sign, &broker_pk, &mut rng);
-        brokerd.ingest_reports(&[(99, true, sealed)]);
+        brokerd.handle_report(99, true, &sealed);
         assert_eq!(brokerd.bad_reports, 1);
         assert_eq!(brokerd.cycles_checked, 0);
     }
@@ -887,7 +826,8 @@ mod tests {
         let broker_pk = broker_keys.encrypt.public_key();
         let ue_sealed = report(1_000).sign_and_seal(&ue_keys.sign, &broker_pk, &mut rng);
         let t_sealed = report(1_000).sign_and_seal(&telco_keys.sign, &broker_pk, &mut rng);
-        brokerd.ingest_reports(&[(1, true, ue_sealed), (1, false, t_sealed)]);
+        brokerd.handle_report(1, true, &ue_sealed);
+        brokerd.handle_report(1, false, &t_sealed);
         assert_eq!(brokerd.sessions_live(), 1);
         assert_eq!(brokerd.settled_totals(), (1_000, 10));
         // Any packet arrival past the idle deadline triggers the sweep;
@@ -934,7 +874,8 @@ mod tests {
         let broker_pk = broker_keys.encrypt.public_key();
         let ue_sealed = report(2_000).sign_and_seal(&ue_keys.sign, &broker_pk, &mut rng);
         let t_sealed = report(2_000).sign_and_seal(&telco_keys.sign, &broker_pk, &mut rng);
-        standby.ingest_reports(&[(1, true, ue_sealed), (1, false, t_sealed)]);
+        standby.handle_report(1, true, &ue_sealed);
+        standby.handle_report(1, false, &t_sealed);
         assert_eq!(brokerd.settled_bytes(1), Some((2_000, 10)));
         // A replay of an authorization the primary already granted is
         // rejected by the standby too.

@@ -131,27 +131,10 @@ impl BTelcoGateway {
         }
     }
 
-    /// True while the gateway is crashed or unreachable at `now`.
-    #[must_use]
-    pub fn is_down(&self, now: SimTime) -> bool {
-        now < self.down_until
-    }
-
     /// Number of live billing sessions.
     #[must_use]
     pub fn session_count(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// The /16 this gateway allocates UE addresses from.
-    #[must_use]
-    pub fn pool_network(&self) -> Ipv4Addr {
-        self.pool.network()
-    }
-
-    /// Reset Fig. 7 accounting.
-    pub fn reset_accounting(&mut self) {
-        self.proc_time = SimDuration::ZERO;
     }
 
     /// Change the usage-inflation factor at runtime (experiments that

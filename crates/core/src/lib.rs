@@ -40,13 +40,5 @@ pub mod reputation;
 pub mod sap;
 pub mod ue;
 
-pub use billing::{BasebandMeter, TrafficReport};
 pub use broker_core::{AuthState, BrokerCore};
-pub use broker_plane::{BrokerPlane, BrokerPlaneConfig, BrokerRing, ReplicaSite};
 pub use broker_server::{BrokerServer, ServeConfig};
-pub use brokerd::{Brokerd, BrokerdConfig};
-pub use btelco::{BTelcoGateway, BTelcoGatewayConfig};
-pub use principal::{BrokerKeys, Identity, TelcoKeys, UeKeys};
-pub use reputation::ReputationSystem;
-pub use sap::{QosCap, QosInfo};
-pub use ue::{RecoveryConfig, UeDevice, UeDeviceConfig};

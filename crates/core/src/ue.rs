@@ -290,11 +290,6 @@ impl UeDevice {
         self.serving.is_some() && self.host.addr().is_some()
     }
 
-    /// Reset Fig. 7 accounting.
-    pub fn reset_accounting(&mut self) {
-        self.proc_time = SimDuration::ZERO;
-    }
-
     /// Replace the recovery configuration (harnesses that opt a built
     /// device into chaos-hardened behaviour).
     pub fn set_recovery(&mut self, recovery: RecoveryConfig) {

@@ -382,22 +382,9 @@ impl Point {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Signature(pub [u8; 64]);
 
-impl Signature {
-    /// Parse from a byte slice.
-    ///
-    /// # Errors
-    /// Returns `None` if the slice is not exactly 64 bytes.
-    #[must_use]
-    pub fn from_slice(bytes: &[u8]) -> Option<Signature> {
-        let arr: [u8; 64] = bytes.try_into().ok()?;
-        Some(Signature(arr))
-    }
-}
-
 /// An Ed25519 signing key (the 32-byte seed).
 #[derive(Clone)]
 pub struct SigningKey {
-    seed: [u8; 32],
     /// Clamped scalar half of SHA-512(seed).
     s: [u8; 32],
     /// Prefix half of SHA-512(seed), used for deterministic nonces.
@@ -423,12 +410,7 @@ impl SigningKey {
         prefix.copy_from_slice(&h[32..]);
         let a = precomp::mul_base(&s);
         let public = VerifyingKey(a.compress());
-        SigningKey {
-            seed,
-            s,
-            prefix,
-            public,
-        }
+        SigningKey { s, prefix, public }
     }
 
     /// Generate a signing key from an RNG.
@@ -436,12 +418,6 @@ impl SigningKey {
         let mut seed = [0u8; 32];
         rng.fill(&mut seed);
         Self::from_seed(seed)
-    }
-
-    /// The seed this key was derived from.
-    #[must_use]
-    pub fn seed(&self) -> [u8; 32] {
-        self.seed
     }
 
     /// The corresponding public key.
@@ -1017,13 +993,6 @@ mod tests {
         // Set S >= L by forcing the top byte high.
         sig.0[63] = 0xff;
         assert!(!sk.verifying_key().verify(b"msg", &sig));
-    }
-
-    #[test]
-    fn signature_from_slice_checks_length() {
-        assert!(Signature::from_slice(&[0u8; 64]).is_some());
-        assert!(Signature::from_slice(&[0u8; 63]).is_none());
-        assert!(Signature::from_slice(&[0u8; 65]).is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! HMAC (RFC 2104 / FIPS 198-1) over SHA-256 and SHA-512.
+//! HMAC (RFC 2104 / FIPS 198-1) over SHA-256.
 
-use crate::sha2::{Sha256, Sha512};
+use crate::sha2::Sha256;
 
 /// An HMAC-SHA-256 key with its two padded key blocks already absorbed:
 /// each [`mac`](Self::mac) under it skips those two compressions. HKDF
@@ -43,33 +43,6 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
     HmacSha256Key::new(key).mac(&[data])
 }
 
-/// HMAC-SHA-512 of `data` under `key`.
-#[must_use]
-pub fn hmac_sha512(key: &[u8], data: &[u8]) -> [u8; 64] {
-    let mut k = [0u8; 128];
-    if key.len() > 128 {
-        k[..64].copy_from_slice(&crate::sha2::sha512(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut pad = [0u8; 128];
-    for (p, b) in pad.iter_mut().zip(k.iter()) {
-        *p = b ^ 0x36;
-    }
-    let mut inner = Sha512::new();
-    inner.update(&pad);
-    inner.update(data);
-    let inner_digest = inner.finalize();
-
-    for (p, b) in pad.iter_mut().zip(k.iter()) {
-        *p = b ^ 0x5c;
-    }
-    let mut outer = Sha512::new();
-    outer.update(&pad);
-    outer.update(&inner_digest);
-    outer.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,11 +60,6 @@ mod tests {
             hex(&hmac_sha256(&key, data)),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
         );
-        assert_eq!(
-            hex(&hmac_sha512(&key, data)),
-            "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde\
-             daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854"
-        );
     }
 
     #[test]
@@ -101,11 +69,6 @@ mod tests {
         assert_eq!(
             hex(&hmac_sha256(key, data)),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        assert_eq!(
-            hex(&hmac_sha512(key, data)),
-            "164b7a7bfcf819e2e395fbe73b56e0a387bd64222e831fd610270cd7ea250554\
-             9758bf75c05a994a6d034f65f8f0e6fdcaeab1a34d4a6b4b636e070a38bce737"
         );
     }
 
@@ -126,11 +89,6 @@ mod tests {
         assert_eq!(
             hex(&hmac_sha256(&key, data)),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
-        assert_eq!(
-            hex(&hmac_sha512(&key, data)),
-            "80b24263c7c1a3ebb71493c1dd7be8b49b46d1f41b4aeec1121b013783f8f352\
-             6b56d037e05f2598bd0fd2215d6a1e5295e64f73f63f0aec8b915a985d786598"
         );
     }
 

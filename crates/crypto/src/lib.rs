@@ -10,7 +10,7 @@
 //! dependencies:
 //!
 //! * [`sha2`] — SHA-256 and SHA-512 (FIPS 180-4),
-//! * [`hmac`] — HMAC (RFC 2104) over both hashes,
+//! * [`hmac`] — HMAC (RFC 2104) over SHA-256,
 //! * [`hkdf`] — HKDF (RFC 5869), used for the KASME-style key hierarchy,
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439),
 //! * [`field`] / [`x25519`](mod@x25519) — Curve25519 Diffie–Hellman (RFC 7748),
@@ -41,13 +41,11 @@ pub mod sealed;
 pub mod sha2;
 pub mod x25519;
 
-pub use cert::{Certificate, CertificateAuthority, CertificateError};
 pub use ed25519::{sign_batch, verify_batch, BatchItem, Signature, SigningKey, VerifyingKey};
 pub use sealed::{
     open, open_batch, seal, seal_begin, seal_finish_batch, PendingSeal, SealedBox, SealedBoxError,
 };
-pub use sha2::{sha256, sha512};
-pub use x25519::{x25519, X25519PublicKey, X25519SecretKey};
+pub use x25519::{x25519, X25519SecretKey};
 
 /// Constant-time byte-slice equality: used when comparing MACs and
 /// signatures so tampering tests don't observe short-circuit behaviour.

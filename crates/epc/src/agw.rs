@@ -85,11 +85,6 @@ impl Agw {
         }
     }
 
-    /// Reset accounting counters (between benchmark trials).
-    pub fn reset_accounting(&mut self) {
-        self.proc_time = SimDuration::ZERO;
-    }
-
     fn emit_control(&mut self, now: SimTime, dst: Ipv4Addr, bytes: bytes::Bytes) {
         self.proc_time = self.proc_time + self.cfg.proc_delay;
         let pkt = Packet::control(self.cfg.sig_ip, dst, bytes);

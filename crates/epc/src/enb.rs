@@ -33,12 +33,6 @@ impl Enb {
             control_relays: 0,
         }
     }
-
-    /// Reset the accounting counters (between benchmark trials).
-    pub fn reset_accounting(&mut self) {
-        self.control_proc_time = SimDuration::ZERO;
-        self.control_relays = 0;
-    }
 }
 
 impl Endpoint for Enb {
@@ -92,7 +86,5 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(enb.control_proc_time, SimDuration::from_millis(2));
         assert_eq!(enb.control_relays, 1);
-        enb.reset_accounting();
-        assert_eq!(enb.control_relays, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Shared gateway building blocks: UE IP pools, bearer tables and
 //! PGW-style usage accounting.
 //!
-//! Both the baseline [`crate::Agw`] and the CellBricks bTelco gateway
+//! Both the baseline [`crate::agw::Agw`] and the CellBricks bTelco gateway
 //! (in `cellbricks-core`) compose these: CellBricks changes *who
 //! authorizes* an attachment, not how bearers and accounting work.
 
@@ -27,13 +27,6 @@ impl IpPool {
             next: 2,
             free: Vec::new(),
         }
-    }
-
-    /// The pool's /16 network address (for route installation).
-    #[must_use]
-    pub fn network(&self) -> Ipv4Addr {
-        let o = self.base.octets();
-        Ipv4Addr::new(o[0], o[1], 0, 0)
     }
 
     /// Allocate an address; `None` when exhausted.
@@ -71,8 +64,6 @@ pub struct Bearer {
     pub subscriber: u64,
     /// Assigned data-plane address.
     pub ue_ip: Ipv4Addr,
-    /// Bearer identity.
-    pub bearer_id: u8,
     /// The UE's signalling address.
     pub ue_sig: Ipv4Addr,
     /// Downlink bytes forwarded.
@@ -83,8 +74,6 @@ pub struct Bearer {
     pub dl_dropped: u64,
     /// Maximum bit rate in bits/s (None = unmetered), from qosInfo.
     pub mbr_bps: Option<f64>,
-    /// When the bearer was established.
-    pub established_at: SimTime,
     /// MBR policer bucket level, bytes.
     mbr_tokens: f64,
     /// When the policer bucket was last refilled.
@@ -143,13 +132,11 @@ impl BearerTable {
             Bearer {
                 subscriber,
                 ue_ip,
-                bearer_id,
                 ue_sig,
                 dl_bytes: 0,
                 ul_bytes: 0,
                 dl_dropped: 0,
                 mbr_bps,
-                established_at: now,
                 // Start with one burst's worth of tokens.
                 mbr_tokens: mbr_bps.map_or(0.0, |r| r / 8.0 * 0.0625),
                 mbr_at: now,
@@ -203,7 +190,6 @@ mod tests {
         let b = p.allocate().unwrap();
         assert_ne!(a, b);
         assert_eq!(a, Ipv4Addr::new(10, 1, 0, 2));
-        assert_eq!(p.network(), Ipv4Addr::new(10, 1, 0, 0));
     }
 
     #[test]
@@ -236,10 +222,9 @@ mod tests {
         let mut t = BearerTable::new();
         let ip = Ipv4Addr::new(10, 1, 0, 2);
         let sig = Ipv4Addr::new(169, 254, 0, 1);
-        let id = t.establish(42, ip, sig, Some(1e6), SimTime::ZERO);
+        t.establish(42, ip, sig, Some(1e6), SimTime::ZERO);
         assert_eq!(t.len(), 1);
         let b = t.get(ip).unwrap();
-        assert_eq!(b.bearer_id, id);
         assert_eq!(b.subscriber, 42);
         t.get_mut(ip).unwrap().dl_bytes += 100;
         let released = t.release(ip).unwrap();

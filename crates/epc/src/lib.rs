@@ -9,10 +9,10 @@
 //! single-round-trip SAP in Fig. 7 — plus bearer management, UE IP
 //! allocation, and PGW-style usage accounting.
 //!
-//! Components ([`Enb`], [`Agw`], [`SubscriberDb`], [`UeNas`]) are
-//! [`cellbricks_net::Endpoint`]s wired onto topology nodes; processing
-//! costs are explicit per-message delays so the Fig. 7 latency breakdown
-//! can be instrumented faithfully.
+//! Components ([`enb::Enb`], [`agw::Agw`], [`subscriber_db::SubscriberDb`],
+//! [`ue_nas::UeNas`]) are [`cellbricks_net::Endpoint`]s wired onto
+//! topology nodes; processing costs are explicit per-message delays so
+//! the Fig. 7 latency breakdown can be instrumented faithfully.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,12 +26,3 @@ pub mod s6a;
 pub mod subscriber_db;
 pub mod ue_nas;
 pub mod wire;
-
-pub use agw::{Agw, AgwConfig};
-pub use aka::{AkaVector, SharedKey};
-pub use enb::Enb;
-pub use gateway::{Bearer, BearerTable, IpPool};
-pub use nas::NasMessage;
-pub use s6a::S6aMessage;
-pub use subscriber_db::SubscriberDb;
-pub use ue_nas::{UeNas, UeNasConfig};

@@ -51,19 +51,6 @@ impl SubscriberDb {
         self.subscribers.insert(imsi, key);
     }
 
-    /// Number of provisioned subscribers.
-    #[must_use]
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
-    /// Reset accounting counters.
-    pub fn reset_accounting(&mut self) {
-        self.proc_time = SimDuration::ZERO;
-        self.air_count = 0;
-        self.ulr_count = 0;
-    }
-
     fn respond(&mut self, now: SimTime, to: Ipv4Addr, msg: S6aMessage) {
         self.proc_time = self.proc_time + self.proc_delay;
         let pkt = Packet::control(self.ip, to, msg.encode());

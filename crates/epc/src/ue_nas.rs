@@ -82,12 +82,6 @@ impl UeNas {
         self.state == State::Attached
     }
 
-    /// The master session key after a successful attach.
-    #[must_use]
-    pub fn kasme(&self) -> Option<[u8; 32]> {
-        self.kasme
-    }
-
     /// Begin an attach; latency is measured from this instant.
     pub fn start_attach(&mut self, now: SimTime) {
         self.state = State::AwaitingChallenge;
@@ -307,8 +301,6 @@ mod tests {
         assert_eq!(sdb.ulr_count, 1, "baseline uses the second round trip");
         assert_eq!(ue.failures, 0);
         assert_eq!(ue.attach_latency_ms.count(), 1);
-        // Both the UE and AGW hold the same KASME.
-        assert!(ue.kasme().is_some());
     }
 
     #[test]

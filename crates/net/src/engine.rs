@@ -212,12 +212,6 @@ impl Driver {
         self.faults.len()
     }
 
-    /// The floor of the next run window.
-    #[must_use]
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
     /// (Re)build the registry if the endpoint set changed, and mark every
     /// endpoint dirty: the caller may have mutated endpoints (started
     /// flows, armed timers) since the previous window.

@@ -14,16 +14,14 @@
 //!   state are lost) and unavailability windows (state survives, but the
 //!   process neither receives nor sends).
 //!
-//! Determinism: a plan is fully materialized when it is built — the
-//! seed-driven helpers ([`FaultPlan::random_flaps`]) draw from a
-//! [`SimRng`] at *build* time, so two runs with the same seed execute the
-//! byte-identical fault schedule. Events at equal instants apply in
+//! Determinism: a plan is fully materialized when it is built, so two
+//! runs execute the byte-identical fault schedule. Events at equal instants apply in
 //! insertion order ([`EventQueue`] FIFO tie-break). The
 //! [`Driver`](crate::engine::Driver) owns the installed plan and applies
 //! due faults before dispatching the events of each instant.
 
 use crate::topology::{LinkId, NodeId};
-use cellbricks_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use cellbricks_sim::{EventQueue, SimDuration, SimTime};
 
 /// A Gilbert–Elliott burst-loss model: a two-state Markov chain stepped
 /// once per offered packet. In the *good* state packets drop with
@@ -149,29 +147,6 @@ impl FaultPlan {
         self
     }
 
-    /// Seed-driven flap train: outages with exponential inter-arrival
-    /// (`mean_up`) and exponential duration (`mean_down`) over
-    /// `[from, until)`. Fully materialized here, so the schedule is a
-    /// pure function of the rng state.
-    pub fn random_flaps(
-        &mut self,
-        rng: &mut SimRng,
-        link: LinkId,
-        from: SimTime,
-        until: SimTime,
-        mean_up: SimDuration,
-        mean_down: SimDuration,
-    ) -> &mut Self {
-        let mut t = from + SimDuration::from_secs_f64(rng.exponential(mean_up.as_secs_f64()));
-        while t < until {
-            let down =
-                SimDuration::from_secs_f64(rng.exponential(mean_down.as_secs_f64()).max(1e-6));
-            self.link_outage(link, t, down);
-            t = t + down + SimDuration::from_secs_f64(rng.exponential(mean_up.as_secs_f64()));
-        }
-        self
-    }
-
     /// A burst-loss window: `model` governs `link` over `[from, until)`,
     /// after which the uniform loss model is restored.
     pub fn burst_loss_window(
@@ -267,31 +242,6 @@ mod tests {
         );
         let (t1, _) = plan.pop_due(SimTime::from_secs(100)).unwrap();
         assert_eq!(t1, SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn random_flaps_deterministic_per_seed() {
-        let build = || {
-            let mut rng = SimRng::new(99);
-            let mut plan = FaultPlan::new();
-            plan.random_flaps(
-                &mut rng,
-                LinkId(0),
-                SimTime::ZERO,
-                SimTime::from_secs(60),
-                SimDuration::from_secs(5),
-                SimDuration::from_millis(500),
-            );
-            let mut out = Vec::new();
-            while let Some(e) = plan.pop_due(SimTime::from_secs(1_000)) {
-                out.push(e);
-            }
-            out
-        };
-        let a = build();
-        let b = build();
-        assert!(!a.is_empty());
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -27,18 +27,6 @@ pub enum RateSchedule {
 }
 
 impl RateSchedule {
-    /// The instantaneous rate at `t`, bits/s.
-    #[must_use]
-    pub fn rate_bps(&self, t: SimTime) -> f64 {
-        match self {
-            RateSchedule::Constant(r) => *r,
-            RateSchedule::Trace { step, samples } => {
-                let idx = (t.as_nanos() / step.as_nanos()) as usize;
-                samples[idx.min(samples.len() - 1)]
-            }
-        }
-    }
-
     /// Bytes of tokens accrued over `[t0, t1]`.
     #[must_use]
     pub fn integral_bytes(&self, t0: SimTime, t1: SimTime) -> f64 {
@@ -172,13 +160,6 @@ impl LinkConfig {
     #[must_use]
     pub fn with_loss(mut self, loss: f64) -> Self {
         self.loss = loss;
-        self
-    }
-
-    /// Install a burst-loss model from the start.
-    #[must_use]
-    pub fn with_burst(mut self, model: BurstLoss) -> Self {
-        self.burst = Some(model);
         self
     }
 }
@@ -489,7 +470,10 @@ mod tests {
             loss_good: 0.0,
             loss_bad: 1.0,
         };
-        let mut d = Direction::new(LinkConfig::delay_only(ms(1)).with_burst(model));
+        let mut d = Direction::new(LinkConfig {
+            burst: Some(model),
+            ..LinkConfig::delay_only(ms(1))
+        });
         // step 0.9 >= p_enter: stay good, loss_good = 0 -> deliver.
         assert!(matches!(
             d.offer(SimTime::ZERO, 100, 0.0, Some(0.9)),

@@ -313,21 +313,6 @@ impl Packet {
         }
     }
 
-    /// A UDP packet of content-free media bytes (e.g. an RTP frame).
-    #[must_use]
-    pub fn udp_media(src: Endpoint, dst: Endpoint, padding: u32) -> Packet {
-        Packet {
-            src: src.ip,
-            dst: dst.ip,
-            kind: PacketKind::Udp {
-                src_port: src.port,
-                dst_port: dst.port,
-                payload: Bytes::new(),
-                padding,
-            },
-        }
-    }
-
     /// A control-plane packet.
     #[must_use]
     pub fn control(src: Ipv4Addr, dst: Ipv4Addr, payload: Bytes) -> Packet {
@@ -455,7 +440,14 @@ mod tests {
             Bytes::from_static(b"hello"),
         );
         assert_eq!(p.wire_size(), 33);
-        let m = Packet::udp_media(Endpoint::new(ip(1), 10), Endpoint::new(ip(2), 20), 160);
+        let mut m = Packet::udp(
+            Endpoint::new(ip(1), 10),
+            Endpoint::new(ip(2), 20),
+            Bytes::new(),
+        );
+        if let PacketKind::Udp { padding, .. } = &mut m.kind {
+            *padding = 160;
+        }
         assert_eq!(m.wire_size(), 188);
     }
 

@@ -12,7 +12,7 @@
 //! | night  | ≈15.46 Mbps (Fig. 10: 14.95)    | 8.94 | 52.5 |
 
 use crate::link::RateSchedule;
-use cellbricks_sim::{SimDuration, SimRng, SimTime};
+use cellbricks_sim::{SimDuration, SimRng};
 
 /// Which rate-limiting regime the carrier applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -107,36 +107,6 @@ impl CarrierPolicy {
         }
     }
 
-    /// Generate a trace that switches from day to night at `switch_at`
-    /// (the "12:30 am" effect of Appendix A / Fig. 10).
-    #[must_use]
-    pub fn transition_trace(
-        &self,
-        switch_at: SimTime,
-        duration: SimDuration,
-        rng: &mut SimRng,
-    ) -> RateSchedule {
-        let bins = (duration.as_nanos() / self.step.as_nanos()).max(1) as usize + 1;
-        let switch_bin = (switch_at.as_nanos() / self.step.as_nanos()) as usize;
-        let mut samples = Vec::with_capacity(bins);
-        let mut x = self.day.mean_bps;
-        for i in 0..bins {
-            let p = if i < switch_bin {
-                &self.day
-            } else {
-                &self.night
-            };
-            let rho = p.smoothing;
-            let innov_std = p.std_bps * (1.0 - rho * rho).sqrt();
-            x = rho * x + (1.0 - rho) * p.mean_bps + rng.normal(0.0, innov_std);
-            samples.push(x.clamp(p.floor_bps, p.ceil_bps));
-        }
-        RateSchedule::Trace {
-            step: self.step,
-            samples,
-        }
-    }
-
     /// The token-bucket depth (bytes) to pair with a trace of this regime.
     #[must_use]
     pub fn burst_bytes(&self, tod: TimeOfDay) -> f64 {
@@ -192,23 +162,6 @@ mod tests {
         // Appendix A: ~14.5x difference.
         let ratio = night_mean / day_mean;
         assert!(ratio > 8.0 && ratio < 25.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn transition_switches_regime() {
-        let mut rng = SimRng::new(4);
-        let policy = CarrierPolicy::default();
-        let trace = policy.transition_trace(
-            SimTime::from_secs(100),
-            SimDuration::from_secs(200),
-            &mut rng,
-        );
-        let RateSchedule::Trace { samples, .. } = &trace else {
-            panic!()
-        };
-        let before: f64 = samples[..90].iter().sum::<f64>() / 90.0;
-        let after: f64 = samples[110..200].iter().sum::<f64>() / 90.0;
-        assert!(after / before > 5.0, "before {before} after {after}");
     }
 
     #[test]

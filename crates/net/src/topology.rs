@@ -52,8 +52,8 @@ pub(crate) struct Link {
     pub(crate) ba: Direction,
 }
 
-/// The static network topology: named nodes, configured links, and
-/// per-node longest-prefix route tables.
+/// The static network topology: nodes, configured links, and per-node
+/// longest-prefix route tables.
 ///
 /// All routes live in one storage. `routes[node]` is the node's newest
 /// route, inline, so a leaf with its one default route is looked up in
@@ -63,11 +63,6 @@ pub(crate) struct Link {
 pub struct Topology {
     routes: Vec<Route>,
     older: Vec<Route>,
-    /// bTelco/region label per node.
-    regions: Vec<u32>,
-    /// Node names, concatenated; node `i`'s ends at `name_ends[i]`.
-    names: String,
-    name_ends: Vec<u32>,
     pub(crate) links: Vec<Link>,
 }
 
@@ -78,25 +73,17 @@ impl Topology {
         Self::default()
     }
 
-    /// Add a node (in region 0).
-    pub fn add_node(&mut self, name: &str) -> NodeId {
-        self.add_node_in_region(name, 0)
-    }
-
-    /// Add a node tagged with a bTelco/region label.
-    pub fn add_node_in_region(&mut self, name: &str, region: u32) -> NodeId {
+    /// Add a node. The name documents the call site only; the topology
+    /// does not keep it.
+    pub fn add_node(&mut self, _name: &str) -> NodeId {
         self.routes.push(Route::EMPTY);
-        self.regions.push(region);
-        self.names.push_str(name);
-        let end = u32::try_from(self.names.len()).expect("node names fit 4 GiB");
-        self.name_ends.push(end);
         NodeId(self.routes.len() - 1)
     }
 
-    /// The region label of `node`.
-    #[must_use]
-    pub fn region(&self, node: NodeId) -> u32 {
-        self.regions[node.0]
+    /// Add a node; like [`Topology::add_node`], the bTelco/region label
+    /// is not kept.
+    pub fn add_node_in_region(&mut self, name: &str, _region: u32) -> NodeId {
+        self.add_node(name)
     }
 
     /// Add a bidirectional link between `a` and `b` with per-direction
@@ -206,47 +193,10 @@ impl Topology {
         best.map(|r| LinkId(r.link as usize))
     }
 
-    /// The node at the far end of `link` from `node`.
-    ///
-    /// # Panics
-    /// Panics if the link is not attached to the node.
-    #[must_use]
-    pub fn peer(&self, link: LinkId, node: NodeId) -> NodeId {
-        let l = &self.links[link.0];
-        if l.a == node {
-            l.b
-        } else if l.b == node {
-            l.a
-        } else {
-            panic!("node {node:?} not on link {link:?}")
-        }
-    }
-
-    /// Node name (for diagnostics).
-    #[must_use]
-    pub fn node_name(&self, node: NodeId) -> &str {
-        let start = node.0.checked_sub(1).map_or(0, |prev| self.name_ends[prev]);
-        &self.names[start as usize..self.name_ends[node.0] as usize]
-    }
-
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.routes.len()
-    }
-
-    /// Number of links.
-    #[must_use]
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    /// The two endpoints of `link` (the `a` side first — packets on the
-    /// `ab` direction flow a→b).
-    #[must_use]
-    pub fn link_ends(&self, link: LinkId) -> (NodeId, NodeId) {
-        let l = &self.links[link.0];
-        (l.a, l.b)
     }
 
     /// One-way propagation latency of the cheapest path `from → to`,
@@ -322,16 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn peer_resolution() {
-        let mut t = Topology::new();
-        let a = t.add_node("a");
-        let b = t.add_node("b");
-        let l = t.add_symmetric_link(a, b, cfg());
-        assert_eq!(t.peer(l, a), b);
-        assert_eq!(t.peer(l, b), a);
-    }
-
-    #[test]
     #[should_panic(expected = "not attached")]
     fn route_must_use_attached_link() {
         let mut t = Topology::new();
@@ -373,18 +313,6 @@ mod tests {
         t.add_route(a, Ipv4Addr::new(192, 168, 1, 7), 32, l);
         assert_eq!(t.route(a, Ipv4Addr::new(192, 168, 1, 7)), Some(l));
         assert_eq!(t.route(a, Ipv4Addr::new(192, 168, 1, 8)), None);
-    }
-
-    #[test]
-    fn node_names_and_regions_survive_the_move_out_of_the_hot_table() {
-        let mut t = Topology::new();
-        let a = t.add_node("alpha");
-        let b = t.add_node_in_region("", 3);
-        let c = t.add_node_in_region("gamma-2", 1);
-        assert_eq!(
-            [a, b, c].map(|n| (t.node_name(n), t.region(n))),
-            [("alpha", 0), ("", 3), ("gamma-2", 1)]
-        );
     }
 
     #[test]

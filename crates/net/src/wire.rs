@@ -140,11 +140,6 @@ impl<'a> Reader<'a> {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
-    /// Remaining unread bytes.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 /// Largest frame payload either side will accept. Generously above any

@@ -258,12 +258,6 @@ impl NetWorld {
             .add_with_peak(t.in_flight, t.in_flight_peak);
     }
 
-    /// The topology (routes may be inspected but links carry state).
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Mutable topology access (e.g. to install routes mid-run).
     pub fn topology_mut(&mut self) -> &mut Topology {
         &mut self.topology

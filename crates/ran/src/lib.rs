@@ -16,12 +16,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fleet;
 pub mod mobility;
 pub mod radio;
 pub mod routes;
 
-pub use fleet::{FleetRadioState, FleetUeId};
 pub use mobility::{CellSelector, DriveSim, HandoverEvent};
-pub use radio::{PathlossModel, Tower, TowerId};
 pub use routes::{mttho, DriveProfile, RouteKind};

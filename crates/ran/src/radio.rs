@@ -67,15 +67,6 @@ impl PathlossModel {
     pub fn rsrp_dbm(&self, d_m: f64, rng: &mut SimRng) -> f64 {
         self.median_rsrp_dbm(d_m) + rng.normal(0.0, self.shadow_std_db)
     }
-
-    /// A crude loss-rate model: loss grows as RSRP falls below a
-    /// threshold (cell-edge effect). Returns a probability in `[0, 0.05]`.
-    #[must_use]
-    pub fn loss_probability(&self, rsrp_dbm: f64) -> f64 {
-        // Above -95 dBm: essentially clean. Below -115 dBm: 5% loss.
-        let span = (-95.0 - rsrp_dbm) / 20.0;
-        (span * 0.05).clamp(0.0, 0.05)
-    }
 }
 
 #[cfg(test)]
@@ -122,15 +113,5 @@ mod tests {
             samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / samples.len() as f64;
         assert!((var.sqrt() - 4.0).abs() < 0.1, "std {}", var.sqrt());
         assert!((mean - m.median_rsrp_dbm(500.0)).abs() < 0.1);
-    }
-
-    #[test]
-    fn loss_probability_bounds() {
-        let m = PathlossModel::default();
-        assert_eq!(m.loss_probability(-80.0), 0.0);
-        assert!((m.loss_probability(-115.0) - 0.05).abs() < 1e-9);
-        assert!(m.loss_probability(-200.0) <= 0.05);
-        let mid = m.loss_probability(-105.0);
-        assert!(mid > 0.0 && mid < 0.05);
     }
 }

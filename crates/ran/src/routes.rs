@@ -75,10 +75,6 @@ impl RouteKind {
 /// A fully instantiated drive scenario: towers plus motion parameters.
 #[derive(Clone, Debug)]
 pub struct DriveProfile {
-    /// Route kind.
-    pub kind: RouteKind,
-    /// Time of day.
-    pub tod: TimeOfDay,
     /// Drive speed, m/s.
     pub speed_mps: f64,
     /// Towers along the route.
@@ -117,8 +113,6 @@ impl DriveProfile {
             id += 1;
         }
         DriveProfile {
-            kind,
-            tod,
             speed_mps: speed,
             towers,
         }

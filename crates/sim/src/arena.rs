@@ -106,18 +106,6 @@ impl<T> Arena<T> {
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
         self.slots.iter_mut()
     }
-
-    /// The whole store as a contiguous slice.
-    #[must_use]
-    pub fn as_slice(&self) -> &[T] {
-        &self.slots
-    }
-
-    /// The whole store as a contiguous mutable slice.
-    #[must_use]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.slots
-    }
 }
 
 impl<'a, T> IntoIterator for &'a Arena<T> {

@@ -57,29 +57,12 @@ impl SimRng {
         self.inner.gen_range(lo..hi)
     }
 
-    /// Exponential with the given mean (inter-arrival times).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.unit(); // in (0, 1]
-        -mean * u.ln()
-    }
-
     /// Normal via Box–Muller.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         let u1 = 1.0 - self.unit();
         let u2 = self.unit();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         mean + std_dev * z
-    }
-
-    /// Log-normal parameterized by the mean and standard deviation of the
-    /// *resulting* distribution (not of the underlying normal).
-    pub fn lognormal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(mean > 0.0, "log-normal mean must be positive");
-        let variance = std_dev * std_dev;
-        let sigma2 = (1.0 + variance / (mean * mean)).ln();
-        let mu = mean.ln() - sigma2 / 2.0;
-        let n = self.normal(mu, sigma2.sqrt());
-        n.exp()
     }
 
     /// Fill a byte buffer (key generation in tests and simulations).
@@ -150,15 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_close() {
-        let mut r = SimRng::new(4);
-        let n = 20_000;
-        let total: f64 = (0..n).map(|_| r.exponential(5.0)).sum();
-        let mean = total / f64::from(n);
-        assert!((mean - 5.0).abs() < 0.2, "mean {mean}");
-    }
-
-    #[test]
     fn normal_moments_close() {
         let mut r = SimRng::new(5);
         let n = 20_000;
@@ -168,16 +142,6 @@ mod tests {
             samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / samples.len() as f64;
         assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
         assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn lognormal_moments_close() {
-        let mut r = SimRng::new(6);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.lognormal(15.0, 9.0)).collect();
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!((mean - 15.0).abs() < 0.5, "mean {mean}");
-        assert!(samples.iter().all(|&x| x > 0.0));
     }
 
     #[test]

@@ -2,13 +2,11 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// An online mean/variance/min/max accumulator (Welford's algorithm).
+/// An online mean/max accumulator.
 #[derive(Clone, Debug, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
     max: f64,
 }
 
@@ -19,8 +17,6 @@ impl Summary {
         Self {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
@@ -30,8 +26,6 @@ impl Summary {
         self.count += 1;
         let delta = value - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
 
@@ -51,32 +45,6 @@ impl Summary {
         }
     }
 
-    /// Population variance (0 if fewer than 2 observations).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (NaN if empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
     /// Maximum observation (NaN if empty).
     #[must_use]
     pub fn max(&self) -> f64 {
@@ -85,28 +53,6 @@ impl Summary {
         } else {
             self.max
         }
-    }
-
-    /// Merge another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64) * (other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -163,12 +109,6 @@ impl TimeSeries {
         self.sums[idx] += value;
     }
 
-    /// Bin width.
-    #[must_use]
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin
-    }
-
     /// Per-bin sums.
     #[must_use]
     pub fn sums(&self) -> &[f64] {
@@ -207,8 +147,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
 
@@ -216,28 +154,7 @@ mod tests {
     fn summary_empty() {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert!(s.min().is_nan());
-    }
-
-    #[test]
-    fn summary_merge_matches_combined() {
-        let values: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for (i, v) in values.iter().enumerate() {
-            whole.record(*v);
-            if i < 37 {
-                a.record(*v);
-            } else {
-                b.record(*v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
+        assert!(s.max().is_nan());
     }
 
     #[test]

@@ -52,18 +52,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Saturating subtraction.
-    #[must_use]
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Scale by a non-negative float.
-    #[must_use]
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * k)
-    }
 }
 
 impl Add for SimDuration {
@@ -262,14 +250,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(12).to_string(), "12.000ms");
         assert_eq!(SimDuration::from_secs(12).to_string(), "12.000s");
     }
-
-    #[test]
-    fn mul_f64_scaling() {
-        assert_eq!(
-            SimDuration::from_secs(2).mul_f64(0.25),
-            SimDuration::from_millis(500)
-        );
-    }
 }
 
 #[cfg(test)]
@@ -293,14 +273,6 @@ mod proptests {
         #[test]
         fn prop_from_secs_f64_saturates_negative(s in -1.0e12f64..0.0) {
             prop_assert_eq!(SimDuration::from_secs_f64(s), SimDuration::ZERO);
-        }
-
-        /// Duration saturating_sub never underflows and agrees with
-        /// checked arithmetic when in range.
-        #[test]
-        fn prop_duration_saturating_sub(a in any::<u64>(), b in any::<u64>()) {
-            let d = SimDuration::from_nanos(a).saturating_sub(SimDuration::from_nanos(b));
-            prop_assert_eq!(d.as_nanos(), a.saturating_sub(b));
         }
 
         /// Instant + duration saturates at FAR_FUTURE instead of

@@ -193,12 +193,6 @@ impl Host {
         self.flush(now);
     }
 
-    /// Close and flush.
-    pub fn tcp_close(&mut self, now: SimTime, id: SockId) {
-        self.tcp_mut(id).close();
-        self.flush(now);
-    }
-
     // ----- MPTCP -----
 
     /// Open an MPTCP connection to `remote`.
@@ -264,26 +258,18 @@ impl Host {
     }
 
     /// Send a UDP datagram with real payload bytes.
-    pub fn udp_send(&mut self, now: SimTime, id: UdpId, to: EndpointAddr, payload: Bytes) {
+    pub fn udp_send(&mut self, id: UdpId, to: EndpointAddr, payload: Bytes) {
         let Some(addr) = self.addr else {
             self.stale_src_drops += 1;
             return;
         };
         let from = EndpointAddr::new(addr, self.udps[id.0].port);
         self.out.push(Packet::udp(from, to, payload));
-        let _ = now;
     }
 
     /// Send a UDP datagram with real payload bytes plus content-free
     /// padding (e.g. a QUIC header followed by stream bytes).
-    pub fn udp_send_padded(
-        &mut self,
-        now: SimTime,
-        id: UdpId,
-        to: EndpointAddr,
-        payload: Bytes,
-        padding: u32,
-    ) {
+    pub fn udp_send_padded(&mut self, id: UdpId, to: EndpointAddr, payload: Bytes, padding: u32) {
         let Some(addr) = self.addr else {
             self.stale_src_drops += 1;
             return;
@@ -294,18 +280,6 @@ impl Host {
             *p = padding;
         }
         self.out.push(pkt);
-        let _ = now;
-    }
-
-    /// Send a content-free UDP datagram of `padding` media bytes.
-    pub fn udp_send_media(&mut self, now: SimTime, id: UdpId, to: EndpointAddr, padding: u32) {
-        let Some(addr) = self.addr else {
-            self.stale_src_drops += 1;
-            return;
-        };
-        let from = EndpointAddr::new(addr, self.udps[id.0].port);
-        self.out.push(Packet::udp_media(from, to, padding));
-        let _ = now;
     }
 
     /// Drain received datagrams: `(arrival, peer, payload, padding)`.
@@ -556,7 +530,6 @@ mod tests {
         let cs = client.host.udp_bind(9000);
         let ss = server.host.udp_bind(7);
         client.host.udp_send(
-            SimTime::ZERO,
             cs,
             EndpointAddr::new(SERVER_IP, 7),
             Bytes::from_static(b"ping"),
@@ -786,7 +759,7 @@ mod tests {
         assert_eq!(client.stale_src_drops, 0, "nothing was due yet");
         let udp = client.udp_bind(9000);
         let at = SimTime::from_secs(1); // The SYN timers; the join worker was due at 0.5 s.
-        client.udp_send_media(at, udp, server_ep, 100);
+        client.udp_send(udp, server_ep, Bytes::from_static(b"media"));
         client.poll(at);
         assert_eq!(client.stale_src_drops, 1, "the plain socket's SYN retry");
         client.drain_out(&mut out);

@@ -38,5 +38,4 @@ pub mod tcp;
 pub use cc::{Bbr, CcAlgo, CongestionControl, Cubic, Reno};
 pub use host::{Host, MpId, SockId, UdpId};
 pub use mptcp::{MpConfig, MpConn};
-pub use quic::QuicConn;
 pub use tcp::{Tcp, TcpConfig};

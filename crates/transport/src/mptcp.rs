@@ -206,13 +206,6 @@ impl MpConn {
         }
     }
 
-    /// Request an orderly close of the active subflow once data drains.
-    pub fn close(&mut self) {
-        if let Some(i) = self.active_sender_index() {
-            self.subflows[i].tcp.close();
-        }
-    }
-
     /// Take the count of newly delivered in-order data bytes.
     pub fn take_delivered(&mut self) -> u64 {
         std::mem::take(&mut self.data_delivered_unread)
@@ -742,12 +735,16 @@ pub(crate) mod tests {
             Ipv4Addr::from(CLIENT_IP2),
         );
         let created_before = l.client.subflows_created;
+        // The join SYN cannot leave before t_invalidate + 500 ms ...
+        l.run_to(t_invalidate + SimDuration::from_millis(499));
+        assert_eq!(l.client.subflows_created, created_before);
+        // ... and leaves when the worker fires.
+        l.run_to(t_invalidate + SimDuration::from_millis(500));
+        assert_eq!(l.client.subflows_created, created_before + 1);
+        // Data resumes after that plus a handshake RTT.
         l.run_for(SimDuration::from_secs(3));
         assert_eq!(l.client.subflows_created, created_before + 1);
-        // The join SYN cannot have left before t_invalidate + 500ms; data
-        // resumes only after that plus a handshake RTT.
         assert!(l.client.data_received() > 0);
-        let _ = t_invalidate;
     }
 
     #[test]

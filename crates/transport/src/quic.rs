@@ -310,7 +310,7 @@ impl QuicConn {
     // ----- Input -----
 
     /// Consume a datagram addressed to this connection.
-    pub fn on_datagram(&mut self, now: SimTime, from: EndpointAddr, header: &[u8], padding: u32) {
+    pub fn on_datagram(&mut self, now: SimTime, from: EndpointAddr, header: &[u8]) {
         let Some((conn_id, pkt_num, frames)) = decode_header(header) else {
             return;
         };
@@ -351,8 +351,7 @@ impl QuicConn {
                     }
                 }
                 Frame::Stream { offset, len } => {
-                    self.on_stream(offset, u64::from(len).max(u64::from(padding.min(len))));
-                    let _ = padding;
+                    self.on_stream(offset, u64::from(len));
                 }
                 Frame::Ack { cumulative, ranges } => {
                     self.on_ack(now, cumulative, &ranges);
@@ -662,7 +661,7 @@ mod tests {
         client_addr: EndpointAddr,
         now: SimTime,
         delay: SimDuration,
-        wire: Vec<(SimTime, bool, EndpointAddr, Bytes, u32)>, // (at, to_server, from, hdr, pad)
+        wire: Vec<(SimTime, bool, EndpointAddr, Bytes)>, // (at, to_server, from, hdr)
         dead_addrs: Vec<Ipv4Addr>,
         drop_indices: Vec<usize>,
         emitted: usize,
@@ -687,7 +686,7 @@ mod tests {
         fn flush(&mut self) {
             let mut out = Vec::new();
             self.client.poll(self.now, &mut out);
-            for (to, hdr, pad) in out.drain(..) {
+            for (_, hdr, _) in out.drain(..) {
                 let idx = self.emitted;
                 self.emitted += 1;
                 if self.dead_addrs.contains(&self.client_addr.ip)
@@ -696,11 +695,10 @@ mod tests {
                     continue;
                 }
                 self.wire
-                    .push((self.now + self.delay, true, self.client_addr, hdr, pad));
-                let _ = to;
+                    .push((self.now + self.delay, true, self.client_addr, hdr));
             }
             self.server.poll(self.now, &mut out);
-            for (to, hdr, pad) in out.drain(..) {
+            for (to, hdr, _) in out.drain(..) {
                 let idx = self.emitted;
                 self.emitted += 1;
                 // Only datagrams addressed to the client's *current*
@@ -712,7 +710,7 @@ mod tests {
                     continue;
                 }
                 self.wire
-                    .push((self.now + self.delay, false, ep(SERVER, 443), hdr, pad));
+                    .push((self.now + self.delay, false, ep(SERVER, 443), hdr));
             }
         }
 
@@ -732,19 +730,19 @@ mod tests {
             self.now = self.now.max(next);
             let now = self.now;
             let mut due = Vec::new();
-            self.wire.retain(|(t, to_server, from, hdr, pad)| {
+            self.wire.retain(|(t, to_server, from, hdr)| {
                 if *t <= now {
-                    due.push((*to_server, *from, hdr.clone(), *pad));
+                    due.push((*to_server, *from, hdr.clone()));
                     false
                 } else {
                     true
                 }
             });
-            for (to_server, from, hdr, pad) in due {
+            for (to_server, from, hdr) in due {
                 if to_server {
-                    self.server.on_datagram(now, from, &hdr, pad);
+                    self.server.on_datagram(now, from, &hdr);
                 } else {
-                    self.client.on_datagram(now, from, &hdr, pad);
+                    self.client.on_datagram(now, from, &hdr);
                 }
             }
             self.flush();
@@ -866,7 +864,7 @@ mod tests {
         l.run_for(SimDuration::from_millis(100));
         let spoofed = ep([66, 6, 6, 6], 1);
         let hdr = encode_header(77, 1000, &[Frame::Stream { offset: 0, len: 1 }]);
-        l.server.on_datagram(l.now, spoofed, &hdr, 1);
+        l.server.on_datagram(l.now, spoofed, &hdr);
         // The challenge goes to the spoofed address; no response comes
         // back, so the validated peer must remain the true client.
         l.run_for(SimDuration::from_millis(200));
@@ -887,7 +885,7 @@ mod tests {
                 len: 100,
             }],
         );
-        l.server.on_datagram(l.now, ep(CLIENT, 40_000), &hdr, 100);
+        l.server.on_datagram(l.now, ep(CLIENT, 40_000), &hdr);
         assert_eq!(l.server.stream_received(), before);
     }
 }

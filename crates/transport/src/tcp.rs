@@ -320,28 +320,10 @@ impl Tcp {
         self.aborted
     }
 
-    /// Bytes in flight (sent but unacknowledged).
-    #[must_use]
-    pub fn flight_size(&self) -> u64 {
-        self.snd_max - self.snd_una
-    }
-
     /// Congestion window in bytes.
     #[must_use]
     pub fn cwnd(&self) -> u64 {
         self.cc.cwnd() as u64
-    }
-
-    /// Name of the congestion-control algorithm in use.
-    #[must_use]
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
-    /// Pacing rate (bytes/sec) exported by rate-based algorithms.
-    #[must_use]
-    pub fn pacing_rate(&self) -> Option<f64> {
-        self.cc.pacing_rate()
     }
 
     /// Reset congestion-control state to a fresh connection's: used when
@@ -1300,7 +1282,7 @@ mod proptests {
                     break;
                 }
                 prop_assert!(lb.a.cwnd() >= 1460);
-                prop_assert!(lb.a.flight_size() <= bytes + 2);
+                prop_assert!(lb.a.snd_max - lb.a.snd_una <= bytes + 2);
             }
         }
     }
