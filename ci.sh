@@ -148,39 +148,22 @@ grep -q '"fault.unrecovered":0' results/exp_chaos.metrics.json
 echo
 echo "==> results/exp_chaos.metrics.json OK"
 
-# Broker-plane gate (sharded sim brokers, PR 8): authorization throughput must
-# scale ~linearly in shard count, and a mid-burst shard-primary kill
-# must cost zero failed attaches (replica failover covers the outage).
-# The sweep is measured in *simulated* time, so the gauges are a pure
-# function of the seed — the floors sit ~20% under the committed values
-# only to absorb deliberate timing-model changes, not noise.
-BROKER_K1_FLOOR=380
-BROKER_K4_FLOOR=1150
+# Broker failover gate: the broker is one primary/standby replica pair
+# over a shared store, and a mid-burst primary kill must cost zero
+# failed attaches (the UE retry timer fails over to the standby). The
+# run is measured in simulated time, so the count is a pure function of
+# the seed.
 bscratch=$(mktemp -d)
 run env CELLBRICKS_RESULTS_DIR="$bscratch" \
     cargo run --release -q -p cellbricks-bench --bin exp_broker
-bk1=$(metric "$bscratch/exp_broker.metrics.json" "exp_broker.k1.auths_per_sec")
-bk4=$(metric "$bscratch/exp_broker.metrics.json" "exp_broker.k4.auths_per_sec")
 bfail=$(metric "$bscratch/exp_broker.metrics.json" "exp_broker.kill.failed_attaches")
-if [ "$bk1" -lt "$BROKER_K1_FLOOR" ]; then
-    echo "FAIL: exp_broker k1 auths_per_sec=$bk1 < floor $BROKER_K1_FLOOR"
-    exit 1
-fi
-if [ "$bk4" -lt "$BROKER_K4_FLOOR" ]; then
-    echo "FAIL: exp_broker k4 auths_per_sec=$bk4 < floor $BROKER_K4_FLOOR"
-    exit 1
-fi
-if [ "$bk4" -lt $((bk1 * 5 / 2)) ]; then
-    echo "FAIL: exp_broker scaling k1->k4 is sublinear: $bk1 -> $bk4 (< 2.5x)"
-    exit 1
-fi
 if [ "$bfail" -ne 0 ]; then
     echo "FAIL: exp_broker kill phase recorded $bfail failed attaches (want 0)"
     exit 1
 fi
 rm -rf "$bscratch"
 echo
-echo "==> exp_broker gates OK (k1 $bk1 au/s, k4 $bk4 au/s, kill failed_attaches 0)"
+echo "==> exp_broker gate OK (kill failed_attaches 0)"
 
 # brokerd wire-service gate (the wire adapter over real sockets). Two layers:
 #

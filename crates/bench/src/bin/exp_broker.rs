@@ -1,41 +1,30 @@
-//! Broker-plane scaling and failover (paper §3: the broker "shards like
-//! any online service").
+//! Broker failover (paper §3: the broker is "a replicated web service").
 //!
-//! Two phases, both over the same world shape — N UEs behind one bTelco,
-//! a consistent-hash `BrokerPlane` of K shards in the cloud, each shard
-//! a primary/standby pair over a shared store (primaries on 2 ms cloud
-//! links, standbys on 5 ms, so lowest-RTT selection is meaningful):
-//!
-//! 1. **Shard sweep** — the full attach burst at K ∈ {1, 2, 4}, patient
-//!    retry timers so the single-shard queue never triggers retries.
-//!    Authorization throughput is `attached / slowest-attach`, i.e. the
-//!    rate at which the plane drains the burst in simulated time —
-//!    deterministic per seed, so CI gates it with hard floors. With the
-//!    ring spreading the population ~evenly, the burst drains ~K× faster.
-//! 2. **Mid-burst shard kill** — K = 4, impatient retries, and the
-//!    shard-0 primary goes `Unavailable` 50 ms into the burst (after the
-//!    first requests are committed to it, before its replies escape) and
-//!    stays dark longer than every retry. The burst must still complete
-//!    with **zero failed attaches**: the UE retry timer quarantines the
-//!    dark replica and re-resolves on the standby, which serves from the
-//!    shared shard store.
+//! N UEs attach at once through one bTelco to the broker's replica pair
+//! in the cloud: a primary on a 2 ms link and a standby on a 5 ms link,
+//! over one shared store, so lowest-RTT selection sends every request to
+//! the primary. The primary goes `Unavailable` 50 ms into the burst
+//! (after the first requests are committed to it, before its replies
+//! escape) and stays dark longer than every retry. The burst must still
+//! complete with **zero failed attaches**: the UE retry timer
+//! quarantines the dark replica and re-resolves on the standby, which
+//! serves from the shared store.
 //!
 //! Gauges land in `results/exp_broker.metrics.json`:
-//! `exp_broker.k<K>.auths_per_sec`, `exp_broker.k<K>.attached`, and from
-//! the kill phase `exp_broker.kill.failed_attaches` (CI-gated to 0),
+//! `exp_broker.kill.failed_attaches` (CI-gated to 0),
 //! `exp_broker.kill.attached`, `exp_broker.kill.standby_auths`.
 //!
 //! Usage: `cargo run --release -p cellbricks-bench --bin exp_broker
-//!         [--seed S] [--n N] [--smoke]`
+//!         [--seed S] [--n N]`
 
-use cellbricks_core::broker_plane::{BrokerPlane, BrokerPlaneConfig, ReplicaSite};
+use cellbricks_core::broker_plane::{BrokerPair, BrokerPairConfig, ReplicaSite};
 use cellbricks_core::btelco::{BTelcoGateway, BTelcoGatewayConfig};
 use cellbricks_core::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use cellbricks_core::sap::QosCap;
 use cellbricks_core::ue::{RecoveryConfig, UeDevice, UeDeviceConfig};
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_epc::enb::Enb;
-use cellbricks_net::{Driver, Endpoint, FaultPlan, LinkConfig, NetWorld, NodeId, Router, Topology};
+use cellbricks_net::{Driver, Endpoint, FaultPlan, LinkConfig, NetWorld, Router, Topology};
 use cellbricks_sim::{SimDuration, SimRng, SimTime};
 use cellbricks_telemetry as telemetry;
 use std::net::Ipv4Addr;
@@ -43,21 +32,11 @@ use std::net::Ipv4Addr;
 const AGW_SIG: Ipv4Addr = Ipv4Addr::new(172, 16, 1, 1);
 const TELCO: &str = "tower-1.example";
 
-struct PlaneWorld {
-    world: NetWorld,
-    enb: Enb,
-    telco: BTelcoGateway,
-    internet: Router,
-    plane: BrokerPlane,
-    ues: Vec<UeDevice>,
-    home: Vec<usize>,
-    driver: Driver,
-    primary_nodes: Vec<NodeId>,
-}
+fn main() {
+    cellbricks_bench::telemetry_init();
+    let seed = cellbricks_bench::arg_u64("--seed", 42);
+    let n = cellbricks_bench::arg_u64("--n", 240) as usize;
 
-/// Build the N-UE, K-shard plane world. `patient` raises the attach
-/// retry timer so queueing behind few shards never re-issues requests.
-fn build(n: usize, k: usize, seed: u64, patient: bool) -> PlaneWorld {
     let mut rng = SimRng::new(seed);
     let ca = CertificateAuthority::from_seed([0xCA; 32]);
     let broker_keys = BrokerKeys::generate("broker.example", &ca, &mut rng);
@@ -73,47 +52,39 @@ fn build(n: usize, k: usize, seed: u64, patient: bool) -> PlaneWorld {
     t.add_default_route(enb_node, back);
     t.add_default_route(agw_node, core);
     t.add_route(inet_node, AGW_SIG, 32, core);
+    let mut site = |tag: &str, ip_last: u8, latency| {
+        let node = t.add_node(tag);
+        let ip = Ipv4Addr::new(172, 16, 10, ip_last);
+        let link = t.add_symmetric_link(inet_node, node, LinkConfig::delay_only(latency));
+        t.add_route(inet_node, ip, 32, link);
+        t.add_default_route(node, link);
+        ReplicaSite { node, ip }
+    };
+    let primary = site("broker-a", 1, ms(2));
+    let standby = site("broker-b", 2, ms(5));
 
-    let mut sites = Vec::new();
-    let mut primary_nodes = Vec::new();
-    for s in 0..k {
-        let mut mk = |tag: &str, ip_last: u8, latency| {
-            let node = t.add_node(&format!("b{s}{tag}"));
-            let ip = Ipv4Addr::new(172, 16, 10 + s as u8, ip_last);
-            let link = t.add_symmetric_link(inet_node, node, LinkConfig::delay_only(latency));
-            t.add_route(inet_node, ip, 32, link);
-            t.add_default_route(node, link);
-            ReplicaSite { node, ip }
-        };
-        let primary = mk("a", 1, ms(2));
-        let standby = mk("b", 2, ms(5));
-        primary_nodes.push(primary.node);
-        sites.push((primary, standby));
-    }
-
-    let mut plane = BrokerPlane::build(
-        BrokerPlaneConfig {
+    let mut pair = BrokerPair::build(
+        BrokerPairConfig {
             base_name: "broker.example".to_string(),
             keys: broker_keys.clone(),
             ca: ca.public_key(),
             proc_delay: ms(2),
             epsilon: 0.05,
             session_retention: SimDuration::from_secs(86_400),
-            vnodes: 64,
-            replica_penalty: SimDuration::from_secs(30),
         },
-        &sites,
+        primary,
+        standby,
         &mut rng,
     );
 
-    let telco = BTelcoGateway::new(
+    let mut telco = BTelcoGateway::new(
         agw_node,
         BTelcoGatewayConfig {
             sig_ip: AGW_SIG,
             pool_base: Ipv4Addr::new(10, 1, 0, 0),
             keys: telco_keys,
             ca: ca.public_key(),
-            brokers: plane.directory(),
+            brokers: pair.directory(),
             qos_cap: QosCap {
                 max_mbr_bps: 100_000_000,
                 qci_supported: vec![9],
@@ -125,10 +96,9 @@ fn build(n: usize, k: usize, seed: u64, patient: bool) -> PlaneWorld {
         },
         rng.fork(),
     );
-    let enb = Enb::new(enb_node, SimDuration::from_micros(100));
+    let mut enb = Enb::new(enb_node, SimDuration::from_micros(100));
 
     let mut ues = Vec::with_capacity(n);
-    let mut home = Vec::with_capacity(n);
     for i in 0..n {
         let ue_sig = Ipv4Addr::new(169, 254, (i / 250) as u8 + 1, (i % 250) as u8 + 1);
         let ue_node = t.add_node(&format!("ue{i}"));
@@ -138,14 +108,11 @@ fn build(n: usize, k: usize, seed: u64, patient: bool) -> PlaneWorld {
         t.add_route(agw_node, ue_sig, 32, back);
 
         let keys = UeKeys::generate(&mut rng);
-        let id = keys.identity();
         let (sign_pk, encrypt_pk) = keys.public();
-        home.push(plane.provision(id, sign_pk, encrypt_pk, 50_000_000));
-        let ue_plane = plane.ue_plane(&id, |node| {
-            t.path_latency(ue_node, node).expect("replica reachable")
-        });
-        let fallback_ip = ue_plane.replicas[0].ctrl_ip;
-        ues.push(UeDevice::new(
+        pair.provision(keys.identity(), sign_pk, encrypt_pk, 50_000_000);
+        let brokers =
+            pair.ue_replicas(|node| t.path_latency(ue_node, node).expect("replica reachable"));
+        let mut ue = UeDevice::new(
             ue_node,
             UeDeviceConfig {
                 ue_sig,
@@ -153,188 +120,60 @@ fn build(n: usize, k: usize, seed: u64, patient: bool) -> PlaneWorld {
                 broker_name: "broker.example".to_string(),
                 broker_sign_pk: broker_keys.sign.verifying_key(),
                 broker_encrypt_pk: broker_keys.encrypt.public_key(),
-                broker_ctrl_ip: fallback_ip,
+                brokers,
                 proc_delay: SimDuration::from_millis(1),
                 verify_delay: SimDuration::from_millis(1),
                 report_interval: SimDuration::from_secs(3_600),
-                attach_retry_after: if patient {
-                    SimDuration::from_secs(600)
-                } else {
-                    SimDuration::from_secs(2)
-                },
+                attach_retry_after: SimDuration::from_secs(2),
                 attach_max_tries: 5,
                 recovery: RecoveryConfig::default(),
-                plane: Some(ue_plane),
             },
             rng.fork(),
-        ));
+        );
+        ue.start_attach(SimTime::ZERO, TELCO, AGW_SIG);
+        ues.push(ue);
     }
 
-    PlaneWorld {
-        world: NetWorld::new(t, rng.fork()),
-        enb,
-        telco,
-        internet: Router::new(inet_node, SimDuration::ZERO),
-        plane,
-        ues,
-        home,
-        driver: Driver::new(),
-        primary_nodes,
-    }
-}
-
-impl PlaneWorld {
-    fn run_to(&mut self, until: SimTime) {
-        let mut endpoints: Vec<&mut dyn Endpoint> = Vec::with_capacity(self.ues.len() + 12);
-        endpoints.push(&mut self.enb);
-        endpoints.push(&mut self.telco);
-        endpoints.push(&mut self.internet);
-        for b in self.plane.endpoints_mut() {
-            endpoints.push(b);
-        }
-        for ue in &mut self.ues {
-            endpoints.push(ue);
-        }
-        self.driver.run_to(&mut self.world, &mut endpoints, until);
-    }
-
-    fn attach_all(&mut self) {
-        for ue in &mut self.ues {
-            ue.start_attach(SimTime::ZERO, TELCO, AGW_SIG);
-        }
-    }
-
-    fn attached(&self) -> usize {
-        self.ues.iter().filter(|u| u.is_attached()).count()
-    }
-
-    fn failures(&self) -> u64 {
-        self.ues.iter().map(|u| u.failures).sum()
-    }
-}
-
-struct SweepRow {
-    k: usize,
-    attached: usize,
-    max_ms: f64,
-    auths_per_sec: f64,
-}
-
-/// Attach burst at K shards: all N at t=0, patient retries, measured by
-/// the slowest attach (when the last shard queue drains).
-fn run_sweep(n: usize, k: usize, seed: u64) -> SweepRow {
-    let mut w = build(n, k, seed, true);
-    w.attach_all();
-    w.run_to(SimTime::from_secs(30));
-    let attached = w.attached();
-    assert_eq!(attached, n, "K={k}: whole burst must attach");
-    assert_eq!(w.failures(), 0);
-    let max_ms = w
-        .ues
-        .iter()
-        .filter(|u| u.attach_latency_ms.count() > 0)
-        .map(|u| u.attach_latency_ms.mean())
-        .fold(0.0, f64::max);
-    let auths_per_sec = attached as f64 / (max_ms / 1e3);
-    telemetry::gauge(format!("exp_broker.k{k}.auths_per_sec")).set(auths_per_sec as i64);
-    telemetry::gauge(format!("exp_broker.k{k}.attached")).set(attached as i64);
-    SweepRow {
-        k,
-        attached,
-        max_ms,
-        auths_per_sec,
-    }
-}
-
-struct KillResult {
-    victims: usize,
-    attached: usize,
-    failed: u64,
-    standby_auths: u64,
-    stale: u64,
-}
-
-/// The ROADMAP gate: kill a shard primary mid-burst; the burst must
-/// complete with zero failed attaches via standby failover.
-fn run_kill(n: usize, k: usize, seed: u64) -> KillResult {
-    let mut w = build(n, k, seed, false);
-    let victim = 0usize;
-    let victims = w.home.iter().filter(|&&h| h == victim).count();
-    assert!(victims > 0, "shard 0 must serve part of the population");
+    let mut world = NetWorld::new(t, rng.fork());
+    let mut internet = Router::new(inet_node, SimDuration::ZERO);
+    let mut driver = Driver::new();
     let mut plan = FaultPlan::new();
     plan.unavailable(
-        w.primary_nodes[victim],
+        primary.node,
         SimTime::from_millis(50),
         SimDuration::from_secs(120),
     );
-    w.driver.set_fault_plan(plan);
-    w.attach_all();
-    w.run_to(SimTime::from_secs(30));
+    driver.set_fault_plan(plan);
+    let mut endpoints: Vec<&mut dyn Endpoint> = vec![&mut enb, &mut telco, &mut internet];
+    for b in pair.endpoints_mut() {
+        endpoints.push(b);
+    }
+    for ue in &mut ues {
+        endpoints.push(ue);
+    }
+    driver.run_to(&mut world, &mut endpoints, SimTime::from_secs(30));
 
-    let attached = w.attached();
-    let failed = w.failures();
-    let standby_auths = w.plane.shards[victim].standby.auth_ok;
-    let stale: u64 = w.ues.iter().map(|u| u.stale_accepts).sum();
+    let attached = ues.iter().filter(|u| u.is_attached()).count();
+    let failed: u64 = ues.iter().map(|u| u.failures).sum();
+    let stale: u64 = ues.iter().map(|u| u.stale_accepts).sum();
+    let (primary_auths, standby_auths) = (pair.primary.auth_ok, pair.standby.auth_ok);
     telemetry::gauge("exp_broker.kill.failed_attaches").set(failed as i64);
     telemetry::gauge("exp_broker.kill.attached").set(attached as i64);
     telemetry::gauge("exp_broker.kill.standby_auths").set(standby_auths as i64);
-    assert_eq!(attached, n, "kill phase: burst must still complete");
-    assert_eq!(failed, 0, "kill phase: failover must not fail an attach");
+
+    println!("Broker failover — primary dark from 50 ms for 120 s (N={n})");
+    println!(
+        "  attached {attached}/{n} · failed attaches {failed} · standby auths {standby_auths} · \
+         stale replies absorbed {stale}"
+    );
+    assert_eq!(attached, n, "the burst must still complete");
+    assert_eq!(failed, 0, "failover must not fail an attach");
     // Anyone who beat the 50 ms kill attached on the primary; everyone
     // still in flight must have re-resolved on the standby.
-    let primary_auths = w.plane.shards[victim].primary.auth_ok;
     assert!(standby_auths >= 1, "failover must actually engage");
     assert!(
-        (primary_auths + standby_auths) as usize >= victims,
-        "every shard-0 UE authorized on one of its replicas"
-    );
-    KillResult {
-        victims,
-        attached,
-        failed,
-        standby_auths,
-        stale,
-    }
-}
-
-fn main() {
-    cellbricks_bench::telemetry_init();
-    let seed = cellbricks_bench::arg_u64("--seed", 42);
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let n = cellbricks_bench::arg_u64("--n", if smoke { 80 } else { 240 }) as usize;
-
-    println!("Broker plane — authorization throughput vs shard count (N={n})");
-    println!("{}", cellbricks_bench::rule(66));
-    println!(
-        "{:<8} {:>10} {:>14} {:>12} {:>10}",
-        "shards", "attached", "burst-drain ms", "auth/s", "vs K=1"
-    );
-    println!("{}", cellbricks_bench::rule(66));
-    let ks: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4] };
-    let mut base = 0.0_f64;
-    for &k in ks {
-        let row = run_sweep(n, k, seed);
-        if k == 1 {
-            base = row.auths_per_sec;
-        }
-        println!(
-            "{:<8} {:>10} {:>14.1} {:>12.0} {:>9.2}x",
-            row.k,
-            row.attached,
-            row.max_ms,
-            row.auths_per_sec,
-            row.auths_per_sec / base.max(1e-9)
-        );
-    }
-    println!("{}", cellbricks_bench::rule(66));
-
-    let kill = run_kill(n, 4, seed);
-    println!();
-    println!("Mid-burst shard kill (K=4, shard-0 primary dark from 50 ms):");
-    println!(
-        "  homed on victim {} · attached {}/{} · failed attaches {} · \
-         standby auths {} · stale replies absorbed {}",
-        kill.victims, kill.attached, n, kill.failed, kill.standby_auths, kill.stale
+        (primary_auths + standby_auths) as usize >= n,
+        "every UE authorized on one of the replicas"
     );
     println!("  zero failed attaches: replica failover covered the outage.");
 

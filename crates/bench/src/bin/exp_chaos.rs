@@ -28,7 +28,7 @@ use cellbricks_core::brokerd::{Brokerd, BrokerdConfig};
 use cellbricks_core::btelco::{BTelcoGateway, BTelcoGatewayConfig, BrokerContact};
 use cellbricks_core::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use cellbricks_core::sap::QosCap;
-use cellbricks_core::ue::{RecoveryConfig, UeDevice, UeDeviceConfig};
+use cellbricks_core::ue::{BrokerReplica, RecoveryConfig, UeDevice, UeDeviceConfig};
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_epc::enb::Enb;
 use cellbricks_net::{
@@ -157,14 +157,17 @@ impl ChaosWorld {
                 broker_name: BROKER.to_string(),
                 broker_sign_pk: broker_keys.sign.verifying_key(),
                 broker_encrypt_pk: broker_keys.encrypt.public_key(),
-                broker_ctrl_ip: BROKER_IP,
+                brokers: vec![BrokerReplica {
+                    name: BROKER.to_string(),
+                    ctrl_ip: BROKER_IP,
+                    rtt: SimDuration::ZERO,
+                }],
                 proc_delay: ms(3),
                 verify_delay: ms(2),
                 report_interval: SimDuration::from_secs(5),
                 attach_retry_after: SimDuration::from_secs(2),
                 attach_max_tries: 3,
                 recovery: RecoveryConfig::default(),
-                plane: None,
             },
             rng.fork(),
         );

@@ -36,7 +36,7 @@ use cellbricks_core::brokerd::{Brokerd, BrokerdConfig};
 use cellbricks_core::btelco::{BTelcoGateway, BTelcoGatewayConfig, BrokerContact};
 use cellbricks_core::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use cellbricks_core::sap::QosCap;
-use cellbricks_core::ue::{UeDevice, UeDeviceConfig};
+use cellbricks_core::ue::{BrokerReplica, UeDevice, UeDeviceConfig};
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_epc::enb::Enb;
 use cellbricks_net::{Driver, Endpoint, LinkConfig, NetWorld, NodeId, Packet, Router, Topology};
@@ -426,7 +426,11 @@ impl ScaleWorld {
                     broker_name: "broker.example".to_string(),
                     broker_sign_pk: broker_keys.sign.verifying_key(),
                     broker_encrypt_pk: broker_keys.encrypt.public_key(),
-                    broker_ctrl_ip: BROKER_IP,
+                    brokers: vec![BrokerReplica {
+                        name: "broker.example".to_string(),
+                        ctrl_ip: BROKER_IP,
+                        rtt: SimDuration::ZERO,
+                    }],
                     proc_delay: SimDuration::from_millis(1),
                     verify_delay: SimDuration::from_millis(1),
                     report_interval: SimDuration::from_secs(3_600),
@@ -437,7 +441,6 @@ impl ScaleWorld {
                     },
                     attach_max_tries: 3,
                     recovery: cellbricks_core::ue::RecoveryConfig::default(),
-                    plane: None,
                 },
                 rng.fork(),
             ));

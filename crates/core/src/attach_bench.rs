@@ -19,7 +19,7 @@ use crate::brokerd::{Brokerd, BrokerdConfig};
 use crate::btelco::{BTelcoGateway, BTelcoGatewayConfig, BrokerContact};
 use crate::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use crate::sap::QosCap;
-use crate::ue::{RecoveryConfig, UeDevice, UeDeviceConfig};
+use crate::ue::{BrokerReplica, RecoveryConfig, UeDevice, UeDeviceConfig};
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_epc::agw::{Agw, AgwConfig};
 use cellbricks_epc::aka::SharedKey;
@@ -349,14 +349,17 @@ pub fn run_cellbricks(
             broker_name: "broker.example".to_string(),
             broker_sign_pk: broker_keys.sign.verifying_key(),
             broker_encrypt_pk: broker_keys.encrypt.public_key(),
-            broker_ctrl_ip: CLOUD_IP,
+            brokers: vec![BrokerReplica {
+                name: "broker.example".to_string(),
+                ctrl_ip: CLOUD_IP,
+                rtt: SimDuration::ZERO,
+            }],
             proc_delay: profile.cb_ue_request,
             verify_delay: profile.cb_ue_verify,
             report_interval: SimDuration::from_secs(3_600),
             attach_retry_after: SimDuration::from_secs(2),
             attach_max_tries: 3,
             recovery: RecoveryConfig::default(),
-            plane: None,
         },
         rng.fork(),
     );

@@ -30,7 +30,7 @@
 //! split never spawns one — W = 0 and W = 1 are the same inline path.
 //!
 //! The durable half ([`AuthState`]) is kept apart from the per-process
-//! half ([`BrokerCore`]) so the replicas of one shard decide over one
+//! half ([`BrokerCore`]) so the two replicas of a pair decide over one
 //! shared state. What a grant means beyond the reply is the adapter's
 //! business: the simulated broker opens a billing session, the wire
 //! server bumps a counter.
@@ -55,7 +55,7 @@ pub const NONCE_WINDOW_CAP: usize = 1 << 16;
 
 type Subscribers = HashMap<Identity, SubscriberEntry>;
 
-/// The durable authorization state of one broker (shard): what the
+/// The durable authorization state of one broker: what the
 /// paper's broker keeps in replicated cloud storage.
 pub struct AuthState {
     subscribers: Subscribers,
@@ -67,13 +67,10 @@ pub struct AuthState {
     /// FIFO order of `seen_nonces` for bounded eviction.
     nonce_order: VecDeque<[u8; 16]>,
     next_session: u64,
-    next_alias: u64,
 }
 
 impl AuthState {
-    /// Fresh state whose session ids start at `session_base` — shards of
-    /// a broker plane carve the id space so sessions stay globally
-    /// unique.
+    /// Fresh state whose session ids start at `session_base`.
     #[must_use]
     pub fn new(session_base: u64) -> Self {
         Self {
@@ -81,12 +78,10 @@ impl AuthState {
             seen_nonces: HashSet::new(),
             nonce_order: VecDeque::new(),
             next_session: session_base,
-            next_alias: 1,
         }
     }
 
-    /// Provision a subscriber (issue keys out of band; store publics)
-    /// under the next billing alias.
+    /// Provision a subscriber (issue keys out of band; store publics).
     pub fn provision(
         &mut self,
         id: Identity,
@@ -94,8 +89,6 @@ impl AuthState {
         encrypt_pk: X25519PublicKey,
         plan_mbr_bps: u64,
     ) {
-        let alias = self.next_alias;
-        self.next_alias += 1;
         self.subscribers.insert(
             id,
             SubscriberEntry {
@@ -105,7 +98,7 @@ impl AuthState {
                 // Suspicion is the adapter's admission policy, asked in
                 // the decision stage; no table entry carries it.
                 suspect: false,
-                alias,
+                alias: 0,
                 lawful_intercept: false,
             },
         );
@@ -427,6 +420,48 @@ impl BrokerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::principal::{TelcoKeys, UeKeys};
+    use crate::sap::QosCap;
+    use cellbricks_crypto::cert::CertificateAuthority;
+
+    /// What a bTelco calls the UE is per session: two attaches of one UE
+    /// through one bTelco carry different `ue_alias` values, so the
+    /// bTelco cannot link the visits by it.
+    #[test]
+    fn two_attaches_of_one_ue_carry_different_aliases() {
+        let mut rng = SimRng::new(7);
+        let ca = CertificateAuthority::from_seed([0xCA; 32]);
+        let broker = BrokerKeys::generate("broker.example", &ca, &mut rng);
+        let telco = TelcoKeys::generate("tower-1.example", &ca, &mut rng);
+        let ue = UeKeys::generate(&mut rng);
+        let mut state = AuthState::new(1);
+        let (sign_pk, encrypt_pk) = ue.public();
+        state.provision(ue.identity(), sign_pk, encrypt_pk, 50_000_000);
+        let mut core = BrokerCore::new(broker.clone(), ca.public_key(), rng.fork(), 0);
+        let aliases: Vec<u64> = (0..2)
+            .map(|_| {
+                let (req_u, _) = sap::ue_build_request(
+                    &ue,
+                    "broker.example",
+                    &broker.encrypt.public_key(),
+                    telco.identity(),
+                    &mut rng,
+                );
+                let cap = QosCap {
+                    max_mbr_bps: 100_000_000,
+                    qci_supported: vec![9],
+                    li_capable: true,
+                };
+                let req = sap::telco_wrap_request(&telco, req_u, cap);
+                let grant = core.authorize(&mut state, &[req], |_, _| true).remove(0);
+                let reply = grant.expect("granted").reply;
+                sap::telco_verify_reply(&telco, &ca.public_key(), &reply)
+                    .expect("bTelco accepts")
+                    .ue_alias
+            })
+            .collect();
+        assert_ne!(aliases[0], aliases[1], "one alias across two attaches");
+    }
 
     /// Over parallelism 0..=9 × n 0..=300, the ranges `scatter` runs
     /// cover `0..n` exactly once and come back in order, there are at

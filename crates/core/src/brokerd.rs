@@ -14,8 +14,8 @@
 //!
 //! The durable slice of that state (the core's [`AuthState`], billing
 //! sessions, reputation) lives in a [`BrokerStore`] behind an
-//! `Arc<Mutex<_>>`: a standalone broker owns a private store, while a
-//! replica pair in a [`crate::broker_plane::BrokerPlane`] shares one —
+//! `Arc<Mutex<_>>`: a standalone broker owns a private store, while the
+//! replica pair in a [`crate::broker_plane::BrokerPair`] shares one —
 //! the paper's broker is a cloud service over replicated storage, so
 //! failover to the standby replica resolves the same subscribers,
 //! sessions and seen nonces.
@@ -147,17 +147,17 @@ struct Session {
     last_activity: SimTime,
 }
 
-/// The durable state of one broker shard: everything the paper's broker
+/// The durable state of one broker: everything the paper's broker
 /// keeps in replicated cloud storage, as opposed to the per-process
 /// state (service queue, busy horizon) that dies with an instance.
 ///
-/// Shared via `Arc<Mutex<_>>` between the replicas of a shard; the
+/// Shared via `Arc<Mutex<_>>` between the replicas of a pair; the
 /// simulation is single-threaded, so the lock is uncontended and exists
 /// to keep `Brokerd: Send`, so a whole simulated world can move to
 /// another thread.
 pub struct BrokerStore {
     /// What the broker core decides over: subscriber table, anti-replay
-    /// window, session/alias allocators.
+    /// window, session-id allocator.
     auth: AuthState,
     reputation: ReputationSystem,
     sessions: HashMap<u64, Session>,
@@ -177,12 +177,11 @@ pub struct BrokerStore {
 
 impl BrokerStore {
     /// A fresh store behind a shareable handle (for a replica pair).
-    /// Session ids start at `base` — shards of a broker plane carve the
-    /// id space so sessions stay globally unique.
+    /// Session ids start at 1.
     #[must_use]
-    pub fn shared(base: u64) -> Arc<Mutex<BrokerStore>> {
+    pub fn shared() -> Arc<Mutex<BrokerStore>> {
         Arc::new(Mutex::new(Self {
-            auth: AuthState::new(base),
+            auth: AuthState::new(1),
             reputation: ReputationSystem::new(),
             sessions: HashMap::new(),
             expiry: EventQueue::new(),
@@ -283,8 +282,8 @@ pub struct BrokerdConfig {
     pub session_retention: SimDuration,
 }
 
-/// The broker service endpoint: one *instance* (process) of a shard.
-/// Durable state lives in the shard's [`BrokerStore`]; everything here
+/// The broker service endpoint: one *instance* (process) of a broker.
+/// Durable state lives in its [`BrokerStore`]; everything here
 /// is per-process and dies on a crash.
 pub struct Brokerd {
     node: NodeId,
@@ -315,11 +314,11 @@ impl Brokerd {
     /// Create a standalone broker on `node` with a private store.
     #[must_use]
     pub fn new(node: NodeId, cfg: BrokerdConfig, rng: SimRng) -> Self {
-        Self::with_store(node, cfg, BrokerStore::shared(1), rng)
+        Self::with_store(node, cfg, BrokerStore::shared(), rng)
     }
 
     /// Create a broker instance over an existing (possibly shared)
-    /// store — how a plane builds the replicas of one shard.
+    /// store — how a [`crate::broker_plane::BrokerPair`] builds its replicas.
     #[must_use]
     pub fn with_store(
         node: NodeId,
@@ -853,7 +852,7 @@ mod tests {
     }
 
     /// Replicas sharing a store resolve each other's sessions and
-    /// nonces: the failover contract of the broker plane.
+    /// nonces: the failover contract of the replica pair.
     #[test]
     fn shared_store_replicates_sessions_and_nonces() {
         let (brokerd, ue_keys, telco_keys, broker_keys, mut rng) = attached_world();

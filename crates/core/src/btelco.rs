@@ -231,8 +231,8 @@ impl BTelcoGateway {
                     );
                     return;
                 };
-                // The bearer is keyed by the UE *alias* — the bTelco never
-                // learns the user's identity.
+                // The bearer records the UE *alias*, fresh per session —
+                // the bTelco never learns the user's identity.
                 let bearer_id = self.bearers.establish(
                     body.ue_alias,
                     ue_ip,

@@ -252,8 +252,8 @@ impl AuthReqT {
 /// The plaintext inside `authRespT`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RespTBody {
-    /// A broker-scoped alias for the UE (the bTelco's billing handle —
-    /// never the UE's real identity).
+    /// The bTelco's handle for the UE: the billing session id, so it is
+    /// fresh on every attach and never the UE's real identity.
     pub ue_alias: u64,
     /// The bTelco this authorization is for.
     pub id_t: Identity,
@@ -437,7 +437,9 @@ pub struct SubscriberEntry {
     pub plan_mbr_bps: u64,
     /// On the tamper-suspect list (paper §4.3)?
     pub suspect: bool,
-    /// Billing alias handed to bTelcos (never the real identity).
+    /// Not sent to anyone: a bTelco's handle for the UE is the
+    /// per-session `session_id` (see [`RespTBody::ue_alias`]). The field
+    /// stays so existing constructors of the entry still build.
     pub alias: u64,
     /// A lawful-intercept order applies to this subscriber: the serving
     /// bTelco must be able (and told) to provision the tap.
@@ -516,7 +518,7 @@ pub fn broker_grant_batch_prepared(
         let ss = draw.ss;
         let t_body = {
             let mut w = Writer::new();
-            w.put_u64(job.entry.alias)
+            w.put_u64(job.session_id)
                 .put_fixed(&job.vec.id_t.0)
                 .put_fixed(&ss)
                 .put_u64(qos.mbr_bps)
@@ -886,7 +888,7 @@ mod tests {
         let ss = rng.seed32();
         let t_body = {
             let mut w = Writer::new();
-            w.put_u64(entry.alias)
+            w.put_u64(session_id)
                 .put_fixed(&vec.id_t.0)
                 .put_fixed(&ss)
                 .put_u64(qos.mbr_bps)

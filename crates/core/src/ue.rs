@@ -21,9 +21,9 @@ use cellbricks_telemetry as telemetry;
 use cellbricks_transport::Host;
 use std::net::Ipv4Addr;
 
-/// One reachable replica of the UE's home broker shard, provisioned on
-/// the SIM alongside the pinned broker keys (the whole plane signs as
-/// one operator, so the pinned keys verify against any replica).
+/// One reachable replica of the UE's broker, provisioned on the SIM
+/// alongside the pinned broker keys (every replica signs as one
+/// operator, so the pinned keys verify against any of them).
 #[derive(Clone, Debug)]
 pub struct BrokerReplica {
     /// Directory name the bTelco resolves to a broker contact.
@@ -35,18 +35,9 @@ pub struct BrokerReplica {
     pub rtt: SimDuration,
 }
 
-/// The UE's view of a distributed broker plane: the replicas of its
-/// home shard (consistent hashing over the UE identity pins the shard;
-/// only the UE knows its identity, so only the UE can compute it).
-#[derive(Clone, Debug)]
-pub struct UePlaneConfig {
-    /// Home-shard replicas; selection is lowest-RTT first.
-    pub replicas: Vec<BrokerReplica>,
-    /// How long a replica that timed out an attach attempt is avoided —
-    /// the deterministic failover window onto the next-lowest-RTT
-    /// replica.
-    pub penalty: SimDuration,
-}
+/// How long a replica that timed out an attach attempt is avoided —
+/// the deterministic failover window onto the next-lowest-RTT replica.
+const REPLICA_PENALTY: SimDuration = SimDuration::from_secs(30);
 
 /// UE device configuration.
 #[derive(Clone)]
@@ -61,8 +52,10 @@ pub struct UeDeviceConfig {
     pub broker_sign_pk: VerifyingKey,
     /// The broker's encryption key (SIM-pinned).
     pub broker_encrypt_pk: X25519PublicKey,
-    /// Where UE traffic reports go.
-    pub broker_ctrl_ip: Ipv4Addr,
+    /// The broker's replicas (at least one); requests and reports go to
+    /// the lowest-RTT one not under a timeout penalty. A lone broker is
+    /// one replica named `broker_name` at its control address.
+    pub brokers: Vec<BrokerReplica>,
     /// Cost of building `authReqU` (sealing + signing).
     pub proc_delay: SimDuration,
     /// Cost of verifying `authRespU`.
@@ -76,10 +69,6 @@ pub struct UeDeviceConfig {
     pub attach_max_tries: u32,
     /// Recovery behaviour under faults (backoff shape, watchdog).
     pub recovery: RecoveryConfig,
-    /// Distributed broker plane, if the operator runs one. `None` keeps
-    /// the single-broker path bit-for-bit identical: requests carry
-    /// `broker_name` and reports go to `broker_ctrl_ip`.
-    pub plane: Option<UePlaneConfig>,
 }
 
 /// How the UE recovers from lost signalling and dead gateways.
@@ -124,8 +113,8 @@ struct PendingAttach {
     retries_left: u32,
     /// Requests already issued for this attach (backoff exponent).
     attempt: u32,
-    /// Which plane replica the outstanding request targets (0 when no
-    /// plane is configured) — a timeout penalizes exactly this one.
+    /// Which broker replica the outstanding request targets — a timeout
+    /// penalizes exactly this one.
     replica: usize,
 }
 
@@ -171,8 +160,8 @@ pub struct UeDevice {
     attach: Option<PendingAttach>,
     serving: Option<Serving>,
     meter: Option<BasebandMeter>,
-    /// Per-replica quarantine deadlines (parallel to `plane.replicas`;
-    /// empty when no plane is configured).
+    /// Per-replica quarantine deadlines (parallel to `cfg.brokers`;
+    /// empty until a replica is first penalized).
     replica_penalty: Vec<SimTime>,
     /// The last attach target, for watchdog-driven re-attach.
     last_target: Option<(String, Ipv4Addr)>,
@@ -205,8 +194,12 @@ pub struct UeDevice {
 
 impl UeDevice {
     /// Create the device on `node`.
+    ///
+    /// # Panics
+    /// Panics if `cfg.brokers` is empty.
     #[must_use]
     pub fn new(node: NodeId, cfg: UeDeviceConfig, rng: SimRng) -> Self {
+        assert!(!cfg.brokers.is_empty(), "a UE needs at least one broker");
         Self {
             host: Host::new(node, None),
             node,
@@ -236,39 +229,36 @@ impl UeDevice {
         }
     }
 
-    /// The plane replica the UE currently prefers: lowest RTT among the
+    /// The broker replica the UE currently prefers: lowest RTT among the
     /// replicas not under a timeout penalty at `now`, ties broken by
     /// index. If every replica is penalized the outright lowest-RTT one
     /// is used — retrying a suspect replica costs one window; idling
-    /// costs the attach. `None` without a plane.
-    fn select_replica(&self, now: SimTime) -> Option<usize> {
-        let plane = self.cfg.plane.as_ref()?;
+    /// costs the attach.
+    fn select_replica(&self, now: SimTime) -> usize {
         let penalized = |i: usize| {
             self.replica_penalty
                 .get(i)
                 .is_some_and(|&until| now < until)
         };
-        (0..plane.replicas.len())
-            .filter(|&i| !penalized(i))
-            .min_by_key(|&i| (plane.replicas[i].rtt, i))
-            .or_else(|| (0..plane.replicas.len()).min_by_key(|&i| (plane.replicas[i].rtt, i)))
+        (0..self.cfg.brokers.len())
+            .min_by_key(|&i| (penalized(i), self.cfg.brokers[i].rtt, i))
+            .expect("at least one broker")
     }
 
     /// Quarantine the replica targeted by the outstanding attach request
     /// (its answer never came): the next issue re-selects, which is the
-    /// whole failover state machine on the UE side.
+    /// whole failover state machine on the UE side. A lone broker has no
+    /// replica to fail over to, so nothing is recorded.
     fn penalize_pending_replica(&mut self, now: SimTime) {
-        let Some(plane) = self.cfg.plane.as_ref() else {
+        let n = self.cfg.brokers.len();
+        if n < 2 {
             return;
-        };
+        }
         let Some(idx) = self.attach.as_ref().map(|p| p.replica) else {
             return;
         };
-        if self.replica_penalty.len() < plane.replicas.len() {
-            self.replica_penalty
-                .resize(plane.replicas.len(), SimTime::ZERO);
-        }
-        self.replica_penalty[idx] = now + plane.penalty;
+        self.replica_penalty.resize(n, SimTime::ZERO);
+        self.replica_penalty[idx] = now + REPLICA_PENALTY;
         telemetry::counter("core.ue.replica_penalized").inc();
     }
 
@@ -338,16 +328,11 @@ impl UeDevice {
             return;
         };
         let window = self.retry_delay(attempt);
-        // With a plane, the request is addressed to the preferred
-        // home-shard replica by directory name; the SAP payload still
-        // names the SIM-pinned operator, which every replica signs as.
-        let (broker_id, replica) = match self.cfg.plane.as_ref() {
-            Some(plane) => {
-                let i = self.select_replica(now).expect("plane has replicas");
-                (plane.replicas[i].name.clone(), i)
-            }
-            None => (self.cfg.broker_name.clone(), 0),
-        };
+        // The request is addressed to the preferred replica by directory
+        // name; the SAP payload still names the SIM-pinned operator,
+        // which every replica signs as.
+        let replica = self.select_replica(now);
+        let broker_id = self.cfg.brokers[replica].name.clone();
         let pending = self.attach.as_mut().expect("checked above");
         pending.attempt += 1;
         pending.replica = replica;
@@ -409,11 +394,8 @@ impl UeDevice {
 
     fn emit_report(&mut self, now: SimTime) {
         // Reports follow the same replica preference as attach requests;
-        // either replica of the home shard resolves the session.
-        let ctrl_ip = match (self.cfg.plane.as_ref(), self.select_replica(now)) {
-            (Some(plane), Some(i)) => plane.replicas[i].ctrl_ip,
-            _ => self.cfg.broker_ctrl_ip,
-        };
+        // every replica resolves the session through the shared store.
+        let ctrl_ip = self.cfg.brokers[self.select_replica(now)].ctrl_ip;
         let Some(meter) = &mut self.meter else { return };
         let session_id = meter.session_id();
         let sealed = meter.emit_report(now, &mut self.rng);

@@ -503,12 +503,17 @@ pub struct BatchItem<'a> {
 }
 
 impl VerifyingKey {
-    /// Verify `sig` over `msg` (RFC 8032 §5.1.7, cofactorless).
+    /// Verify `sig` over `msg` (RFC 8032 §5.1.7, cofactored: accepts iff
+    /// `[8](S·B − k·A − R) = 𝒪`).
     ///
     /// Evaluates `s·B + k·(−A)` in a single Strauss–Shamir doubling
-    /// chain and compares the result against `R` projectively — the
-    /// same group equation as the seed's `s·B = R + k·A`, so the
-    /// accept/reject decision is identical on every input.
+    /// chain, subtracts `R` and clears the cofactor with three
+    /// doublings. The cofactored equation is the one [`verify_batch`]
+    /// checks too, so a signature whose `R` or `A` carries a torsion
+    /// component gets the same verdict alone, cached, memoized and at
+    /// any position of any batch. Honest signatures (no torsion) are
+    /// accepted exactly as by the cofactorless seed equation
+    /// `s·B = R + k·A`.
     #[must_use]
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         let t0 = metrics::VERIFY.begin();
@@ -588,13 +593,18 @@ impl VerifyingKey {
         h.update(msg);
         let k = Scalar::from_bytes_wide(&h.finalize());
 
-        precomp::multiscalar_mul_vartime(&s_enc, &[(k.to_bytes(), &tables.neg_a)]).equals_point(&r)
+        precomp::multiscalar_mul_vartime(&s_enc, &[(k.to_bytes(), &tables.neg_a)])
+            .equals_point_cofactored(&r)
     }
 }
 
-/// Batch verification: true iff the random-linear-combination check
-/// `Σ zᵢ·(sᵢ·B − Rᵢ − kᵢ·Aᵢ) = 0` passes (plus per-item canonical-S and
-/// decompression checks, which short-circuit to `false`).
+/// Batch verification: true iff the cofactored random-linear-combination
+/// check `[8]·Σ zᵢ·(sᵢ·B − Rᵢ − kᵢ·Aᵢ) = 𝒪` passes (plus per-item
+/// canonical-S and decompression checks, which short-circuit to
+/// `false`). Multiplying by the cofactor makes the batch equation the
+/// sum of the single ones [`VerifyingKey::verify`] checks, so torsion
+/// components cannot cancel across items and a batch passes iff every
+/// member does (up to the usual negligible RLC failure).
 ///
 /// The coefficients `zᵢ` are derived deterministically from a SHA-512
 /// transcript over every `(R, A, H(msg))` in the batch — no RNG is
@@ -718,7 +728,7 @@ fn verify_batch_inner(items: &[BatchItem<'_>]) -> bool {
     for (z, table) in r_scalars.iter().zip(&r_tables) {
         terms.push((*z, table));
     }
-    let ok = precomp::multiscalar_mul_vartime(&combined_s.to_bytes(), &terms).is_identity();
+    let ok = precomp::multiscalar_mul_vartime(&combined_s.to_bytes(), &terms).is_small_order();
     if ok {
         for &i in &fresh {
             precomp::sig_memo_put(&items[i].key.0, &items[i].sig.0, &msg_hashes[i]);
@@ -1180,8 +1190,8 @@ mod tests {
     #[test]
     fn small_order_points_decompress_canonically() {
         // Canonically-encoded small-order points are valid curve points
-        // per RFC 8032 (cofactorless verify does not exclude them); the
-        // strictness fix must not reject them.
+        // per RFC 8032 (cofactored verify clears them rather than
+        // excluding them); the strictness fix must not reject them.
         let mut identity = [0u8; 32];
         identity[0] = 1; // y = 1: the identity
         assert!(Point::decompress(&identity).is_some());
@@ -1353,24 +1363,38 @@ mod tests {
         points
     }
 
-    /// What `sk.sign(msg)` returns, except that the nonce point is
-    /// `r·B + torsion` — with `k` and `S` computed over that `R`, as a
-    /// signer who knows the key can.
-    fn sign_with_torsion(sk: &SigningKey, msg: &[u8], torsion: &Point) -> Signature {
+    /// What `sk.sign(msg)` returns, except that the public key is
+    /// `A + t_a` and the nonce point `r·B + t_r` — with `k` and `S`
+    /// computed over those, as a signer who knows the key can.
+    fn sign_torsioned(
+        sk: &SigningKey,
+        msg: &[u8],
+        t_r: &Point,
+        t_a: &Point,
+    ) -> (VerifyingKey, Signature) {
+        let a_enc = Point::decompress(&sk.public.0)
+            .expect("honest key")
+            .add(t_a)
+            .compress();
         let mut h = Sha512::new();
         h.update(&sk.prefix);
         h.update(msg);
         let r = Scalar::from_bytes_wide(&h.finalize());
-        let r_enc = precomp::mul_base(&r.to_bytes()).add(torsion).compress();
+        let r_enc = precomp::mul_base(&r.to_bytes()).add(t_r).compress();
         let mut h = Sha512::new();
         h.update(&r_enc);
-        h.update(&sk.public.0);
+        h.update(&a_enc);
         h.update(msg);
         let k = Scalar::from_bytes_wide(&h.finalize());
         let mut out = [0u8; 64];
         out[..32].copy_from_slice(&r_enc);
         out[32..].copy_from_slice(&r.add(k.mul(Scalar::from_bytes(&sk.s))).to_bytes());
-        Signature(out)
+        (VerifyingKey(a_enc), Signature(out))
+    }
+
+    /// [`sign_torsioned`] with torsion in `R` only.
+    fn sign_with_torsion(sk: &SigningKey, msg: &[u8], torsion: &Point) -> Signature {
+        sign_torsioned(sk, msg, torsion, &Point::identity()).1
     }
 
     /// Every split of `items` into a prefix and a suffix batch gives the
@@ -1421,17 +1445,19 @@ mod tests {
                         key: sk.verifying_key(),
                     })
                     .collect();
-                // Torsion 0 is the honest signature; every other one is
-                // rejected alone (`S·B − k·A = R − T ≠ R`).
+                // Torsion 0 is the honest signature; every other one
+                // leaves `S·B − k·A − R = −T`, which the cofactor clears.
                 let hostile = &items[pos];
-                assert_eq!(hostile.key.verify(hostile.msg, &hostile.sig), ti == 0);
+                assert!(
+                    hostile.key.verify(hostile.msg, &hostile.sig),
+                    "torsion {ti}"
+                );
                 assert_eq!(batch_disagreement(&items), None, "torsion {ti} at {pos}");
             }
         }
     }
 
     #[test]
-    #[ignore = "ROADMAP 9(a)"]
     fn two_torsioned_rs_get_one_verdict() {
         // Smallest failing case, tried first: a batch of exactly two
         // signatures, both with `R + T₂` (the order-2 point, index 4).
@@ -1459,6 +1485,63 @@ mod tests {
                 None,
                 "R₁ + {a}·T₈ and R₂ + {b}·T₈ in one batch"
             );
+        }
+    }
+
+    /// Torsion in `R`, in `A`, or in both, for each of the eight torsion
+    /// points, at every batch position: the single, cached, memoized and
+    /// batch verdicts are one verdict, at every split, before and after
+    /// the memo holds the triple. Cofactored verification makes that
+    /// verdict "accept" for every case.
+    #[test]
+    fn torsion_in_r_a_or_both_gets_one_verdict_on_every_path() {
+        let keys: Vec<SigningKey> = (0..3)
+            .map(|i| SigningKey::from_seed([90 + i; 32]))
+            .collect();
+        let none = Point::identity();
+        for (ti, t) in eight_torsion().iter().enumerate() {
+            for (place, t_r, t_a) in [("R", t, &none), ("A", &none, t), ("both", t, t)] {
+                for pos in 0..keys.len() {
+                    let case = format!("torsion {ti} in {place} at {pos}");
+                    let msgs: Vec<Vec<u8>> = (0..keys.len())
+                        .map(|i| format!("{case}, item {i}").into_bytes())
+                        .collect();
+                    let items: Vec<BatchItem<'_>> = (keys.iter().zip(&msgs).enumerate())
+                        .map(|(i, (sk, msg))| {
+                            let (key, sig) = if i == pos {
+                                sign_torsioned(sk, msg, t_r, t_a)
+                            } else {
+                                (sk.verifying_key(), sk.sign(msg))
+                            };
+                            BatchItem { msg, sig, key }
+                        })
+                        .collect();
+                    let hostile = &items[pos];
+                    assert!(hostile.key.verify(hostile.msg, &hostile.sig), "{case}");
+                    assert_eq!(batch_disagreement(&items), None, "{case}");
+                    // Successes admit the triple to the memo (normally on
+                    // the second; later if a parallel test took the
+                    // doorkeeper slot); once in, it answers for the curve.
+                    let memoized = || {
+                        precomp::sig_memo_hit(
+                            &hostile.key.0,
+                            &hostile.sig.0,
+                            &crate::sha2::sha512(hostile.msg),
+                        )
+                    };
+                    for _ in 0..5 {
+                        assert!(
+                            hostile.key.verify_cached(hostile.msg, &hostile.sig),
+                            "{case}"
+                        );
+                        if memoized() {
+                            break;
+                        }
+                    }
+                    assert!(memoized(), "{case}: accepted triple never memoized");
+                    assert_eq!(batch_disagreement(&items), None, "{case}, memoized");
+                }
+            }
         }
     }
 

@@ -115,6 +115,7 @@ impl Projective {
     }
 
     /// Projective equality against an extended point, cross-multiplied.
+    #[cfg(test)]
     pub(crate) fn equals_point(&self, other: &Point) -> bool {
         self.x.mul(other.z).equals(other.x.mul(self.z))
             && self.y.mul(other.z).equals(other.y.mul(self.z))
@@ -123,6 +124,25 @@ impl Projective {
     /// True iff this is the group identity (0 : 1 : 1).
     pub(crate) fn is_identity(&self) -> bool {
         self.x.is_zero() && self.y.equals(self.z)
+    }
+
+    /// True iff `[8]·self` is the identity, i.e. `self` lies in the
+    /// eight-element torsion subgroup: three T-free doublings.
+    pub(crate) fn is_small_order(&self) -> bool {
+        self.double().double().double().is_identity()
+    }
+
+    /// True iff `[8](self − q) = 𝒪`: equality up to a torsion point.
+    /// Lifts `(X : Y : Z)` to extended `(XZ : YZ : Z² : XY)` for one
+    /// cached subtraction, then clears the cofactor.
+    pub(crate) fn equals_point_cofactored(&self, q: &Point) -> bool {
+        let ext = Point {
+            x: self.x.mul(self.z),
+            y: self.y.mul(self.z),
+            z: self.z.square(),
+            t: self.x.mul(self.y),
+        };
+        Projective::from_point(&add_cached(&ext, &q.to_projective_niels(), true)).is_small_order()
     }
 }
 

@@ -362,6 +362,72 @@ mod tests {
         assert!(open_batch(&recipient, &[]).is_empty());
     }
 
+    /// RFC 7748 §6.1: X25519 against a small-order peer key gives the
+    /// all-zero shared secret, whatever the secret scalar (clamping makes
+    /// it a multiple of 8). Neither side checks for it, so the box key
+    /// is then a function of public bytes alone: a box sealed *to* such a
+    /// key is readable by anyone, and a box whose ephemeral key is one
+    /// can be formed by anyone who knows the recipient's public key —
+    /// `open` and `open_batch` accept it.
+    #[test]
+    fn small_order_peer_key_gives_an_all_zero_secret_and_a_public_box_key() {
+        let hex = |h: &str| -> [u8; 32] {
+            let mut out = [0u8; 32];
+            for (i, b) in out.iter_mut().enumerate() {
+                *b = u8::from_str_radix(&h[2 * i..2 * i + 2], 16).unwrap();
+            }
+            out
+        };
+        let small_order = [
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0100000000000000000000000000000000000000000000000000000000000000",
+            "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+            "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+            "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        ]
+        .map(hex);
+        let mut rng = rng();
+        let recipient = X25519SecretKey::generate(&mut rng);
+        let recipient_pk = recipient.public_key().0;
+        let nonce = [0u8; 12];
+        for u in small_order {
+            assert_eq!(recipient.diffie_hellman(&X25519PublicKey(u)), [0u8; 32]);
+
+            // Sealed to a small-order key: readable from public bytes.
+            let boxed = seal_finish_batch(
+                &[seal_begin_with(
+                    X25519SecretKey::generate(&mut rng),
+                    &X25519PublicKey(u),
+                )],
+                &[b"for nobody"],
+            )
+            .remove(0);
+            let (enc_key, mac_key) = derive_keys(&[0u8; 32], &boxed.ephemeral_pk, &u);
+            assert_eq!(boxed.tag, hmac_sha256(&mac_key, &boxed.ciphertext));
+            assert_eq!(
+                chacha20::apply(&enc_key, &nonce, 0, &boxed.ciphertext),
+                b"for nobody"
+            );
+
+            // A small-order ephemeral key: formed without any secret,
+            // accepted by the recipient.
+            let (enc_key, mac_key) = derive_keys(&[0u8; 32], &u, &recipient_pk);
+            let ciphertext = chacha20::apply(&enc_key, &nonce, 0, b"from anyone");
+            let forged = SealedBox {
+                ephemeral_pk: u,
+                tag: hmac_sha256(&mac_key, &ciphertext),
+                ciphertext,
+            };
+            assert_eq!(open(&recipient, &forged).unwrap(), b"from anyone");
+            assert_eq!(
+                open_batch(&recipient, &[&forged]),
+                vec![Ok(b"from anyone".to_vec())]
+            );
+        }
+    }
+
     #[test]
     fn fresh_ephemeral_every_message() {
         let mut rng = rng();

@@ -1,20 +1,19 @@
-//! Broker-plane integration: K consistent-hash shards, each a
-//! primary/standby `Brokerd` pair over a shared store, driven through
-//! the real network with real SAP crypto (ISSUE 8 tentpole).
+//! Broker replica pair integration: a primary/standby `Brokerd` pair
+//! over a shared store, driven through the real network with real SAP
+//! crypto.
 //!
 //! Covered here:
 //! - latency-aware selection: with both replicas reachable, every auth
-//!   lands on the (lower-RTT) primary of the UE's home shard;
-//! - deterministic failover: a shard primary killed mid-attach-burst
+//!   lands on the (lower-RTT) primary;
+//! - deterministic failover: the primary killed mid-attach-burst
 //!   costs retries, never failures — the retry quarantines the dark
 //!   replica and re-resolves on the standby, whose shared store already
 //!   holds the subscriber and nonce state;
-//! - leak hygiene at plane scale: attach/detach churn holds the live
+//! - leak hygiene through the pair: attach/detach churn holds the live
 //!   session count at a steady state bounded by the retention window,
-//!   not by run length (the satellite-2 fix, exercised through the
-//!   plane rather than a single broker).
+//!   not by run length.
 
-use cellbricks::core::broker_plane::{BrokerPlane, BrokerPlaneConfig, ReplicaSite};
+use cellbricks::core::broker_plane::{BrokerPair, BrokerPairConfig, ReplicaSite};
 use cellbricks::core::btelco::{BTelcoGateway, BTelcoGatewayConfig};
 use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use cellbricks::core::sap::QosCap;
@@ -35,19 +34,16 @@ struct PlaneWorld {
     enb: Enb,
     telco: BTelcoGateway,
     internet: Router,
-    plane: BrokerPlane,
+    pair: BrokerPair,
     ues: Vec<UeDevice>,
-    /// Home shard of each UE, per the ring.
-    home: Vec<usize>,
     driver: Driver,
-    cursor: SimTime,
-    primary_nodes: Vec<NodeId>,
+    primary_node: NodeId,
 }
 
-/// N UEs — one eNB/AGW — internet — K shards × {primary, standby}.
-/// Primaries sit behind a 2 ms cloud link, standbys behind 5 ms, so
-/// lowest-RTT selection has a right answer.
-fn build(n: usize, k: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
+/// N UEs — one eNB/AGW — internet — {primary, standby}. The primary
+/// sits behind a 2 ms cloud link, the standby behind 5 ms, so lowest-RTT
+/// selection has a right answer.
+fn build(n: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
     let mut rng = SimRng::new(seed);
     let ca = CertificateAuthority::from_seed([0xCA; 32]);
     let broker_keys = BrokerKeys::generate("broker.example", &ca, &mut rng);
@@ -64,35 +60,28 @@ fn build(n: usize, k: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
     t.add_default_route(agw_node, core);
     t.add_route(inet_node, AGW_SIG, 32, core);
 
-    let mut sites = Vec::new();
-    let mut primary_nodes = Vec::new();
-    for s in 0..k {
-        let mut mk = |tag: &str, ip_last: u8, latency| {
-            let node = t.add_node(&format!("b{s}{tag}"));
-            let ip = Ipv4Addr::new(172, 16, 10 + s as u8, ip_last);
-            let link = t.add_symmetric_link(inet_node, node, LinkConfig::delay_only(latency));
-            t.add_route(inet_node, ip, 32, link);
-            t.add_default_route(node, link);
-            ReplicaSite { node, ip }
-        };
-        let primary = mk("a", 1, ms(2));
-        let standby = mk("b", 2, ms(5));
-        primary_nodes.push(primary.node);
-        sites.push((primary, standby));
-    }
+    let mut site = |tag: &str, ip_last: u8, latency| {
+        let node = t.add_node(tag);
+        let ip = Ipv4Addr::new(172, 16, 10, ip_last);
+        let link = t.add_symmetric_link(inet_node, node, LinkConfig::delay_only(latency));
+        t.add_route(inet_node, ip, 32, link);
+        t.add_default_route(node, link);
+        ReplicaSite { node, ip }
+    };
+    let primary = site("broker-a", 1, ms(2));
+    let standby = site("broker-b", 2, ms(5));
 
-    let mut plane = BrokerPlane::build(
-        BrokerPlaneConfig {
+    let mut pair = BrokerPair::build(
+        BrokerPairConfig {
             base_name: "broker.example".to_string(),
             keys: broker_keys.clone(),
             ca: ca.public_key(),
             proc_delay: ms(2),
             epsilon: 0.05,
             session_retention: retention,
-            vnodes: 64,
-            replica_penalty: SimDuration::from_secs(30),
         },
-        &sites,
+        primary,
+        standby,
         &mut rng,
     );
 
@@ -103,7 +92,7 @@ fn build(n: usize, k: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
             pool_base: Ipv4Addr::new(10, 1, 0, 0),
             keys: telco_keys,
             ca: ca.public_key(),
-            brokers: plane.directory(),
+            brokers: pair.directory(),
             qos_cap: QosCap {
                 max_mbr_bps: 100_000_000,
                 qci_supported: vec![9],
@@ -118,7 +107,6 @@ fn build(n: usize, k: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
     let enb = Enb::new(enb_node, SimDuration::from_micros(100));
 
     let mut ues = Vec::with_capacity(n);
-    let mut home = Vec::with_capacity(n);
     for i in 0..n {
         let ue_sig = Ipv4Addr::new(169, 254, 1, i as u8 + 1);
         let ue_node = t.add_node(&format!("ue{i}"));
@@ -128,13 +116,10 @@ fn build(n: usize, k: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
         t.add_route(agw_node, ue_sig, 32, back);
 
         let keys = UeKeys::generate(&mut rng);
-        let id = keys.identity();
         let (sign_pk, encrypt_pk) = keys.public();
-        home.push(plane.provision(id, sign_pk, encrypt_pk, 50_000_000));
-        let ue_plane = plane.ue_plane(&id, |node| {
-            t.path_latency(ue_node, node).expect("replica reachable")
-        });
-        let fallback_ip = ue_plane.replicas[0].ctrl_ip;
+        pair.provision(keys.identity(), sign_pk, encrypt_pk, 50_000_000);
+        let brokers =
+            pair.ue_replicas(|node| t.path_latency(ue_node, node).expect("replica reachable"));
         ues.push(UeDevice::new(
             ue_node,
             UeDeviceConfig {
@@ -143,14 +128,13 @@ fn build(n: usize, k: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
                 broker_name: "broker.example".to_string(),
                 broker_sign_pk: broker_keys.sign.verifying_key(),
                 broker_encrypt_pk: broker_keys.encrypt.public_key(),
-                broker_ctrl_ip: fallback_ip,
+                brokers,
                 proc_delay: SimDuration::from_millis(1),
                 verify_delay: SimDuration::from_millis(1),
                 report_interval: SimDuration::from_secs(3_600),
                 attach_retry_after: SimDuration::from_secs(2),
                 attach_max_tries: 5,
                 recovery: RecoveryConfig::default(),
-                plane: Some(ue_plane),
             },
             rng.fork(),
         ));
@@ -161,12 +145,10 @@ fn build(n: usize, k: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
         enb,
         telco,
         internet: Router::new(inet_node, SimDuration::ZERO),
-        plane,
+        pair,
         ues,
-        home,
         driver: Driver::new(),
-        cursor: SimTime::ZERO,
-        primary_nodes,
+        primary_node: primary.node,
     }
 }
 
@@ -176,14 +158,13 @@ impl PlaneWorld {
         endpoints.push(&mut self.enb);
         endpoints.push(&mut self.telco);
         endpoints.push(&mut self.internet);
-        for b in self.plane.endpoints_mut() {
+        for b in self.pair.endpoints_mut() {
             endpoints.push(b);
         }
         for ue in &mut self.ues {
             endpoints.push(ue);
         }
         self.driver.run_to(&mut self.world, &mut endpoints, until);
-        self.cursor = until;
     }
 
     fn attach_all(&mut self) {
@@ -203,46 +184,30 @@ impl PlaneWorld {
 
 #[test]
 fn burst_lands_on_lowest_rtt_primaries_only() {
-    let mut w = build(12, 2, 42, SimDuration::from_secs(86_400));
-    // The ring must actually spread this population over both shards —
-    // otherwise the test proves less than it claims.
-    assert!(
-        (0..2).all(|s| w.home.contains(&s)),
-        "seed routes UEs to both shards: {:?}",
-        w.home
-    );
+    let mut w = build(12, 42, SimDuration::from_secs(86_400));
     w.attach_all();
     w.run_to(SimTime::from_secs(5));
     assert_eq!(w.attached(), 12, "whole burst attached");
     assert_eq!(w.failures(), 0);
-    for (s, shard) in w.plane.shards.iter().enumerate() {
-        let homed = w.home.iter().filter(|&&h| h == s).count() as u64;
-        assert_eq!(
-            shard.primary.auth_ok, homed,
-            "shard {s} primary authorized exactly its homed UEs"
-        );
-        assert_eq!(
-            shard.standby.auth_ok, 0,
-            "standby idle while the primary answers"
-        );
-        // Sharding is real: each shard's store only ever saw its own keys.
-        assert_eq!(shard.primary.subscriber_count(), homed as usize);
-    }
+    assert_eq!(
+        w.pair.primary.auth_ok, 12,
+        "the primary authorized every UE"
+    );
+    assert_eq!(
+        w.pair.standby.auth_ok, 0,
+        "standby idle while the primary answers"
+    );
 }
 
 #[test]
 fn mid_burst_primary_kill_fails_over_with_zero_failed_attaches() {
-    let mut w = build(12, 2, 42, SimDuration::from_secs(86_400));
-    let victim_shard = 0usize;
-    let victims = w.home.iter().filter(|&&h| h == victim_shard).count();
-    assert!(victims >= 1, "shard 0 serves someone: {:?}", w.home);
-
-    // The shard-0 primary goes dark 5 ms into the burst — after the
-    // requests are in flight, before any reply is out — and stays dark
-    // past every retry, so only standby failover can finish the burst.
+    let mut w = build(12, 42, SimDuration::from_secs(86_400));
+    // The primary goes dark 5 ms into the burst — after the requests are
+    // in flight, before any reply is out — and stays dark past every
+    // retry, so only standby failover can finish the burst.
     let mut plan = FaultPlan::new();
     plan.unavailable(
-        w.primary_nodes[victim_shard],
+        w.primary_node,
         SimTime::from_millis(5),
         SimDuration::from_secs(60),
     );
@@ -252,30 +217,21 @@ fn mid_burst_primary_kill_fails_over_with_zero_failed_attaches() {
 
     assert_eq!(w.attached(), 12, "burst completed through the kill");
     assert_eq!(w.failures(), 0, "failover must not cost a failed attach");
-    let shard0 = &w.plane.shards[victim_shard];
     assert_eq!(
-        shard0.standby.auth_ok as usize, victims,
-        "every shard-0 UE re-resolved on the standby"
+        w.pair.standby.auth_ok, 12,
+        "every UE re-resolved on the standby"
     );
     assert!(
-        w.ues
-            .iter()
-            .zip(&w.home)
-            .filter(|&(_, &h)| h == victim_shard)
-            .all(|(u, _)| u.attach_retries >= 1),
+        w.ues.iter().all(|u| u.attach_retries >= 1),
         "failover rode the retry timer"
     );
-    // The other shard never noticed.
-    let shard1 = &w.plane.shards[1];
-    assert_eq!(shard1.standby.auth_ok, 0);
-    assert_eq!(shard1.primary.auth_ok as usize, 12 - victims);
 }
 
 #[test]
 fn reattach_churn_holds_sessions_at_steady_state() {
     // 5 s retention against 60 s of detach/re-attach churn: the live
     // session count must track the retention window, not total churn.
-    let mut w = build(8, 2, 42, SimDuration::from_secs(5));
+    let mut w = build(8, 42, SimDuration::from_secs(5));
     w.attach_all();
     w.run_to(SimTime::from_secs(2));
     assert_eq!(w.attached(), 8);
@@ -292,13 +248,8 @@ fn reattach_churn_holds_sessions_at_steady_state() {
         assert_eq!(w.attached(), 8, "cycle {cycle} re-attached");
     }
 
-    let live = w.plane.sessions_live();
-    let reclaimed: u64 = w
-        .plane
-        .shards
-        .iter()
-        .map(|s| s.primary.sessions_reclaimed())
-        .sum();
+    let live = w.pair.sessions_live();
+    let reclaimed = w.pair.primary.sessions_reclaimed();
     assert!(
         live <= 3 * 8,
         "live sessions bounded by the retention window, got {live} of {created} created"

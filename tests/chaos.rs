@@ -9,7 +9,7 @@
 mod common;
 
 use cellbricks::core::principal::{BrokerKeys, UeKeys};
-use cellbricks::core::ue::{RecoveryConfig, UeDevice, UeDeviceConfig};
+use cellbricks::core::ue::{BrokerReplica, RecoveryConfig, UeDevice, UeDeviceConfig};
 use cellbricks::crypto::cert::CertificateAuthority;
 use cellbricks::epc::nas::NasMessage;
 use cellbricks::net::{BurstLoss, Endpoint, EndpointAddr, FaultPlan, NodeId, Packet, PacketKind};
@@ -285,14 +285,17 @@ fn attach_request_times(recovery: RecoveryConfig, max_tries: u32) -> Vec<SimTime
             broker_name: "broker.example".to_string(),
             broker_sign_pk: broker_keys.sign.verifying_key(),
             broker_encrypt_pk: broker_keys.encrypt.public_key(),
-            broker_ctrl_ip: BROKER_IP,
+            brokers: vec![BrokerReplica {
+                name: "broker.example".to_string(),
+                ctrl_ip: BROKER_IP,
+                rtt: SimDuration::ZERO,
+            }],
             proc_delay: SimDuration::ZERO,
             verify_delay: SimDuration::ZERO,
             report_interval: SimDuration::from_secs(5),
             attach_retry_after: SimDuration::from_secs(2),
             attach_max_tries: max_tries,
             recovery,
-            plane: None,
         },
         rng.fork(),
     );
@@ -396,14 +399,17 @@ fn detach_during_pending_attach_clears_retry_state() {
             broker_name: "broker.example".to_string(),
             broker_sign_pk: broker_keys.sign.verifying_key(),
             broker_encrypt_pk: broker_keys.encrypt.public_key(),
-            broker_ctrl_ip: BROKER_IP,
+            brokers: vec![BrokerReplica {
+                name: "broker.example".to_string(),
+                ctrl_ip: BROKER_IP,
+                rtt: SimDuration::ZERO,
+            }],
             proc_delay: SimDuration::ZERO,
             verify_delay: SimDuration::ZERO,
             report_interval: SimDuration::from_secs(5),
             attach_retry_after: SimDuration::from_secs(2),
             attach_max_tries: 5,
             recovery: RecoveryConfig::default(),
-            plane: None,
         },
         rng.fork(),
     );

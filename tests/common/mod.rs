@@ -7,7 +7,7 @@ use cellbricks::core::brokerd::{Brokerd, BrokerdConfig};
 use cellbricks::core::btelco::{BTelcoGateway, BTelcoGatewayConfig, BrokerContact};
 use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use cellbricks::core::sap::QosCap;
-use cellbricks::core::ue::{RecoveryConfig, UeDevice, UeDeviceConfig};
+use cellbricks::core::ue::{BrokerReplica, RecoveryConfig, UeDevice, UeDeviceConfig};
 use cellbricks::crypto::cert::CertificateAuthority;
 use cellbricks::epc::enb::Enb;
 use cellbricks::net::{Driver, Endpoint, LinkConfig, LinkId, NetWorld, NodeId, Router, Topology};
@@ -192,14 +192,17 @@ impl CellBricksWorld {
                 broker_name: BROKER.to_string(),
                 broker_sign_pk: broker_keys.sign.verifying_key(),
                 broker_encrypt_pk: broker_keys.encrypt.public_key(),
-                broker_ctrl_ip: BROKER_IP,
+                brokers: vec![BrokerReplica {
+                    name: BROKER.to_string(),
+                    ctrl_ip: BROKER_IP,
+                    rtt: SimDuration::ZERO,
+                }],
                 proc_delay: SimDuration::from_millis(3),
                 verify_delay: SimDuration::from_millis(2),
                 report_interval: SimDuration::from_secs(5),
                 attach_retry_after: SimDuration::from_secs(2),
                 attach_max_tries: 3,
                 recovery: RecoveryConfig::default(),
-                plane: None,
             },
             rng.fork(),
         );

@@ -12,7 +12,7 @@ use cellbricks::core::brokerd::{Brokerd, BrokerdConfig};
 use cellbricks::core::btelco::{BTelcoGateway, BTelcoGatewayConfig, BrokerContact};
 use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use cellbricks::core::sap::QosCap;
-use cellbricks::core::ue::{UeDevice, UeDeviceConfig};
+use cellbricks::core::ue::{BrokerReplica, UeDevice, UeDeviceConfig};
 use cellbricks::crypto::cert::CertificateAuthority;
 use cellbricks::epc::agw::{Agw, AgwConfig};
 use cellbricks::epc::aka::SharedKey;
@@ -138,14 +138,17 @@ fn one_btelco_serves_two_brokers() {
                     broker_name: bname.to_string(),
                     broker_sign_pk: bkeys.sign.verifying_key(),
                     broker_encrypt_pk: bkeys.encrypt.public_key(),
-                    broker_ctrl_ip: bip,
+                    brokers: vec![BrokerReplica {
+                        name: bname.to_string(),
+                        ctrl_ip: bip,
+                        rtt: SimDuration::ZERO,
+                    }],
                     proc_delay: ms(1),
                     verify_delay: ms(1),
                     report_interval: SimDuration::from_secs(3_600),
                     attach_retry_after: SimDuration::from_secs(2),
                     attach_max_tries: 3,
                     recovery: cellbricks::core::ue::RecoveryConfig::default(),
-                    plane: None,
                 },
                 rng.fork(),
             )
@@ -340,14 +343,17 @@ fn dual_stack_ue_roams_from_legacy_mno_to_btelco() {
                 broker_name: "broker.example".to_string(),
                 broker_sign_pk: broker_keys.sign.verifying_key(),
                 broker_encrypt_pk: broker_keys.encrypt.public_key(),
-                broker_ctrl_ip: BROKER_IP,
+                brokers: vec![BrokerReplica {
+                    name: "broker.example".to_string(),
+                    ctrl_ip: BROKER_IP,
+                    rtt: SimDuration::ZERO,
+                }],
                 proc_delay: ms(1),
                 verify_delay: ms(1),
                 report_interval: SimDuration::from_secs(3_600),
                 attach_retry_after: SimDuration::from_secs(2),
                 attach_max_tries: 3,
                 recovery: cellbricks::core::ue::RecoveryConfig::default(),
-                plane: None,
             },
             rng.fork(),
         ),
