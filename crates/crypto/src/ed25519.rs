@@ -206,15 +206,6 @@ impl Scalar {
     }
 }
 
-/// Reduce a 512-bit little-endian integer modulo the group order L — the
-/// reduction every signing nonce, challenge and batch coefficient goes
-/// through. Public so the criterion bench (and external cross-checks)
-/// can reach the kernel; the protocol code uses it through [`Scalar`].
-#[must_use]
-pub fn scalar_reduce_wide(bytes: &[u8; 64]) -> [u8; 32] {
-    Scalar::from_bytes_wide(bytes).to_bytes()
-}
-
 /// An Ed25519 curve point in extended twisted-Edwards coordinates
 /// (X : Y : Z : T) with x = X/Z, y = Y/Z, xy = T/Z.
 ///
@@ -1459,12 +1450,14 @@ mod tests {
 
     #[test]
     fn two_torsioned_rs_get_one_verdict() {
-        // Smallest failing case, tried first: a batch of exactly two
-        // signatures, both with `R + T₂` (the order-2 point, index 4).
-        // Each is rejected alone; the batch residual is `−(z₁ + z₂)·T₂`,
-        // and the coefficients are forced odd, so it vanishes for every
-        // transcript and the batch accepts. Two order-8 points cancel
-        // whenever `z₁ + z₂ ≡ 0 (mod 8)`, a quarter of all transcripts.
+        // A batch of exactly two signatures, both with a torsioned `R`:
+        // `R + T₂` (the order-2 point, index 4) first, then every pair of
+        // non-identity torsion points. The batch residual is
+        // `−(z₁·T_a + z₂·T_b)`, which can cancel between the two items
+        // (always for `T₂` with odd coefficients; for order-8 points
+        // whenever `z₁ + z₂ ≡ 0 (mod 8)`). Under cofactored verification
+        // each signature is accepted alone and the batch accepts too, so
+        // the single, cached and batch verdicts agree at every split.
         let torsion = eight_torsion();
         let keys = [
             SigningKey::from_seed([80; 32]),

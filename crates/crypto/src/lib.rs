@@ -13,7 +13,7 @@
 //! * [`hmac`] — HMAC (RFC 2104) over SHA-256,
 //! * [`hkdf`] — HKDF (RFC 5869), used for the KASME-style key hierarchy,
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439),
-//! * [`field`] / [`x25519`](mod@x25519) — Curve25519 Diffie–Hellman (RFC 7748),
+//! * [`field`] / [`x25519`] — Curve25519 Diffie–Hellman (RFC 7748),
 //! * [`ed25519`] — Ed25519 signatures (RFC 8032),
 //! * [`sealed`] — ECIES-style authenticated public-key encryption
 //!   (X25519 + HKDF + ChaCha20 + HMAC, encrypt-then-MAC),
@@ -45,7 +45,6 @@ pub use ed25519::{sign_batch, verify_batch, BatchItem, Signature, SigningKey, Ve
 pub use sealed::{
     open, open_batch, seal, seal_begin, seal_finish_batch, PendingSeal, SealedBox, SealedBoxError,
 };
-pub use x25519::{x25519, X25519SecretKey};
 
 /// Constant-time byte-slice equality: used when comparing MACs and
 /// signatures so tampering tests don't observe short-circuit behaviour.
