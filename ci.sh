@@ -7,15 +7,21 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# CI_QUICK=1 (the default here and in the workflow) runs the fresh
-# exp_brokerd wire-service check as its --smoke (C in {1,4}, small
-# burst); CI_QUICK=0 runs the full sweep and holds it to the C=16 floor.
-export CI_QUICK="${CI_QUICK:-1}"
-
 run() {
     echo
     echo "==> $*"
     "$@"
+}
+
+metric() { # metric <file> <gauge-name> -> value
+    local v
+    v=$(grep -o "\"$2\":{\"value\":[0-9-]*" "$1" | grep -o '[0-9-]*$' || true)
+    if [ -z "$v" ]; then
+        echo "FAIL: gauge \"$2\" not found in $1 — the run did not" >&2
+        echo "      record it (renamed metric, or the phase never ran)" >&2
+        return 1
+    fi
+    echo "$v"
 }
 
 run cargo fmt --all -- --check
@@ -38,99 +44,14 @@ run cargo run --release -q --example quickstart
 run cargo test --release -q -p cellbricks-crypto --features op-count \
     op_count_gate -- --nocapture
 
-# Smoke-check the engine-scale sweep: a reduced run must report the
-# scheduler events/sec gauges for each swept endpoint count.
-#
-# results/exp_scale.metrics.json is the *committed* perf/alloc baseline
-# (the one .gitignore exception), written by the last full sweep. Two
-# gates against it:
-#   1. the committed N=10k steady-state events/sec must stay above the
-#      recorded floor — a PR can only re-commit the file from a run that
-#      still clears it;
-#   2. the fresh smoke run's steady-state alloc.count at N=1k must not
-#      regress vs the committed baseline (alloc counts are deterministic
-#      in the single-threaded sim; 10% headroom for allocator jitter).
-# The smoke run writes to a scratch dir so the committed baseline stays
-# untouched (re-commit it only from a deliberate full sweep).
-metric() { # metric <file> <gauge-name> -> value
-    local v
-    v=$(grep -o "\"$2\":{\"value\":[0-9-]*" "$1" | grep -o '[0-9-]*$' || true)
-    if [ -z "$v" ]; then
-        echo "FAIL: gauge \"$2\" not found in $1 — the run did not" >&2
-        echo "      record it (renamed metric, or the phase never ran)" >&2
-        return 1
-    fi
-    echo "$v"
-}
-ENGINE_N10K_FLOOR=5000000
-committed_eps=$(metric results/exp_scale.metrics.json "exp_scale.engine.n10000.events_per_sec")
-if [ "$committed_eps" -lt "$ENGINE_N10K_FLOOR" ]; then
-    echo "FAIL: committed exp_scale.engine.n10000.events_per_sec=$committed_eps < floor $ENGINE_N10K_FLOOR"
-    exit 1
-fi
-baseline_alloc=$(metric results/exp_scale.metrics.json "exp_scale.engine.n1000.alloc.count")
-
+# Scale smoke: the attach-burst table (every UE must attach) and one
+# mega row (at least 99 % of the ticks the UEs sent must reach the
+# sinks); the run asserts both. Wall-clock rates are perfbench's to
+# measure, not this step's.
 scratch=$(mktemp -d)
 run env CELLBRICKS_RESULTS_DIR="$scratch" \
     cargo run --release -q -p cellbricks-bench --bin exp_scale -- --smoke
-test -s "$scratch/exp_scale.metrics.json"
-grep -q '"exp_scale.engine.n1000.events_per_sec"' "$scratch/exp_scale.metrics.json"
-fresh_alloc=$(metric "$scratch/exp_scale.metrics.json" "exp_scale.engine.n1000.alloc.count")
-alloc_cap=$((baseline_alloc + baseline_alloc / 10 + 8))
-if [ "$fresh_alloc" -gt "$alloc_cap" ]; then
-    echo "FAIL: steady-state alloc.count regressed: $fresh_alloc > cap $alloc_cap (baseline $baseline_alloc)"
-    exit 1
-fi
 rm -rf "$scratch"
-echo
-echo "==> exp_scale gates OK (committed n10k ${committed_eps} ev/s >= ${ENGINE_N10K_FLOOR}; n1k alloc.count $fresh_alloc <= $alloc_cap)"
-
-# Mega-fleet gates. Floor protocol, documented here
-# because every number below depends on it:
-#
-#   * Wall-clock throughput on a shared box is noisy in one direction
-#     only — interference makes a run slower, never faster — so each
-#     fresh gate takes the BEST of N=3 runs as the box's capability.
-#   * Floors are set at roughly 1/3 of the dev-box best-of-3 (n100k
-#     measured ~3.9M ev/s), so a modest CI box still
-#     clears them; the gate exists to catch multiplicative regressions
-#     (an accidental O(N) scan, a lost early-out), not 10% drift.
-#   * The committed baseline (results/exp_scale.metrics.json, written
-#     by the last full sweep) must itself clear the floors — a PR can
-#     only re-commit it from a run that does.
-MEGA_N100K_FLOOR=1300000
-MEGA_N1M_FLOOR=1000000
-for gate in "n100000 $MEGA_N100K_FLOOR" "n1000000 $MEGA_N1M_FLOOR"; do
-    set -- $gate
-    v=$(metric results/exp_scale.metrics.json "exp_scale.mega.$1.events_per_sec")
-    if [ "$v" -lt "$2" ]; then
-        echo "FAIL: committed exp_scale.mega.$1.events_per_sec=$v < floor $2"
-        exit 1
-    fi
-done
-
-mega_best() { # mega_best <n> <runs> -> best ev/s over <runs> runs
-    local n=$1 runs=$2 best=0 d eps
-    for _ in $(seq "$runs"); do
-        d=$(mktemp -d)
-        env CELLBRICKS_RESULTS_DIR="$d" \
-            cargo run --release -q -p cellbricks-bench --bin exp_scale -- \
-            --mega-only "$n" >/dev/null
-        eps=$(metric "$d/exp_scale.metrics.json" "exp_scale.mega.n$n.events_per_sec")
-        rm -rf "$d"
-        if [ "$eps" -gt "$best" ]; then best=$eps; fi
-    done
-    echo "$best"
-}
-
-echo
-echo "==> mega n100k fresh best-of-3"
-fresh_mega=$(mega_best 100000 3)
-if [ "$fresh_mega" -lt "$MEGA_N100K_FLOOR" ]; then
-    echo "FAIL: fresh mega n100k best-of-3 $fresh_mega ev/s < floor $MEGA_N100K_FLOOR"
-    exit 1
-fi
-echo "==> mega gates OK (committed floors; fresh n100k best-of-3 $fresh_mega ev/s)"
 
 # Chaos gate: every scripted fault class (link flap, burst loss, bTelco
 # crash+restart, broker outage) must converge — the run itself asserts,
@@ -158,63 +79,13 @@ rm -rf "$bscratch"
 echo
 echo "==> exp_broker gate OK (kill failed_attaches 0)"
 
-# brokerd wire-service gate (the wire adapter over real sockets). Two layers:
-#
-#   1. The *committed* results/exp_brokerd.metrics.json — written by the
-#      last full run — must itself record a served-auth/s at C=16 above
-#      the floor, a cross-connection batching win >= 1.5x over the
-#      single-request-per-batch baseline, and zero bad frames / lost
-#      requests. A PR can only re-commit it from a run that clears this.
-#   2. A fresh run reproduces the service end to end on this box. This
-#      is wall-clock on a shared machine, so the fresh floor sits at
-#      ~1/3 of the dev-box best (same protocol as the mega gates) and
-#      only the correctness counters (bad_frames, lost) are exact.
-#      CI_QUICK=1 runs --smoke (C in {1,4}, small burst); CI_QUICK=0
-#      runs the full sweep and holds the fresh run to the C=16 floor.
-BROKERD_C16_FLOOR=1600
-BROKERD_WIN_X100_FLOOR=150
-BROKERD_SMOKE_FLOOR=1000
-wk=$(metric results/exp_brokerd.metrics.json "exp_brokerd.c16.served_per_sec")
-ww=$(metric results/exp_brokerd.metrics.json "exp_brokerd.batch_win_x100")
-wb=$(metric results/exp_brokerd.metrics.json "exp_brokerd.bad_frames")
-wl=$(metric results/exp_brokerd.metrics.json "exp_brokerd.lost")
-if [ "$wk" -lt "$BROKERD_C16_FLOOR" ]; then
-    echo "FAIL: committed exp_brokerd.c16.served_per_sec=$wk < floor $BROKERD_C16_FLOOR"
-    exit 1
-fi
-if [ "$ww" -lt "$BROKERD_WIN_X100_FLOOR" ]; then
-    echo "FAIL: committed exp_brokerd.batch_win_x100=$ww < floor $BROKERD_WIN_X100_FLOOR"
-    exit 1
-fi
-if [ "$wb" -ne 0 ] || [ "$wl" -ne 0 ]; then
-    echo "FAIL: committed exp_brokerd recorded bad_frames=$wb lost=$wl (want 0/0)"
-    exit 1
-fi
+# brokerd wire-service smoke: the real server on loopback UDP, then the
+# TCP transport with a report larger than any datagram. The run asserts
+# that every request is answered and that no frame is malformed.
 wscratch=$(mktemp -d)
-if [ "$CI_QUICK" = "1" ]; then
-    run env CELLBRICKS_RESULTS_DIR="$wscratch" \
-        cargo run --release -q -p cellbricks-bench --bin exp_brokerd -- --smoke
-    fresh_wire=$(metric "$wscratch/exp_brokerd.metrics.json" "exp_brokerd.c4.served_per_sec")
-    wire_floor=$BROKERD_SMOKE_FLOOR
-else
-    run env CELLBRICKS_RESULTS_DIR="$wscratch" \
-        cargo run --release -q -p cellbricks-bench --bin exp_brokerd
-    fresh_wire=$(metric "$wscratch/exp_brokerd.metrics.json" "exp_brokerd.c16.served_per_sec")
-    wire_floor=$BROKERD_C16_FLOOR
-fi
-fresh_wb=$(metric "$wscratch/exp_brokerd.metrics.json" "exp_brokerd.bad_frames")
-fresh_wl=$(metric "$wscratch/exp_brokerd.metrics.json" "exp_brokerd.lost")
-if [ "$fresh_wire" -lt "$wire_floor" ]; then
-    echo "FAIL: fresh exp_brokerd served/s $fresh_wire < floor $wire_floor"
-    exit 1
-fi
-if [ "$fresh_wb" -ne 0 ] || [ "$fresh_wl" -ne 0 ]; then
-    echo "FAIL: fresh exp_brokerd recorded bad_frames=$fresh_wb lost=$fresh_wl (want 0/0)"
-    exit 1
-fi
+run env CELLBRICKS_RESULTS_DIR="$wscratch" \
+    cargo run --release -q -p cellbricks-bench --bin exp_brokerd -- --smoke
 rm -rf "$wscratch"
-echo
-echo "==> exp_brokerd gates OK (committed c16 $wk au/s, win ${ww}x100; fresh $fresh_wire au/s, bad_frames 0, lost 0)"
 
 # Multi-core brokerd scaling gate: with >= 2 cores, splitting each
 # batch's crypto across W = nproc threads (capped at 8, the I/O thread

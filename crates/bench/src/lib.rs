@@ -27,10 +27,11 @@
 pub mod alloc_count;
 pub mod figures;
 
-/// Every binary and bench in this crate allocates through the counting
-/// allocator, so any experiment can report `alloc.count` / `alloc.bytes`
-/// per phase (see [`alloc_count`]). Overhead is two relaxed atomic adds
-/// per allocation — invisible next to the allocation itself.
+/// Every binary and test that links this crate allocates through the
+/// counting allocator, so an experiment can report `alloc.count` /
+/// `alloc.bytes` per phase and `tests/alloc_guards.rs` can bound a hot
+/// path's allocations (see [`alloc_count`]). Overhead is two relaxed
+/// atomic adds per allocation — invisible next to the allocation itself.
 #[global_allocator]
 static GLOBAL_ALLOC: alloc_count::CountingAllocator = alloc_count::CountingAllocator;
 

@@ -6,7 +6,9 @@
 
 use bytes::Bytes;
 use cellbricks_bench::alloc_count::Phase;
-use cellbricks_net::{EndpointAddr, LinkConfig, NetWorld, NodeId, Packet, PacketKind, Topology};
+use cellbricks_net::{
+    Driver, Endpoint, EndpointAddr, LinkConfig, NetWorld, NodeId, Packet, PacketKind, Topology,
+};
 use cellbricks_sim::{SimDuration, SimRng, SimTime};
 use cellbricks_transport::Host;
 use std::cell::Cell;
@@ -176,6 +178,84 @@ fn arrival_storage_tracks_packets_in_flight_not_directions() {
     );
 }
 
+/// An endpoint of the engine guard: from `wake` on it sends to
+/// `SERVER_IP` every 100 µs (an idle endpoint's `wake` is never
+/// reached; a sink has none), and it counts what it receives.
+struct Probe {
+    node: NodeId,
+    wake: Option<SimTime>,
+    received: u64,
+}
+
+fn probe(node: NodeId, wake: Option<SimTime>) -> Probe {
+    Probe {
+        node,
+        wake,
+        received: 0,
+    }
+}
+
+impl Endpoint for Probe {
+    fn node(&self) -> NodeId {
+        self.node
+    }
+    fn handle_packet(&mut self, _now: SimTime, _pkt: Packet, _out: &mut Vec<Packet>) {
+        self.received += 1;
+    }
+    fn poll_at(&self) -> Option<SimTime> {
+        self.wake
+    }
+    fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        while let Some(at) = self.wake.filter(|&at| at <= now) {
+            let tick = Bytes::from_static(b"t");
+            out.push(Packet::control(CLIENT_IP, SERVER_IP, tick));
+            self.wake = Some(at + SimDuration::from_micros(100));
+        }
+    }
+}
+
+/// The engine at steady state: one `Driver` over 1 000 idle endpoints,
+/// each next due about an hour out at its own instant (as attached UEs'
+/// report timers are), and a 100 µs ticker → sink pair over a 50 µs
+/// link, run in 10 s windows. After one warm window, a window delivers
+/// its 100 000 ticks through the arrival FIFOs, the timer wheel and the
+/// output buffer with at most 11 allocations (a handful of buffer
+/// growths, not one per event).
+fn steady_state_engine_window_allocates_almost_nothing() {
+    const N: u64 = 1_000;
+    let mut t = Topology::new();
+    let (tick, sink) = (t.add_node("tick"), t.add_node("sink"));
+    let cfg = LinkConfig::delay_only(SimDuration::from_micros(50));
+    let link = t.add_symmetric_link(tick, sink, cfg);
+    t.add_default_route(tick, link);
+    let mut idle: Vec<Probe> = (0..N)
+        .map(|i| {
+            let wake = SimTime::from_secs(3_600) + SimDuration::from_millis(i);
+            probe(t.add_node("idle"), Some(wake))
+        })
+        .collect();
+    let mut world = NetWorld::new(t, SimRng::new(1));
+    let mut ticker = probe(tick, Some(SimTime::ZERO));
+    let mut sink = probe(sink, None);
+    let mut driver = Driver::new();
+    for window in 1..=2 {
+        let before = sink.received;
+        let mut endpoints: Vec<&mut dyn Endpoint> = vec![&mut ticker, &mut sink];
+        endpoints.extend(idle.iter_mut().map(|e| e as &mut dyn Endpoint));
+        let phase = Phase::start();
+        driver.run_to(&mut world, &mut endpoints, SimTime::from_secs(10 * window));
+        let (allocs, _) = phase.finish();
+        drop(endpoints);
+        if window == 2 {
+            assert_eq!(sink.received - before, 100_000, "ticks delivered");
+            assert!(
+                allocs <= 11,
+                "{allocs} allocations in a warm 10 s engine window"
+            );
+        }
+    }
+}
+
 /// The counter itself: an allocation counts with its bytes, a
 /// deallocation does not count.
 fn counter_counts_allocations_not_deallocations() {
@@ -196,4 +276,5 @@ fn hot_paths_stay_off_the_allocator() {
     steady_state_mptcp_flush_allocates_nothing(true);
     leaf_nodes_and_their_routes_own_no_allocation();
     arrival_storage_tracks_packets_in_flight_not_directions();
+    steady_state_engine_window_allocates_almost_nothing();
 }

@@ -10,8 +10,8 @@
 //! when fanning one payload out to several simulated hops. Matching
 //! upstream, [`Bytes::from_static`] performs **no allocation at all**:
 //! control-plane packets built from literals (keepalives, ticks) stay
-//! out of the allocator entirely, which the steady-state `alloc.count`
-//! gauges in `exp_scale` rely on.
+//! out of the allocator entirely, which the steady-state engine guard
+//! in `crates/bench/tests/alloc_guards.rs` relies on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
