@@ -30,9 +30,9 @@ run cargo build --release --workspace
 run cargo test -q --workspace
 
 # The examples are part of the claim: `broker_server` is the one
-# end-to-end check that a broker is the shared core plus ~20 lines over
-# `serve_tcp`; `quickstart` drives the core with a batch of one. Both
-# assert their own outcome.
+# end-to-end check that a broker is the shared core behind `serve` on a
+# UDP socket, serving one attach over loopback; `quickstart` drives the
+# core with a batch of one. Both assert their own outcome.
 run cargo run --release -q --example broker_server
 run cargo run --release -q --example quickstart
 
@@ -79,9 +79,9 @@ rm -rf "$bscratch"
 echo
 echo "==> exp_broker gate OK (kill failed_attaches 0)"
 
-# brokerd wire-service smoke: the real server on loopback UDP, then the
-# TCP transport with a report larger than any datagram. The run asserts
-# that every request is answered and that no frame is malformed.
+# brokerd wire-service smoke: the real server on loopback UDP, at one
+# and four clients. The run asserts that every request is answered and
+# that no frame is malformed.
 wscratch=$(mktemp -d)
 run env CELLBRICKS_RESULTS_DIR="$wscratch" \
     cargo run --release -q -p cellbricks-bench --bin exp_brokerd -- --smoke

@@ -3,8 +3,8 @@
 //! The paper's broker is "an ordinary online service" (§3): no cellular
 //! infrastructure, just a daemon behind a socket. This binary runs the
 //! [`cellbricks_core::broker_server`] pipeline in one of two modes with
-//! length-prefixed [`BrokerWire`] frames over UDP (default) or TCP
-//! (`--tcp`):
+//! length-prefixed [`BrokerWire`] frames over UDP, one frame per
+//! datagram:
 //!
 //! * **Server** (default): bind `--listen`, provision the deterministic
 //!   `--seed`/`--n` population, and serve the staged pipeline — adaptive
@@ -15,7 +15,7 @@
 //! * **Load generator** (`--connect`): `--clients C` sender threads,
 //!   each with its own socket, disjoint UE identities from the *same*
 //!   seed path, and `--burst N` pre-built requests pumped through a
-//!   `--window W` pipeline (timeout retransmit on UDP; TCP is reliable).
+//!   `--window W` pipeline, re-sending a request unanswered after 500 ms.
 //!
 //! Both sides derive every key from (`--seed`, `--n`), so no state is
 //! exchanged out of band — start a server in one terminal and point the
@@ -26,18 +26,18 @@
 //! brokerd --connect 127.0.0.1:7701 --n 64 --clients 4 --burst 100
 //! ```
 
-use cellbricks_bench::{arg_flag, arg_str, arg_u64};
+use cellbricks_bench::{arg_str, arg_u64};
 use cellbricks_core::broker_server::{
-    self, build_requests, population, run_client, run_client_tcp, ClientConfig, ServeConfig,
+    self, build_requests, population, run_client, ClientConfig, ServeConfig,
 };
 use cellbricks_sim::SimRng;
 use cellbricks_telemetry as telemetry;
-use std::net::{TcpListener, UdpSocket};
+use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn serve_mode(listen: &str, seed: u64, n_ues: usize, duration_s: u64, workers: usize, tcp: bool) {
+fn serve_mode(listen: &str, seed: u64, n_ues: usize, duration_s: u64, workers: usize) {
     let pop = population(seed, n_ues);
     // Grant rng, not key material.
     let mut server = pop.server_with_workers(SimRng::new(seed ^ 0x6b72_6f6b), workers);
@@ -49,27 +49,14 @@ fn serve_mode(listen: &str, seed: u64, n_ues: usize, duration_s: u64, workers: u
             stop_timer.store(true, Ordering::Relaxed);
         });
     }
-    if tcp {
-        let listener = TcpListener::bind(listen).expect("bind listen address");
-        println!(
-            "brokerd: serving {} subscribers on tcp {} (seed {seed}, {} workers)",
-            server.subscriber_count(),
-            listener.local_addr().expect("local addr"),
-            server.workers(),
-        );
-        broker_server::serve_tcp(&mut server, &listener, &stop, &ServeConfig::default())
-            .expect("serve loop");
-    } else {
-        let sock = UdpSocket::bind(listen).expect("bind listen address");
-        println!(
-            "brokerd: serving {} subscribers on udp {} (seed {seed}, {} workers)",
-            server.subscriber_count(),
-            sock.local_addr().expect("local addr"),
-            server.workers(),
-        );
-        broker_server::serve(&mut server, &sock, &stop, &ServeConfig::default())
-            .expect("serve loop");
-    }
+    let sock = UdpSocket::bind(listen).expect("bind listen address");
+    println!(
+        "brokerd: serving {} subscribers on udp {} (seed {seed}, {} workers)",
+        server.subscriber_count(),
+        sock.local_addr().expect("local addr"),
+        server.workers(),
+    );
+    broker_server::serve(&mut server, &sock, &stop, &ServeConfig::default()).expect("serve loop");
     let c = server.counters;
     println!(
         "brokerd: served {} auths · {} refused · {} bad frames · {} reports · {} batches",
@@ -95,7 +82,6 @@ fn serve_mode(listen: &str, seed: u64, n_ues: usize, duration_s: u64, workers: u
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn loadgen_mode(
     connect: &str,
     seed: u64,
@@ -103,7 +89,6 @@ fn loadgen_mode(
     clients: usize,
     burst: usize,
     window: usize,
-    tcp: bool,
 ) {
     let server_addr = connect.parse().expect("server address");
     let pop = Arc::new(population(seed, n_ues));
@@ -112,8 +97,7 @@ fn loadgen_mode(
         "need at least one UE identity per client (--n >= --clients)"
     );
     println!(
-        "brokerd loadgen: {clients} clients x {burst} requests, window {window}, -> {} {server_addr}",
-        if tcp { "tcp" } else { "udp" }
+        "brokerd loadgen: {clients} clients x {burst} requests, window {window}, -> udp {server_addr}"
     );
     // Pre-build every request before the timed window opens: request
     // construction is real crypto and must not dilute the server rate.
@@ -145,11 +129,7 @@ fn loadgen_mode(
                     deadline: Duration::from_secs(120),
                     rtt_hist: format!("brokerd.loadgen.rtt_us.c{c}"),
                 };
-                if tcp {
-                    run_client_tcp(&cfg, &requests).expect("client socket")
-                } else {
-                    run_client(&cfg, &requests).expect("client socket")
-                }
+                run_client(&cfg, &requests).expect("client socket")
             })
         })
         .collect();
@@ -178,16 +158,15 @@ fn main() {
     cellbricks_bench::telemetry_init();
     let seed = arg_u64("--seed", 42);
     let n_ues = arg_u64("--n", 64) as usize;
-    let tcp = arg_flag("--tcp");
     if let Some(connect) = arg_str("--connect") {
         let clients = arg_u64("--clients", 4) as usize;
         let burst = arg_u64("--burst", 100) as usize;
         let window = arg_u64("--window", 8) as usize;
-        loadgen_mode(&connect, seed, n_ues, clients, burst, window, tcp);
+        loadgen_mode(&connect, seed, n_ues, clients, burst, window);
     } else {
         let listen = arg_str("--listen").unwrap_or_else(|| "127.0.0.1:7701".to_string());
         let duration_s = arg_u64("--duration", 0);
         let workers = arg_u64("--workers", broker_server::default_workers() as u64) as usize;
-        serve_mode(&listen, seed, n_ues, duration_s, workers, tcp);
+        serve_mode(&listen, seed, n_ues, duration_s, workers);
     }
 }

@@ -21,7 +21,7 @@ use cellbricks_core::broker_plane::{BrokerPair, BrokerPairConfig, ReplicaSite};
 use cellbricks_core::btelco::{BTelcoGateway, BTelcoGatewayConfig};
 use cellbricks_core::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use cellbricks_core::sap::QosCap;
-use cellbricks_core::ue::{RecoveryConfig, UeDevice, UeDeviceConfig};
+use cellbricks_core::ue::{UeDevice, UeDeviceConfig};
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_epc::enb::Enb;
 use cellbricks_net::{Driver, Endpoint, FaultPlan, LinkConfig, NetWorld, Router, Topology};
@@ -92,7 +92,6 @@ fn main() {
             },
             proc_delay: SimDuration::from_micros(500),
             report_interval: SimDuration::from_secs(3_600),
-            overcount_factor: 1.0,
         },
         rng.fork(),
     );
@@ -124,9 +123,7 @@ fn main() {
                 proc_delay: SimDuration::from_millis(1),
                 verify_delay: SimDuration::from_millis(1),
                 report_interval: SimDuration::from_secs(3_600),
-                attach_retry_after: SimDuration::from_secs(2),
                 attach_max_tries: 5,
-                recovery: RecoveryConfig::default(),
             },
             rng.fork(),
         );

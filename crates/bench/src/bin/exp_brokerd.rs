@@ -19,21 +19,19 @@
 //! best rep over fresh nonces. Best-of-reps reads the machine's
 //! capability rather than its worst scheduling accident, and rep-major
 //! ordering keeps slow minutes on a shared box from landing on a single
-//! level. Latency histograms accumulate across reps. A TCP smoke phase
-//! then drives the stream transport, including a Report frame far larger
-//! than any UDP datagram.
+//! level. Latency histograms accumulate across reps.
 //!
-//! Multi-process runs: `--server-only [--listen A] [--duration D]` runs
-//! just the serve loop; `--client-only --connect A` runs just the
-//! measurement protocol against a remote server (its metrics land under
-//! `exp_brokerd_client`, beside the combined run's file, not over it).
+//! Multi-process runs: `--client-only --connect A` runs just the
+//! measurement protocol against a server started apart, `brokerd
+//! --listen A --n 64 --duration D` (the same seed path provisions the
+//! same 64 subscribers); its metrics land under `exp_brokerd_client`,
+//! beside the combined run's file, not over it.
 //!
 //! Gauges land in `results/exp_brokerd.metrics.json`:
 //! `exp_brokerd.c<C>.served_per_sec`, `.p50_us`, `.p99_us`,
 //! `exp_brokerd.batch_win_x100` (highest-C rate over C=1 rate, ×100),
-//! `exp_brokerd.bad_frames`, `exp_brokerd.workers`,
-//! `exp_brokerd.tcp_smoke_served`. The run itself asserts that no frame
-//! was bad and no request went unanswered.
+//! `exp_brokerd.bad_frames`, `exp_brokerd.workers`. The run itself
+//! asserts that no frame was bad and no request went unanswered.
 //!
 //! `ci.sh` runs `--smoke`, and on two or more cores compares the C=16
 //! rate of full runs at W = 0 and W = nproc. How fast the wire service
@@ -41,16 +39,15 @@
 //!
 //! Usage: `cargo run --release -p cellbricks-bench --bin exp_brokerd
 //!         [--seed S] [--burst B] [--reps R] [--smoke] [--workers W]
-//!         [--server-only | --client-only --connect ADDR]`
+//!         [--client-only --connect ADDR]`
 
 use cellbricks_bench::{arg_flag, arg_str, arg_u64};
 use cellbricks_core::broker_server::{
-    self, build_requests, population, run_client, run_client_tcp, send_report_tcp, ClientConfig,
-    Population, ServeConfig,
+    self, build_requests, population, run_client, ClientConfig, Population, ServeConfig,
 };
 use cellbricks_sim::SimRng;
 use cellbricks_telemetry as telemetry;
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -184,104 +181,6 @@ fn measure(
     win
 }
 
-/// The TCP stream-transport smoke: a fresh server on a loopback
-/// listener, two windowed clients, and one Report frame far larger than
-/// the UDP receive buffer — the frame a datagram transport cannot carry.
-fn tcp_smoke(pop: &Arc<Population>, seed: u64, workers: usize, burst: usize) {
-    let mut server = pop.server_with_workers(SimRng::new(seed ^ 0x7c97), workers);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind tcp");
-    let addr = listener.local_addr().expect("local addr");
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || {
-        broker_server::serve_tcp(&mut server, &listener, &stop2, &ServeConfig::default())
-            .expect("serve_tcp");
-        server
-    });
-
-    // 32 KiB sealed report — 4x the UDP per-datagram receive buffer.
-    let report_len = 32 * 1024;
-    let mut reporter = TcpStream::connect(addr).expect("connect reporter");
-    send_report_tcp(&mut reporter, 1, &vec![0x5a_u8; report_len]).expect("report");
-
-    let clients = 2usize;
-    let runners: Vec<_> = (0..clients)
-        .map(|c| {
-            let pop = Arc::clone(pop);
-            std::thread::spawn(move || {
-                let ues: Vec<usize> = (c..pop.ues.len()).step_by(clients).collect();
-                let mut rng = SimRng::new(seed ^ 0x7cc0 ^ ((c as u64) << 8));
-                let requests = build_requests(&pop, &ues, burst, &mut rng);
-                run_client_tcp(
-                    &ClientConfig {
-                        server: addr,
-                        window: 8,
-                        retransmit_after: Duration::from_millis(500),
-                        deadline: Duration::from_secs(60),
-                        rtt_hist: format!("exp_brokerd.tcp_rtt_us.c{c}"),
-                    },
-                    &requests,
-                )
-                .expect("tcp client")
-            })
-        })
-        .collect();
-    let mut served = 0u64;
-    for r in runners {
-        let o = r.join().expect("tcp client thread");
-        assert_eq!(o.lost, 0, "tcp: every request must be answered");
-        served += o.ok + o.refused;
-    }
-    // The report draws no reply; wait for its frame to be counted
-    // before stopping the server.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while telemetry::counter("brokerd.wire_reports").get() == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    stop.store(true, Ordering::Relaxed);
-    let server = handle.join().expect("tcp server thread");
-    assert_eq!(served as usize, clients * burst);
-    assert_eq!(
-        server.counters.bad_frames, 0,
-        "tcp smoke sends valid frames"
-    );
-    assert_eq!(
-        server.counters.wire_reports, 1,
-        "the {report_len}-byte report frame must stream through intact"
-    );
-    println!(
-        "tcp smoke: {served} served over the stream transport · \
-         {report_len}-byte report frame delivered (impossible in one datagram)"
-    );
-    telemetry::gauge("exp_brokerd.tcp_smoke_served").set(served as i64);
-}
-
-fn server_only(seed: u64, n_ues: usize, workers: usize) {
-    let listen = arg_str("--listen").unwrap_or_else(|| "127.0.0.1:7791".to_string());
-    let duration_s = arg_u64("--duration", 0);
-    let pop = population(seed, n_ues);
-    let mut server = pop.server_with_workers(SimRng::new(seed ^ 0x6b72_6f6b), workers);
-    let sock = UdpSocket::bind(&*listen).expect("bind listen address");
-    println!(
-        "exp_brokerd --server-only: {} subscribers on {} (seed {seed}, {} workers, \
-         duration {duration_s}s)",
-        server.subscriber_count(),
-        sock.local_addr().expect("local addr"),
-        server.workers(),
-    );
-    let stop = Arc::new(AtomicBool::new(false));
-    if duration_s > 0 {
-        let stop_timer = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_secs(duration_s));
-            stop_timer.store(true, Ordering::Relaxed);
-        });
-    }
-    broker_server::serve(&mut server, &sock, &stop, &ServeConfig::default()).expect("serve loop");
-    print_server_stats(&server);
-    cellbricks_bench::telemetry_finish("exp_brokerd_server");
-}
-
 fn print_server_stats(server: &cellbricks_core::BrokerServer) {
     let c = server.counters;
     let batch = telemetry::histogram("brokerd.batch_size").snapshot();
@@ -334,10 +233,6 @@ fn main() {
     let workers = arg_u64("--workers", broker_server::default_workers() as u64) as usize;
     telemetry::gauge("exp_brokerd.workers").set(workers as i64);
 
-    if arg_flag("--server-only") {
-        server_only(seed, n_ues, workers);
-        return;
-    }
     if arg_flag("--client-only") {
         let addr: SocketAddr = arg_str("--connect")
             .expect("--client-only needs --connect ADDR")
@@ -374,9 +269,6 @@ fn main() {
     telemetry::gauge("exp_brokerd.bad_frames").set(c.bad_frames as i64);
     telemetry::gauge("exp_brokerd.served_total").set(c.served_auths as i64);
     assert_eq!(c.bad_frames, 0, "load generator sends only valid frames");
-
-    // Stream transport smoke: same state machine behind TCP.
-    tcp_smoke(&pop, seed, workers, if smoke { 16 } else { 32 });
 
     cellbricks_bench::telemetry_finish("exp_brokerd");
 }

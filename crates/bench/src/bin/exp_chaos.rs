@@ -144,7 +144,6 @@ impl ChaosWorld {
                 },
                 proc_delay: ms(2),
                 report_interval: SimDuration::from_secs(5),
-                overcount_factor: 1.0,
             },
             rng.fork(),
         );
@@ -165,9 +164,7 @@ impl ChaosWorld {
                 proc_delay: ms(3),
                 verify_delay: ms(2),
                 report_interval: SimDuration::from_secs(5),
-                attach_retry_after: SimDuration::from_secs(2),
                 attach_max_tries: 3,
-                recovery: RecoveryConfig::default(),
             },
             rng.fork(),
         );

@@ -308,7 +308,6 @@ impl ScaleWorld {
                 },
                 proc_delay: SimDuration::from_micros(500),
                 report_interval: SimDuration::from_secs(3_600),
-                overcount_factor: 1.0,
             },
             rng.fork(),
         );
@@ -347,9 +346,7 @@ impl ScaleWorld {
                     proc_delay: SimDuration::from_millis(1),
                     verify_delay: SimDuration::from_millis(1),
                     report_interval: SimDuration::from_secs(3_600),
-                    attach_retry_after: SimDuration::from_secs(2),
                     attach_max_tries: 3,
-                    recovery: cellbricks_core::ue::RecoveryConfig::default(),
                 },
                 rng.fork(),
             ));

@@ -19,7 +19,7 @@ use crate::brokerd::{Brokerd, BrokerdConfig};
 use crate::btelco::{BTelcoGateway, BTelcoGatewayConfig, BrokerContact};
 use crate::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use crate::sap::QosCap;
-use crate::ue::{BrokerReplica, RecoveryConfig, UeDevice, UeDeviceConfig};
+use crate::ue::{BrokerReplica, UeDevice, UeDeviceConfig};
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_epc::agw::{Agw, AgwConfig};
 use cellbricks_epc::aka::SharedKey;
@@ -336,7 +336,6 @@ pub fn run_cellbricks(
             },
             proc_delay: profile.cb_agw,
             report_interval: SimDuration::from_secs(3_600),
-            overcount_factor: 1.0,
         },
         rng.fork(),
     );
@@ -357,9 +356,7 @@ pub fn run_cellbricks(
             proc_delay: profile.cb_ue_request,
             verify_delay: profile.cb_ue_verify,
             report_interval: SimDuration::from_secs(3_600),
-            attach_retry_after: SimDuration::from_secs(2),
             attach_max_tries: 3,
-            recovery: RecoveryConfig::default(),
         },
         rng.fork(),
     );

@@ -7,14 +7,14 @@
 //! scales like one: across cores first, then across machines. This
 //! module is that service in miniature:
 //!
-//! * **I/O stage** ([`serve`] over UDP, [`serve_tcp`] over TCP): drain
-//!   the transport and flush replies. Batch boundaries come from an
-//!   adaptive batch-window controller ([`ServeConfig`]): a batch closes
-//!   when it reaches `batch_target` requests or when its age exceeds a
-//!   window that is continuously re-derived from the measured per-batch
-//!   service time against a reply-latency SLO — continuous-batching
-//!   style, so the window widens when the server is fast (buying bigger
-//!   batches) and collapses when service time already eats the SLO.
+//! * **I/O stage** ([`serve`], over UDP): drain the socket and flush
+//!   replies. Batch boundaries come from an adaptive batch-window
+//!   controller: a batch closes when it reaches 64 requests or when its
+//!   age exceeds a window that is continuously re-derived from the
+//!   measured per-batch service time against a reply-latency SLO —
+//!   continuous-batching style, so the window widens when the server is
+//!   fast (buying bigger batches) and collapses when service time
+//!   already eats the SLO.
 //! * **[`BrokerServer::process_batch`]**: unframe + wire decode, hand
 //!   the decoded requests to the core as one batch, frame the verdicts
 //!   and count every input in exactly one [`WireCounters`] field. The
@@ -27,6 +27,10 @@
 //! [`crate::broker_core`]. This adapter admits every bTelco, and keeps a
 //! counter per grant rather than a billing session: traffic reports
 //! arriving on the wire are counted and dropped (DESIGN §13).
+//!
+//! UDP is the only transport: every SAP frame (request, verdict, sealed
+//! traffic report) fits one datagram of [`RECV_BUF_LEN`] bytes, which
+//! `every_wire_frame_fits_one_datagram` pins.
 
 use crate::broker_core::{AuthState, BrokerCore};
 use crate::brokerd::BrokerWire;
@@ -36,16 +40,14 @@ use bytes::Bytes;
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_crypto::ed25519::VerifyingKey;
 use cellbricks_crypto::x25519::X25519PublicKey;
-use cellbricks_net::wire::{frame, read_frame, unframe, write_frame};
+use cellbricks_net::wire::{frame, unframe};
 use cellbricks_sim::SimRng;
 use cellbricks_telemetry as telemetry;
 use polling::Poller;
 use std::collections::HashMap;
 use std::io;
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// The canonical broker name every helper in this module provisions
@@ -216,54 +218,46 @@ impl BrokerServer {
     }
 }
 
-/// Tuning for the serve loops ([`serve`], [`serve_tcp`]): the adaptive
-/// batch-window controller.
-///
-/// A batch closes when it reaches `batch_target` requests or when its
-/// age exceeds the current window. The window is re-derived after every
-/// batch as `clamp(slo − service_ewma, window_min, window_max)` — the
-/// slack the SLO leaves after the (smoothed) measured service time. When
-/// the server is fast the window widens, buying bigger batches per
-/// wakeup (better verify amortization); when batches already take the
-/// whole SLO to serve, the window collapses to `window_min` and the loop
-/// degenerates to drain-and-go.
-pub struct ServeConfig {
-    /// Readiness-wait slice between checks of the stop flag.
-    pub wait_timeout: Duration,
-    /// Hard cap on datagrams per batch (bounds the receive arena).
-    pub max_batch: usize,
-    /// Close the batch early once it holds this many messages.
-    pub batch_target: usize,
-    /// Reply-latency budget the window controller works against.
-    pub slo: Duration,
-    /// Window floor: never adapt below this.
-    pub window_min: Duration,
-    /// Window ceiling: never hold a batch open longer than this.
-    pub window_max: Duration,
-}
+/// Settings of [`serve`]. It carries none: the batch-window controller
+/// runs on the constants below. The type stays so that `serve`'s
+/// signature, and every caller passing `&ServeConfig::default()`, is
+/// unchanged.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ServeConfig {}
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            wait_timeout: Duration::from_millis(20),
-            max_batch: 1024,
-            batch_target: 64,
-            slo: Duration::from_micros(600),
-            window_min: Duration::from_micros(20),
-            window_max: Duration::from_micros(250),
-        }
-    }
-}
+// The adaptive batch-window controller. A batch closes when it reaches
+// `BATCH_TARGET` requests or when its age exceeds the current window.
+// The window is re-derived after every batch as
+// `clamp(SLO − service_ewma, WINDOW_MIN, WINDOW_MAX)` — the slack the SLO
+// leaves after the (smoothed) measured service time. When the server is
+// fast the window widens, buying bigger batches per wakeup (better
+// verify amortization); when batches already take the whole SLO to
+// serve, the window collapses to `WINDOW_MIN` and the loop degenerates
+// to drain-and-go.
+
+/// Readiness-wait slice between checks of the stop flag.
+const WAIT_TIMEOUT: Duration = Duration::from_millis(20);
+
+/// Hard cap on datagrams per batch (bounds the receive arena).
+const MAX_BATCH: usize = 1024;
+
+/// Close the batch early once it holds this many messages.
+const BATCH_TARGET: usize = 64;
+
+/// Reply-latency budget the window controller works against.
+const SLO: Duration = Duration::from_micros(600);
+
+/// Window floor: never adapt below this.
+const WINDOW_MIN: Duration = Duration::from_micros(20);
+
+/// Window ceiling: never hold a batch open longer than this.
+const WINDOW_MAX: Duration = Duration::from_micros(250);
 
 /// EWMA smoothing for the measured per-batch service time.
 const SERVICE_EWMA_ALPHA: f64 = 0.25;
 
-/// Shortest kernel wait the gather loop will request: sub-microsecond
-/// read timeouts risk truncating to a zero timeval (= block forever).
-const MIN_POLL: Duration = Duration::from_micros(10);
-
 /// Consecutive dry gather passes (each separated by a `yield_now`) after
-/// which the UDP loop closes the batch before the window expires. A dry
+/// which the serve loop closes the batch before the window expires. A dry
 /// socket that stays dry across several yields means nothing is in
 /// flight — holding the batch open buys no amortization, only latency
 /// (continuous batching dispatches when the queue empties). The yields
@@ -271,41 +265,40 @@ const MIN_POLL: Duration = Duration::from_micros(10);
 /// the next datagram before the verdict is final.
 const DRY_SPINS: u32 = 4;
 
-/// The adaptive batch-window state shared by both serve loops.
+/// The adaptive batch-window state of [`serve`].
 struct BatchWindow {
     service_ewma_ns: f64,
     window: Duration,
 }
 
 impl BatchWindow {
-    fn new(cfg: &ServeConfig) -> Self {
+    fn new() -> Self {
         Self {
             service_ewma_ns: 0.0,
-            window: cfg.window_max,
+            window: WINDOW_MAX,
         }
     }
 
     /// Fold one measured batch service time into the EWMA and re-derive
     /// the window from the SLO slack.
-    fn observe(&mut self, service: Duration, cfg: &ServeConfig) {
+    fn observe(&mut self, service: Duration) {
         let s = service.as_nanos() as f64;
         self.service_ewma_ns = if self.service_ewma_ns == 0.0 {
             s
         } else {
             SERVICE_EWMA_ALPHA * s + (1.0 - SERVICE_EWMA_ALPHA) * self.service_ewma_ns
         };
-        let slack = (cfg.slo.as_nanos() as f64 - self.service_ewma_ns).max(0.0);
-        self.window = Duration::from_nanos(slack as u64).clamp(cfg.window_min, cfg.window_max);
+        let slack = (SLO.as_nanos() as f64 - self.service_ewma_ns).max(0.0);
+        self.window = Duration::from_nanos(slack as u64).clamp(WINDOW_MIN, WINDOW_MAX);
         telemetry::gauge("brokerd.batch_window_ns").set(self.window.as_nanos() as i64);
     }
 }
 
-/// Per-datagram receive-buffer size. Any legitimate control-plane frame
-/// fits with a wide margin; a larger datagram is truncated by the kernel
-/// and then rejected by [`unframe`] as a bad frame. (The TCP transport
-/// has no such cap — frames up to `MAX_FRAME_LEN` stream through
-/// [`read_frame`].)
-const RECV_BUF_LEN: usize = 8 * 1024;
+/// Per-datagram receive-buffer size. Every frame the SAP encoders
+/// produce fits with a wide margin (the largest, an `AuthOk`, is under
+/// 1 KiB); a larger datagram is truncated by the kernel and then
+/// rejected by [`unframe`] as a bad frame.
+pub const RECV_BUF_LEN: usize = 8 * 1024;
 
 /// The UDP I/O stage: wait for readability, gather a batch under the
 /// adaptive window (drain until dry, then yield-spin for the window
@@ -326,7 +319,7 @@ pub fn serve(
     server: &mut BrokerServer,
     sock: &UdpSocket,
     stop: &AtomicBool,
-    cfg: &ServeConfig,
+    _cfg: &ServeConfig,
 ) -> io::Result<()> {
     sock.set_nonblocking(true)?;
     let poller = Poller::new()?;
@@ -335,11 +328,11 @@ pub fn serve(
     let mut arena: Vec<Vec<u8>> = Vec::new();
     let mut meta: Vec<(usize, usize)> = Vec::new(); // (slot, len) per datagram
     let mut replies: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut win = BatchWindow::new(cfg);
+    let mut win = BatchWindow::new();
     let wait_hist = telemetry::histogram("brokerd.batch_wait_ns");
 
     while !stop.load(Ordering::Relaxed) {
-        if !poller.wait_readable(sock, Some(cfg.wait_timeout))? {
+        if !poller.wait_readable(sock, Some(WAIT_TIMEOUT))? {
             continue;
         }
         let opened = Instant::now();
@@ -348,7 +341,7 @@ pub fn serve(
         loop {
             let before = meta.len();
             // Drain until dry or full.
-            while meta.len() < cfg.max_batch {
+            while meta.len() < MAX_BATCH {
                 if arena.len() == meta.len() {
                     arena.push(vec![0u8; RECV_BUF_LEN]);
                 }
@@ -366,7 +359,7 @@ pub fn serve(
                     Err(e) => return Err(e),
                 }
             }
-            if meta.len() >= cfg.batch_target || meta.len() >= cfg.max_batch {
+            if meta.len() >= BATCH_TARGET || meta.len() >= MAX_BATCH {
                 break;
             }
             let age = opened.elapsed();
@@ -399,7 +392,7 @@ pub fn serve(
         for (slot, bytes) in &replies {
             send_all(sock, bytes, peers[*slot])?;
         }
-        win.observe(t0.elapsed(), cfg);
+        win.observe(t0.elapsed());
     }
     Ok(())
 }
@@ -414,238 +407,6 @@ fn send_all(sock: &UdpSocket, bytes: &[u8], to: SocketAddr) -> io::Result<()> {
             Err(e) => return Err(e),
         }
     }
-}
-
-// ----- TCP stream transport -----
-
-/// What a TCP connection's reader thread reports to the serve loop.
-enum TcpEvent {
-    /// One complete frame, re-framed to the same bytes a datagram would
-    /// carry, so [`BrokerServer::process_batch`] runs one decode path.
-    Frame(usize, Vec<u8>),
-    /// The peer sent an oversized length prefix — protocol error; the
-    /// connection is dropped and the frame counted against `bad_frames`.
-    /// The reader's last event.
-    Bad(usize),
-    /// EOF or a transport error; the connection is gone. The reader's
-    /// last event.
-    Closed(usize),
-}
-
-/// Bound on buffered frames between the reader threads and the serve
-/// loop — backpressure: readers stop pulling from their sockets when the
-/// serve loop falls this far behind.
-const TCP_EVENT_BOUND: usize = 4096;
-
-/// Most TCP connections held open at once; one past it is accepted and
-/// closed at once (counted in `brokerd.tcp_refused_conns`). Each live
-/// connection costs a reader thread and two descriptors, so the cap sits
-/// well inside a default 1024-descriptor limit.
-const MAX_TCP_CONNS: usize = 256;
-
-/// One live TCP connection: the write half and its reader thread.
-struct TcpConn {
-    stream: TcpStream,
-    reader: std::thread::JoinHandle<()>,
-}
-
-/// The connection table of [`serve_tcp`]. A slot is held from accept
-/// until its reader's last event ([`TcpEvent::Bad`] / [`TcpEvent::Closed`])
-/// — never freed earlier, so a reused slot cannot receive a previous
-/// connection's events — then the reader is joined and the slot reused:
-/// the table and the thread count are bounded by `cap` live connections
-/// however many come and go.
-struct TcpConns {
-    slots: Vec<Option<TcpConn>>,
-    cap: usize,
-    refused: u64,
-}
-
-impl TcpConns {
-    fn new(cap: usize) -> Self {
-        Self {
-            slots: Vec::new(),
-            cap,
-            refused: 0,
-        }
-    }
-
-    /// Accept every connection currently queued on the (nonblocking)
-    /// listener, spawning a blocking reader thread per connection.
-    fn accept_pending(
-        &mut self,
-        listener: &TcpListener,
-        tx: &mpsc::SyncSender<TcpEvent>,
-    ) -> io::Result<()> {
-        loop {
-            let stream = match listener.accept() {
-                Ok((stream, _addr)) => stream,
-                Err(e) if polling::is_not_ready(&e) => return Ok(()),
-                Err(e) => return Err(e),
-            };
-            let id = match self.slots.iter().position(Option::is_none) {
-                Some(free) => free,
-                None if self.slots.len() < self.cap => {
-                    self.slots.push(None);
-                    self.slots.len() - 1
-                }
-                None => {
-                    self.refused += 1;
-                    telemetry::counter("brokerd.tcp_refused_conns").inc();
-                    continue; // dropping the stream closes it
-                }
-            };
-            stream.set_nodelay(true).ok();
-            let mut read_half = stream.try_clone()?;
-            let tx = tx.clone();
-            let reader = std::thread::Builder::new()
-                .name(format!("brokerd-tcp-{id}"))
-                .spawn(move || loop {
-                    match read_frame(&mut read_half) {
-                        Ok(payload) => {
-                            if tx.send(TcpEvent::Frame(id, frame(&payload))).is_err() {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                            let _ = tx.send(TcpEvent::Bad(id));
-                            break;
-                        }
-                        Err(_) => {
-                            let _ = tx.send(TcpEvent::Closed(id));
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn tcp reader");
-            self.slots[id] = Some(TcpConn { stream, reader });
-        }
-    }
-
-    /// The reader of slot `id` sent its last event: close the stream,
-    /// reap the (exiting) thread and free the slot.
-    fn release(&mut self, id: usize) {
-        if let Some(conn) = self.slots[id].take() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            let _ = conn.reader.join();
-        }
-    }
-
-    /// Write one framed reply. A failed write shuts the stream down; the
-    /// reader then sees the error and reports [`TcpEvent::Closed`],
-    /// which is what frees the slot.
-    fn send(&mut self, id: usize, bytes: &[u8]) {
-        if let Some(conn) = &mut self.slots[id] {
-            if conn.stream.write_all(bytes).is_err() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-        }
-    }
-
-    fn handle(
-        &mut self,
-        ev: TcpEvent,
-        server: &mut BrokerServer,
-        batch: &mut Vec<(usize, Vec<u8>)>,
-    ) {
-        match ev {
-            TcpEvent::Frame(id, bytes) => batch.push((id, bytes)),
-            TcpEvent::Bad(id) => {
-                server.bad_frame();
-                self.release(id);
-            }
-            TcpEvent::Closed(id) => self.release(id),
-        }
-    }
-}
-
-/// The TCP I/O stage behind the same [`BrokerServer`] state machine:
-/// one blocking reader thread per accepted connection turns the byte
-/// stream into frames via [`read_frame`] (so requests bigger than any
-/// UDP datagram work end-to-end — the stream transport's whole point),
-/// the serve loop gathers frames across connections under the same
-/// adaptive batch window as [`serve`], and replies flush back on the
-/// accepting thread in arrival order. At most [`MAX_TCP_CONNS`]
-/// connections are live at once.
-///
-/// An oversized length prefix surfaces as `InvalidData` in the reader,
-/// counts one bad frame, and drops the connection — the stream cannot be
-/// resynchronized after a framing violation.
-///
-/// # Errors
-/// Listener errors other than the would-block family.
-pub fn serve_tcp(
-    server: &mut BrokerServer,
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    cfg: &ServeConfig,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let (tx, rx) = mpsc::sync_channel::<TcpEvent>(TCP_EVENT_BOUND);
-    let mut conns = TcpConns::new(MAX_TCP_CONNS);
-    let mut batch: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut replies: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut win = BatchWindow::new(cfg);
-    let wait_hist = telemetry::histogram("brokerd.batch_wait_ns");
-
-    while !stop.load(Ordering::Relaxed) {
-        conns.accept_pending(listener, &tx)?;
-        // Wait for the first frame of the next batch.
-        let first = match rx.recv_timeout(cfg.wait_timeout) {
-            Ok(ev) => ev,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break, // unreachable: tx held
-        };
-        let opened = Instant::now();
-        batch.clear();
-        conns.handle(first, server, &mut batch);
-        loop {
-            // Drain whatever the readers already queued.
-            while batch.len() < cfg.max_batch {
-                match rx.try_recv() {
-                    Ok(ev) => conns.handle(ev, server, &mut batch),
-                    Err(_) => break,
-                }
-            }
-            if batch.len() >= cfg.batch_target || batch.len() >= cfg.max_batch {
-                break;
-            }
-            let age = opened.elapsed();
-            if age >= win.window {
-                break;
-            }
-            match rx.recv_timeout((win.window - age).max(MIN_POLL)) {
-                Ok(ev) => conns.handle(ev, server, &mut batch),
-                Err(mpsc::RecvTimeoutError::Timeout) => break,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        if batch.is_empty() {
-            continue; // only control events (bad frame / close) arrived
-        }
-        wait_hist.record(opened.elapsed().as_nanos() as u64);
-        let t0 = Instant::now();
-        let datagrams: Vec<(usize, &[u8])> = batch
-            .iter()
-            .map(|(slot, b)| (*slot, b.as_slice()))
-            .collect();
-        replies.clear();
-        server.process_batch(&datagrams, &mut replies);
-        for (slot, bytes) in &replies {
-            // Reply bytes are already length-prefixed frames (the exact
-            // bytes `write_frame` would emit — one framing for datagram
-            // and stream transports).
-            conns.send(*slot, bytes);
-        }
-        win.observe(t0.elapsed(), cfg);
-    }
-    // Unblock the reader threads (they sit in blocking reads, or in a
-    // send on the full event channel), then reap.
-    drop(rx);
-    for id in 0..conns.slots.len() {
-        conns.release(id);
-    }
-    Ok(())
 }
 
 // ----- Deterministic population + load generator -----
@@ -750,8 +511,7 @@ pub struct ClientConfig {
     /// single-request-per-batch baseline the batching win is measured
     /// against.
     pub window: usize,
-    /// Re-send a request with no reply after this long (UDP only; the
-    /// stream transport is reliable and never retransmits).
+    /// Re-send a request with no reply after this long.
     pub retransmit_after: Duration,
     /// Give up entirely after this long.
     pub deadline: Duration,
@@ -840,83 +600,9 @@ pub fn run_client(cfg: &ClientConfig, requests: &[Vec<u8>]) -> io::Result<Client
     Ok(outcome)
 }
 
-/// Drive one client over a TCP stream: pump `requests` through a bounded
-/// window, reading replies with [`read_frame`]. The transport is
-/// reliable, so there is no retransmit path — an unanswered request past
-/// the deadline counts as lost.
-///
-/// # Errors
-/// Connection setup or I/O errors other than the timeout family.
-pub fn run_client_tcp(cfg: &ClientConfig, requests: &[Vec<u8>]) -> io::Result<ClientOutcome> {
-    let mut stream = TcpStream::connect(cfg.server)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(cfg.deadline.max(Duration::from_millis(1))))?;
-    let hist = telemetry::histogram(cfg.rtt_hist.clone());
-
-    let mut outcome = ClientOutcome::default();
-    let mut outstanding: HashMap<u64, Instant> = HashMap::new();
-    let mut next = 0usize;
-    let mut done = 0usize;
-    let start = Instant::now();
-    while done < requests.len() {
-        if start.elapsed() > cfg.deadline {
-            outcome.lost = (requests.len() - done) as u64;
-            break;
-        }
-        // Top up the window. The pre-built request buffers are already
-        // length-prefixed frames — the same bytes `write_frame` emits.
-        while outstanding.len() < cfg.window && next < requests.len() {
-            stream.write_all(&requests[next])?;
-            outstanding.insert(next as u64, Instant::now());
-            next += 1;
-        }
-        match read_frame(&mut stream) {
-            Ok(payload) => {
-                let (req_id, ok) = match BrokerWire::decode(&payload) {
-                    Some(BrokerWire::AuthOk { req_id, .. }) => (req_id, true),
-                    Some(BrokerWire::AuthErr { req_id, .. }) => (req_id, false),
-                    _ => continue,
-                };
-                if let Some(sent) = outstanding.remove(&req_id) {
-                    hist.record(sent.elapsed().as_micros() as u64);
-                    if ok {
-                        outcome.ok += 1;
-                    } else {
-                        outcome.refused += 1;
-                    }
-                    done += 1;
-                }
-            }
-            Err(e) if polling::is_not_ready(&e) => {
-                outcome.lost = (requests.len() - done) as u64;
-                break;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(outcome)
-}
-
-/// Send one `Report` frame over an existing framed byte stream — used by
-/// the TCP smoke test to prove frames far larger than any UDP datagram
-/// survive the stream transport end-to-end.
-///
-/// # Errors
-/// Underlying stream write errors.
-pub fn send_report_tcp(stream: &mut TcpStream, session_id: u64, sealed: &[u8]) -> io::Result<()> {
-    let payload = BrokerWire::Report {
-        session_id,
-        from_ue: true,
-        sealed: Bytes::copy_from_slice(sealed),
-    }
-    .encode();
-    write_frame(stream, &payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
     use std::sync::Arc;
 
     fn served_world(n_ues: usize) -> (Population, BrokerServer) {
@@ -1049,6 +735,62 @@ mod tests {
         drop(pop);
     }
 
+    /// UDP is the only transport because every frame the encoders
+    /// produce fits one receive buffer: a request, both verdicts, and a
+    /// report carrying a real sealed `TrafficReport`.
+    #[test]
+    fn every_wire_frame_fits_one_datagram() {
+        let (pop, mut server) = served_world(1);
+        let mut rng = SimRng::new(16);
+        let req = build_requests(&pop, &[0], 1, &mut rng).remove(0);
+        let mut out = Vec::new();
+        server.process_batch(&[(0, &req), (0, &req)], &mut out);
+        let kinds: Vec<_> = out
+            .iter()
+            .map(|(_, f)| BrokerWire::decode(unframe(f).expect("framed reply")))
+            .collect();
+        assert!(matches!(
+            kinds[..],
+            [
+                Some(BrokerWire::AuthOk { .. }),
+                Some(BrokerWire::AuthErr { .. })
+            ]
+        ));
+
+        let sealed = crate::billing::TrafficReport {
+            session_id: u64::MAX,
+            seq: u32::MAX,
+            ul_bytes: u64::MAX,
+            dl_bytes: u64::MAX,
+            duration_ms: u64::MAX,
+            dl_loss_ppm: u32::MAX,
+            ul_loss_ppm: u32::MAX,
+            avg_dl_kbps: u32::MAX,
+            avg_ul_kbps: u32::MAX,
+            delay_ms: u32::MAX,
+        }
+        .sign_and_seal(&pop.ues[0].sign, &pop.broker.encrypt.public_key(), &mut rng);
+        let report = frame(
+            &BrokerWire::Report {
+                session_id: u64::MAX,
+                from_ue: true,
+                sealed,
+            }
+            .encode(),
+        );
+
+        let frames = [&req, &out[0].1, &out[1].1, &report];
+        for f in frames {
+            assert!(
+                f.len() <= RECV_BUF_LEN,
+                "{} B frame > {RECV_BUF_LEN} B",
+                f.len()
+            );
+        }
+        server.process_batch(&[(0, &report)], &mut out);
+        assert_eq!(server.counters.wire_reports, 1);
+    }
+
     /// End-to-end over a real loopback UDP socket: serve loop thread +
     /// one pipelined client.
     #[test]
@@ -1087,197 +829,5 @@ mod tests {
             server.counters.served_auths, 24,
             "every distinct nonce authorizes exactly once"
         );
-    }
-
-    /// End-to-end over a real loopback TCP stream with a W = 2 server:
-    /// windowed client, plus a Report frame far larger than the UDP
-    /// receive buffer to prove the stream transport's point.
-    #[test]
-    fn serve_tcp_end_to_end_over_loopback() {
-        let pop = population(23, 4);
-        let mut server = pop.server_with_workers(SimRng::new(96), 2);
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            serve_tcp(&mut server, &listener, &stop2, &ServeConfig::default()).expect("serve_tcp");
-            server
-        });
-
-        // A huge Report first: 3x the UDP receive buffer, impossible to
-        // carry in one datagram of the UDP transport.
-        let mut reporter = TcpStream::connect(addr).expect("connect");
-        let big = vec![0x5a_u8; 3 * RECV_BUF_LEN];
-        send_report_tcp(&mut reporter, 1, &big).expect("report");
-
-        let mut rng = SimRng::new(24);
-        let requests = build_requests(&pop, &[0, 1, 2, 3], 24, &mut rng);
-        let outcome = run_client_tcp(
-            &ClientConfig {
-                server: addr,
-                window: 8,
-                retransmit_after: Duration::from_millis(250),
-                deadline: Duration::from_secs(30),
-                rtt_hist: "test.brokerd.tcp_rtt_us".to_string(),
-            },
-            &requests,
-        )
-        .expect("tcp client");
-        // The report has no reply, so follow it down the same stream with
-        // a frame that has one — a replay of an already-granted request.
-        // A connection's frames are handled in order: once the refusal
-        // is back, the report has been counted.
-        reporter
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        reporter.write_all(&requests[0]).expect("replay");
-        let refusal = read_frame(&mut reporter).expect("reply to the replay");
-        assert!(matches!(
-            BrokerWire::decode(&refusal),
-            Some(BrokerWire::AuthErr { req_id: 0, .. })
-        ));
-        stop.store(true, Ordering::Relaxed);
-        let server = handle.join().expect("server thread");
-        assert_eq!(outcome.lost, 0, "no request may go unanswered");
-        assert_eq!(outcome.ok, 24, "fresh nonces all authorize over TCP");
-        assert_eq!(server.counters.bad_frames, 0);
-        assert_eq!(server.counters.served_auths, 24);
-        assert_eq!(server.counters.auth_errs, 1, "the replay is refused");
-        assert_eq!(
-            server.counters.wire_reports, 1,
-            "the oversized-for-UDP report frame must arrive intact"
-        );
-    }
-
-    /// Connection churn reuses slots and reaps readers: 3× cap sequential
-    /// connect/close cycles never grow the table past the cap, a
-    /// connection past the cap is refused (closed at once, counted), and
-    /// the freed table accepts — and serves — again.
-    #[test]
-    fn tcp_connection_table_is_bounded_under_churn() {
-        const CAP: usize = 4;
-        let pop = population(27, 1);
-        let mut server = pop.server(SimRng::new(94));
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener.set_nonblocking(true).expect("nonblocking");
-        let addr = listener.local_addr().unwrap();
-        let (tx, rx) = mpsc::sync_channel(TCP_EVENT_BOUND);
-        let mut conns = TcpConns::new(CAP);
-        let mut batch = Vec::new();
-        // Accept until `want` connections are live (the listener is
-        // nonblocking, so a just-connected peer may not be queued yet).
-        let accept = |conns: &mut TcpConns, want: usize| {
-            let live = |c: &TcpConns| c.slots.iter().flatten().count();
-            while live(conns) < want {
-                conns.accept_pending(&listener, &tx).expect("accept");
-                std::thread::yield_now();
-            }
-        };
-
-        for _ in 0..3 * CAP {
-            let client = TcpStream::connect(addr).expect("connect");
-            accept(&mut conns, 1);
-            drop(client);
-            let closed = rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("reader reports EOF");
-            conns.handle(closed, &mut server, &mut batch);
-            assert!(conns.slots.len() <= CAP);
-            assert!(
-                conns.slots.iter().all(Option::is_none),
-                "slot freed, reader reaped"
-            );
-        }
-        assert_eq!(conns.slots.len(), 1, "sequential churn reuses one slot");
-
-        // Fill to the cap; one more is accepted-then-closed.
-        let mut clients: Vec<TcpStream> = (0..CAP)
-            .map(|_| TcpStream::connect(addr).expect("connect"))
-            .collect();
-        accept(&mut conns, CAP);
-        let mut refused = TcpStream::connect(addr).expect("connect");
-        while conns.refused == 0 {
-            conns.accept_pending(&listener, &tx).expect("accept");
-            std::thread::yield_now();
-        }
-        assert_eq!(conns.slots.len(), CAP);
-        refused
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        assert_eq!(
-            refused.read(&mut [0u8; 1]).ok(),
-            Some(0),
-            "refused peer sees EOF"
-        );
-
-        // Close one, and the table accepts and serves a new client.
-        drop(clients.pop());
-        let closed = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("reader reports EOF");
-        conns.handle(closed, &mut server, &mut batch);
-        let mut fresh = TcpStream::connect(addr).expect("connect");
-        accept(&mut conns, CAP);
-        let request = build_requests(&pop, &[0], 1, &mut SimRng::new(28)).remove(0);
-        fresh.write_all(&request).expect("send");
-        let frame_ev = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("reader frames it");
-        conns.handle(frame_ev, &mut server, &mut batch);
-        let mut replies = Vec::new();
-        let datagrams: Vec<(usize, &[u8])> = batch.iter().map(|(s, b)| (*s, &b[..])).collect();
-        server.process_batch(&datagrams, &mut replies);
-        for (slot, bytes) in &replies {
-            conns.send(*slot, bytes);
-        }
-        let reply = read_frame(&mut fresh).expect("reply on the reused slot");
-        assert!(matches!(
-            BrokerWire::decode(&reply),
-            Some(BrokerWire::AuthOk { .. })
-        ));
-        for id in 0..conns.slots.len() {
-            conns.release(id);
-        }
-    }
-
-    /// An oversized length prefix on a TCP stream counts one bad frame
-    /// and drops only that connection; the server keeps serving.
-    #[test]
-    fn tcp_oversized_prefix_drops_connection_not_server() {
-        let pop = population(25, 1);
-        let mut server = pop.server(SimRng::new(95));
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            serve_tcp(&mut server, &listener, &stop2, &ServeConfig::default()).expect("serve_tcp");
-            server
-        });
-
-        let mut evil = TcpStream::connect(addr).expect("connect");
-        evil.write_all(&u32::MAX.to_be_bytes())
-            .expect("evil prefix");
-        // A well-behaved client on its own connection is unaffected.
-        let mut rng = SimRng::new(26);
-        let requests = build_requests(&pop, &[0], 4, &mut rng);
-        let outcome = run_client_tcp(
-            &ClientConfig {
-                server: addr,
-                window: 2,
-                retransmit_after: Duration::from_millis(250),
-                deadline: Duration::from_secs(30),
-                rtt_hist: "test.brokerd.tcp_evil_rtt_us".to_string(),
-            },
-            &requests,
-        )
-        .expect("tcp client");
-        stop.store(true, Ordering::Relaxed);
-        let server = handle.join().expect("server thread");
-        assert_eq!(outcome.ok, 4);
-        assert_eq!(outcome.lost, 0);
-        assert_eq!(server.counters.bad_frames, 1, "hostile prefix counted");
-        drop(evil);
     }
 }

@@ -5,8 +5,8 @@
 //! `authReqU` to the user's broker with its own QoS capabilities attached
 //! — a single round trip. It also emits periodic signed traffic reports
 //! per session (the bTelco side of the verifiable-billing protocol), and
-//! can be configured dishonest (`overcount_factor`) to exercise the
-//! reputation system.
+//! can be turned dishonest ([`BTelcoGateway::set_overcount_factor`]) to
+//! exercise the reputation system.
 
 use crate::brokerd::BrokerWire;
 use crate::principal::TelcoKeys;
@@ -52,9 +52,6 @@ pub struct BTelcoGatewayConfig {
     pub proc_delay: SimDuration,
     /// Billing report interval.
     pub report_interval: SimDuration,
-    /// Usage inflation factor: 1.0 = honest; >1 inflates DL usage in
-    /// reports (the "dishonest but not malicious" threat of §4.3).
-    pub overcount_factor: f64,
 }
 
 struct SessionState {
@@ -90,6 +87,9 @@ pub struct BTelcoGateway {
     /// everything arriving earlier is dropped on the floor.
     down_until: SimTime,
     rng: SimRng,
+    /// Usage inflation factor: 1.0 = honest; >1 inflates DL usage in
+    /// reports (the "dishonest but not malicious" threat of §4.3).
+    overcount_factor: f64,
     /// Accumulated control-plane processing time (Fig. 7 accounting).
     pub proc_time: SimDuration,
     /// Attaches completed.
@@ -122,6 +122,7 @@ impl BTelcoGateway {
             next_report_at,
             down_until: SimTime::ZERO,
             rng,
+            overcount_factor: 1.0,
             proc_time: SimDuration::ZERO,
             attach_count: 0,
             reject_count: 0,
@@ -137,10 +138,10 @@ impl BTelcoGateway {
         self.sessions.len()
     }
 
-    /// Change the usage-inflation factor at runtime (experiments that
-    /// turn a bTelco dishonest mid-run).
+    /// Change the usage-inflation factor (1.0, honest, at construction)
+    /// — how a test turns a bTelco dishonest.
     pub fn set_overcount_factor(&mut self, factor: f64) {
-        self.cfg.overcount_factor = factor;
+        self.overcount_factor = factor;
     }
 
     fn emit_control(&mut self, now: SimTime, dst: Ipv4Addr, bytes: Bytes) {
@@ -304,7 +305,7 @@ impl BTelcoGateway {
         let elapsed = now.saturating_since(session.last_cycle_at);
         let secs = elapsed.as_secs_f64().max(1e-9);
         // A dishonest bTelco inflates its reported downlink usage.
-        let reported_dl = (dl as f64 * self.cfg.overcount_factor) as u64;
+        let reported_dl = (dl as f64 * self.overcount_factor) as u64;
         let report = crate::billing::TrafficReport {
             session_id: session.session_id,
             seq: session.seq,

@@ -39,6 +39,12 @@ pub struct BrokerReplica {
 /// the deterministic failover window onto the next-lowest-RTT replica.
 const REPLICA_PENALTY: SimDuration = SimDuration::from_secs(30);
 
+/// The first SAP retry window: the request is re-sent with a fresh nonce
+/// if no answer arrives this long after it was issued (signalling can be
+/// lost to radio conditions). Later windows grow by the
+/// [`RecoveryConfig`] backoff.
+const ATTACH_RETRY_AFTER: SimDuration = SimDuration::from_secs(2);
+
 /// UE device configuration.
 #[derive(Clone)]
 pub struct UeDeviceConfig {
@@ -62,19 +68,15 @@ pub struct UeDeviceConfig {
     pub verify_delay: SimDuration,
     /// Billing report interval.
     pub report_interval: SimDuration,
-    /// Re-send the SAP request if no answer arrives within this window
-    /// (signalling can be lost to radio conditions).
-    pub attach_retry_after: SimDuration,
     /// Attempts before giving up on a target bTelco.
     pub attach_max_tries: u32,
-    /// Recovery behaviour under faults (backoff shape, watchdog).
-    pub recovery: RecoveryConfig,
 }
 
-/// How the UE recovers from lost signalling and dead gateways.
+/// How the UE recovers from lost signalling and dead gateways. A device
+/// starts on the defaults; [`UeDevice::set_recovery`] replaces them.
 ///
 /// The defaults reproduce the pre-fault-injection behaviour exactly:
-/// the first retry still fires `attach_retry_after` after the request
+/// the first retry still fires `ATTACH_RETRY_AFTER` after the request
 /// (factor^0 = 1), jitter 0 draws nothing from the rng, and the
 /// inactivity watchdog is disabled.
 #[derive(Clone, Debug)]
@@ -147,10 +149,9 @@ pub struct UeDevice {
     next_report_at: Option<SimTime>,
     /// Scheduled fresh attach cycle after retry exhaustion.
     reattach_at: Option<SimTime>,
-    /// Hot mirror of `cfg.recovery.reattach_after`: `poll_at` computes
-    /// the watchdog deadline on every call and must not chase the boxed
-    /// config to do it. Kept in sync by [`Self::set_recovery`].
-    watchdog_after: Option<SimDuration>,
+    /// Backoff shape and watchdog; `poll_at` reads `reattach_after` on
+    /// every call to compute the watchdog deadline.
+    recovery: RecoveryConfig,
     pending: EventQueue<Packet>,
     deferred: EventQueue<Deferred>,
     /// The device's transport stack (TCP/MPTCP/UDP sockets live here).
@@ -203,7 +204,7 @@ impl UeDevice {
         Self {
             host: Host::new(node, None),
             node,
-            watchdog_after: cfg.recovery.reattach_after,
+            recovery: RecoveryConfig::default(),
             cfg: Box::new(cfg),
             rng,
             attach: None,
@@ -283,8 +284,7 @@ impl UeDevice {
     /// Replace the recovery configuration (harnesses that opt a built
     /// device into chaos-hardened behaviour).
     pub fn set_recovery(&mut self, recovery: RecoveryConfig) {
-        self.watchdog_after = recovery.reattach_after;
-        self.cfg.recovery = recovery;
+        self.recovery = recovery;
     }
 
     /// Begin a SAP attach to the bTelco named `telco_name`, reachable at
@@ -310,10 +310,10 @@ impl UeDevice {
     /// backoff with optional ± jitter. Jitter `0.0` draws nothing, so
     /// configurations without it keep the rng stream untouched.
     fn retry_delay(&mut self, attempt: u32) -> SimDuration {
-        let r = &self.cfg.recovery;
+        let r = &self.recovery;
         let cap = r.backoff_cap.as_secs_f64();
         // Exponent clamped: past ~64 doublings the cap has long won.
-        let mut d = self.cfg.attach_retry_after.as_secs_f64()
+        let mut d = ATTACH_RETRY_AFTER.as_secs_f64()
             * r.backoff_factor
                 .powi(i32::try_from(attempt.min(64)).expect("small"));
         d = d.min(cap);
@@ -524,7 +524,7 @@ impl Endpoint for UeDevice {
     }
 
     fn poll_at(&self) -> Option<SimTime> {
-        let watchdog = match (self.watchdog_after, &self.serving) {
+        let watchdog = match (self.recovery.reattach_after, &self.serving) {
             (Some(after), Some(_)) => Some(self.last_dl_at + after),
             _ => None,
         };
@@ -547,7 +547,7 @@ impl Endpoint for UeDevice {
         // configured window — the serving telco likely crashed and lost
         // the session (it will never page us again). Detach locally and
         // run a fresh SAP attach against the same target.
-        if let (Some(after), Some(_)) = (self.watchdog_after, self.serving.as_ref()) {
+        if let (Some(after), Some(_)) = (self.recovery.reattach_after, self.serving.as_ref()) {
             if now >= self.last_dl_at + after {
                 self.watchdog_reattaches += 1;
                 telemetry::counter("core.ue.watchdog_reattach").inc();
@@ -588,9 +588,8 @@ impl Endpoint for UeDevice {
                         // While in fault recovery, keep trying: arm a
                         // fresh attach cycle one capped window out rather
                         // than stranding the UE forever.
-                        if self.cfg.recovery.reattach_after.is_some() && self.last_target.is_some()
-                        {
-                            self.reattach_at = Some(now + self.cfg.recovery.backoff_cap);
+                        if self.recovery.reattach_after.is_some() && self.last_target.is_some() {
+                            self.reattach_at = Some(now + self.recovery.backoff_cap);
                         }
                     }
                 }

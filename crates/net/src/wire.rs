@@ -5,15 +5,13 @@
 //! and explicit type tags, with decoding returning `None` on any
 //! truncation or garbage.
 //!
-//! The [`frame_into`]/[`unframe`]/[`write_frame`]/[`read_frame`] family
-//! is the *transport* framing for control-plane messages carried over
-//! real sockets (the `brokerd` daemon, its load generator, and the
-//! `broker_server` example): a u32 big-endian length prefix followed by
-//! exactly that many payload bytes. One framing implementation, used for
-//! both datagram (one frame per datagram) and stream transports.
+//! The [`frame_into`]/[`frame`]/[`unframe`] family is the *transport*
+//! framing for control-plane messages carried over real sockets (the
+//! `brokerd` daemon, its load generator, and the `broker_server`
+//! example): one frame per datagram, a u32 big-endian length prefix
+//! followed by exactly that many payload bytes.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use std::io;
 use std::net::Ipv4Addr;
 
 /// Incremental writer over a growable buffer.
@@ -214,46 +212,6 @@ pub fn unframe(datagram: &[u8]) -> Result<&[u8], FrameError> {
     }
 }
 
-/// Write one length-prefixed frame to a stream transport.
-///
-/// # Errors
-/// `InvalidInput` for a payload over [`MAX_FRAME_LEN`] (never produced by
-/// this codebase's encoders), or any underlying I/O error.
-pub fn write_frame<W: io::Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            FrameError::Oversized { len: payload.len() }.to_string(),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)
-}
-
-/// Read one length-prefixed frame from a stream transport.
-///
-/// A hostile length prefix surfaces as a clean `InvalidData` error — the
-/// peer is speaking a different protocol (or attacking), and the correct
-/// response is to drop the connection, not to allocate or panic.
-///
-/// # Errors
-/// `InvalidData` on an oversized prefix; `UnexpectedEof` (from the
-/// underlying reads) on truncation; any other underlying I/O error.
-pub fn read_frame<R: io::Read>(r: &mut R) -> io::Result<Vec<u8>> {
-    let mut prefix = [0u8; 4];
-    r.read_exact(&mut prefix)?;
-    let len = u32::from_be_bytes(prefix) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            FrameError::Oversized { len }.to_string(),
-        ));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,16 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn frame_roundtrips_datagram_and_stream() {
+    fn frame_roundtrips_datagram() {
         let payload = b"hello broker";
         let datagram = frame(payload);
         assert_eq!(unframe(&datagram), Ok(payload.as_slice()));
-
-        let mut stream = Vec::new();
-        write_frame(&mut stream, payload).unwrap();
-        assert_eq!(stream, datagram);
-        let got = read_frame(&mut stream.as_slice()).unwrap();
-        assert_eq!(got, payload);
     }
 
     #[test]
@@ -337,16 +289,5 @@ mod tests {
                 len: u32::MAX as usize
             })
         );
-    }
-
-    #[test]
-    fn read_frame_oversized_is_a_clean_error() {
-        let mut evil = Vec::new();
-        evil.extend_from_slice(&u32::MAX.to_be_bytes());
-        evil.extend_from_slice(b"junk");
-        let err = read_frame(&mut evil.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let err = write_frame(&mut Vec::new(), &vec![0u8; MAX_FRAME_LEN + 1]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

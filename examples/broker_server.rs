@@ -1,23 +1,25 @@
 //! `brokerd` as a real network service: the same SAP wire protocol the
-//! simulator uses, served over an actual TCP socket on localhost.
+//! simulator uses, served over an actual UDP socket on localhost.
 //!
 //! The broker is the shared authorization core behind its socket
-//! adapter — `population(..).server(..)` provisions it, `serve_tcp`
-//! moves the length-prefixed [`BrokerWire`] frames. A "bTelco" client
-//! (with an in-process UE) connects, relays a genuine sealed+signed
-//! `authReqT`, and verifies the authorization it gets back. The paper
-//! deploys brokerd on AWS behind Magma's Orc8r the same way.
+//! adapter — `population(..).server(..)` provisions it, `serve` moves
+//! the length-prefixed [`BrokerWire`] frames, one per datagram. A
+//! "bTelco" client (with an in-process UE) relays a genuine
+//! sealed+signed `authReqT`, and verifies the authorization it gets
+//! back. The paper deploys brokerd on AWS behind Magma's Orc8r the same
+//! way.
 //!
 //! Run with: `cargo run --example broker_server`
 
-use cellbricks::core::broker_server::{population, serve_tcp, ServeConfig, BROKER_NAME};
+use cellbricks::core::broker_server::{population, serve, ServeConfig, BROKER_NAME, RECV_BUF_LEN};
 use cellbricks::core::brokerd::BrokerWire;
 use cellbricks::core::sap::{self, QosCap};
-use cellbricks::net::wire::{read_frame, write_frame};
+use cellbricks::net::wire::{frame, unframe};
 use cellbricks::sim::SimRng;
-use std::net::{TcpListener, TcpStream};
+use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn main() {
     // The CA, the broker, one bTelco and one provisioned subscriber.
@@ -25,20 +27,14 @@ fn main() {
     let (telco_keys, ue_keys) = (&pop.telco, &pop.ues[0]);
 
     // --- The broker service thread. ---
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap();
+    let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+    let addr = sock.local_addr().unwrap();
     println!("brokerd listening on {addr}");
     let mut server = pop.server(SimRng::new(99));
     let stop = Arc::new(AtomicBool::new(false));
     let stop_server = Arc::clone(&stop);
     let service = std::thread::spawn(move || {
-        serve_tcp(
-            &mut server,
-            &listener,
-            &stop_server,
-            &ServeConfig::default(),
-        )
-        .expect("serve");
+        serve(&mut server, &sock, &stop_server, &ServeConfig::default()).expect("serve");
         server.counters
     });
 
@@ -60,20 +56,21 @@ fn main() {
             li_capable: true,
         },
     );
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    println!("bTelco: forwarding authReqT over TCP...");
-    write_frame(
-        &mut stream,
-        &BrokerWire::AuthReq {
-            req_id: 1,
-            req_t: req_t.encode(),
-        }
-        .encode(),
-    )
-    .expect("send");
+    let client = UdpSocket::bind("127.0.0.1:0").expect("bind client");
+    client.connect(addr).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    println!("bTelco: forwarding authReqT over UDP...");
+    let request = BrokerWire::AuthReq {
+        req_id: 1,
+        req_t: req_t.encode(),
+    };
+    client.send(&frame(&request.encode())).expect("send");
 
-    let frame = read_frame(&mut stream).expect("reply");
-    match BrokerWire::decode(&frame) {
+    let mut buf = [0u8; RECV_BUF_LEN];
+    let len = client.recv(&mut buf).expect("reply");
+    match BrokerWire::decode(unframe(&buf[..len]).expect("one frame")) {
         Some(BrokerWire::AuthOk { reply, .. }) => {
             let reply = sap::BrokerReply::decode(&reply).expect("reply");
             let t_body =
@@ -93,7 +90,7 @@ fn main() {
             )
             .expect("UE verify");
             assert_eq!(u_body.ss, t_body.ss);
-            println!("UE: response verified — shared secret established over real TCP.");
+            println!("UE: response verified — shared secret established over real UDP.");
         }
         other => panic!("unexpected reply: {other:?}"),
     }

@@ -17,7 +17,7 @@ use cellbricks::core::broker_plane::{BrokerPair, BrokerPairConfig, ReplicaSite};
 use cellbricks::core::btelco::{BTelcoGateway, BTelcoGatewayConfig};
 use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use cellbricks::core::sap::QosCap;
-use cellbricks::core::ue::{RecoveryConfig, UeDevice, UeDeviceConfig};
+use cellbricks::core::ue::{UeDevice, UeDeviceConfig};
 use cellbricks::crypto::cert::CertificateAuthority;
 use cellbricks::epc::enb::Enb;
 use cellbricks::net::{
@@ -100,7 +100,6 @@ fn build(n: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
             },
             proc_delay: SimDuration::from_micros(500),
             report_interval: SimDuration::from_secs(3_600),
-            overcount_factor: 1.0,
         },
         rng.fork(),
     );
@@ -132,9 +131,7 @@ fn build(n: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
                 proc_delay: SimDuration::from_millis(1),
                 verify_delay: SimDuration::from_millis(1),
                 report_interval: SimDuration::from_secs(3_600),
-                attach_retry_after: SimDuration::from_secs(2),
                 attach_max_tries: 5,
-                recovery: RecoveryConfig::default(),
             },
             rng.fork(),
         ));

@@ -293,12 +293,11 @@ fn attach_request_times(recovery: RecoveryConfig, max_tries: u32) -> Vec<SimTime
             proc_delay: SimDuration::ZERO,
             verify_delay: SimDuration::ZERO,
             report_interval: SimDuration::from_secs(5),
-            attach_retry_after: SimDuration::from_secs(2),
             attach_max_tries: max_tries,
-            recovery,
         },
         rng.fork(),
     );
+    ue.set_recovery(recovery);
     ue.start_attach(SimTime::ZERO, TELCO1, AGW1_SIG);
     let mut times = Vec::new();
     let horizon = SECS(200);
@@ -407,9 +406,7 @@ fn detach_during_pending_attach_clears_retry_state() {
             proc_delay: SimDuration::ZERO,
             verify_delay: SimDuration::ZERO,
             report_interval: SimDuration::from_secs(5),
-            attach_retry_after: SimDuration::from_secs(2),
             attach_max_tries: 5,
-            recovery: RecoveryConfig::default(),
         },
         rng.fork(),
     );

@@ -170,7 +170,6 @@ impl CellBricksWorld {
             },
             proc_delay: SimDuration::from_millis(2),
             report_interval: SimDuration::from_secs(5),
-            overcount_factor: 1.0,
         };
         let telco1 = BTelcoGateway::new(
             agw1_node,
@@ -200,9 +199,7 @@ impl CellBricksWorld {
                 proc_delay: SimDuration::from_millis(3),
                 verify_delay: SimDuration::from_millis(2),
                 report_interval: SimDuration::from_secs(5),
-                attach_retry_after: SimDuration::from_secs(2),
                 attach_max_tries: 3,
-                recovery: RecoveryConfig::default(),
             },
             rng.fork(),
         );

@@ -123,7 +123,6 @@ fn one_btelco_serves_two_brokers() {
             qos_cap: qos(),
             proc_delay: ms(1),
             report_interval: SimDuration::from_secs(3_600),
-            overcount_factor: 1.0,
         },
         rng.fork(),
     );
@@ -146,9 +145,7 @@ fn one_btelco_serves_two_brokers() {
                     proc_delay: ms(1),
                     verify_delay: ms(1),
                     report_interval: SimDuration::from_secs(3_600),
-                    attach_retry_after: SimDuration::from_secs(2),
                     attach_max_tries: 3,
-                    recovery: cellbricks::core::ue::RecoveryConfig::default(),
                 },
                 rng.fork(),
             )
@@ -317,7 +314,6 @@ fn dual_stack_ue_roams_from_legacy_mno_to_btelco() {
             qos_cap: qos(),
             proc_delay: ms(1),
             report_interval: SimDuration::from_secs(3_600),
-            overcount_factor: 1.0,
         },
         rng.fork(),
     );
@@ -351,9 +347,7 @@ fn dual_stack_ue_roams_from_legacy_mno_to_btelco() {
                 proc_delay: ms(1),
                 verify_delay: ms(1),
                 report_interval: SimDuration::from_secs(3_600),
-                attach_retry_after: SimDuration::from_secs(2),
                 attach_max_tries: 3,
-                recovery: cellbricks::core::ue::RecoveryConfig::default(),
             },
             rng.fork(),
         ),
