@@ -260,7 +260,8 @@ fn steady_state_engine_window_allocates_almost_nothing() {
 /// deallocation does not count.
 fn counter_counts_allocations_not_deallocations() {
     let phase = Phase::start();
-    let v: Vec<u8> = Vec::with_capacity(4096);
+    // Kept observable, or an optimized build elides the allocation.
+    let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(4096));
     let (count, bytes) = phase.finish();
     assert!(count >= 1, "allocation not counted");
     assert!(bytes >= 4096, "bytes not counted: {bytes}");

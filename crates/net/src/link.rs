@@ -12,7 +12,7 @@ use crate::fault::BurstLoss;
 use cellbricks_sim::{SimDuration, SimTime};
 
 /// The service rate of a shaper as a function of time.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum RateSchedule {
     /// A constant rate in bits/s.
     Constant(f64),
@@ -96,7 +96,7 @@ impl RateSchedule {
 }
 
 /// Rate-limiting behaviour of a link direction.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Shaper {
     /// No rate limit: packets only incur latency.
     None,
@@ -112,8 +112,10 @@ pub enum Shaper {
     },
 }
 
-/// Configuration of one link direction.
-#[derive(Clone, Debug)]
+/// Configuration of one link direction. A [`Topology`](crate::Topology)
+/// keeps one copy of each distinct configuration, shared by every
+/// direction configured with it.
+#[derive(Clone, Debug, PartialEq)]
 pub struct LinkConfig {
     /// Propagation delay.
     pub latency: SimDuration,
@@ -164,10 +166,12 @@ impl LinkConfig {
     }
 }
 
-/// Mutable state of one link direction.
+/// Mutable state of one link direction. Its configuration stays in the
+/// topology's table; [`offer`](Direction::offer) is handed it.
 #[derive(Clone, Debug)]
 pub(crate) struct Direction {
-    pub(crate) config: LinkConfig,
+    /// Index of this direction's [`LinkConfig`] in the topology's table.
+    pub(crate) config: u32,
     /// When the previous packet finishes service (FIFO ordering point).
     busy_until: SimTime,
     /// Newest in-flight cell of this direction's arrival FIFO in the
@@ -213,8 +217,9 @@ pub(crate) enum Offer {
 }
 
 impl Direction {
-    pub(crate) fn new(config: LinkConfig) -> Self {
-        let initial_level = match &config.shaper {
+    /// A direction configured with `cfg`, entry `config` of the table.
+    pub(crate) fn new(config: u32, cfg: &LinkConfig) -> Self {
+        let initial_level = match &cfg.shaper {
             Shaper::TokenBucket { burst_bytes, .. } => *burst_bytes,
             _ => 0.0,
         };
@@ -232,26 +237,23 @@ impl Direction {
         }
     }
 
-    /// True if a burst-loss model is currently installed (the caller must
-    /// then supply a `burst_draw` to [`offer`](Direction::offer)).
-    pub(crate) fn burst_installed(&self) -> bool {
-        self.config.burst.is_some()
-    }
-
-    /// Install or remove the burst-loss model; the chain restarts in the
-    /// good state.
-    pub(crate) fn set_burst_loss(&mut self, model: Option<BurstLoss>) {
-        self.config.burst = model;
+    /// Switch to entry `config`, which differs from the current one at
+    /// most in its burst-loss model; the chain restarts in the good
+    /// state.
+    pub(crate) fn set_burst_config(&mut self, config: u32) {
+        self.config = config;
         self.burst_bad = false;
     }
 
-    /// Offer a packet of `size` bytes at `now`; `loss_draw` is a uniform
-    /// [0,1) sample used for the loss decision, and `burst_draw` a second
-    /// sample stepping the Gilbert–Elliott chain (required iff a burst
-    /// model is installed — drawn separately so links without one consume
-    /// exactly one sample per offer, keeping no-fault runs byte-identical).
+    /// Offer a packet of `size` bytes at `now` to this direction, whose
+    /// configuration is `cfg`; `loss_draw` is a uniform [0,1) sample used
+    /// for the loss decision, and `burst_draw` a second sample stepping
+    /// the Gilbert–Elliott chain (required iff `cfg` has a burst model —
+    /// drawn separately so links without one consume exactly one sample
+    /// per offer, keeping no-fault runs byte-identical).
     pub(crate) fn offer(
         &mut self,
+        cfg: &LinkConfig,
         now: SimTime,
         size: u32,
         loss_draw: f64,
@@ -261,7 +263,7 @@ impl Direction {
             self.dropped += 1;
             return Offer::Drop(DropCause::Outage);
         }
-        let loss_p = match (&self.config.burst, burst_draw) {
+        let loss_p = match (&cfg.burst, burst_draw) {
             (Some(m), Some(step)) => {
                 self.burst_bad = if self.burst_bad {
                     step >= m.p_exit
@@ -274,11 +276,11 @@ impl Direction {
                     m.loss_good
                 }
             }
-            _ => self.config.loss,
+            _ => cfg.loss,
         };
         if loss_draw < loss_p {
             self.dropped += 1;
-            return Offer::Drop(if self.config.burst.is_some() && self.burst_bad {
+            return Offer::Drop(if cfg.burst.is_some() && self.burst_bad {
                 DropCause::Burst
             } else {
                 DropCause::Loss
@@ -287,7 +289,7 @@ impl Direction {
         let start = self.busy_until.max(now);
         // Compute the service-completion time without committing any
         // state, so a queue-cap drop leaves the shaper untouched.
-        let (done, bucket_commit) = match &self.config.shaper {
+        let (done, bucket_commit) = match &cfg.shaper {
             Shaper::None => (start, None),
             Shaper::FixedRate(rate) => {
                 if *rate <= 0.0 {
@@ -322,7 +324,7 @@ impl Direction {
                 (eligible, Some((new_level, eligible)))
             }
         };
-        if done.saturating_since(now) > self.config.queue_cap {
+        if done.saturating_since(now) > cfg.queue_cap {
             self.dropped += 1;
             return Offer::Drop(DropCause::QueueCap);
         }
@@ -335,13 +337,37 @@ impl Direction {
         // it accepts, which the world's per-direction FIFOs rely on.
         self.busy_until = done;
         self.delivered += 1;
-        Offer::Deliver(done + self.config.latency)
+        Offer::Deliver(done + cfg.latency)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A direction paired with its own configuration, as a topology's
+    /// table pairs them.
+    pub(super) struct Lone {
+        pub(super) cfg: LinkConfig,
+        pub(super) d: Direction,
+    }
+
+    impl Lone {
+        pub(super) fn new(cfg: LinkConfig) -> Self {
+            let d = Direction::new(0, &cfg);
+            Self { cfg, d }
+        }
+
+        pub(super) fn offer(
+            &mut self,
+            now: SimTime,
+            size: u32,
+            loss_draw: f64,
+            burst_draw: Option<f64>,
+        ) -> Offer {
+            self.d.offer(&self.cfg, now, size, loss_draw, burst_draw)
+        }
+    }
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
@@ -394,7 +420,7 @@ mod tests {
 
     #[test]
     fn delay_only_link_adds_latency() {
-        let mut d = Direction::new(LinkConfig::delay_only(ms(10)));
+        let mut d = Lone::new(LinkConfig::delay_only(ms(10)));
         match d.offer(SimTime::from_secs(1), 1500, 0.9, None) {
             Offer::Deliver(t) => assert_eq!(t, SimTime::from_secs(1) + ms(10)),
             Offer::Drop(_) => panic!("dropped"),
@@ -404,7 +430,7 @@ mod tests {
     #[test]
     fn fixed_rate_serializes_fifo() {
         // 8 kbit/s -> 1000-byte packet takes 1 s.
-        let mut d = Direction::new(LinkConfig::fixed_rate(
+        let mut d = Lone::new(LinkConfig::fixed_rate(
             ms(0),
             8_000.0,
             SimDuration::from_secs(100),
@@ -418,7 +444,7 @@ mod tests {
 
     #[test]
     fn queue_cap_drops() {
-        let mut d = Direction::new(LinkConfig::fixed_rate(
+        let mut d = Lone::new(LinkConfig::fixed_rate(
             ms(0),
             8_000.0,
             SimDuration::from_secs(1),
@@ -432,12 +458,12 @@ mod tests {
             d.offer(SimTime::ZERO, 1000, 0.9, None),
             Offer::Drop(DropCause::QueueCap)
         );
-        assert_eq!(d.dropped, 1);
+        assert_eq!(d.d.dropped, 1);
     }
 
     #[test]
     fn loss_draw_applies() {
-        let mut d = Direction::new(LinkConfig::delay_only(ms(1)).with_loss(0.5));
+        let mut d = Lone::new(LinkConfig::delay_only(ms(1)).with_loss(0.5));
         assert_eq!(
             d.offer(SimTime::ZERO, 100, 0.4, None),
             Offer::Drop(DropCause::Loss)
@@ -450,8 +476,8 @@ mod tests {
 
     #[test]
     fn outage_drops_until() {
-        let mut d = Direction::new(LinkConfig::delay_only(ms(1)));
-        d.outage_until = SimTime::from_secs(5);
+        let mut d = Lone::new(LinkConfig::delay_only(ms(1)));
+        d.d.outage_until = SimTime::from_secs(5);
         assert_eq!(
             d.offer(SimTime::from_secs(4), 100, 0.9, None),
             Offer::Drop(DropCause::Outage)
@@ -470,7 +496,7 @@ mod tests {
             loss_good: 0.0,
             loss_bad: 1.0,
         };
-        let mut d = Direction::new(LinkConfig {
+        let mut d = Lone::new(LinkConfig {
             burst: Some(model),
             ..LinkConfig::delay_only(ms(1))
         });
@@ -495,9 +521,9 @@ mod tests {
             Offer::Deliver(_)
         ));
         // Removing the model resets the chain and restores uniform loss.
-        d.set_burst_loss(None);
-        assert!(!d.burst_installed());
-        assert!(!d.burst_bad);
+        d.cfg.burst = None;
+        d.d.set_burst_config(0);
+        assert!(!d.d.burst_bad);
         assert!(matches!(
             d.offer(SimTime::ZERO, 100, 0.0, None),
             Offer::Deliver(_)
@@ -517,7 +543,7 @@ mod tests {
             queue_cap: SimDuration::from_secs(100),
             burst: None,
         };
-        let mut d = Direction::new(cfg);
+        let mut d = Lone::new(cfg);
         let t0 = SimTime::ZERO;
         assert_eq!(d.offer(t0, 1000, 0.9, None), Offer::Deliver(t0));
         assert_eq!(d.offer(t0, 1000, 0.9, None), Offer::Deliver(t0));
@@ -545,7 +571,7 @@ mod tests {
             queue_cap: SimDuration::from_secs(100),
             burst: None,
         };
-        let mut d = Direction::new(cfg);
+        let mut d = Lone::new(cfg);
         assert_eq!(
             d.offer(SimTime::ZERO, 1500, 0.9, None),
             Offer::Deliver(SimTime::ZERO)
@@ -558,6 +584,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::Lone;
     use super::*;
     use proptest::prelude::*;
 
@@ -582,7 +609,7 @@ mod proptests {
                 queue_cap: SimDuration::from_secs(1000),
                 burst: None,
             };
-            let mut d = Direction::new(cfg);
+            let mut d = Lone::new(cfg);
             // Offers must be time-ordered.
             let mut offers = offers;
             offers.sort_by_key(|&(t, _)| t);
@@ -614,7 +641,7 @@ mod proptests {
             sizes in proptest::collection::vec(40u32..1500, 1..40),
         ) {
             let rate = rate_kbps as f64 * 1000.0;
-            let mut d = Direction::new(LinkConfig::fixed_rate(
+            let mut d = Lone::new(LinkConfig::fixed_rate(
                 SimDuration::ZERO,
                 rate,
                 SimDuration::from_secs(1000),

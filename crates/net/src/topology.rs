@@ -1,5 +1,6 @@
 //! Nodes, links and longest-prefix routing.
 
+use crate::fault::BurstLoss;
 use crate::link::{Direction, LinkConfig};
 use std::net::Ipv4Addr;
 
@@ -52,6 +53,10 @@ pub(crate) struct Link {
     pub(crate) ba: Direction,
 }
 
+// A mega world holds one `Link` per UE: its configurations stay in the
+// topology's table (DESIGN §5, *Million-UE worlds*).
+const _: () = assert!(std::mem::size_of::<Link>() <= 160);
+
 /// The static network topology: nodes, configured links, and per-node
 /// longest-prefix route tables.
 ///
@@ -59,11 +64,16 @@ pub(crate) struct Link {
 /// route, inline, so a leaf with its one default route is looked up in
 /// the single cache line that cell sits in and owns no allocation; each
 /// older route sits in `older`, chained newest-first from that cell.
+///
+/// Link configurations are interned: `configs` holds each distinct
+/// [`LinkConfig`] once, and a direction stores its index.
 #[derive(Clone, Default)]
 pub struct Topology {
     routes: Vec<Route>,
     older: Vec<Route>,
     pub(crate) links: Vec<Link>,
+    /// Distinct link configurations; never edited in place.
+    pub(crate) configs: Vec<LinkConfig>,
 }
 
 impl Topology {
@@ -89,19 +99,62 @@ impl Topology {
     /// Add a bidirectional link between `a` and `b` with per-direction
     /// configurations (`ab` applies to packets flowing a→b).
     pub fn add_link(&mut self, a: NodeId, b: NodeId, ab: LinkConfig, ba: LinkConfig) -> LinkId {
-        assert!(a != b, "self-links are not supported");
-        self.links.push(Link {
-            a,
-            b,
-            ab: Direction::new(ab),
-            ba: Direction::new(ba),
-        });
-        LinkId(self.links.len() - 1)
+        let (ab, ba) = (self.intern(ab), self.intern(ba));
+        self.push_link(a, b, ab, ba)
     }
 
     /// Symmetric convenience: the same config in both directions.
     pub fn add_symmetric_link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) -> LinkId {
-        self.add_link(a, b, cfg.clone(), cfg)
+        let cfg = self.intern(cfg);
+        self.push_link(a, b, cfg, cfg)
+    }
+
+    fn push_link(&mut self, a: NodeId, b: NodeId, ab: u32, ba: u32) -> LinkId {
+        assert!(a != b, "self-links are not supported");
+        self.links.push(Link {
+            a,
+            b,
+            ab: Direction::new(ab, &self.configs[ab as usize]),
+            ba: Direction::new(ba, &self.configs[ba as usize]),
+        });
+        LinkId(self.links.len() - 1)
+    }
+
+    /// The index of `cfg` in the config table, added if no equal entry
+    /// is there. Linear in the distinct configs, newest first: a world
+    /// has a handful, and adds its links config by config.
+    fn intern(&mut self, cfg: LinkConfig) -> u32 {
+        let at = match self.configs.iter().rposition(|c| *c == cfg) {
+            Some(at) => at,
+            None => {
+                self.configs.push(cfg);
+                self.configs.len() - 1
+            }
+        };
+        u32::try_from(at).expect("config count fits u32")
+    }
+
+    /// Install (`Some`) or remove (`None`) a burst-loss model on both
+    /// directions of `link`; the chains restart good. Copy-on-write: a
+    /// direction moves to the entry equal to its config with `model`
+    /// swapped in, so the entries other directions share never change
+    /// and the table holds no duplicates.
+    pub(crate) fn set_burst_loss(&mut self, link: LinkId, model: Option<BurstLoss>) {
+        let (ab, ba) = (self.links[link.0].ab.config, self.links[link.0].ba.config);
+        let [ab, ba] = [ab, ba].map(|c| {
+            let cfg = &self.configs[c as usize];
+            if cfg.burst == model {
+                c
+            } else {
+                self.intern(LinkConfig {
+                    burst: model,
+                    ..cfg.clone()
+                })
+            }
+        });
+        let l = &mut self.links[link.0];
+        l.ab.set_burst_config(ab);
+        l.ba.set_burst_config(ba);
     }
 
     /// Install a route at `node`: traffic to `net/prefix_len` leaves via
@@ -221,14 +274,14 @@ impl Topology {
                 return Some(dist);
             }
             for l in &self.links {
-                let (next, hop) = if l.a.0 == n {
-                    (l.b.0, l.ab.config.latency)
+                let (next, dir) = if l.a.0 == n {
+                    (l.b.0, &l.ab)
                 } else if l.b.0 == n {
-                    (l.a.0, l.ba.config.latency)
+                    (l.a.0, &l.ba)
                 } else {
                     continue;
                 };
-                let cand = dist + hop;
+                let cand = dist + self.configs[dir.config as usize].latency;
                 if best[next].is_none_or(|b| cand < b) {
                     best[next] = Some(cand);
                     heap.push(Reverse((cand, next)));
@@ -323,6 +376,55 @@ mod tests {
         let b = t.add_node("b");
         let l = t.add_symmetric_link(a, b, cfg());
         t.add_route(a, Ipv4Addr::new(10, 0, 0, 0), 33, l);
+    }
+
+    /// Links share one table entry per distinct config. Fault plans
+    /// install and remove burst models over and over; the table holds
+    /// each distinct (config, model) pair once, however many cycles run,
+    /// and removal returns a link to its original entry.
+    #[test]
+    fn burst_loss_cycles_never_grow_the_config_table() {
+        let model = |p| BurstLoss {
+            p_enter: p,
+            p_exit: 0.4,
+            loss_good: 0.0,
+            loss_bad: 0.9,
+        };
+        let mut t = Topology::new();
+        let hub = t.add_node("hub");
+        let links: Vec<LinkId> = (0..6)
+            .map(|i| {
+                let leaf = t.add_node("leaf");
+                if i % 2 == 0 {
+                    t.add_symmetric_link(leaf, hub, cfg())
+                } else {
+                    t.add_link(leaf, hub, cfg(), cfg().with_loss(0.01))
+                }
+            })
+            .collect();
+        let entries = |t: &Topology| -> Vec<(u32, u32)> {
+            (t.links.iter())
+                .map(|l| (l.ab.config, l.ba.config))
+                .collect()
+        };
+        let base = entries(&t);
+        assert_eq!(t.configs.len(), 2);
+        // Two base configs × {none, model 0.1, model 0.2}.
+        let distinct = 2 * 3;
+        for cycle in 0..50 {
+            for (i, &l) in links.iter().enumerate() {
+                let m = [None, Some(model(0.1)), Some(model(0.2))][(i + cycle) % 3];
+                t.set_burst_loss(l, m);
+                let cfg = &t.configs[t.links[l.0].ba.config as usize];
+                assert_eq!(cfg.burst, m);
+                assert!(t.configs.len() <= distinct, "cycle {cycle}");
+            }
+        }
+        for &l in &links {
+            t.set_burst_loss(l, None);
+        }
+        assert_eq!(entries(&t), base);
+        assert_eq!(t.configs.len(), distinct);
     }
 
     /// Build-cost guard: a leaf's only route lives in its own cell of the

@@ -275,15 +275,16 @@ impl NetWorld {
         let l = &mut self.topology.links[link.0];
         let is_ba = l.a != from;
         let dir = if is_ba { &mut l.ba } else { &mut l.ab };
+        let cfg = &self.topology.configs[dir.config as usize];
         let id = (link.0 as u32) << 1 | u32::from(is_ba);
         // Loss samples come from the world RNG in the exact order the
         // figure-replay gate pins. Links without a burst model consume
         // exactly one sample per send, so installing one elsewhere never
         // perturbs this link's stream.
         let draw = self.rng.unit();
-        let burst_draw = dir.burst_installed().then(|| self.rng.unit());
+        let burst_draw = cfg.burst.is_some().then(|| self.rng.unit());
         let policer_before = dir.policer_hits;
-        let offer = dir.offer(now, size, draw, burst_draw);
+        let offer = dir.offer(cfg, now, size, draw, burst_draw);
         if dir.policer_hits != policer_before {
             self.metrics.policer_hits.inc();
         }
@@ -384,9 +385,7 @@ impl NetWorld {
     /// Install (`Some`) or remove (`None`) a Gilbert–Elliott burst-loss
     /// model on both directions of `link`; the chains restart good.
     pub fn set_burst_loss(&mut self, link: LinkId, model: Option<BurstLoss>) {
-        let l = &mut self.topology.links[link.0];
-        l.ab.set_burst_loss(model);
-        l.ba.set_burst_loss(model);
+        self.topology.set_burst_loss(link, model);
     }
 
     /// Delivery/drop counters for `link`.
@@ -709,9 +708,10 @@ mod proptests {
             } else {
                 (&mut l.ba, l.a)
             };
+            let cfg = &self.topo.configs[dir.config as usize];
             let draw = self.rng.unit();
-            let burst = dir.burst_installed().then(|| self.rng.unit());
-            if let Offer::Deliver(at) = dir.offer(now, pkt.wire_size(), draw, burst) {
+            let burst = cfg.burst.is_some().then(|| self.rng.unit());
+            if let Offer::Deliver(at) = dir.offer(cfg, now, pkt.wire_size(), draw, burst) {
                 self.q.push(at, (peer, pkt));
             }
         }
@@ -788,9 +788,7 @@ mod proptests {
                             loss_bad: 0.8,
                         });
                         world.set_burst_loss(link, model);
-                        let l = &mut reference.topo.links[link.0];
-                        l.ab.set_burst_loss(model);
-                        l.ba.set_burst_loss(model);
+                        reference.topo.set_burst_loss(link, model);
                     }
                     _ => {}
                 }
