@@ -1,6 +1,6 @@
 //! `exp_brokerd` — served-auth/s of the real `brokerd` wire service.
 //!
-//! Unlike the simulated-time experiments (fig7–10, `exp_broker`), this
+//! Unlike the simulated-time experiments (the figures, `exp_scale`), this
 //! one measures the **wall clock**: a real server thread runs the staged
 //! pipeline of [`cellbricks_core::broker_server`] — adaptive batch
 //! window on the I/O stage, each batch's crypto split across `--workers`

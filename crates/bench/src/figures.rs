@@ -4,8 +4,9 @@
 //! the figure runs them, [`run`] runs one (its output is a function of the
 //! cell alone), and [`render`] turns a family's outputs into the text
 //! committed as `results/<family>.txt`. The `repro` binary drives all
-//! three; `tests/evaluation_shapes.rs` runs the same cells on shorter
-//! drives.
+//! three; `tests/figure_replay.rs` replays six families against their
+//! committed text, and `tests/evaluation_shapes.rs` runs the same cells
+//! on shorter drives.
 //!
 //! `perfbench/src/figures.rs` keeps a frozen copy of the seed-42 grid of
 //! the first six families (79 cells); a test below pins the counts to it.
@@ -1051,11 +1052,6 @@ fn detect_cycles(overcount: f64, epsilon: f64, cycles: u32, seed: u64) -> Option
 mod tests {
     use super::*;
 
-    fn run_family(family: Family) -> String {
-        let outs: Vec<CellOutput> = cells(family, 42).iter().map(run).collect();
-        render(family, &outs)
-    }
-
     #[test]
     fn seed42_cell_counts_match_the_frozen_perfbench_grid() {
         // perfbench/src/figures.rs documents 79 cells over the first six
@@ -1086,22 +1082,6 @@ mod tests {
             assert_eq!(Family::from_name(f.name()), Some(f));
         }
         assert_eq!(Family::from_name("exp_fig7"), None);
-    }
-
-    #[test]
-    fn fig8_renders_the_committed_bytes() {
-        assert_eq!(
-            run_family(Family::Fig8),
-            include_str!("../../../results/fig8.txt")
-        );
-    }
-
-    #[test]
-    fn reputation_renders_the_committed_bytes() {
-        assert_eq!(
-            run_family(Family::Reputation),
-            include_str!("../../../results/reputation.txt")
-        );
     }
 
     #[test]

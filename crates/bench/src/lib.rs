@@ -15,8 +15,9 @@
 //! | `all` (default) | every row above, in this order |
 //!
 //! Run with `--release`; the Table 1 matrix simulates hours of drive time.
-//! The other binaries (`exp_scale`, `exp_chaos`, `exp_broker`,
-//! `exp_brokerd`, `brokerd`) measure scale, faults and the wire service.
+//! The other binaries (`exp_scale`, `exp_brokerd`, `brokerd`) measure
+//! scale and the wire service; faults and broker failover are root
+//! integration tests (`tests/chaos.rs`, `tests/broker_plane.rs`).
 
 // `deny` rather than the workspace-wide `forbid`: the alloc-counting
 // global allocator below is the one sanctioned unsafe block in the

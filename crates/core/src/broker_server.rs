@@ -51,8 +51,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// The canonical broker name every helper in this module provisions
-/// under — the same name `exp_broker` uses, so the deterministic seed
-/// path produces interoperable key material.
+/// under — the same name the simulated broker plane uses
+/// (`tests/broker_plane.rs`), so the deterministic seed path produces
+/// interoperable key material.
 pub const BROKER_NAME: &str = "broker.example";
 
 /// The bTelco identity the load generator forwards requests as.
@@ -412,10 +413,11 @@ fn send_all(sock: &UdpSocket, bytes: &[u8], to: SocketAddr) -> io::Result<()> {
 // ----- Deterministic population + load generator -----
 
 /// The deterministic key population shared by the server and every load
-/// generator: the same seed path as `exp_broker` (CA from `[0xCA; 32]`,
-/// broker keys, telco keys, then one `UeKeys` per subscriber off one
-/// `SimRng`), so a server and a client started with the same `--seed`
-/// and `--n` agree on every identity without exchanging state.
+/// generator: the same seed path as `tests/broker_plane.rs` (CA from
+/// `[0xCA; 32]`, broker keys, telco keys, then one `UeKeys` per
+/// subscriber off one `SimRng`), so a server and a client started with
+/// the same `--seed` and `--n` agree on every identity without
+/// exchanging state.
 pub struct Population {
     /// The certificate authority.
     pub ca: CertificateAuthority,

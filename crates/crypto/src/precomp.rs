@@ -685,9 +685,10 @@ const DH_TABLE_CAP: usize = 256;
 // Admission and promotion are ski-rental decisions: keep renting (the
 // ladder, or the lower tier) until the rent paid equals the price of
 // buying (the build), then buy — within 2× of the best offline choice
-// whatever the peer does next. The prices, measured on this tree by
-// `dh_cache_costs` (an `#[ignore]`d test below; 2-core KVM guest, each
-// in a hot loop, median of 8 runs):
+// whatever the peer does next. The prices, measured by the timing probe
+// `dh_cache_costs` (in this file's tests at commit fbfdd4d, `git show
+// fbfdd4d:crates/crypto/src/precomp.rs`; 2-core KVM guest, each in a hot
+// loop, median of 8 runs):
 //
 //   ladder run            ≈  43 µs      R16 build   ≈ 155 µs
 //   R16 multiplication    ≈  10 µs      R256 build  ≈ 2.1 ms (3.3 ms when
@@ -1140,58 +1141,5 @@ mod tests {
             "oldest hot table evicted"
         );
         assert!(cache.tables.contains_key(&peers[cap as usize]));
-    }
-
-    // Where DH_ADMIT_SIGHTINGS and DH_PROMOTE_HITS come from: run with
-    // `cargo test --release -p cellbricks-crypto dh_cache_costs -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn dh_cache_costs() {
-        use std::hint::black_box;
-        use std::time::Instant;
-        let u = peer_u(7);
-        let p = edwards_from_montgomery_u(&u).unwrap();
-        let mut k = [0x5bu8; 32];
-        k[0] &= 248;
-        k[31] = 0x40 | (k[31] & 0x3f);
-        let time = |n: u32, f: &mut dyn FnMut()| {
-            let t = Instant::now();
-            for _ in 0..n {
-                f();
-            }
-            t.elapsed() / n
-        };
-        let r16 = dh_table_build(&p);
-        let r256 = dh_table_build_r256(&p);
-        println!(
-            "ladder run          {:?}",
-            time(400, &mut || {
-                black_box(crate::x25519::x25519(black_box(&k), &u));
-            })
-        );
-        println!(
-            "R16 multiplication  {:?}",
-            time(2000, &mut || {
-                black_box(mul_dh_table(black_box(&k), &r16));
-            })
-        );
-        println!(
-            "R256 multiplication {:?}",
-            time(2000, &mut || {
-                black_box(mul_dh_table(black_box(&k), &r256));
-            })
-        );
-        println!(
-            "R16 build           {:?}",
-            time(200, &mut || {
-                black_box(dh_table_build(black_box(&p)));
-            })
-        );
-        println!(
-            "R256 build          {:?}",
-            time(20, &mut || {
-                black_box(dh_table_build_r256(black_box(&p)));
-            })
-        );
     }
 }

@@ -107,7 +107,7 @@ fn build(n: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
 
     let mut ues = Vec::with_capacity(n);
     for i in 0..n {
-        let ue_sig = Ipv4Addr::new(169, 254, 1, i as u8 + 1);
+        let ue_sig = Ipv4Addr::new(169, 254, 1, u8::try_from(i + 1).expect("at most 255 UEs"));
         let ue_node = t.add_node(&format!("ue{i}"));
         let radio = t.add_symmetric_link(ue_node, enb_node, LinkConfig::delay_only(ms(4)));
         t.add_default_route(ue_node, radio);
@@ -196,32 +196,73 @@ fn burst_lands_on_lowest_rtt_primaries_only() {
     );
 }
 
+/// One primary kill: `n` UEs burst at 0 s, the primary goes dark at
+/// `kill_at` for `dark_for` (past every retry, so only standby failover
+/// can finish the burst), and the world runs to `run_to`.
+struct KillCase {
+    n: usize,
+    kill_at: SimTime,
+    dark_for: SimDuration,
+    run_to: SimTime,
+    /// Auths the standby must serve: the UEs whose requests had not
+    /// been answered by the primary when it went dark.
+    standby_auths: u64,
+}
+
 #[test]
 fn mid_burst_primary_kill_fails_over_with_zero_failed_attaches() {
-    let mut w = build(12, 42, SimDuration::from_secs(86_400));
-    // The primary goes dark 5 ms into the burst — after the requests are
-    // in flight, before any reply is out — and stays dark past every
-    // retry, so only standby failover can finish the burst.
-    let mut plan = FaultPlan::new();
-    plan.unavailable(
-        w.primary_node,
-        SimTime::from_millis(5),
-        SimDuration::from_secs(60),
-    );
-    w.driver.set_fault_plan(plan);
-    w.attach_all();
-    w.run_to(SimTime::from_secs(20));
+    let cases = [
+        // Killed 5 ms into the burst: every request is in flight, no
+        // reply is out, so every UE re-resolves on the standby.
+        KillCase {
+            n: 12,
+            kill_at: SimTime::from_millis(5),
+            dark_for: SimDuration::from_secs(60),
+            run_to: SimTime::from_secs(20),
+            standby_auths: 12,
+        },
+        // EXPERIMENTS' broker-failover run: killed 50 ms into a 240-UE
+        // burst, after the first requests are committed to the primary
+        // and before their replies escape.
+        KillCase {
+            n: 240,
+            kill_at: SimTime::from_millis(50),
+            dark_for: SimDuration::from_secs(120),
+            run_to: SimTime::from_secs(30),
+            standby_auths: 221,
+        },
+    ];
+    for case in cases {
+        let n = case.n;
+        let mut w = build(n, 42, SimDuration::from_secs(86_400));
+        let mut plan = FaultPlan::new();
+        plan.unavailable(w.primary_node, case.kill_at, case.dark_for);
+        w.driver.set_fault_plan(plan);
+        w.attach_all();
+        w.run_to(case.run_to);
 
-    assert_eq!(w.attached(), 12, "burst completed through the kill");
-    assert_eq!(w.failures(), 0, "failover must not cost a failed attach");
-    assert_eq!(
-        w.pair.standby.auth_ok, 12,
-        "every UE re-resolved on the standby"
-    );
-    assert!(
-        w.ues.iter().all(|u| u.attach_retries >= 1),
-        "failover rode the retry timer"
-    );
+        assert_eq!(w.attached(), n, "N={n}: burst completed through the kill");
+        assert_eq!(
+            w.failures(),
+            0,
+            "N={n}: failover must not cost a failed attach"
+        );
+        assert_eq!(
+            w.pair.standby.auth_ok, case.standby_auths,
+            "N={n}: every UE still in flight re-resolved on the standby"
+        );
+        assert!(
+            w.pair.primary.auth_ok + w.pair.standby.auth_ok >= n as u64,
+            "N={n}: every UE authorized on one of the replicas"
+        );
+        let stale: u64 = w.ues.iter().map(|u| u.stale_accepts).sum();
+        assert_eq!(stale, 0, "N={n}: no reply escaped the dark primary");
+        let retried = w.ues.iter().filter(|u| u.attach_retries >= 1).count();
+        assert!(
+            retried as u64 >= case.standby_auths,
+            "N={n}: failover rode the retry timer ({retried} retried)"
+        );
+    }
 }
 
 #[test]
