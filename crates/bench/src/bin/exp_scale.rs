@@ -33,7 +33,9 @@ use cellbricks_core::sap::QosCap;
 use cellbricks_core::ue::{BrokerReplica, UeDevice, UeDeviceConfig};
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_epc::enb::Enb;
-use cellbricks_net::{Driver, Endpoint, LinkConfig, NetWorld, NodeId, Packet, Router, Topology};
+use cellbricks_net::{
+    ControlEndpoint, Driver, Endpoint, LinkConfig, NetWorld, NodeId, Packet, Router, Topology,
+};
 use cellbricks_sim::{percentile, Arena, SimDuration, SimRng, SimTime};
 use cellbricks_telemetry as telemetry;
 use std::collections::HashMap;
@@ -238,10 +240,10 @@ fn run_mega(n: usize, seed: u64, duration: SimDuration) {
 
 struct ScaleWorld {
     world: NetWorld,
-    enb: Enb,
-    telco: BTelcoGateway,
-    brokerd: Brokerd,
-    ues: Vec<UeDevice>,
+    enb: ControlEndpoint<Enb>,
+    telco: ControlEndpoint<BTelcoGateway>,
+    brokerd: ControlEndpoint<Brokerd>,
+    ues: Vec<ControlEndpoint<UeDevice>>,
 }
 
 impl ScaleWorld {
@@ -314,7 +316,7 @@ impl ScaleWorld {
         let enb = Enb::new(enb_node, SimDuration::from_micros(100));
 
         // N UEs, each on its own node with a radio link to the shared eNB.
-        let mut ues: Vec<UeDevice> = Vec::with_capacity(n);
+        let mut ues: Vec<ControlEndpoint<UeDevice>> = Vec::with_capacity(n);
         for i in 0..n {
             let ue_sig = Ipv4Addr::new(169, 254, (i / 250) as u8 + 1, (i % 250) as u8 + 1);
             let ue_node = t.add_node(&format!("ue{i}"));

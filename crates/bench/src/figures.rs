@@ -24,7 +24,9 @@ use cellbricks_core::brokerd::{BrokerWire, Brokerd, BrokerdConfig};
 use cellbricks_core::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use cellbricks_core::sap::{self, QosCap};
 use cellbricks_crypto::cert::CertificateAuthority;
-use cellbricks_net::{BurstLoss, Endpoint, EndpointAddr, NodeId, Packet, TimeOfDay};
+use cellbricks_net::{
+    BurstLoss, ControlEndpoint, Endpoint, EndpointAddr, NodeId, Packet, TimeOfDay,
+};
 use cellbricks_ran::RouteKind;
 use cellbricks_sim::{SimDuration, SimRng, SimTime, TimeSeries};
 use cellbricks_transport::CcAlgo;
@@ -999,7 +1001,7 @@ fn detect_cycles(overcount: f64, epsilon: f64, cycles: u32, seed: u64) -> Option
 
     // Billing cycles: the UE truthfully reports ~10 MB per cycle; the
     // bTelco inflates by `overcount`.
-    let deliver = |brokerd: &mut Brokerd, from_ue: bool, sealed: Bytes| {
+    let deliver = |brokerd: &mut ControlEndpoint<Brokerd>, from_ue: bool, sealed: Bytes| {
         let mut sink = Vec::new();
         brokerd.handle_packet(
             SimTime::ZERO,

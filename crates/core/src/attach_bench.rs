@@ -114,50 +114,74 @@ pub struct Fig7Row {
     pub other_ms: f64,
 }
 
-/// Telemetry handles for one Fig. 7 cell: per-phase attach-latency
-/// histograms named `fig7.<placement>.<variant>.<phase>_ns`, recorded
-/// once per trial so the exported percentiles mirror the figure's
-/// breakdown (UE / eNB / AGW+cloud / total).
-struct CellHists {
-    total: telemetry::Histogram,
-    ue: telemetry::Histogram,
-    enb: telemetry::Histogram,
-    agw_cloud: telemetry::Histogram,
+/// One Fig. 7 cell's accounting. Per-phase attach-latency histograms
+/// named `fig7.<placement>.<variant>.<phase>_ns` are recorded once per
+/// trial, so the exported percentiles mirror the figure's breakdown
+/// (total / UE / eNB / AGW+cloud); the processing buckets are summed for
+/// the row. A bucket's processing is its parties' ledger delta across
+/// the attach window only (detach signalling afterwards is not part of
+/// Fig. 7).
+struct Cell {
+    placement: &'static str,
+    variant: &'static str,
+    /// Total, UE, eNB, AGW + cloud.
+    hists: [telemetry::Histogram; 4],
     track: u32,
+    /// Summed processing: UE, eNB, AGW + cloud.
+    proc: [SimDuration; 3],
 }
 
-impl CellHists {
-    fn register(placement: &str, variant: &str, track: u32) -> Self {
-        let name = |phase: &str| format!("fig7.{placement}.{variant}.{phase}_ns");
+impl Cell {
+    fn register(placement: &'static str, variant: &'static str, track: u32) -> Self {
+        let hist = |phase| telemetry::histogram(format!("fig7.{placement}.{variant}.{phase}_ns"));
         Self {
-            total: telemetry::histogram(name("total")),
-            ue: telemetry::histogram(name("ue_proc")),
-            enb: telemetry::histogram(name("enb_proc")),
-            agw_cloud: telemetry::histogram(name("agw_cloud_proc")),
+            placement,
+            variant,
+            hists: ["total", "ue_proc", "enb_proc", "agw_cloud_proc"].map(hist),
             track,
+            proc: [SimDuration::ZERO; 3],
         }
     }
 
+    /// Book one trial from the (UE, eNB, AGW + cloud) ledgers read
+    /// `before` and `after` its attach window.
     fn record_trial(
-        &self,
+        &mut self,
         started: SimTime,
-        total: SimDuration,
-        ue: SimDuration,
-        enb: SimDuration,
-        agw_cloud: SimDuration,
-        label: &str,
+        total: Option<SimDuration>,
+        before: [SimDuration; 3],
+        after: [SimDuration; 3],
     ) {
-        self.total.record(total.as_nanos());
-        self.ue.record(ue.as_nanos());
-        self.enb.record(enb.as_nanos());
-        self.agw_cloud.record(agw_cloud.as_nanos());
+        let d: [SimDuration; 3] = std::array::from_fn(|i| after[i] - before[i]);
+        for (sum, d) in self.proc.iter_mut().zip(d) {
+            *sum = *sum + d;
+        }
+        let Some(total) = total else { return };
+        for (h, v) in self.hists.iter().zip([total, d[0], d[1], d[2]]) {
+            h.record(v.as_nanos());
+        }
         telemetry::trace_span(
-            format!("attach.{label}"),
+            format!("attach.{}.{}", self.variant, self.placement),
             "fig7",
             started.as_nanos(),
             (started + total).as_nanos(),
             self.track,
         );
+    }
+
+    /// The cell's row, at mean attach latency `total_ms`.
+    fn row(&self, total_ms: f64, trials: u32) -> Fig7Row {
+        let [ue_ms, enb_ms, agw_cloud_ms] =
+            self.proc.map(|d| d.as_millis_f64() / f64::from(trials));
+        Fig7Row {
+            placement: self.placement,
+            variant: self.variant,
+            total_ms,
+            ue_ms,
+            enb_ms,
+            agw_cloud_ms,
+            other_ms: total_ms - ue_ms - enb_ms - agw_cloud_ms,
+        }
     }
 }
 
@@ -226,20 +250,13 @@ pub fn run_baseline(
 
     let mut cursor = SimTime::ZERO;
     let mut driver = Driver::new();
-    // Per-module processing is measured as the delta across the attach
-    // window only (detach signalling afterwards is not part of Fig. 7).
-    let mut ue_proc = SimDuration::ZERO;
-    let mut enb_proc = SimDuration::ZERO;
-    let mut agw_cloud_proc = SimDuration::ZERO;
-    let hists = CellHists::register(placement.name, "BL", 0);
-    let cell = format!("BL.{}", placement.name);
+    let mut cell = Cell::register(placement.name, "BL", 0);
     for i in 0..trials {
-        let snap = (
-            ue.proc_time,
-            enb.control_proc_time,
-            agw.proc_time,
-            sdb.proc_time,
-        );
+        let before = [
+            ue.proc_time(),
+            enb.proc_time(),
+            agw.proc_time() + sdb.proc_time(),
+        ];
         ue.start_attach(cursor);
         let until = cursor + SimDuration::from_secs(2);
         driver.run_to(
@@ -248,15 +265,12 @@ pub fn run_baseline(
             until,
         );
         assert!(ue.is_attached(), "baseline attach {i} failed");
-        let d_ue = ue.proc_time - snap.0;
-        let d_enb = enb.control_proc_time - snap.1;
-        let d_cloud = (agw.proc_time - snap.2) + (sdb.proc_time - snap.3);
-        ue_proc = ue_proc + d_ue;
-        enb_proc = enb_proc + d_enb;
-        agw_cloud_proc = agw_cloud_proc + d_cloud;
-        if let Some(total) = ue.last_attach_latency {
-            hists.record_trial(cursor, total, d_ue, d_enb, d_cloud, &cell);
-        }
+        let after = [
+            ue.proc_time(),
+            enb.proc_time(),
+            agw.proc_time() + sdb.proc_time(),
+        ];
+        cell.record_trial(cursor, ue.last_attach_latency, before, after);
         ue.start_detach(until);
         cursor = until + SimDuration::from_secs(1);
         driver.run_to(
@@ -265,20 +279,7 @@ pub fn run_baseline(
             cursor,
         );
     }
-    let per_trial = |d: SimDuration| d.as_millis_f64() / f64::from(trials);
-    let total_ms = ue.attach_latency_ms.mean();
-    let ue_ms = per_trial(ue_proc);
-    let enb_ms = per_trial(enb_proc);
-    let agw_cloud_ms = per_trial(agw_cloud_proc);
-    Fig7Row {
-        placement: placement.name,
-        variant: "BL",
-        total_ms,
-        ue_ms,
-        enb_ms,
-        agw_cloud_ms,
-        other_ms: total_ms - ue_ms - enb_ms - agw_cloud_ms,
-    }
+    cell.row(ue.attach_latency_ms.mean(), trials)
 }
 
 /// Run `trials` CellBricks attaches and report the breakdown.
@@ -363,21 +364,16 @@ pub fn run_cellbricks(
 
     let mut cursor = SimTime::ZERO;
     let mut driver = Driver::new();
-    let mut ue_proc = SimDuration::ZERO;
-    let mut enb_proc = SimDuration::ZERO;
-    let mut agw_cloud_proc = SimDuration::ZERO;
-    let hists = CellHists::register(placement.name, "CB", 1);
-    let cell = format!("CB.{}", placement.name);
+    let mut cell = Cell::register(placement.name, "CB", 1);
     for i in 0..trials {
-        let snap = (
-            ue.proc_time,
-            enb.control_proc_time,
-            telco.proc_time,
-            brokerd.proc_time,
-        );
+        let before = [
+            ue.proc_time(),
+            enb.proc_time(),
+            telco.proc_time() + brokerd.proc_time(),
+        ];
         ue.start_attach(cursor, "tower-1.example", AGW_SIG);
         let until = cursor + SimDuration::from_secs(2);
-        // Step and snapshot at attach completion (see the baseline loop).
+        // Step, and read the ledgers when the attach window closes.
         let mut t = cursor;
         while !ue.is_attached() && t < until {
             let next = t + SimDuration::from_millis(1);
@@ -389,15 +385,12 @@ pub fn run_cellbricks(
             t = next;
         }
         assert!(ue.is_attached(), "cellbricks attach {i} failed");
-        let d_ue = ue.proc_time - snap.0;
-        let d_enb = enb.control_proc_time - snap.1;
-        let d_cloud = (telco.proc_time - snap.2) + (brokerd.proc_time - snap.3);
-        ue_proc = ue_proc + d_ue;
-        enb_proc = enb_proc + d_enb;
-        agw_cloud_proc = agw_cloud_proc + d_cloud;
-        if let Some(total) = ue.last_attach_latency {
-            hists.record_trial(cursor, total, d_ue, d_enb, d_cloud, &cell);
-        }
+        let after = [
+            ue.proc_time(),
+            enb.proc_time(),
+            telco.proc_time() + brokerd.proc_time(),
+        ];
+        cell.record_trial(cursor, ue.last_attach_latency, before, after);
         driver.run_to(
             &mut world,
             &mut [&mut ue, &mut enb, &mut telco, &mut brokerd],
@@ -411,20 +404,7 @@ pub fn run_cellbricks(
             cursor,
         );
     }
-    let per_trial = |d: SimDuration| d.as_millis_f64() / f64::from(trials);
-    let total_ms = ue.attach_latency_ms.mean();
-    let ue_ms = per_trial(ue_proc);
-    let enb_ms = per_trial(enb_proc);
-    let agw_cloud_ms = per_trial(agw_cloud_proc);
-    Fig7Row {
-        placement: placement.name,
-        variant: "CB",
-        total_ms,
-        ue_ms,
-        enb_ms,
-        agw_cloud_ms,
-        other_ms: total_ms - ue_ms - enb_ms - agw_cloud_ms,
-    }
+    cell.row(ue.attach_latency_ms.mean(), trials)
 }
 
 /// Produce the full Fig. 7 data set: BL and CB at each placement.

@@ -25,7 +25,7 @@ use crate::principal::{BrokerKeys, Identity};
 use crate::ue::BrokerReplica;
 use cellbricks_crypto::ed25519::VerifyingKey;
 use cellbricks_crypto::x25519::X25519PublicKey;
-use cellbricks_net::NodeId;
+use cellbricks_net::{ControlEndpoint, NodeId};
 use cellbricks_sim::{SimDuration, SimRng};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -61,9 +61,9 @@ pub struct BrokerPairConfig {
 /// A primary/standby pair of [`Brokerd`] instances over a shared store.
 pub struct BrokerPair {
     /// The lower-RTT instance UEs prefer while it answers.
-    pub primary: Brokerd,
+    pub primary: ControlEndpoint<Brokerd>,
     /// The failover instance; shares the primary's durable store.
-    pub standby: Brokerd,
+    pub standby: ControlEndpoint<Brokerd>,
     primary_site: ReplicaSite,
     standby_site: ReplicaSite,
     cfg: BrokerPairConfig,
@@ -158,7 +158,7 @@ impl BrokerPair {
     }
 
     /// Both broker endpoints, for driving by an engine.
-    pub fn endpoints_mut(&mut self) -> [&mut Brokerd; 2] {
+    pub fn endpoints_mut(&mut self) -> [&mut ControlEndpoint<Brokerd>; 2] {
         [&mut self.primary, &mut self.standby]
     }
 

@@ -9,8 +9,9 @@
 //!
 //! Authorization itself is decided by the shared
 //! [`crate::broker_core::BrokerCore`]; this module is its simulator
-//! adapter — an `Endpoint` with a service delay line and outage
-//! windows — plus the billing and reputation state a grant opens.
+//! adapter — a serial `ControlParty`, whose `ControlEndpoint` supplies
+//! the service queue, the ledger and the outage gate — plus the billing
+//! and reputation state a grant opens.
 //!
 //! The durable slice of that state (the core's [`AuthState`], billing
 //! sessions, reputation) lives in a [`BrokerStore`] behind an
@@ -29,7 +30,9 @@ use bytes::Bytes;
 use cellbricks_crypto::ed25519::VerifyingKey;
 use cellbricks_crypto::x25519::X25519PublicKey;
 use cellbricks_epc::wire::{Reader, Writer};
-use cellbricks_net::{Endpoint, EndpointFault, NodeId, Packet, PacketKind};
+use cellbricks_net::{
+    ControlEndpoint, ControlParty, ControlPort, EndpointFault, NodeId, Packet, PacketKind,
+};
 use cellbricks_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use cellbricks_telemetry as telemetry;
 use std::collections::HashMap;
@@ -149,7 +152,8 @@ struct Session {
 
 /// The durable state of one broker: everything the paper's broker
 /// keeps in replicated cloud storage, as opposed to the per-process
-/// state (service queue, busy horizon) that dies with an instance.
+/// state (the reply queue its adapter serves) that dies with an
+/// instance.
 ///
 /// Shared via `Arc<Mutex<_>>` between the replicas of a pair; the
 /// simulation is single-threaded, so the lock is uncontended and exists
@@ -282,22 +286,15 @@ pub struct BrokerdConfig {
     pub session_retention: SimDuration,
 }
 
-/// The broker service endpoint: one *instance* (process) of a broker.
-/// Durable state lives in its [`BrokerStore`]; everything here
-/// is per-process and dies on a crash.
+/// The broker service: one *instance* (process) of a broker. Durable
+/// state lives in its [`BrokerStore`]; everything here is per-process.
+/// Its port serves replies one at a time (the service is
+/// single-threaded) and bills each.
 pub struct Brokerd {
-    node: NodeId,
+    port: ControlPort,
     cfg: BrokerdConfig,
     store: Arc<Mutex<BrokerStore>>,
     core: BrokerCore,
-    pending: EventQueue<Packet>,
-    /// The service is single-threaded: requests queue behind this.
-    busy_until: SimTime,
-    /// Unreachable before this instant: requests and reports arriving
-    /// earlier are dropped (the sender's retry machinery must cover it).
-    down_until: SimTime,
-    /// Accumulated processing time (Fig. 7 accounting).
-    pub proc_time: SimDuration,
     /// Authorizations granted.
     pub auth_ok: u64,
     /// Authorizations refused.
@@ -306,14 +303,12 @@ pub struct Brokerd {
     pub bad_reports: u64,
     /// Billing cycles cross-checked.
     pub cycles_checked: u64,
-    /// Packets dropped while unreachable.
-    pub dropped_while_down: u64,
 }
 
 impl Brokerd {
     /// Create a standalone broker on `node` with a private store.
     #[must_use]
-    pub fn new(node: NodeId, cfg: BrokerdConfig, rng: SimRng) -> Self {
+    pub fn new(node: NodeId, cfg: BrokerdConfig, rng: SimRng) -> ControlEndpoint<Self> {
         Self::with_store(node, cfg, BrokerStore::shared(), rng)
     }
 
@@ -325,22 +320,17 @@ impl Brokerd {
         cfg: BrokerdConfig,
         store: Arc<Mutex<BrokerStore>>,
         rng: SimRng,
-    ) -> Self {
-        Self {
-            node,
+    ) -> ControlEndpoint<Self> {
+        ControlEndpoint::new(Self {
+            port: ControlPort::new(node, cfg.proc_delay),
             core: BrokerCore::new(cfg.keys.clone(), cfg.ca, rng, 0),
             cfg,
             store,
-            pending: EventQueue::new(),
-            busy_until: SimTime::ZERO,
-            down_until: SimTime::ZERO,
-            proc_time: SimDuration::ZERO,
             auth_ok: 0,
             auth_err: 0,
             bad_reports: 0,
             cycles_checked: 0,
-            dropped_while_down: 0,
-        }
+        })
     }
 
     /// A handle to this broker's (shared) durable store.
@@ -404,14 +394,8 @@ impl Brokerd {
     }
 
     fn send_later(&mut self, now: SimTime, dst: Ipv4Addr, msg: BrokerWire) {
-        self.proc_time = self.proc_time + self.cfg.proc_delay;
-        // Single-threaded service: requests queue behind one another,
-        // which is what bounds attach throughput at scale.
-        let start = self.busy_until.max(now);
-        let done = start + self.cfg.proc_delay;
-        self.busy_until = done;
         let pkt = Packet::control(self.cfg.ip, dst, msg.encode());
-        self.pending.push(done, pkt);
+        self.port.send(now, pkt);
     }
 
     fn handle_auth(&mut self, now: SimTime, src: Ipv4Addr, req_id: u64, req_t: &[u8]) {
@@ -555,16 +539,15 @@ impl Brokerd {
     }
 }
 
-impl Endpoint for Brokerd {
-    fn node(&self) -> NodeId {
-        self.node
-    }
+impl ControlParty for Brokerd {
+    /// Single-threaded service: replies queue behind one another, which
+    /// is what bounds attach throughput at scale. The request itself is
+    /// decided on arrival; only its reply waits in the queue.
+    const SERIAL: bool = true;
 
-    fn handle_packet(&mut self, now: SimTime, pkt: Packet, _out: &mut Vec<Packet>) {
-        if now < self.down_until {
-            self.dropped_while_down += 1;
-            return;
-        }
+    cellbricks_net::port_field!();
+
+    fn on_packet(&mut self, now: SimTime, pkt: Packet, _out: &mut Vec<Packet>) {
         let PacketKind::Control(bytes) = &pkt.kind else {
             return;
         };
@@ -593,36 +576,16 @@ impl Endpoint for Brokerd {
         }
     }
 
-    fn poll_at(&self) -> Option<SimTime> {
-        // While down, staged replies only leave once the service is back.
-        self.pending.peek_time().map(|t| t.max(self.down_until))
-    }
-
-    fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        if now < self.down_until {
-            return;
-        }
-        while let Some((_, pkt)) = self.pending.pop_due(now) {
-            out.push(pkt);
-        }
-    }
-
-    fn inject_fault(&mut self, now: SimTime, fault: &EndpointFault) {
-        match *fault {
-            EndpointFault::Unavailable { until } => {
-                telemetry::counter("core.brokerd.unavailable_windows").inc();
-                self.down_until = until.max(self.down_until);
-            }
-            EndpointFault::CrashRestart { restart_at } => {
-                // The subscriber DB and billing sessions are durable (the
-                // broker is a cloud service over persistent storage); only
-                // the in-memory request queue dies with the process.
-                telemetry::counter("core.brokerd.crashes").inc();
-                self.pending = EventQueue::new();
-                self.busy_until = SimTime::ZERO;
-                self.down_until = restart_at.max(now);
-            }
-        }
+    fn on_fault(&mut self, fault: &EndpointFault, _up_at: SimTime) {
+        // The subscriber DB and billing sessions are durable (the broker
+        // is a cloud service over persistent storage); only the
+        // in-memory reply queue, which the adapter drops, dies with the
+        // process.
+        let name = match fault {
+            EndpointFault::Unavailable { .. } => "core.brokerd.unavailable_windows",
+            EndpointFault::CrashRestart { .. } => "core.brokerd.crashes",
+        };
+        telemetry::counter(name).inc();
     }
 }
 
@@ -633,6 +596,8 @@ mod tests {
     use crate::sap::{self, QosCap};
     use cellbricks_crypto::cert::CertificateAuthority;
     use cellbricks_net::Endpoint;
+
+    type Broker = ControlEndpoint<Brokerd>;
 
     fn test_config(keys: BrokerKeys, ca: &CertificateAuthority) -> BrokerdConfig {
         BrokerdConfig {
@@ -645,68 +610,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replayed_auth_request_rejected() {
-        let mut rng = SimRng::new(3);
-        let ca = CertificateAuthority::from_seed([0xCA; 32]);
-        let broker_keys = BrokerKeys::generate("broker.example", &ca, &mut rng);
-        let telco_keys = TelcoKeys::generate("tower-1.example", &ca, &mut rng);
-        let ue_keys = UeKeys::generate(&mut rng);
-        let mut brokerd = Brokerd::new(
-            cellbricks_net::NodeId(0),
-            test_config(broker_keys.clone(), &ca),
-            rng.fork(),
-        );
-        let (spk, epk) = ue_keys.public();
-        brokerd.provision(ue_keys.identity(), spk, epk, 1_000_000);
-        let (req_u, _) = sap::ue_build_request(
-            &ue_keys,
-            "broker.example",
-            &broker_keys.encrypt.public_key(),
-            telco_keys.identity(),
-            &mut rng,
-        );
-        let req_t = sap::telco_wrap_request(
-            &telco_keys,
-            req_u,
-            QosCap {
-                max_mbr_bps: 1_000_000,
-                qci_supported: vec![9],
-                li_capable: true,
-            },
-        );
-        let wire = BrokerWire::AuthReq {
-            req_id: 1,
-            req_t: req_t.encode(),
-        }
-        .encode();
-        let src = Ipv4Addr::new(172, 16, 1, 1);
-        let dst = Ipv4Addr::new(172, 16, 0, 1);
-        let mut sink = Vec::new();
-        brokerd.handle_packet(
-            SimTime::ZERO,
-            Packet::control(src, dst, wire.clone()),
-            &mut sink,
-        );
-        assert_eq!(brokerd.auth_ok, 1);
-        // The exact same (captured) request again: refused.
-        brokerd.handle_packet(SimTime::ZERO, Packet::control(src, dst, wire), &mut sink);
-        assert_eq!(brokerd.auth_ok, 1, "replay must not create a session");
-        assert_eq!(brokerd.auth_err, 1);
+    /// A fresh `AuthReq` from `ue` through `telco`, as its payload.
+    fn auth_req(
+        (ue, telco, broker): (&UeKeys, &TelcoKeys, &BrokerKeys),
+        req_id: u64,
+        rng: &mut SimRng,
+    ) -> Bytes {
+        let broker_pk = broker.encrypt.public_key();
+        let (req_u, _) =
+            sap::ue_build_request(ue, "broker.example", &broker_pk, telco.identity(), rng);
+        let qos = QosCap {
+            max_mbr_bps: 1_000_000,
+            qci_supported: vec![9],
+            li_capable: true,
+        };
+        let req_t = sap::telco_wrap_request(telco, req_u, qos).encode();
+        BrokerWire::AuthReq { req_id, req_t }.encode()
     }
 
-    /// A world with one UE attached (session id 1), for report tests.
-    fn attached_world() -> (Brokerd, UeKeys, TelcoKeys, BrokerKeys, SimRng) {
-        attached_world_with_retention(SimDuration::from_secs(86_400))
+    /// Deliver `payload` from the bTelco to `brokerd` at `now`.
+    fn deliver(brokerd: &mut Broker, now: SimTime, payload: Bytes) {
+        let (src, dst) = (Ipv4Addr::new(172, 16, 1, 1), brokerd.cfg.ip);
+        brokerd.handle_packet(now, Packet::control(src, dst, payload), &mut Vec::new());
     }
 
-    /// Same, with the session-retention window chosen up front (the
-    /// expiry deadline is armed at auth time, so it must be set before
-    /// the attach).
-    fn attached_world_with_retention(
-        retention: SimDuration,
-    ) -> (Brokerd, UeKeys, TelcoKeys, BrokerKeys, SimRng) {
-        let mut rng = SimRng::new(7);
+    /// A broker with one UE provisioned, over keys drawn from `seed`.
+    fn world(seed: u64, retention: SimDuration) -> (Broker, UeKeys, TelcoKeys, BrokerKeys, SimRng) {
+        let mut rng = SimRng::new(seed);
         let ca = CertificateAuthority::from_seed([0xCA; 32]);
         let broker_keys = BrokerKeys::generate("broker.example", &ca, &mut rng);
         let telco_keys = TelcoKeys::generate("tower-1.example", &ca, &mut rng);
@@ -721,39 +651,37 @@ mod tests {
         );
         let (spk, epk) = ue_keys.public();
         brokerd.provision(ue_keys.identity(), spk, epk, 1_000_000);
-        let (req_u, _) = sap::ue_build_request(
-            &ue_keys,
-            "broker.example",
-            &broker_keys.encrypt.public_key(),
-            telco_keys.identity(),
-            &mut rng,
-        );
-        let req_t = sap::telco_wrap_request(
-            &telco_keys,
-            req_u,
-            QosCap {
-                max_mbr_bps: 1_000_000,
-                qci_supported: vec![9],
-                li_capable: true,
-            },
-        );
-        let wire = BrokerWire::AuthReq {
-            req_id: 1,
-            req_t: req_t.encode(),
-        }
-        .encode();
-        let mut sink = Vec::new();
-        brokerd.handle_packet(
-            SimTime::ZERO,
-            Packet::control(
-                Ipv4Addr::new(172, 16, 1, 1),
-                Ipv4Addr::new(172, 16, 0, 1),
-                wire,
-            ),
-            &mut sink,
-        );
-        assert_eq!(brokerd.auth_ok, 1);
         (brokerd, ue_keys, telco_keys, broker_keys, rng)
+    }
+
+    #[test]
+    fn replayed_auth_request_rejected() {
+        let (mut brokerd, ue, telco, broker, mut rng) = world(3, SimDuration::from_secs(86_400));
+        let wire = auth_req((&ue, &telco, &broker), 1, &mut rng);
+        deliver(&mut brokerd, SimTime::ZERO, wire.clone());
+        assert_eq!(brokerd.auth_ok, 1);
+        // The exact same (captured) request again: refused.
+        deliver(&mut brokerd, SimTime::ZERO, wire);
+        assert_eq!(brokerd.auth_ok, 1, "replay must not create a session");
+        assert_eq!(brokerd.auth_err, 1);
+    }
+
+    /// A world with one UE attached (session id 1), for report tests.
+    fn attached_world() -> (Broker, UeKeys, TelcoKeys, BrokerKeys, SimRng) {
+        attached_world_with_retention(SimDuration::from_secs(86_400))
+    }
+
+    /// Same, with the session-retention window chosen up front (the
+    /// expiry deadline is armed at auth time, so it must be set before
+    /// the attach).
+    fn attached_world_with_retention(
+        retention: SimDuration,
+    ) -> (Broker, UeKeys, TelcoKeys, BrokerKeys, SimRng) {
+        let (mut brokerd, ue, telco, broker, mut rng) = world(7, retention);
+        let wire = auth_req((&ue, &telco, &broker), 1, &mut rng);
+        deliver(&mut brokerd, SimTime::ZERO, wire);
+        assert_eq!(brokerd.auth_ok, 1);
+        (brokerd, ue, telco, broker, rng)
     }
 
     fn report(dl_bytes: u64) -> TrafficReport {
@@ -831,15 +759,10 @@ mod tests {
         assert_eq!(brokerd.settled_totals(), (1_000, 10));
         // Any packet arrival past the idle deadline triggers the sweep;
         // an undecodable control frame is activity enough.
-        let mut sink = Vec::new();
-        brokerd.handle_packet(
+        deliver(
+            &mut brokerd,
             SimTime::from_secs(60),
-            Packet::control(
-                Ipv4Addr::new(172, 16, 1, 1),
-                Ipv4Addr::new(172, 16, 0, 1),
-                Bytes::from_static(&[0xFF]),
-            ),
-            &mut sink,
+            Bytes::from_static(&[0xFF]),
         );
         assert_eq!(brokerd.sessions_live(), 0, "idle session reclaimed");
         assert_eq!(brokerd.sessions_reclaimed(), 1);
@@ -878,47 +801,10 @@ mod tests {
         assert_eq!(brokerd.settled_bytes(1), Some((2_000, 10)));
         // A replay of an authorization the primary already granted is
         // rejected by the standby too.
-        let (req_u, _) = sap::ue_build_request(
-            &ue_keys,
-            "broker.example",
-            &broker_keys.encrypt.public_key(),
-            telco_keys.identity(),
-            &mut rng,
-        );
-        let req_t = sap::telco_wrap_request(
-            &telco_keys,
-            req_u,
-            QosCap {
-                max_mbr_bps: 1_000_000,
-                qci_supported: vec![9],
-                li_capable: true,
-            },
-        );
-        let wire = BrokerWire::AuthReq {
-            req_id: 9,
-            req_t: req_t.encode(),
-        }
-        .encode();
-        let mut sink = Vec::new();
-        standby.handle_packet(
-            SimTime::ZERO,
-            Packet::control(
-                Ipv4Addr::new(172, 16, 1, 1),
-                Ipv4Addr::new(172, 16, 0, 2),
-                wire.clone(),
-            ),
-            &mut sink,
-        );
+        let wire = auth_req((&ue_keys, &telco_keys, &broker_keys), 9, &mut rng);
+        deliver(&mut standby, SimTime::ZERO, wire.clone());
         assert_eq!(standby.auth_ok, 1, "fresh request authorized on standby");
-        standby.handle_packet(
-            SimTime::ZERO,
-            Packet::control(
-                Ipv4Addr::new(172, 16, 1, 1),
-                Ipv4Addr::new(172, 16, 0, 2),
-                wire,
-            ),
-            &mut sink,
-        );
+        deliver(&mut standby, SimTime::ZERO, wire);
         assert_eq!(standby.auth_err, 1, "replay rejected via the shared window");
     }
 

@@ -16,8 +16,10 @@ use cellbricks_crypto::ed25519::VerifyingKey;
 use cellbricks_crypto::x25519::X25519PublicKey;
 use cellbricks_epc::gateway::{BearerTable, IpPool};
 use cellbricks_epc::nas::NasMessage;
-use cellbricks_net::{Endpoint, EndpointFault, NodeId, Packet, PacketKind};
-use cellbricks_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use cellbricks_net::{
+    ControlEndpoint, ControlParty, ControlPort, EndpointFault, NodeId, Packet, PacketKind,
+};
+use cellbricks_sim::{SimDuration, SimRng, SimTime};
 use cellbricks_telemetry as telemetry;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -69,9 +71,10 @@ struct PendingAttach {
     broker_name: String,
 }
 
-/// The bTelco gateway endpoint.
+/// The bTelco gateway; its port bills each control message it
+/// originates, and stages its billing reports.
 pub struct BTelcoGateway {
-    node: NodeId,
+    port: ControlPort,
     cfg: BTelcoGatewayConfig,
     pool: IpPool,
     /// Active bearers (public for harness inspection).
@@ -80,18 +83,12 @@ pub struct BTelcoGateway {
     /// deterministic).
     sessions: BTreeMap<Ipv4Addr, SessionState>,
     pending_attach: HashMap<u64, PendingAttach>,
-    pending: EventQueue<Packet>,
     next_req_id: u64,
     next_report_at: SimTime,
-    /// The process is down (crashed or unreachable) before this instant:
-    /// everything arriving earlier is dropped on the floor.
-    down_until: SimTime,
     rng: SimRng,
     /// Usage inflation factor: 1.0 = honest; >1 inflates DL usage in
     /// reports (the "dishonest but not malicious" threat of §4.3).
     overcount_factor: f64,
-    /// Accumulated control-plane processing time (Fig. 7 accounting).
-    pub proc_time: SimDuration,
     /// Attaches completed.
     pub attach_count: u64,
     /// Attaches rejected (by broker or locally).
@@ -100,36 +97,28 @@ pub struct BTelcoGateway {
     pub no_bearer_drops: u64,
     /// Injected crash+restart faults taken.
     pub crashes: u64,
-    /// Packets dropped while crashed/unreachable.
-    pub dropped_while_down: u64,
 }
 
 impl BTelcoGateway {
     /// Create the gateway on `node`.
     #[must_use]
-    pub fn new(node: NodeId, cfg: BTelcoGatewayConfig, rng: SimRng) -> Self {
-        let pool = IpPool::new(cfg.pool_base);
-        let next_report_at = SimTime::ZERO + cfg.report_interval;
-        Self {
-            node,
+    pub fn new(node: NodeId, cfg: BTelcoGatewayConfig, rng: SimRng) -> ControlEndpoint<Self> {
+        ControlEndpoint::new(Self {
+            port: ControlPort::new(node, cfg.proc_delay),
+            pool: IpPool::new(cfg.pool_base),
+            next_report_at: SimTime::ZERO + cfg.report_interval,
             cfg,
-            pool,
             bearers: BearerTable::new(),
             sessions: BTreeMap::new(),
             pending_attach: HashMap::new(),
-            pending: EventQueue::new(),
             next_req_id: 1,
-            next_report_at,
-            down_until: SimTime::ZERO,
             rng,
             overcount_factor: 1.0,
-            proc_time: SimDuration::ZERO,
             attach_count: 0,
             reject_count: 0,
             no_bearer_drops: 0,
             crashes: 0,
-            dropped_while_down: 0,
-        }
+        })
     }
 
     /// Number of live billing sessions.
@@ -145,29 +134,24 @@ impl BTelcoGateway {
     }
 
     fn emit_control(&mut self, now: SimTime, dst: Ipv4Addr, bytes: Bytes) {
-        self.proc_time = self.proc_time + self.cfg.proc_delay;
         let pkt = Packet::control(self.cfg.sig_ip, dst, bytes);
-        self.pending.push(now + self.cfg.proc_delay, pkt);
+        self.port.send(now, pkt);
+    }
+
+    fn reject(&mut self, now: SimTime, ue_sig: Ipv4Addr, cause: u8) {
+        self.reject_count += 1;
+        let msg = NasMessage::SapAttachReject { ue_sig, cause };
+        self.emit_control(now, ue_sig, msg.encode());
     }
 
     fn on_sap_attach(&mut self, now: SimTime, ue_sig: Ipv4Addr, broker_id: &str, payload: &[u8]) {
         let Some(req_u) = sap::AuthReqU::decode(payload) else {
-            self.reject_count += 1;
-            self.emit_control(
-                now,
-                ue_sig,
-                NasMessage::SapAttachReject { ue_sig, cause: 1 }.encode(),
-            );
+            self.reject(now, ue_sig, 1);
             return;
         };
         let Some(contact) = self.cfg.brokers.get(broker_id) else {
             // Unknown broker: this bTelco cannot serve the user.
-            self.reject_count += 1;
-            self.emit_control(
-                now,
-                ue_sig,
-                NasMessage::SapAttachReject { ue_sig, cause: 2 }.encode(),
-            );
+            self.reject(now, ue_sig, 2);
             return;
         };
         let ctrl_ip = contact.ctrl_ip;
@@ -206,30 +190,12 @@ impl BTelcoGateway {
                     match sap::telco_verify_reply(&self.cfg.keys, &self.cfg.ca, &reply) {
                         Ok(b) => b,
                         Err(_) => {
-                            self.reject_count += 1;
-                            self.emit_control(
-                                now,
-                                pending.ue_sig,
-                                NasMessage::SapAttachReject {
-                                    ue_sig: pending.ue_sig,
-                                    cause: 3,
-                                }
-                                .encode(),
-                            );
+                            self.reject(now, pending.ue_sig, 3);
                             return;
                         }
                     };
                 let Some(ue_ip) = self.pool.allocate() else {
-                    self.reject_count += 1;
-                    self.emit_control(
-                        now,
-                        pending.ue_sig,
-                        NasMessage::SapAttachReject {
-                            ue_sig: pending.ue_sig,
-                            cause: 4,
-                        }
-                        .encode(),
-                    );
+                    self.reject(now, pending.ue_sig, 4);
                     return;
                 };
                 // The bearer records the UE *alias*, fresh per session —
@@ -267,16 +233,7 @@ impl BTelcoGateway {
             }
             BrokerWire::AuthErr { req_id, .. } => {
                 if let Some(pending) = self.pending_attach.remove(&req_id) {
-                    self.reject_count += 1;
-                    self.emit_control(
-                        now,
-                        pending.ue_sig,
-                        NasMessage::SapAttachReject {
-                            ue_sig: pending.ue_sig,
-                            cause: 5,
-                        }
-                        .encode(),
-                    );
+                    self.reject(now, pending.ue_sig, 5);
                 }
             }
             _ => {}
@@ -335,20 +292,14 @@ impl BTelcoGateway {
             sealed,
         };
         let pkt = Packet::control(self.cfg.sig_ip, ctrl_ip, msg.encode());
-        self.pending.push(now, pkt);
+        self.port.stage(now, pkt);
     }
 }
 
-impl Endpoint for BTelcoGateway {
-    fn node(&self) -> NodeId {
-        self.node
-    }
+impl ControlParty for BTelcoGateway {
+    cellbricks_net::port_field!();
 
-    fn handle_packet(&mut self, now: SimTime, pkt: Packet, out: &mut Vec<Packet>) {
-        if now < self.down_until {
-            self.dropped_while_down += 1;
-            return;
-        }
+    fn on_packet(&mut self, now: SimTime, pkt: Packet, out: &mut Vec<Packet>) {
         match &pkt.kind {
             PacketKind::Control(bytes) => {
                 if pkt.dst != self.cfg.sig_ip {
@@ -401,25 +352,11 @@ impl Endpoint for BTelcoGateway {
         }
     }
 
-    fn poll_at(&self) -> Option<SimTime> {
-        let report_at = if self.sessions.is_empty() {
-            None
-        } else {
-            Some(self.next_report_at)
-        };
-        match (self.pending.peek_time(), report_at) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        }
-        // While down, timers only fire once the process is back up.
-        .map(|t| t.max(self.down_until))
+    fn next_timer(&self) -> Option<SimTime> {
+        (!self.sessions.is_empty()).then_some(self.next_report_at)
     }
 
-    fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        if now < self.down_until {
-            return;
-        }
+    fn on_timer(&mut self, now: SimTime, _out: &mut Vec<Packet>) {
         if now >= self.next_report_at {
             let ips: Vec<Ipv4Addr> = self.sessions.keys().copied().collect();
             for ip in ips {
@@ -427,32 +364,27 @@ impl Endpoint for BTelcoGateway {
             }
             self.next_report_at = now + self.cfg.report_interval;
         }
-        while let Some((_, pkt)) = self.pending.pop_due(now) {
-            out.push(pkt);
-        }
     }
 
-    fn inject_fault(&mut self, now: SimTime, fault: &EndpointFault) {
-        match *fault {
-            EndpointFault::CrashRestart { restart_at } => {
+    fn on_fault(&mut self, fault: &EndpointFault, up_at: SimTime) {
+        match fault {
+            EndpointFault::CrashRestart { .. } => {
                 // Volatile state dies with the process: sessions, bearers,
-                // metering counters, in-flight attach relays and staged
-                // output. The address pool restarts too — a recovering UE
-                // gets a fresh allocation. The UE-side sealed meter is
-                // what keeps billing honest across this (paper §4.3).
+                // metering counters and in-flight attach relays (the
+                // adapter drops the staged output). The address pool
+                // restarts too — a recovering UE gets a fresh
+                // allocation. The UE-side sealed meter is what keeps
+                // billing honest across this (paper §4.3).
                 self.crashes += 1;
                 telemetry::counter("core.btelco.crashes").inc();
                 self.sessions.clear();
                 self.bearers = BearerTable::new();
                 self.pending_attach.clear();
-                self.pending = EventQueue::new();
                 self.pool = IpPool::new(self.cfg.pool_base);
-                self.down_until = restart_at.max(now);
-                self.next_report_at = self.down_until + self.cfg.report_interval;
+                self.next_report_at = up_at + self.cfg.report_interval;
             }
-            EndpointFault::Unavailable { until } => {
+            EndpointFault::Unavailable { .. } => {
                 telemetry::counter("core.btelco.unavailable_windows").inc();
-                self.down_until = until.max(self.down_until);
             }
         }
     }

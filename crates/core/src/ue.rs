@@ -15,7 +15,7 @@ use bytes::Bytes;
 use cellbricks_crypto::ed25519::VerifyingKey;
 use cellbricks_crypto::x25519::X25519PublicKey;
 use cellbricks_epc::nas::NasMessage;
-use cellbricks_net::{Endpoint, NodeId, Packet, PacketKind};
+use cellbricks_net::{ControlEndpoint, ControlParty, ControlPort, NodeId, Packet, PacketKind};
 use cellbricks_sim::{EventQueue, SimDuration, SimRng, SimTime, Summary};
 use cellbricks_telemetry as telemetry;
 use cellbricks_transport::Host;
@@ -134,7 +134,9 @@ enum Deferred {
     Accept { ue_ip: Ipv4Addr, payload: Bytes },
 }
 
-/// The CellBricks UE device endpoint.
+/// The CellBricks UE device. Its port bills building each SAP request
+/// and verifying each accept, and stages its reports and detach
+/// requests.
 ///
 /// Memory layout: the fields touched on every `poll`/`poll_at` come
 /// first, and the cold, construction-time configuration (keys, broker
@@ -142,7 +144,7 @@ enum Deferred {
 /// so a fleet of devices keeps its per-poll working set dense.
 pub struct UeDevice {
     // --- Hot: read on every poll_at/poll ---
-    node: NodeId,
+    port: ControlPort,
     /// When the last downlink data packet arrived (watchdog reference).
     last_dl_at: SimTime,
     attach_deadline: Option<SimTime>,
@@ -152,7 +154,8 @@ pub struct UeDevice {
     /// Backoff shape and watchdog; `poll_at` reads `reattach_after` on
     /// every call to compute the watchdog deadline.
     recovery: RecoveryConfig,
-    pending: EventQueue<Packet>,
+    /// Accepts waiting out `verify_delay` (not packets: they are
+    /// verified, then acted on).
     deferred: EventQueue<Deferred>,
     /// The device's transport stack (TCP/MPTCP/UDP sockets live here).
     pub host: Host,
@@ -178,8 +181,6 @@ pub struct UeDevice {
     pub failures: u64,
     /// Successful attaches.
     pub attaches: u64,
-    /// Accumulated SAP processing time (Fig. 7 accounting).
-    pub proc_time: SimDuration,
     /// Attach requests re-sent after signalling loss.
     pub attach_retries: u64,
     /// Times the inactivity watchdog forced a re-attach.
@@ -199,11 +200,11 @@ impl UeDevice {
     /// # Panics
     /// Panics if `cfg.brokers` is empty.
     #[must_use]
-    pub fn new(node: NodeId, cfg: UeDeviceConfig, rng: SimRng) -> Self {
+    pub fn new(node: NodeId, cfg: UeDeviceConfig, rng: SimRng) -> ControlEndpoint<Self> {
         assert!(!cfg.brokers.is_empty(), "a UE needs at least one broker");
-        Self {
+        ControlEndpoint::new(Self {
             host: Host::new(node, None),
-            node,
+            port: ControlPort::new(node, cfg.proc_delay),
             recovery: RecoveryConfig::default(),
             cfg: Box::new(cfg),
             rng,
@@ -211,7 +212,6 @@ impl UeDevice {
             serving: None,
             meter: None,
             replica_penalty: Vec::new(),
-            pending: EventQueue::new(),
             deferred: EventQueue::new(),
             next_report_at: None,
             attach_deadline: None,
@@ -219,7 +219,6 @@ impl UeDevice {
             last_attach_latency: None,
             failures: 0,
             attaches: 0,
-            proc_time: SimDuration::ZERO,
             attach_retries: 0,
             last_dl_at: SimTime::ZERO,
             last_target: None,
@@ -227,7 +226,7 @@ impl UeDevice {
             reattach_at: None,
             watchdog_reattaches: 0,
             stale_accepts: 0,
-        }
+        })
     }
 
     /// The broker replica the UE currently prefers: lowest RTT among the
@@ -350,12 +349,9 @@ impl UeDevice {
             broker_id,
             payload: Bytes::from(req.encode().to_vec()),
         };
-        self.proc_time = self.proc_time + self.cfg.proc_delay;
         self.attach_deadline = Some(now + window);
-        self.pending.push(
-            now + self.cfg.proc_delay,
-            Packet::control(self.cfg.ue_sig, agw_sig, msg.encode()),
-        );
+        self.port
+            .send(now, Packet::control(self.cfg.ue_sig, agw_sig, msg.encode()));
     }
 
     /// Detach from the serving bTelco: emit the final billing report,
@@ -364,7 +360,7 @@ impl UeDevice {
     pub fn detach(&mut self, now: SimTime) {
         self.emit_report(now);
         if let Some(serving) = self.serving.take() {
-            self.pending.push(
+            self.port.stage(
                 now,
                 Packet::control(
                     self.cfg.ue_sig,
@@ -404,8 +400,19 @@ impl UeDevice {
             from_ue: true,
             sealed,
         };
-        self.pending
-            .push(now, Packet::control(self.cfg.ue_sig, ctrl_ip, msg.encode()));
+        self.port
+            .stage(now, Packet::control(self.cfg.ue_sig, ctrl_ip, msg.encode()));
+    }
+
+    /// Forward what the host stack sent, metered as uplink.
+    fn forward_host_output(&mut self, out: &mut Vec<Packet>) {
+        let start = out.len();
+        self.host.drain_out(out);
+        if let Some(meter) = &mut self.meter {
+            for p in &out[start..] {
+                meter.account_ul(u64::from(p.wire_size()));
+            }
+        }
     }
 
     fn on_accept_verified(&mut self, now: SimTime, ue_ip: Ipv4Addr, payload: &[u8]) {
@@ -476,12 +483,10 @@ impl UeDevice {
     }
 }
 
-impl Endpoint for UeDevice {
-    fn node(&self) -> NodeId {
-        self.node
-    }
+impl ControlParty for UeDevice {
+    cellbricks_net::port_field!();
 
-    fn handle_packet(&mut self, now: SimTime, pkt: Packet, out: &mut Vec<Packet>) {
+    fn on_packet(&mut self, now: SimTime, pkt: Packet, out: &mut Vec<Packet>) {
         match &pkt.kind {
             PacketKind::Control(bytes) => {
                 if pkt.dst != self.cfg.ue_sig {
@@ -490,7 +495,7 @@ impl Endpoint for UeDevice {
                 match NasMessage::decode(bytes) {
                     Some(NasMessage::SapAttachAccept { ue_ip, payload, .. }) => {
                         // Verification costs crypto time; defer.
-                        self.proc_time = self.proc_time + self.cfg.verify_delay;
+                        self.port.bill(self.cfg.verify_delay);
                         self.deferred.push(
                             now + self.cfg.verify_delay,
                             Deferred::Accept { ue_ip, payload },
@@ -511,25 +516,17 @@ impl Endpoint for UeDevice {
                     meter.account_dl(u64::from(pkt.wire_size()));
                 }
                 self.host.handle_packet(now, pkt);
-                let mut staged = Vec::new();
-                self.host.drain_out(&mut staged);
-                if let Some(meter) = &mut self.meter {
-                    for p in &staged {
-                        meter.account_ul(u64::from(p.wire_size()));
-                    }
-                }
-                out.append(&mut staged);
+                self.forward_host_output(out);
             }
         }
     }
 
-    fn poll_at(&self) -> Option<SimTime> {
+    fn next_timer(&self) -> Option<SimTime> {
         let watchdog = match (self.recovery.reattach_after, &self.serving) {
             (Some(after), Some(_)) => Some(self.last_dl_at + after),
             _ => None,
         };
         [
-            self.pending.peek_time(),
             self.deferred.peek_time(),
             self.next_report_at,
             self.attach_deadline,
@@ -542,7 +539,7 @@ impl Endpoint for UeDevice {
         .min()
     }
 
-    fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+    fn on_timer(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         // Inactivity watchdog: attached but no downlink for the
         // configured window — the serving telco likely crashed and lost
         // the session (it will never page us again). Detach locally and
@@ -609,16 +606,6 @@ impl Endpoint for UeDevice {
             }
         }
         self.host.poll(now);
-        let mut staged = Vec::new();
-        self.host.drain_out(&mut staged);
-        if let Some(meter) = &mut self.meter {
-            for p in &staged {
-                meter.account_ul(u64::from(p.wire_size()));
-            }
-        }
-        out.append(&mut staged);
-        while let Some((_, pkt)) = self.pending.pop_due(now) {
-            out.push(pkt);
-        }
+        self.forward_host_output(out);
     }
 }

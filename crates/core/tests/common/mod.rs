@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use cellbricks_core::broker_server::Population;
 use cellbricks_core::brokerd::{Brokerd, BrokerdConfig};
-use cellbricks_net::{Endpoint, NodeId, Packet};
+use cellbricks_net::{ControlEndpoint, Endpoint, NodeId, Packet};
 use cellbricks_sim::{SimDuration, SimRng, SimTime};
 use std::net::Ipv4Addr;
 
@@ -12,7 +12,7 @@ const BROKER_IP: Ipv4Addr = Ipv4Addr::new(172, 16, 0, 1);
 
 /// A `Brokerd` provisioned like `pop.server(rng)`: same keys, same
 /// subscribers in the same order, same grant rng.
-pub fn sim_broker(pop: &Population, rng: SimRng) -> Brokerd {
+pub fn sim_broker(pop: &Population, rng: SimRng) -> ControlEndpoint<Brokerd> {
     let cfg = BrokerdConfig {
         ip: BROKER_IP,
         keys: pop.broker.clone(),
@@ -31,7 +31,7 @@ pub fn sim_broker(pop: &Population, rng: SimRng) -> Brokerd {
 
 /// Deliver one `Control` payload at t = 0 and collect whatever the
 /// broker emits for it.
-pub fn sim_feed(brokerd: &mut Brokerd, payload: &[u8], out: &mut Vec<Packet>) {
+pub fn sim_feed(brokerd: &mut ControlEndpoint<Brokerd>, payload: &[u8], out: &mut Vec<Packet>) {
     let src = Ipv4Addr::new(172, 16, 1, 1);
     let pkt = Packet::control(src, BROKER_IP, Bytes::copy_from_slice(payload));
     brokerd.handle_packet(SimTime::ZERO, pkt, out);

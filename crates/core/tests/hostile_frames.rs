@@ -18,6 +18,7 @@ use cellbricks_core::broker_server::{build_requests, population, BrokerServer};
 use cellbricks_core::brokerd::{BrokerWire, Brokerd};
 use cellbricks_core::sap::{AuthReqT, AuthReqU, BrokerReply, SignedSealed};
 use cellbricks_net::wire::unframe;
+use cellbricks_net::ControlEndpoint;
 use cellbricks_sim::SimRng;
 use cellbricks_telemetry as telemetry;
 use common::sim_broker;
@@ -73,7 +74,7 @@ fn assert_still_serves(server: &mut BrokerServer, fresh: &[u8]) {
 
 /// A provisioned simulated broker plus valid `BrokerWire::AuthReq`
 /// payloads (the wire requests, unframed) to mutate.
-fn sim_world(n_reqs: usize) -> (Brokerd, Vec<Vec<u8>>) {
+fn sim_world(n_reqs: usize) -> (ControlEndpoint<Brokerd>, Vec<Vec<u8>>) {
     let pop = population(7, 4);
     let mut rng = SimRng::new(1234);
     let payloads = build_requests(&pop, &[0, 1, 2, 3], n_reqs, &mut rng)
@@ -83,11 +84,11 @@ fn sim_world(n_reqs: usize) -> (Brokerd, Vec<Vec<u8>>) {
     (sim_broker(&pop, SimRng::new(99)), payloads)
 }
 
-fn sim_feed(brokerd: &mut Brokerd, payload: &[u8]) {
+fn sim_feed(brokerd: &mut ControlEndpoint<Brokerd>, payload: &[u8]) {
     common::sim_feed(brokerd, payload, &mut Vec::new());
 }
 
-fn assert_sim_still_serves(brokerd: &mut Brokerd, fresh: &[u8]) {
+fn assert_sim_still_serves(brokerd: &mut ControlEndpoint<Brokerd>, fresh: &[u8]) {
     let before = brokerd.auth_ok;
     sim_feed(brokerd, fresh);
     assert_eq!(

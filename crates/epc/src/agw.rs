@@ -10,8 +10,8 @@ use crate::aka::{derive_nas_int_key, nas_mac};
 use crate::gateway::{BearerTable, IpPool};
 use crate::nas::NasMessage;
 use crate::s6a::S6aMessage;
-use cellbricks_net::{Endpoint, NodeId, Packet, PacketKind};
-use cellbricks_sim::{EventQueue, SimDuration, SimTime};
+use cellbricks_net::{ControlEndpoint, ControlParty, ControlPort, NodeId, Packet, PacketKind};
+use cellbricks_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -47,17 +47,15 @@ enum AttachState {
     },
 }
 
-/// The baseline access gateway endpoint.
+/// The baseline access gateway; its port bills each control message it
+/// originates.
 pub struct Agw {
-    node: NodeId,
+    port: ControlPort,
     cfg: AgwConfig,
     pool: IpPool,
     /// Active bearers (public for harness inspection/accounting).
     pub bearers: BearerTable,
     attaches: HashMap<u64, AttachState>,
-    pending: EventQueue<Packet>,
-    /// Accumulated control-plane processing time (Fig. 7 accounting).
-    pub proc_time: SimDuration,
     /// Completed attaches.
     pub attach_count: u64,
     /// Rejected attaches.
@@ -69,26 +67,22 @@ pub struct Agw {
 impl Agw {
     /// Create the AGW on `node`.
     #[must_use]
-    pub fn new(node: NodeId, cfg: AgwConfig) -> Self {
-        let pool = IpPool::new(cfg.pool_base);
-        Self {
-            node,
+    pub fn new(node: NodeId, cfg: AgwConfig) -> ControlEndpoint<Self> {
+        ControlEndpoint::new(Self {
+            port: ControlPort::new(node, cfg.proc_delay),
+            pool: IpPool::new(cfg.pool_base),
             cfg,
-            pool,
             bearers: BearerTable::new(),
             attaches: HashMap::new(),
-            pending: EventQueue::new(),
-            proc_time: SimDuration::ZERO,
             attach_count: 0,
             reject_count: 0,
             no_bearer_drops: 0,
-        }
+        })
     }
 
     fn emit_control(&mut self, now: SimTime, dst: Ipv4Addr, bytes: bytes::Bytes) {
-        self.proc_time = self.proc_time + self.cfg.proc_delay;
         let pkt = Packet::control(self.cfg.sig_ip, dst, bytes);
-        self.pending.push(now + self.cfg.proc_delay, pkt);
+        self.port.send(now, pkt);
     }
 
     fn emit_nas(&mut self, now: SimTime, dst: Ipv4Addr, msg: NasMessage) {
@@ -241,12 +235,10 @@ impl Agw {
     }
 }
 
-impl Endpoint for Agw {
-    fn node(&self) -> NodeId {
-        self.node
-    }
+impl ControlParty for Agw {
+    cellbricks_net::port_field!();
 
-    fn handle_packet(&mut self, now: SimTime, pkt: Packet, out: &mut Vec<Packet>) {
+    fn on_packet(&mut self, now: SimTime, pkt: Packet, out: &mut Vec<Packet>) {
         match &pkt.kind {
             PacketKind::Control(bytes) => {
                 if pkt.dst != self.cfg.sig_ip {
@@ -279,24 +271,15 @@ impl Endpoint for Agw {
             }
         }
     }
-
-    fn poll_at(&self) -> Option<SimTime> {
-        self.pending.peek_time()
-    }
-
-    fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        while let Some((_, pkt)) = self.pending.pop_due(now) {
-            out.push(pkt);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use cellbricks_net::Endpoint;
 
-    fn agw() -> Agw {
+    fn agw() -> ControlEndpoint<Agw> {
         Agw::new(
             NodeId(1),
             AgwConfig {

@@ -6,23 +6,18 @@
 
 use crate::aka::{derive_vector, SharedKey};
 use crate::s6a::S6aMessage;
-use cellbricks_net::{Endpoint, NodeId, Packet, PacketKind};
-use cellbricks_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use cellbricks_net::{ControlEndpoint, ControlParty, ControlPort, NodeId, Packet, PacketKind};
+use cellbricks_sim::{SimDuration, SimRng, SimTime};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-/// The subscriber database endpoint.
+/// The subscriber database; its port bills each answer.
 pub struct SubscriberDb {
-    node: NodeId,
+    port: ControlPort,
     /// This service's address.
     pub ip: Ipv4Addr,
-    /// Per-request processing delay.
-    pub proc_delay: SimDuration,
     subscribers: HashMap<u64, SharedKey>,
-    pending: EventQueue<Packet>,
     rng: SimRng,
-    /// Accumulated processing time (Fig. 7 accounting).
-    pub proc_time: SimDuration,
     /// AIR requests served.
     pub air_count: u64,
     /// ULR requests served.
@@ -32,18 +27,20 @@ pub struct SubscriberDb {
 impl SubscriberDb {
     /// Create the HSS at `node` with address `ip`.
     #[must_use]
-    pub fn new(node: NodeId, ip: Ipv4Addr, proc_delay: SimDuration, rng: SimRng) -> Self {
-        Self {
-            node,
+    pub fn new(
+        node: NodeId,
+        ip: Ipv4Addr,
+        proc_delay: SimDuration,
+        rng: SimRng,
+    ) -> ControlEndpoint<Self> {
+        ControlEndpoint::new(Self {
+            port: ControlPort::new(node, proc_delay),
             ip,
-            proc_delay,
             subscribers: HashMap::new(),
-            pending: EventQueue::new(),
             rng,
-            proc_time: SimDuration::ZERO,
             air_count: 0,
             ulr_count: 0,
-        }
+        })
     }
 
     /// Provision a subscriber.
@@ -52,18 +49,15 @@ impl SubscriberDb {
     }
 
     fn respond(&mut self, now: SimTime, to: Ipv4Addr, msg: S6aMessage) {
-        self.proc_time = self.proc_time + self.proc_delay;
         let pkt = Packet::control(self.ip, to, msg.encode());
-        self.pending.push(now + self.proc_delay, pkt);
+        self.port.send(now, pkt);
     }
 }
 
-impl Endpoint for SubscriberDb {
-    fn node(&self) -> NodeId {
-        self.node
-    }
+impl ControlParty for SubscriberDb {
+    cellbricks_net::port_field!();
 
-    fn handle_packet(&mut self, now: SimTime, pkt: Packet, _out: &mut Vec<Packet>) {
+    fn on_packet(&mut self, now: SimTime, pkt: Packet, _out: &mut Vec<Packet>) {
         let PacketKind::Control(bytes) = &pkt.kind else {
             return;
         };
@@ -99,23 +93,14 @@ impl Endpoint for SubscriberDb {
             S6aMessage::Aia { .. } | S6aMessage::Ula { .. } | S6aMessage::Error { .. } => {}
         }
     }
-
-    fn poll_at(&self) -> Option<SimTime> {
-        self.pending.peek_time()
-    }
-
-    fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        while let Some((_, pkt)) = self.pending.pop_due(now) {
-            out.push(pkt);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cellbricks_net::Endpoint;
 
-    fn db() -> SubscriberDb {
+    fn db() -> ControlEndpoint<SubscriberDb> {
         let mut db = SubscriberDb::new(
             NodeId(0),
             Ipv4Addr::new(172, 16, 0, 1),
@@ -126,7 +111,7 @@ mod tests {
         db
     }
 
-    fn request(db: &mut SubscriberDb, msg: S6aMessage) -> S6aMessage {
+    fn request(db: &mut ControlEndpoint<SubscriberDb>, msg: S6aMessage) -> S6aMessage {
         let mut out = Vec::new();
         let pkt = Packet::control(Ipv4Addr::new(10, 0, 0, 1), db.ip, msg.encode());
         db.handle_packet(SimTime::ZERO, pkt, &mut out);
@@ -149,7 +134,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(db.air_count, 1);
-        assert_eq!(db.proc_time, SimDuration::from_millis(3));
+        assert_eq!(db.proc_time(), SimDuration::from_millis(3));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use crate::aka::{derive_nas_int_key, nas_mac, ue_respond, SharedKey};
 use crate::nas::NasMessage;
-use cellbricks_net::{Endpoint, NodeId, Packet, PacketKind};
-use cellbricks_sim::{EventQueue, SimDuration, SimTime, Summary};
+use cellbricks_net::{ControlEndpoint, ControlParty, ControlPort, NodeId, Packet, PacketKind};
+use cellbricks_sim::{SimDuration, SimTime, Summary};
 use cellbricks_telemetry as telemetry;
 use std::net::Ipv4Addr;
 
@@ -37,22 +37,20 @@ enum State {
     Attached,
 }
 
-/// The baseline UE NAS endpoint.
+/// The baseline UE NAS client; its port bills each NAS message it sends
+/// during an attach.
 pub struct UeNas {
-    node: NodeId,
+    port: ControlPort,
     cfg: UeNasConfig,
     state: State,
     kasme: Option<[u8; 32]>,
     /// The address assigned at attach, if attached.
     pub ue_ip: Option<Ipv4Addr>,
     attach_started: Option<SimTime>,
-    pending: EventQueue<Packet>,
     /// Attach latency samples (milliseconds).
     pub attach_latency_ms: Summary,
     /// Latency of the most recent successful attach.
     pub last_attach_latency: Option<SimDuration>,
-    /// Accumulated UE processing time (Fig. 7 accounting).
-    pub proc_time: SimDuration,
     /// Attach failures observed.
     pub failures: u64,
 }
@@ -60,20 +58,18 @@ pub struct UeNas {
 impl UeNas {
     /// Create the UE NAS client on `node`.
     #[must_use]
-    pub fn new(node: NodeId, cfg: UeNasConfig) -> Self {
-        Self {
-            node,
+    pub fn new(node: NodeId, cfg: UeNasConfig) -> ControlEndpoint<Self> {
+        ControlEndpoint::new(Self {
+            port: ControlPort::new(node, cfg.proc_delay),
             cfg,
             state: State::Idle,
             kasme: None,
             ue_ip: None,
             attach_started: None,
-            pending: EventQueue::new(),
             attach_latency_ms: Summary::new(),
             last_attach_latency: None,
-            proc_time: SimDuration::ZERO,
             failures: 0,
-        }
+        })
     }
 
     /// True once attached.
@@ -110,18 +106,15 @@ impl UeNas {
     }
 
     fn emit(&mut self, now: SimTime, msg: NasMessage) {
-        self.proc_time = self.proc_time + self.cfg.proc_delay;
         let pkt = Packet::control(self.cfg.ue_sig, self.cfg.agw_sig, msg.encode());
-        self.pending.push(now + self.cfg.proc_delay, pkt);
+        self.port.send(now, pkt);
     }
 }
 
-impl Endpoint for UeNas {
-    fn node(&self) -> NodeId {
-        self.node
-    }
+impl ControlParty for UeNas {
+    cellbricks_net::port_field!();
 
-    fn handle_packet(&mut self, now: SimTime, pkt: Packet, _out: &mut Vec<Packet>) {
+    fn on_packet(&mut self, now: SimTime, pkt: Packet, _out: &mut Vec<Packet>) {
         let PacketKind::Control(bytes) = &pkt.kind else {
             return;
         };
@@ -194,7 +187,7 @@ impl Endpoint for UeNas {
                     self.cfg.agw_sig,
                     NasMessage::AttachComplete { imsi }.encode(),
                 );
-                self.pending.push(now + self.cfg.proc_delay, pkt);
+                self.port.send_unbilled(now, pkt);
             }
             NasMessage::AttachReject { imsi, .. } if imsi == self.cfg.imsi => {
                 self.failures += 1;
@@ -202,16 +195,6 @@ impl Endpoint for UeNas {
             }
             NasMessage::DetachAccept { .. } => {}
             _ => {}
-        }
-    }
-
-    fn poll_at(&self) -> Option<SimTime> {
-        self.pending.peek_time()
-    }
-
-    fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        while let Some((_, pkt)) = self.pending.pop_due(now) {
-            out.push(pkt);
         }
     }
 }
@@ -228,24 +211,41 @@ mod tests {
     const UE_SIG: Ipv4Addr = Ipv4Addr::new(169, 254, 0, 1);
     const AGW_SIG: Ipv4Addr = Ipv4Addr::new(172, 16, 1, 1);
     const SDB_IP: Ipv4Addr = Ipv4Addr::new(172, 16, 0, 1);
+    const SIM_KEY: SharedKey = SharedKey([7; 16]);
 
-    /// Build the full baseline testbed: UE — eNB — AGW — (cloud) SDB.
-    fn testbed(cloud_latency: SimDuration) -> (NetWorld, UeNas, Enb, Agw, SubscriberDb) {
+    /// The full baseline testbed: UE — eNB — AGW — (cloud) SDB, the HSS
+    /// holding IMSI 42 under `SIM_KEY`.
+    struct Testbed {
+        world: NetWorld,
+        ue: ControlEndpoint<UeNas>,
+        enb: ControlEndpoint<Enb>,
+        agw: ControlEndpoint<Agw>,
+        sdb: ControlEndpoint<SubscriberDb>,
+    }
+
+    impl Testbed {
+        fn run(&mut self, from: SimTime, until: SimTime) {
+            let Self {
+                world,
+                ue,
+                enb,
+                agw,
+                sdb,
+            } = self;
+            Driver::starting_at(from).run_to(world, &mut [ue, enb, agw, sdb], until);
+        }
+    }
+
+    /// The testbed with a UE whose SIM holds `imsi` under `key`.
+    fn testbed(cloud_latency: SimDuration, imsi: u64, key: SharedKey) -> Testbed {
         let mut t = Topology::new();
         let ue = t.add_node("ue");
         let enb = t.add_node("enb");
         let agw = t.add_node("agw");
         let cloud = t.add_node("cloud");
-        let l_radio = t.add_symmetric_link(
-            ue,
-            enb,
-            LinkConfig::delay_only(SimDuration::from_micros(100)),
-        );
-        let l_back = t.add_symmetric_link(
-            enb,
-            agw,
-            LinkConfig::delay_only(SimDuration::from_micros(100)),
-        );
+        let hop = LinkConfig::delay_only(SimDuration::from_micros(100));
+        let l_radio = t.add_symmetric_link(ue, enb, hop.clone());
+        let l_back = t.add_symmetric_link(enb, agw, hop);
         let l_cloud = t.add_symmetric_link(agw, cloud, LinkConfig::delay_only(cloud_latency));
         t.add_default_route(ue, l_radio);
         t.add_route(enb, UE_SIG, 32, l_radio);
@@ -254,74 +254,61 @@ mod tests {
         t.add_default_route(agw, l_cloud);
         t.add_default_route(cloud, l_cloud);
 
-        let world = NetWorld::new(t, SimRng::new(3));
-        let ue_nas = UeNas::new(
-            ue,
-            UeNasConfig {
-                imsi: 42,
-                key: SharedKey([7; 16]),
-                ue_sig: UE_SIG,
-                agw_sig: AGW_SIG,
-                proc_delay: SimDuration::from_micros(1500),
-            },
-        );
-        let enb_ep = Enb::new(enb, SimDuration::from_micros(500));
-        let agw_ep = Agw::new(
-            agw,
-            AgwConfig {
-                sig_ip: AGW_SIG,
-                sdb_ip: SDB_IP,
-                pool_base: Ipv4Addr::new(10, 1, 0, 0),
-                proc_delay: SimDuration::from_micros(3000),
-            },
-        );
-        let mut sdb = SubscriberDb::new(
-            cloud,
-            SDB_IP,
-            SimDuration::from_micros(2500),
-            SimRng::new(4),
-        );
-        sdb.provision(42, SharedKey([7; 16]));
-        (world, ue_nas, enb_ep, agw_ep, sdb)
+        let ue_cfg = UeNasConfig {
+            imsi,
+            key,
+            ue_sig: UE_SIG,
+            agw_sig: AGW_SIG,
+            proc_delay: SimDuration::from_micros(1500),
+        };
+        let agw_cfg = AgwConfig {
+            sig_ip: AGW_SIG,
+            sdb_ip: SDB_IP,
+            pool_base: Ipv4Addr::new(10, 1, 0, 0),
+            proc_delay: SimDuration::from_micros(3000),
+        };
+        let sdb_delay = SimDuration::from_micros(2500);
+        let mut sdb = SubscriberDb::new(cloud, SDB_IP, sdb_delay, SimRng::new(4));
+        sdb.provision(42, SIM_KEY);
+        Testbed {
+            world: NetWorld::new(t, SimRng::new(3)),
+            ue: UeNas::new(ue, ue_cfg),
+            enb: Enb::new(enb, SimDuration::from_micros(500)),
+            agw: Agw::new(agw, agw_cfg),
+            sdb,
+        }
+    }
+
+    /// Attach with IMSI 42 over a cloud link of `cloud_latency`.
+    fn attached(cloud_latency: SimDuration) -> Testbed {
+        let mut tb = testbed(cloud_latency, 42, SIM_KEY);
+        tb.ue.start_attach(SimTime::ZERO);
+        tb.run(SimTime::ZERO, SimTime::from_secs(1));
+        tb
     }
 
     #[test]
     fn full_baseline_attach_end_to_end() {
-        let (mut world, mut ue, mut enb, mut agw, mut sdb) = testbed(SimDuration::from_millis(4));
-        ue.start_attach(SimTime::ZERO);
-        Driver::new().run_to(
-            &mut world,
-            &mut [&mut ue, &mut enb, &mut agw, &mut sdb],
-            SimTime::from_secs(2),
-        );
-        assert!(ue.is_attached());
-        assert_eq!(ue.ue_ip, Some(Ipv4Addr::new(10, 1, 0, 2)));
-        assert_eq!(agw.attach_count, 1);
-        assert_eq!(sdb.air_count, 1);
-        assert_eq!(sdb.ulr_count, 1, "baseline uses the second round trip");
-        assert_eq!(ue.failures, 0);
-        assert_eq!(ue.attach_latency_ms.count(), 1);
+        let tb = attached(SimDuration::from_millis(4));
+        assert!(tb.ue.is_attached());
+        assert_eq!(tb.ue.ue_ip, Some(Ipv4Addr::new(10, 1, 0, 2)));
+        assert_eq!(tb.agw.attach_count, 1);
+        assert_eq!(tb.sdb.air_count, 1);
+        assert_eq!(tb.sdb.ulr_count, 1, "baseline uses the second round trip");
+        assert_eq!(tb.ue.failures, 0);
+        assert_eq!(tb.ue.attach_latency_ms.count(), 1);
     }
 
     #[test]
     fn attach_latency_scales_with_cloud_rtt() {
-        let (mut world, mut ue, mut enb, mut agw, mut sdb) = testbed(SimDuration::from_millis(1));
-        ue.start_attach(SimTime::ZERO);
-        Driver::new().run_to(
-            &mut world,
-            &mut [&mut ue, &mut enb, &mut agw, &mut sdb],
-            SimTime::from_secs(2),
-        );
-        let near = ue.attach_latency_ms.mean();
-
-        let (mut world, mut ue, mut enb, mut agw, mut sdb) = testbed(SimDuration::from_millis(35));
-        ue.start_attach(SimTime::ZERO);
-        Driver::new().run_to(
-            &mut world,
-            &mut [&mut ue, &mut enb, &mut agw, &mut sdb],
-            SimTime::from_secs(2),
-        );
-        let far = ue.attach_latency_ms.mean();
+        let near = attached(SimDuration::from_millis(1))
+            .ue
+            .attach_latency_ms
+            .mean();
+        let far = attached(SimDuration::from_millis(35))
+            .ue
+            .attach_latency_ms
+            .mean();
         // Two S6A round trips: moving the HSS 34 ms further should add
         // ~4 × 34 ms of one-way latency = ~136 ms.
         let delta = far - near;
@@ -333,70 +320,33 @@ mod tests {
 
     #[test]
     fn unknown_subscriber_rejected() {
-        let (mut world, _ue, mut enb, mut agw, mut sdb) = testbed(SimDuration::from_millis(1));
-        let ue_node = cellbricks_net::NodeId(0);
-        let mut ue = UeNas::new(
-            ue_node,
-            UeNasConfig {
-                imsi: 999, // Not provisioned.
-                key: SharedKey([9; 16]),
-                ue_sig: UE_SIG,
-                agw_sig: AGW_SIG,
-                proc_delay: SimDuration::from_micros(1500),
-            },
-        );
-        ue.start_attach(SimTime::ZERO);
-        Driver::new().run_to(
-            &mut world,
-            &mut [&mut ue, &mut enb, &mut agw, &mut sdb],
-            SimTime::from_secs(2),
-        );
-        assert!(!ue.is_attached());
-        assert_eq!(ue.failures, 1);
-        assert_eq!(agw.reject_count, 1);
+        // IMSI 999 is not provisioned.
+        let mut tb = testbed(SimDuration::from_millis(1), 999, SharedKey([9; 16]));
+        tb.ue.start_attach(SimTime::ZERO);
+        tb.run(SimTime::ZERO, SimTime::from_secs(2));
+        assert!(!tb.ue.is_attached());
+        assert_eq!(tb.ue.failures, 1);
+        assert_eq!(tb.agw.reject_count, 1);
     }
 
     #[test]
     fn wrong_sim_key_fails_mutual_auth() {
-        let (mut world, _ue, mut enb, mut agw, mut sdb) = testbed(SimDuration::from_millis(1));
-        let mut ue = UeNas::new(
-            cellbricks_net::NodeId(0),
-            UeNasConfig {
-                imsi: 42,
-                key: SharedKey([8; 16]), // HSS has [7; 16].
-                ue_sig: UE_SIG,
-                agw_sig: AGW_SIG,
-                proc_delay: SimDuration::from_micros(1500),
-            },
-        );
-        ue.start_attach(SimTime::ZERO);
-        Driver::new().run_to(
-            &mut world,
-            &mut [&mut ue, &mut enb, &mut agw, &mut sdb],
-            SimTime::from_secs(2),
-        );
+        // The HSS holds `SIM_KEY` ([7; 16]) for IMSI 42.
+        let mut tb = testbed(SimDuration::from_millis(1), 42, SharedKey([8; 16]));
+        tb.ue.start_attach(SimTime::ZERO);
+        tb.run(SimTime::ZERO, SimTime::from_secs(2));
         // The UE rejects the network's AUTN (computed under a key the UE
         // doesn't hold) — mutual authentication fails at the UE side.
-        assert!(!ue.is_attached());
-        assert_eq!(ue.failures, 1);
+        assert!(!tb.ue.is_attached());
+        assert_eq!(tb.ue.failures, 1);
     }
 
     #[test]
     fn detach_releases_bearer() {
-        let (mut world, mut ue, mut enb, mut agw, mut sdb) = testbed(SimDuration::from_millis(1));
-        ue.start_attach(SimTime::ZERO);
-        Driver::new().run_to(
-            &mut world,
-            &mut [&mut ue, &mut enb, &mut agw, &mut sdb],
-            SimTime::from_secs(1),
-        );
-        assert_eq!(agw.bearers.len(), 1);
-        ue.start_detach(SimTime::from_secs(1));
-        Driver::starting_at(SimTime::from_secs(1)).run_to(
-            &mut world,
-            &mut [&mut ue, &mut enb, &mut agw, &mut sdb],
-            SimTime::from_secs(2),
-        );
-        assert_eq!(agw.bearers.len(), 0);
+        let mut tb = attached(SimDuration::from_millis(1));
+        assert_eq!(tb.agw.bearers.len(), 1);
+        tb.ue.start_detach(SimTime::from_secs(1));
+        tb.run(SimTime::from_secs(1), SimTime::from_secs(2));
+        assert_eq!(tb.agw.bearers.len(), 0);
     }
 }

@@ -45,7 +45,7 @@ fn endpoint_index(map: &[Option<u32>], node: NodeId) -> Option<usize> {
 /// The earlier of two optional instants, in scalar compares (an array
 /// `min` stores words and reloads vectors: a store-forwarding stall).
 #[inline]
-fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+pub(crate) fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     match (a, b) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, None) => a,

@@ -15,6 +15,9 @@
 //! * [`topology`] — nodes, links and longest-prefix routes,
 //! * [`world`] — the packet mover: [`NetWorld`] and the [`Endpoint`]
 //!   trait,
+//! * [`control`] — the control-plane adapter: [`ControlEndpoint`] runs
+//!   a [`ControlParty`]'s processing-delay line, ledger, serial service
+//!   and outage gate,
 //! * [`engine`] — the indexed simulation engine: the [`Driver`] that
 //!   wakes endpoints through a timer index instead of a per-event scan,
 //! * [`fault`] — deterministic fault injection: the [`FaultPlan`]
@@ -24,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod control;
 pub mod engine;
 pub mod fault;
 pub mod link;
@@ -33,6 +37,7 @@ pub mod topology;
 pub mod wire;
 pub mod world;
 
+pub use control::{ControlEndpoint, ControlParty, ControlPort};
 pub use engine::{run_between, run_until, Driver};
 pub use fault::{BurstLoss, EndpointFault, FaultAction, FaultPlan};
 pub use link::{LinkConfig, RateSchedule, Shaper};

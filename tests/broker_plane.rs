@@ -21,7 +21,7 @@ use cellbricks::core::ue::{UeDevice, UeDeviceConfig};
 use cellbricks::crypto::cert::CertificateAuthority;
 use cellbricks::epc::enb::Enb;
 use cellbricks::net::{
-    Driver, Endpoint, FaultPlan, LinkConfig, NetWorld, NodeId, Router, Topology,
+    ControlEndpoint, Driver, Endpoint, FaultPlan, LinkConfig, NetWorld, NodeId, Router, Topology,
 };
 use cellbricks::sim::{SimDuration, SimRng, SimTime};
 use std::net::Ipv4Addr;
@@ -31,11 +31,11 @@ const TELCO: &str = "tower-1.example";
 
 struct PlaneWorld {
     world: NetWorld,
-    enb: Enb,
-    telco: BTelcoGateway,
+    enb: ControlEndpoint<Enb>,
+    telco: ControlEndpoint<BTelcoGateway>,
     internet: Router,
     pair: BrokerPair,
-    ues: Vec<UeDevice>,
+    ues: Vec<ControlEndpoint<UeDevice>>,
     driver: Driver,
     primary_node: NodeId,
 }

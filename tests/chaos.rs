@@ -142,7 +142,7 @@ fn broker_outage_delays_but_not_denies_attach() {
         "cannot attach while the broker is dark"
     );
     assert!(w.ue.attach_retries >= 1, "retries fired during the outage");
-    assert!(w.brokerd.dropped_while_down > 0);
+    assert!(w.brokerd.dropped_while_down() > 0);
 
     w.run_to(SECS(30));
     assert!(
@@ -211,7 +211,7 @@ fn reply_staged_before_outage_flushes_at_recovery_as_stale() {
     );
     assert!(w.ue.attach_retries >= 1, "retry fired during the window");
     assert!(
-        w.brokerd.dropped_while_down >= 1,
+        w.brokerd.dropped_while_down() >= 1,
         "mid-outage request dropped"
     );
 
@@ -539,10 +539,10 @@ fn composite_chaos_fingerprint(seed: u64) -> Vec<u64> {
         w.ue.watchdog_reattaches,
         w.ue.host.mp(conn).data_received(),
         w.telco1.crashes,
-        w.telco1.dropped_while_down,
+        w.telco1.dropped_while_down(),
         w.telco1.attach_count,
         w.telco1.no_bearer_drops,
-        w.brokerd.dropped_while_down,
+        w.brokerd.dropped_while_down(),
         w.brokerd.auth_ok,
         w.brokerd.cycles_checked,
         r1.ab_delivered,

@@ -10,7 +10,9 @@ use cellbricks::core::sap::QosCap;
 use cellbricks::core::ue::{BrokerReplica, RecoveryConfig, UeDevice, UeDeviceConfig};
 use cellbricks::crypto::cert::CertificateAuthority;
 use cellbricks::epc::enb::Enb;
-use cellbricks::net::{Driver, Endpoint, LinkConfig, LinkId, NetWorld, NodeId, Router, Topology};
+use cellbricks::net::{
+    ControlEndpoint, Driver, Endpoint, LinkConfig, LinkId, NetWorld, NodeId, Router, Topology,
+};
 use cellbricks::sim::{SimDuration, SimRng, SimTime};
 use cellbricks::transport::Host;
 use std::collections::HashMap;
@@ -30,13 +32,13 @@ pub const BROKER: &str = "broker.example";
 #[allow(dead_code)]
 pub struct CellBricksWorld {
     pub world: NetWorld,
-    pub ue: UeDevice,
+    pub ue: ControlEndpoint<UeDevice>,
     pub ue_identity: cellbricks::core::principal::Identity,
-    pub enb1: Enb,
-    pub enb2: Enb,
-    pub telco1: BTelcoGateway,
-    pub telco2: BTelcoGateway,
-    pub brokerd: Brokerd,
+    pub enb1: ControlEndpoint<Enb>,
+    pub enb2: ControlEndpoint<Enb>,
+    pub telco1: ControlEndpoint<BTelcoGateway>,
+    pub telco2: ControlEndpoint<BTelcoGateway>,
+    pub brokerd: ControlEndpoint<Brokerd>,
     pub internet: Router,
     pub server: Host,
     pub radio1: LinkId,

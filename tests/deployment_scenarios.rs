@@ -19,7 +19,9 @@ use cellbricks::epc::aka::SharedKey;
 use cellbricks::epc::enb::Enb;
 use cellbricks::epc::subscriber_db::SubscriberDb;
 use cellbricks::epc::ue_nas::{UeNas, UeNasConfig};
-use cellbricks::net::{Driver, Endpoint, LinkConfig, NetWorld, NodeId, Packet, Topology};
+use cellbricks::net::{
+    ControlEndpoint, Driver, Endpoint, LinkConfig, NetWorld, NodeId, Packet, Topology,
+};
 use cellbricks::sim::{SimDuration, SimRng, SimTime};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -199,8 +201,8 @@ fn one_btelco_serves_two_brokers() {
 /// A dual-stack device: the legacy NAS client and the CellBricks SAP
 /// client sharing one node (paper §3.1's incremental-deployment mode).
 struct DualStackUe {
-    nas: UeNas,
-    sap: UeDevice,
+    nas: ControlEndpoint<UeNas>,
+    sap: ControlEndpoint<UeDevice>,
 }
 
 impl Endpoint for DualStackUe {

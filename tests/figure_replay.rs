@@ -6,6 +6,11 @@
 //!
 //! `table1` and `quic_ablation` are replayed by `ci.sh` only: their
 //! drives are too long for a debug-build test.
+//!
+//! The registry snapshot taken right after a replay doubles as the
+//! telemetry smoke: fig7's must carry the per-phase attach histograms,
+//! and cc's the per-algorithm `cc.*` counters, proving each algorithm
+//! actually ran behind the trait (not silently defaulted).
 
 use cellbricks_bench::figures::{self, Family};
 use cellbricks_telemetry as telemetry;
@@ -14,8 +19,9 @@ use cellbricks_telemetry as telemetry;
 /// so each figure runs alone on a registry reset for it, as `repro` does.
 static REGISTRY_IN_USE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn replay(family: Family) {
-    let rendered = {
+/// Replay `family` and return the registry snapshot it left.
+fn replay(family: Family) -> telemetry::MetricsSnapshot {
+    let (rendered, snapshot) = {
         // A panicking holder leaves the `()` as valid as ever.
         let _exclusive = REGISTRY_IN_USE
             .lock()
@@ -26,7 +32,10 @@ fn replay(family: Family) {
             .iter()
             .map(figures::run)
             .collect();
-        figures::render(family, &outs)
+        (
+            figures::render(family, &outs),
+            telemetry::global().snapshot(),
+        )
     };
     let path = format!(
         "{}/results/{}.txt",
@@ -38,11 +47,15 @@ fn replay(family: Family) {
         rendered == committed,
         "{path} no longer replays byte-identically; rendered:\n{rendered}"
     );
+    snapshot
 }
 
 #[test]
 fn fig7_replays() {
-    replay(Family::Fig7);
+    let snapshot = replay(Family::Fig7);
+    let name = "fig7.us-east-1.CB.total_ns";
+    let recorded = snapshot.histograms.get(name).map_or(0, |h| h.count);
+    assert!(recorded > 0, "{name} recorded nothing");
 }
 
 #[test]
@@ -62,7 +75,15 @@ fn fig10_replays() {
 
 #[test]
 fn cc_replays() {
-    replay(Family::Cc);
+    let snapshot = replay(Family::Cc);
+    for name in [
+        "cc.cubic.loss_events",
+        "cc.reno.loss_events",
+        "cc.bbr.probe_rtt_entries",
+    ] {
+        let counted = snapshot.counters.get(name).copied().unwrap_or(0);
+        assert!(counted > 0, "{name} counted nothing");
+    }
 }
 
 #[test]
