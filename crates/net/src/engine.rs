@@ -15,7 +15,7 @@
 //! * **dirty set** — only endpoints that just received a packet or just
 //!   polled are re-queried for `poll_at()`; everything else is passive
 //!   and cannot have moved its own timer;
-//! * **no staging** — arrivals go from the world's per-direction FIFOs
+//! * **no staging** — arrivals go from the world's arrival FIFOs
 //!   straight into `handle_packet`, and endpoint output is drained into
 //!   one buffer owned by the driver, so the hot loop neither allocates
 //!   nor copies a packet it does not have to;

@@ -175,7 +175,9 @@ pub(crate) struct Direction {
     /// When the previous packet finishes service (FIFO ordering point).
     busy_until: SimTime,
     /// Newest in-flight cell of this direction's arrival FIFO in the
-    /// world's slab, or `u32::MAX` when none is in flight.
+    /// world's slab, or `u32::MAX` when none is in flight. Shaped
+    /// directions only: a delay-only one files into the FIFO its
+    /// configuration shares.
     pub(crate) fifo_tail: u32,
     /// Token-bucket level at `bucket_at` (bytes).
     bucket_level: f64,
@@ -334,7 +336,9 @@ impl Direction {
         }
         // `done ≥ start ≥` every earlier `done`, and nothing changes the
         // latency after construction: a direction delivers in the order
-        // it accepts, which the world's per-direction FIFOs rely on.
+        // it accepts, which a shaped direction's own FIFO relies on.
+        // Unshaped, `done = now` under a monotone clock, which the FIFO
+        // one delay-only configuration's directions share relies on.
         self.busy_until = done;
         self.delivered += 1;
         Offer::Deliver(done + cfg.latency)

@@ -111,6 +111,9 @@ impl Topology {
 
     fn push_link(&mut self, a: NodeId, b: NodeId, ab: u32, ba: u32) -> LinkId {
         assert!(a != b, "self-links are not supported");
+        // A direction id `(link << 1) | d` must leave the world's
+        // shared-FIFO tag bit clear.
+        assert!(self.links.len() < 1 << 30, "link count overflow");
         self.links.push(Link {
             a,
             b,

@@ -7,12 +7,14 @@
 //! gateways — driven by the [`crate::engine::Driver`] engine.
 //!
 //! A link direction delivers in the order it accepts (see
-//! `Direction::offer`), so in-flight packets need no sorting: each
-//! direction queues its own as a FIFO, and dispatch merges the heads of
-//! the non-empty ones (see `Arrivals`).
+//! `Direction::offer`), and a delay-only one at exactly `now + latency`,
+//! so in-flight packets need no sorting: every delay-only direction of
+//! one configuration shares that configuration's FIFO, each shaped
+//! direction queues its own, and dispatch merges the heads of the
+//! non-empty ones (see `Arrivals`).
 
 use crate::fault::{BurstLoss, EndpointFault};
-use crate::link::{DropCause, Offer};
+use crate::link::{DropCause, Offer, Shaper};
 use crate::packet::Packet;
 use crate::topology::{LinkId, NodeId, Topology};
 use cellbricks_sim::{SimRng, SimTime};
@@ -43,11 +45,24 @@ pub trait Endpoint {
     fn inject_fault(&mut self, _now: SimTime, _fault: &EndpointFault) {}
 }
 
-/// End of a cell list (a direction's FIFO, the freelist).
+/// End of a cell list (a FIFO, the freelist).
 const NIL: u32 = u32::MAX;
 
+/// Tags a FIFO id as a delay-only configuration's shared FIFO; an
+/// untagged id is a shaped direction's own, `(link << 1) | d` (`d` = 1
+/// for b→a).
+const SHARED: u32 = 1 << 31;
+
+/// Where a sent packet is filed: the shared FIFO of its delay-only
+/// configuration, or its shaped direction's own FIFO, whose tail the
+/// `Direction` keeps.
+enum Fifo<'a> {
+    Shared(u32),
+    Own { dir: u32, tail: &'a mut u32 },
+}
+
 /// One in-flight packet: a cell of the shared arrival slab, linked into
-/// the FIFO of the link direction carrying it.
+/// the FIFO that carries it.
 struct Cell {
     at: SimTime,
     /// Append stamp: the merge tie-break at equal `at`. A cell stamped at
@@ -55,16 +70,17 @@ struct Cell {
     stamp: u64,
     /// The next cell of the same FIFO, or of the freelist.
     next: u32,
-    /// Direction id `(link << 1) | d` (`d` = 1 for b→a): the FIFO this
-    /// cell is in, and with it the destination node.
-    dir: u32,
+    /// The FIFO this cell is in: `SHARED | config`, or a direction id.
+    fifo: u32,
+    /// The destination node, so dispatch reads no `Link`.
+    node: NodeId,
     pkt: Option<Packet>,
 }
 
 // The 128-byte rule (DESIGN §5): a packet's one slot moves inline.
-const _: () = assert!(std::mem::size_of::<Cell>() == 120);
+const _: () = assert!(std::mem::size_of::<Cell>() == 128);
 
-/// A non-empty direction's head cell in the merge index, ordered by
+/// A non-empty FIFO's head cell in the merge index, ordered by
 /// `(at, stamp)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Head {
@@ -73,17 +89,21 @@ struct Head {
     cell: u32,
 }
 
-/// In-flight packets as per-direction FIFOs: one slab of `Cell`s, each
-/// direction's tail in its `Direction` (`fifo_tail`), and a binary heap
-/// over the head of every non-empty direction, merged on `(time, append
-/// stamp)` — time, then FIFO by send. Storage grows with packets in
-/// flight, not with directions: a direction with nothing in flight owns
-/// no cell and no heap entry.
+/// In-flight packets as FIFOs: one slab of `Cell`s, a tail per
+/// delay-only configuration (`shared`, indexed by the interned config),
+/// a tail per shaped direction in its `Direction` (`fifo_tail`), and a
+/// binary heap over the head of every non-empty FIFO, merged on
+/// `(time, append stamp)` — time, then FIFO by send. Storage grows with
+/// packets in flight and configurations, not with directions: a
+/// direction owns no cell and no heap entry of its own unless it is
+/// shaped and has something in flight.
 struct Arrivals {
     cells: Vec<Cell>,
     /// Freelist head, chained through `Cell::next`.
     free: u32,
     heads: BinaryHeap<Reverse<Head>>,
+    /// Tail of each delay-only configuration's FIFO; grown on first use.
+    shared: Vec<u32>,
     /// The next append stamp, and its value when the open round began.
     stamp: u64,
     mark: u64,
@@ -95,15 +115,25 @@ impl Arrivals {
             cells: Vec::new(),
             free: NIL,
             heads: BinaryHeap::new(),
+            shared: Vec::new(),
             stamp: 0,
             mark: 0,
         }
     }
 
-    /// Queue `pkt`, due at `at`, behind the tail `*tail` of direction
-    /// `dir`'s FIFO.
+    /// Queue `pkt` for `node`, due at `at`, behind the tail of `fifo`.
     #[inline]
-    fn append(&mut self, tail: &mut u32, dir: u32, at: SimTime, pkt: Packet) {
+    fn append(&mut self, fifo: Fifo<'_>, node: NodeId, at: SimTime, pkt: Packet) {
+        let (fifo, tail) = match fifo {
+            Fifo::Shared(config) => {
+                let i = config as usize;
+                if i >= self.shared.len() {
+                    self.shared.resize(i + 1, NIL);
+                }
+                (SHARED | config, &mut self.shared[i])
+            }
+            Fifo::Own { dir, tail } => (dir, tail),
+        };
         let stamp = self.stamp;
         self.stamp += 1;
         let cell = if self.free == NIL {
@@ -112,7 +142,8 @@ impl Arrivals {
                 at,
                 stamp,
                 next: NIL,
-                dir,
+                fifo,
+                node,
                 pkt: Some(pkt),
             });
             c
@@ -121,7 +152,7 @@ impl Arrivals {
             let c = self.free;
             let cell = &mut self.cells[c as usize];
             self.free = cell.next;
-            (cell.at, cell.stamp, cell.next, cell.dir) = (at, stamp, NIL, dir);
+            (cell.at, cell.stamp, cell.next, cell.fifo, cell.node) = (at, stamp, NIL, fifo, node);
             cell.pkt = Some(pkt);
             c
         };
@@ -129,7 +160,7 @@ impl Arrivals {
             self.heads.push(Reverse(Head { at, stamp, cell }));
         } else {
             let last = &mut self.cells[*tail as usize];
-            debug_assert!(at >= last.at, "link direction {dir} delivers out of order");
+            debug_assert!(at >= last.at, "arrival FIFO {fifo:#x} out of order");
             last.next = cell;
         }
         *tail = cell;
@@ -264,6 +295,11 @@ impl NetWorld {
     }
 
     /// Send `pkt` from `from`: routes one hop and schedules the arrival.
+    ///
+    /// `now` must not decrease from one call to the next on one world,
+    /// as the engine's clock does not. Every delay-only direction of one
+    /// configuration files into one FIFO at `now + latency`, so only a
+    /// monotone `now` keeps that FIFO sorted (a debug build asserts it).
     pub fn send(&mut self, now: SimTime, from: NodeId, pkt: Packet) {
         self.tally.sent += 1;
         let Some(link) = self.topology.route(from, pkt.dst) else {
@@ -274,9 +310,12 @@ impl NetWorld {
         let size = pkt.wire_size();
         let l = &mut self.topology.links[link.0];
         let is_ba = l.a != from;
-        let dir = if is_ba { &mut l.ba } else { &mut l.ab };
+        let (dir, to) = if is_ba {
+            (&mut l.ba, l.a)
+        } else {
+            (&mut l.ab, l.b)
+        };
         let cfg = &self.topology.configs[dir.config as usize];
-        let id = (link.0 as u32) << 1 | u32::from(is_ba);
         // Loss samples come from the world RNG in the exact order the
         // figure-replay gate pins. Links without a burst model consume
         // exactly one sample per send, so installing one elsewhere never
@@ -292,7 +331,17 @@ impl NetWorld {
             Offer::Deliver(at) => {
                 self.tally.delivered += 1;
                 self.tally.delivered_bytes += u64::from(size);
-                self.arrivals.append(&mut dir.fifo_tail, id, at, pkt);
+                // A delay-only direction delivers at exactly `now +
+                // latency`, so one configuration's directions share a FIFO.
+                let fifo = if matches!(cfg.shaper, Shaper::None) {
+                    Fifo::Shared(dir.config)
+                } else {
+                    Fifo::Own {
+                        dir: (link.0 as u32) << 1 | u32::from(is_ba),
+                        tail: &mut dir.fifo_tail,
+                    }
+                };
+                self.arrivals.append(fifo, to, at, pkt);
                 self.tally.queued();
             }
             Offer::Drop(cause) => {
@@ -341,17 +390,17 @@ impl NetWorld {
             return None;
         }
         let cell = &mut q.cells[head.cell as usize];
-        let (dir, next) = (cell.dir, cell.next);
+        let (fifo, node, next) = (cell.fifo, cell.node, cell.next);
         cell.next = q.free;
         q.free = head.cell;
-        let l = &mut self.topology.links[(dir >> 1) as usize];
-        let (d, node) = if dir & 1 == 0 {
-            (&mut l.ab, l.b)
-        } else {
-            (&mut l.ba, l.a)
-        };
         if next == NIL {
-            d.fifo_tail = NIL;
+            if fifo & SHARED != 0 {
+                q.shared[(fifo & !SHARED) as usize] = NIL;
+            } else {
+                let l = &mut self.topology.links[(fifo >> 1) as usize];
+                let d = if fifo & 1 == 0 { &mut l.ab } else { &mut l.ba };
+                d.fifo_tail = NIL;
+            }
             PeekMut::pop(top);
         } else {
             let n = &q.cells[next as usize];
@@ -612,6 +661,60 @@ mod tests {
         assert!((loss - 0.3).abs() < 0.05, "loss {loss}");
     }
 
+    impl NetWorld {
+        /// Entries in the merge heap: one per non-empty FIFO.
+        fn merge_heads(&self) -> usize {
+            self.arrivals.heads.len()
+        }
+    }
+
+    /// A hub with `n` leaves, each on its own link of one delay-only
+    /// configuration and routed to the hub by default.
+    fn star(n: usize, latency: SimDuration) -> (NetWorld, Vec<NodeId>) {
+        let mut t = Topology::new();
+        let hub = t.add_node("hub");
+        let leaves = (0..n)
+            .map(|_| {
+                let leaf = t.add_node("leaf");
+                let link = t.add_symmetric_link(leaf, hub, LinkConfig::delay_only(latency));
+                t.add_default_route(leaf, link);
+                leaf
+            })
+            .collect();
+        (NetWorld::new(t, SimRng::new(1)), leaves)
+    }
+
+    #[test]
+    fn one_delay_only_config_is_one_merge_head() {
+        let (mut world, leaves) = star(1_000, SimDuration::from_millis(5));
+        let sent_at = |i: usize| SimTime::ZERO + SimDuration::from_micros(i as u64);
+        let pkt = |i: usize| Packet::control(IP_A, IP_C, Bytes::from(i.to_le_bytes().to_vec()));
+        for (i, &leaf) in leaves.iter().enumerate() {
+            world.send(sent_at(i), leaf, pkt(i));
+        }
+        // 1 000 directions with a packet each in flight, one FIFO.
+        assert_eq!(world.merge_heads(), 1);
+        let mut landed = Vec::new();
+        world.drain_arrivals_into(SimTime::from_secs(1), &mut landed);
+        let hub = NodeId(0);
+        let want: Vec<_> = (0..leaves.len())
+            .map(|i| (sent_at(i) + SimDuration::from_millis(5), hub, pkt(i)))
+            .collect();
+        assert_eq!(landed, want);
+        assert_eq!(world.merge_heads(), 0);
+    }
+
+    /// Two directions of one delay-only configuration share a FIFO, so
+    /// a send at an earlier `now` than the last one breaks its order.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn send_with_decreasing_now_is_caught() {
+        let (mut world, leaves) = star(2, SimDuration::from_millis(1));
+        world.send(SimTime::from_millis(2), leaves[0], control(IP_A, IP_C));
+        world.send(SimTime::from_millis(1), leaves[1], control(IP_A, IP_C));
+    }
+
     #[test]
     #[should_panic(expected = "share a node")]
     fn duplicate_endpoint_nodes_rejected() {
@@ -672,6 +775,12 @@ mod proptests {
         }
     }
 
+    /// Any latency, or one of three, so that many delay-only directions
+    /// share a configuration (and with it a FIFO).
+    fn latency_us() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..3_000, (0usize..3).prop_map(|i| [0, 500, 1_500][i])]
+    }
+
     type LinkSpec = (usize, usize, u8, u8, u64, bool);
 
     /// Link `a`–`b`, which becomes both ends' default route and their
@@ -727,14 +836,15 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random small worlds — delay-only, zero-latency, fixed-rate and
-        /// token-bucket directions, some lossy — under sends at
+        /// token-bucket directions, some lossy, many delay-only ones
+        /// sharing a configuration — under sends at
         /// nondecreasing instants (half of them at the same instant as the
         /// previous op) interleaved with `drain_arrivals_into`, outage
         /// windows, burst-loss windows and links added mid-run: the FIFO
         /// world dispatches exactly the reference's `(at, node, pkt)`.
         #[test]
         fn prop_fifo_dispatch_matches_event_queue(
-            links in vec((0..NODES, 0..NODES, 0u8..4, 0u8..4, 0u64..3_000, any::<bool>()), 1..8),
+            links in vec((0..NODES, 0..NODES, 0u8..4, 0u8..4, latency_us(), any::<bool>()), 1..8),
             ops in vec((0u8..8, 0..NODES, 0..NODES, 0u64..2_000), 1..200),
             seed in any::<u64>(),
         ) {

@@ -167,10 +167,11 @@ fn broker_outage_delays_but_not_denies_attach() {
     );
 }
 
-/// Pins the `busy_until`/`pending` ↔ `Unavailable` semantics (ISSUE 8
-/// satellite): a request that *arrived* before the outage may have its
-/// reply staged inside the window, but nothing leaves the broker until
-/// recovery — and the late reply, whose nonce belongs to an attempt the
+/// Pins `ControlEndpoint`'s outage gate (`net::control`: the serial
+/// service's delay line under an `Unavailable` window): a request that
+/// *arrived* before the outage may have its reply staged inside the
+/// window, but nothing leaves the broker until recovery — and the late
+/// reply, whose nonce belongs to an attempt the
 /// UE has already given up on, must be discarded as stale rather than
 /// destroying the in-flight retry.
 ///
