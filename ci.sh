@@ -44,9 +44,9 @@ run cargo run --release -q --example quickstart
 run cargo test --release -q -p cellbricks-crypto --features op-count \
     op_count_gate -- --nocapture
 
-# Scale smoke: the attach-burst table (every UE must attach) and one
-# mega row (at least 99 % of the ticks the UEs sent must reach the
-# sinks); the run asserts both. Wall-clock rates are perfbench's to
+# Scale smoke: one mega row (at least 99 % of the ticks the UEs sent
+# must reach the sinks); the run asserts it. The attach burst is a
+# figure, replayed by tier-1. Wall-clock rates are perfbench's to
 # measure, not this step's.
 scratch=$(mktemp -d)
 run env CELLBRICKS_RESULTS_DIR="$scratch" \
@@ -106,7 +106,7 @@ fi
 
 # Figure-replay gate, long half: the committed results/*.txt are claims
 # this tree must keep reproducing bit-for-bit, and tier-1
-# (tests/figure_replay.rs) replays six of the eight — with the fig7
+# (tests/figure_replay.rs) replays seven of the nine — with the fig7
 # histogram and cc counter checks — in its debug build. `table1` and
 # `quic_ablation` drive too long for that, so they are regenerated here
 # in release and diffed against the committed copies.

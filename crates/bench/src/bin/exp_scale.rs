@@ -1,22 +1,17 @@
-//! Scale: many UEs attaching through one bTelco and one broker, plus a
-//! million-endpoint engine run.
+//! Scale: a million-endpoint engine run.
 //!
 //! The paper claims CellBricks "scales to a large number of users under
-//! different radio conditions" (§1). This experiment has two parts:
+//! different radio conditions" (§1). The attach half of that claim — N
+//! full UEs bursting through one bTelco to one broker — is a figure
+//! (`repro --figure scale`, replayed byte for byte by the tests). This
+//! binary is the other half, **mega**: N ∈ {100k, 1M} lightweight UEs in
+//! an [`Arena`] over 8 regional gateways — whether the one sequential
+//! engine carries a million endpoints, and what each costs in allocator
+//! bytes.
 //!
-//! 1. **Attach burst** — attaches N UEs (each a full [`UeDevice`] with
-//!    its own keys and SAP state) through a single bTelco gateway to a
-//!    single `brokerd`, with all N requests arriving in one burst — the
-//!    worst case for the broker's single-threaded service queue — and
-//!    reports the attach-latency distribution and the effective
-//!    authorization throughput, all in simulated time.
-//! 2. **Mega** — N ∈ {100k, 1M} lightweight UEs in an [`Arena`] over 8
-//!    regional gateways: whether the one sequential engine carries a
-//!    million endpoints, and what each costs in allocator bytes.
-//!
-//! How fast the host runs either part is `perfbench`'s question
-//! (`BENCHMARK.json`: `sim_scale` runs the mega world, `wire_sat` the
-//! broker's crypto); the mega row's ev/s is a single wall-clock reading.
+//! How fast the host runs it is `perfbench`'s question (`BENCHMARK.json`:
+//! `sim_scale` runs the mega world); the mega row's ev/s is a single
+//! wall-clock reading.
 //! Gauges land in `results/exp_scale.metrics.json`:
 //! `exp_scale.mega.n<N>.events_per_sec`, `.bytes_per_ue`, and per-phase
 //! allocator pressure (`….build.alloc.count` / `….run.alloc.bytes` —
@@ -26,25 +21,10 @@
 //!         [--seed S] [--smoke]`
 
 use bytes::Bytes;
-use cellbricks_core::brokerd::{Brokerd, BrokerdConfig};
-use cellbricks_core::btelco::{BTelcoGateway, BTelcoGatewayConfig, BrokerContact};
-use cellbricks_core::principal::{BrokerKeys, TelcoKeys, UeKeys};
-use cellbricks_core::sap::QosCap;
-use cellbricks_core::ue::{BrokerReplica, UeDevice, UeDeviceConfig};
-use cellbricks_crypto::cert::CertificateAuthority;
-use cellbricks_epc::enb::Enb;
-use cellbricks_net::{
-    ControlEndpoint, Driver, Endpoint, LinkConfig, NetWorld, NodeId, Packet, Router, Topology,
-};
-use cellbricks_sim::{percentile, Arena, SimDuration, SimRng, SimTime};
+use cellbricks_net::{Driver, Endpoint, LinkConfig, NetWorld, NodeId, Packet, Router, Topology};
+use cellbricks_sim::{Arena, SimDuration, SimRng, SimTime};
 use cellbricks_telemetry as telemetry;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
-
-const AGW_SIG: Ipv4Addr = Ipv4Addr::new(172, 16, 1, 1);
-const BROKER_IP: Ipv4Addr = Ipv4Addr::new(172, 16, 0, 1);
-
-// ----- Mega sweep: 100k–1M lightweight UEs in a SoA arena -----
 
 /// A region's sink: counts the ticks it receives, never wakes itself.
 struct Sink {
@@ -79,7 +59,7 @@ fn mega_sink_ip(r: u32) -> Ipv4Addr {
 }
 
 /// A mega-scale UE: a timer and a destination — nothing else. A full
-/// [`UeDevice`] carries keys, SAP state and a host stack (hundreds of
+/// `UeDevice` carries keys, SAP state and a host stack (hundreds of
 /// bytes plus heap); at N=1M only this dense hot state is affordable,
 /// and the whole fleet lives in one [`Arena`].
 struct MegaUe {
@@ -238,175 +218,10 @@ fn run_mega(n: usize, seed: u64, duration: SimDuration) {
     println!("{n:>9} {eps:>14.0} {bytes_per_ue:>10.0} {sent:>12} {received:>12}");
 }
 
-struct ScaleWorld {
-    world: NetWorld,
-    enb: ControlEndpoint<Enb>,
-    telco: ControlEndpoint<BTelcoGateway>,
-    brokerd: ControlEndpoint<Brokerd>,
-    ues: Vec<ControlEndpoint<UeDevice>>,
-}
-
-impl ScaleWorld {
-    /// Build the N-UE scale world.
-    fn build(n: usize, seed: u64) -> Self {
-        let mut rng = SimRng::new(seed);
-        let ca = CertificateAuthority::from_seed([0xCA; 32]);
-        let broker_keys = BrokerKeys::generate("broker.example", &ca, &mut rng);
-        let telco_keys = TelcoKeys::generate("tower-1.example", &ca, &mut rng);
-
-        // Topology: N UE nodes — one eNB — AGW — cloud.
-        let mut t = Topology::new();
-        let enb_node = t.add_node("enb");
-        let agw_node = t.add_node("agw");
-        let cloud_node = t.add_node("cloud");
-        let back = t.add_symmetric_link(
-            enb_node,
-            agw_node,
-            LinkConfig::delay_only(SimDuration::from_micros(200)),
-        );
-        let core = t.add_symmetric_link(
-            agw_node,
-            cloud_node,
-            LinkConfig::delay_only(SimDuration::from_millis(2)),
-        );
-        t.add_default_route(enb_node, back);
-        t.add_default_route(agw_node, core);
-        t.add_default_route(cloud_node, core);
-
-        let mut brokerd = Brokerd::new(
-            cloud_node,
-            BrokerdConfig {
-                ip: BROKER_IP,
-                keys: broker_keys.clone(),
-                ca: ca.public_key(),
-                // A faster service time than the Fig. 7 calibration: the
-                // broker here models only the authorization work.
-                proc_delay: SimDuration::from_millis(2),
-                epsilon: 0.01,
-                session_retention: SimDuration::from_secs(86_400),
-            },
-            rng.fork(),
-        );
-        let mut brokers = HashMap::new();
-        brokers.insert(
-            "broker.example".to_string(),
-            BrokerContact {
-                ctrl_ip: BROKER_IP,
-                encrypt_pk: broker_keys.encrypt.public_key(),
-            },
-        );
-        let telco = BTelcoGateway::new(
-            agw_node,
-            BTelcoGatewayConfig {
-                sig_ip: AGW_SIG,
-                pool_base: Ipv4Addr::new(10, 1, 0, 0),
-                keys: telco_keys,
-                ca: ca.public_key(),
-                brokers,
-                qos_cap: QosCap {
-                    max_mbr_bps: 100_000_000,
-                    qci_supported: vec![9],
-                    li_capable: true,
-                },
-                proc_delay: SimDuration::from_micros(500),
-                report_interval: SimDuration::from_secs(3_600),
-            },
-            rng.fork(),
-        );
-        let enb = Enb::new(enb_node, SimDuration::from_micros(100));
-
-        // N UEs, each on its own node with a radio link to the shared eNB.
-        let mut ues: Vec<ControlEndpoint<UeDevice>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let ue_sig = Ipv4Addr::new(169, 254, (i / 250) as u8 + 1, (i % 250) as u8 + 1);
-            let ue_node = t.add_node(&format!("ue{i}"));
-            let radio = t.add_symmetric_link(
-                ue_node,
-                enb_node,
-                LinkConfig::delay_only(SimDuration::from_millis(4)),
-            );
-            t.add_default_route(ue_node, radio);
-            t.add_route(enb_node, ue_sig, 32, radio);
-            t.add_route(agw_node, ue_sig, 32, back);
-
-            let keys = UeKeys::generate(&mut rng);
-            let (sign_pk, encrypt_pk) = keys.public();
-            brokerd.provision(keys.identity(), sign_pk, encrypt_pk, 50_000_000);
-            ues.push(UeDevice::new(
-                ue_node,
-                UeDeviceConfig {
-                    ue_sig,
-                    keys,
-                    broker_name: "broker.example".to_string(),
-                    broker_sign_pk: broker_keys.sign.verifying_key(),
-                    broker_encrypt_pk: broker_keys.encrypt.public_key(),
-                    brokers: vec![BrokerReplica {
-                        name: "broker.example".to_string(),
-                        ctrl_ip: BROKER_IP,
-                        rtt: SimDuration::ZERO,
-                    }],
-                    proc_delay: SimDuration::from_millis(1),
-                    verify_delay: SimDuration::from_millis(1),
-                    report_interval: SimDuration::from_secs(3_600),
-                    attach_max_tries: 3,
-                },
-                rng.fork(),
-            ));
-        }
-
-        Self {
-            world: NetWorld::new(t, rng.fork()),
-            enb,
-            telco,
-            brokerd,
-            ues,
-        }
-    }
-
-    /// Drive everything to `until`.
-    fn run_to(&mut self, until: SimTime) {
-        let mut endpoints: Vec<&mut dyn Endpoint> = Vec::with_capacity(self.ues.len() + 3);
-        endpoints.push(&mut self.enb);
-        endpoints.push(&mut self.telco);
-        endpoints.push(&mut self.brokerd);
-        for ue in &mut self.ues {
-            endpoints.push(ue);
-        }
-        Driver::new().run_to(&mut self.world, &mut endpoints, until);
-    }
-}
-
 /// Total scheduler events dispatched so far (arrivals + polls).
 fn sched_events() -> u64 {
     telemetry::counter("sim.scheduler.events.arrival").get()
         + telemetry::counter("sim.scheduler.events.poll").get()
-}
-
-/// Attach `n` UEs in one burst, print the row and assert they all did.
-fn run_scale(n: usize, seed: u64) {
-    let mut sw = ScaleWorld::build(n, seed);
-    // Everyone attaches at once (a cell powering up / a stadium emptying).
-    for ue in &mut sw.ues {
-        ue.start_attach(SimTime::ZERO, "tower-1.example", AGW_SIG);
-    }
-    sw.run_to(SimTime::from_secs(60));
-
-    let latencies: Vec<f64> = sw
-        .ues
-        .iter()
-        .filter(|u| u.attach_latency_ms.count() > 0)
-        .map(|u| u.attach_latency_ms.mean())
-        .collect();
-    let attached = sw.ues.iter().filter(|u| u.is_attached()).count();
-    let max_ms = latencies.iter().cloned().fold(0.0, f64::max);
-    let mean_ms = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
-    let p95_ms = percentile(&latencies, 95.0);
-    // The burst completes when the slowest attach finishes.
-    let auths_per_sec = attached as f64 / (max_ms / 1e3);
-    println!(
-        "{n:>6} {attached:>9} {mean_ms:>12.1} {p95_ms:>12.1} {max_ms:>12.1} {auths_per_sec:>12.0}"
-    );
-    assert_eq!(attached, n, "all UEs must attach");
 }
 
 fn main() {
@@ -414,31 +229,6 @@ fn main() {
     let seed = cellbricks_bench::arg_u64("--seed", 42);
     let smoke = std::env::args().any(|a| a == "--smoke");
 
-    println!("Scale — N UEs attaching simultaneously through one bTelco + broker");
-    println!("{}", "-".repeat(68));
-    println!(
-        "{:>6} {:>9} {:>12} {:>12} {:>12} {:>12}",
-        "N", "attached", "mean (ms)", "p95 (ms)", "max (ms)", "auth/s"
-    );
-    println!("{}", "-".repeat(68));
-    let table_ns: &[usize] = if smoke {
-        &[1, 5, 25]
-    } else {
-        &[1, 5, 25, 100, 250]
-    };
-    for &n in table_ns {
-        run_scale(n, seed);
-    }
-    println!("{}", "-".repeat(68));
-    println!(
-        "reading: every UE attaches; latency grows linearly once the burst\n\
-         saturates the broker's single service queue (~2 ms/authorization\n\
-         here), i.e. the broker — an ordinary web service — is the scaling\n\
-         bottleneck, exactly the architecture's intent (paper §3: brokers\n\
-         need no cellular infrastructure and shard like any online service)."
-    );
-
-    println!();
     println!("Mega — SoA arena UEs, {MEGA_REGIONS} regions");
     println!("{}", "-".repeat(70));
     println!(
@@ -458,10 +248,10 @@ fn main() {
     println!("{}", "-".repeat(70));
     println!(
         "reading: a mega UE is a timer and a destination in a dense SoA\n\
-         arena — the per-UE attach machinery is measured above; this row\n\
-         measures whether the *engine* (arrival FIFOs, timing wheel, dense\n\
-         node map) sustains a million endpoints. bytes/UE is the\n\
-         allocator bill of building the world, divided by N; ev/s is one\n\
+         arena — the per-UE attach machinery is `repro --figure scale`'s;\n\
+         this row measures whether the *engine* (arrival FIFOs, timing\n\
+         wheel, dense node map) sustains a million endpoints. bytes/UE is\n\
+         the allocator bill of building the world, divided by N; ev/s is one\n\
          wall-clock reading (perfbench's sim_scale is the measurement)."
     );
     cellbricks_bench::telemetry_finish("exp_scale");

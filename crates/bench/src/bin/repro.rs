@@ -1,12 +1,13 @@
 //! Regenerate the paper's figures from the cell registry
 //! (`cellbricks_bench::figures`). For each figure: run its cells, write
-//! `<dir>/<figure>.txt`, and export `<figure>.metrics.json` and
+//! `<dir>/<figure>.txt` (`scale_attach.txt` for `scale`: `scale.txt` is
+//! `exp_scale`'s), and export `<figure>.metrics.json` and
 //! `<figure>.trace.json` beside it. `<dir>` is `CELLBRICKS_RESULTS_DIR`,
 //! default `results`, so a bare run regenerates the committed figures.
 //! The global telemetry registry is reset before each figure.
 //!
 //! Usage: `cargo run --release -p cellbricks-bench --bin repro --
-//!         [--figure fig7|table1|fig8|fig9|fig10|cc|quic_ablation|reputation|all]
+//!         [--figure fig7|table1|fig8|fig9|fig10|cc|quic_ablation|reputation|scale|all]
 //!         [--seed S]` (defaults: `all`, 42)
 
 use cellbricks_bench::figures::{self, Family};
@@ -38,7 +39,7 @@ fn main() {
         let cells = figures::cells(family, seed);
         eprintln!("{name}: {} cells (seed {seed})...", cells.len());
         let outs: Vec<_> = cells.iter().map(figures::run).collect();
-        let path = format!("{dir}/{name}.txt");
+        let path = format!("{dir}/{}", family.results_file());
         if let Err(e) = std::fs::write(&path, figures::render(family, &outs)) {
             panic!("repro: cannot write {path}: {e}");
         }

@@ -3,10 +3,10 @@
 //! A figure is a [`Family`] of cells. [`cells`] lists them in the order
 //! the figure runs them, [`run`] runs one (its output is a function of the
 //! cell alone), and [`render`] turns a family's outputs into the text
-//! committed as `results/<family>.txt`. The `repro` binary drives all
-//! three; `tests/figure_replay.rs` replays six families against their
-//! committed text, and `tests/evaluation_shapes.rs` runs the same cells
-//! on shorter drives.
+//! committed under `results/` ([`Family::results_file`]). The `repro`
+//! binary drives all three; `tests/figure_replay.rs` replays seven
+//! families against their committed text, and
+//! `tests/evaluation_shapes.rs` runs the same cells on shorter drives.
 //!
 //! `perfbench/src/figures.rs` keeps a frozen copy of the seed-42 grid of
 //! the first six families (79 cells); a test below pins the counts to it.
@@ -23,12 +23,13 @@ use cellbricks_core::billing::TrafficReport;
 use cellbricks_core::brokerd::{BrokerWire, Brokerd, BrokerdConfig};
 use cellbricks_core::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use cellbricks_core::sap::{self, QosCap};
+use cellbricks_core::scenario::{telco_name, telco_sig, Scenario};
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_net::{
     BurstLoss, ControlEndpoint, Endpoint, EndpointAddr, NodeId, Packet, TimeOfDay,
 };
 use cellbricks_ran::RouteKind;
-use cellbricks_sim::{SimDuration, SimRng, SimTime, TimeSeries};
+use cellbricks_sim::{percentile, SimDuration, SimRng, SimTime, TimeSeries};
 use cellbricks_transport::CcAlgo;
 use std::fmt::{self, Write};
 use std::net::Ipv4Addr;
@@ -52,11 +53,14 @@ pub enum Family {
     QuicAblation,
     /// §4.3 extension: cycles until a cheating bTelco is refused.
     Reputation,
+    /// §1 scale claim: N UEs attaching at once through one bTelco and
+    /// one broker.
+    Scale,
 }
 
 impl Family {
     /// Every family, in the order `repro --figure all` runs them.
-    pub const ALL: [Family; 8] = [
+    pub const ALL: [Family; 9] = [
         Family::Fig7,
         Family::Table1,
         Family::Fig8,
@@ -65,9 +69,10 @@ impl Family {
         Family::Cc,
         Family::QuicAblation,
         Family::Reputation,
+        Family::Scale,
     ];
 
-    /// The `--figure` value and the `results/<name>.txt` stem.
+    /// The `--figure` value, and the stem of its telemetry exports.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -79,6 +84,18 @@ impl Family {
             Family::Cc => "cc",
             Family::QuicAblation => "quic_ablation",
             Family::Reputation => "reputation",
+            Family::Scale => "scale",
+        }
+    }
+
+    /// The committed text's file under `results/`: `<name>.txt`, except
+    /// that `scale.txt` is `exp_scale`'s wall-clock mega table, so the
+    /// scale figure is `scale_attach.txt`.
+    #[must_use]
+    pub fn results_file(self) -> String {
+        match self {
+            Family::Scale => "scale_attach.txt".to_string(),
+            _ => format!("{}.txt", self.name()),
         }
     }
 
@@ -123,6 +140,13 @@ pub enum Cell {
         /// Experiment seed.
         seed: u64,
     },
+    /// One attach burst: `n` UEs starting their attach at once.
+    Scale {
+        /// UEs in the burst.
+        n: usize,
+        /// Experiment seed.
+        seed: u64,
+    },
 }
 
 /// What one cell produced.
@@ -157,6 +181,15 @@ pub enum CellOutput {
     /// The billing cycle at which the cheating bTelco was first refused
     /// (`None`: never, within the run).
     Refused(Option<u32>),
+    /// An attach burst's row.
+    Burst {
+        /// UEs in the burst.
+        n: usize,
+        /// UEs attached at the end of the run.
+        attached: usize,
+        /// Mean, p95 and max attach latency over the UEs, milliseconds.
+        latency_ms: [f64; 3],
+    },
 }
 
 impl CellOutput {
@@ -274,6 +307,7 @@ const STRESSORS: [Stressor; 3] = [
 const REPUTATION_OVERCOUNTS: [f64; 6] = [1.0, 1.02, 1.05, 1.2, 1.5, 2.0];
 const REPUTATION_EPSILONS: [f64; 4] = [0.002, 0.005, 0.01, 0.05];
 const REPUTATION_CYCLES: u32 = 200;
+const SCALE_NS: [usize; 5] = [1, 5, 25, 100, 250];
 
 /// `n` forced handovers 30 s apart, and a drive that ends 40 s after
 /// the last: Fig. 9's and the QUIC ablation's schedule.
@@ -385,6 +419,7 @@ pub fn cells(family: Family, seed: u64) -> Vec<Cell> {
                 }
             }
         }
+        Family::Scale => out.extend(SCALE_NS.map(|n| Cell::Scale { n, seed })),
     }
     out
 }
@@ -454,6 +489,7 @@ pub fn run(cell: &Cell) -> CellOutput {
             REPUTATION_CYCLES,
             *seed,
         )),
+        Cell::Scale { n, seed } => attach_burst(*n, *seed),
     }
 }
 
@@ -474,6 +510,7 @@ pub fn render(family: Family, outs: &[CellOutput]) -> String {
         Family::Cc => render_cc(&mut w, outs),
         Family::QuicAblation => render_quic(&mut w, outs),
         Family::Reputation => render_reputation(&mut w, outs),
+        Family::Scale => render_scale(&mut w, outs),
     }
     .expect("writing to a String cannot fail");
     w
@@ -936,6 +973,81 @@ fn render_reputation(w: &mut String, outs: &[CellOutput]) -> fmt::Result {
     )
 }
 
+/// Attach `n` UEs in one burst — a cell powering up, a stadium
+/// emptying — through one bTelco to one broker, and read the latencies.
+/// The broker's 2 ms per authorization is a modelling choice with no
+/// measured source (EXPERIMENTS, *Scale*).
+fn attach_burst(n: usize, seed: u64) -> CellOutput {
+    let us = SimDuration::from_micros;
+    let mut w = Scenario {
+        seed,
+        ues: n,
+        backhaul: us(200),
+        enb_delay: us(100),
+        epsilon: 0.01,
+        ..Scenario::default()
+    }
+    .build();
+    for ue in &mut w.ues {
+        ue.start_attach(SimTime::ZERO, &telco_name(0), telco_sig(0));
+    }
+    w.run_to(SimTime::from_secs(60));
+    let latencies: Vec<f64> = w
+        .ues
+        .iter()
+        .filter(|u| u.attach_latency_ms.count() > 0)
+        .map(|u| u.attach_latency_ms.mean())
+        .collect();
+    let attached = w.ues.iter().filter(|u| u.is_attached()).count();
+    assert_eq!(attached, n, "all UEs must attach");
+    let mean = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
+    let max = latencies.iter().copied().fold(0.0, f64::max);
+    CellOutput::Burst {
+        n,
+        attached,
+        latency_ms: [mean, percentile(&latencies, 95.0), max],
+    }
+}
+
+fn render_scale(w: &mut String, outs: &[CellOutput]) -> fmt::Result {
+    writeln!(
+        w,
+        "Scale — N UEs attaching simultaneously through one bTelco + broker"
+    )?;
+    writeln!(w, "{}", rule(68))?;
+    writeln!(
+        w,
+        "{:>6} {:>9} {:>12} {:>12} {:>12} {:>12}",
+        "N", "attached", "mean (ms)", "p95 (ms)", "max (ms)", "auth/s"
+    )?;
+    writeln!(w, "{}", rule(68))?;
+    for out in outs {
+        let CellOutput::Burst {
+            n,
+            attached,
+            latency_ms: [mean, p95, max],
+        } = out
+        else {
+            panic!("not an attach burst: {out:?}");
+        };
+        // The burst completes when the slowest attach finishes.
+        let auths_per_sec = *attached as f64 / (max / 1e3);
+        writeln!(
+            w,
+            "{n:>6} {attached:>9} {mean:>12.1} {p95:>12.1} {max:>12.1} {auths_per_sec:>12.0}"
+        )?;
+    }
+    writeln!(w, "{}", rule(68))?;
+    writeln!(
+        w,
+        "reading: every UE attaches; latency grows linearly once the burst\n\
+         saturates the broker's single service queue (~2 ms/authorization\n\
+         here), i.e. the broker — an ordinary web service — is the scaling\n\
+         bottleneck, exactly the architecture's intent (paper §3: brokers\n\
+         need no cellular infrastructure and shard like any online service)."
+    )
+}
+
 const BROKER_IP: Ipv4Addr = Ipv4Addr::new(172, 16, 0, 1);
 const TELCO_IP: Ipv4Addr = Ipv4Addr::new(172, 16, 1, 1);
 
@@ -1057,7 +1169,7 @@ mod tests {
     #[test]
     fn seed42_cell_counts_match_the_frozen_perfbench_grid() {
         // perfbench/src/figures.rs documents 79 cells over the first six
-        // families; the last two are not in its grid.
+        // families; the last three are not in its grid.
         let counts: Vec<(Family, usize)> = Family::ALL
             .into_iter()
             .map(|f| (f, cells(f, 42).len()))
@@ -1073,6 +1185,7 @@ mod tests {
                 (Family::Cc, 9),
                 (Family::QuicAblation, 4),
                 (Family::Reputation, 24),
+                (Family::Scale, 5),
             ]
         );
         assert_eq!(counts[..6].iter().map(|(_, n)| n).sum::<usize>(), 79);

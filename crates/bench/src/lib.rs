@@ -12,11 +12,12 @@
 //! | `cc` | congestion-control ablation — CUBIC vs Reno vs BBR |
 //! | `quic_ablation` | §4.2 future work — MPTCP vs QUIC migration |
 //! | `reputation` | §4.3 extension — cheating-bTelco detection |
+//! | `scale` | §1 claim — N UEs attaching at once through one broker |
 //! | `all` (default) | every row above, in this order |
 //!
 //! Run with `--release`; the Table 1 matrix simulates hours of drive time.
 //! The other binaries (`exp_scale`, `exp_brokerd`, `brokerd`) measure
-//! scale and the wire service; faults and broker failover are root
+//! the million-endpoint engine and the wire service; faults and broker failover are root
 //! integration tests (`tests/chaos.rs`, `tests/broker_plane.rs`).
 
 // `deny` rather than the workspace-wide `forbid`: the alloc-counting

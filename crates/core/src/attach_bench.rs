@@ -7,7 +7,7 @@
 //! * **Baseline (BL)** — UE → eNB → AGW with EPS-AKA against the
 //!   SubscriberDB: **two** AGW↔cloud round trips (AIR + ULR).
 //! * **CellBricks (CB)** — UE → eNB → bTelco gateway with SAP against
-//!   brokerd: **one** round trip.
+//!   brokerd: **one** round trip. The world is a [`Scenario`].
 //!
 //! Processing delays are calibrated so the local testbed reproduces the
 //! paper's ~70%-processing observation (AGW+Brokerd ≈ 20 ms of ≈ 28 ms),
@@ -15,12 +15,7 @@
 //! us-west/us-east totals. The *shape* — CB beating BL by one cloud RTT —
 //! is the reproduction target.
 
-use crate::brokerd::{Brokerd, BrokerdConfig};
-use crate::btelco::{BTelcoGateway, BTelcoGatewayConfig, BrokerContact};
-use crate::principal::{BrokerKeys, TelcoKeys, UeKeys};
-use crate::sap::QosCap;
-use crate::ue::{BrokerReplica, UeDevice, UeDeviceConfig};
-use cellbricks_crypto::cert::CertificateAuthority;
+use crate::scenario::{telco_name, telco_sig, Brokers, Scenario, World};
 use cellbricks_epc::agw::{Agw, AgwConfig};
 use cellbricks_epc::aka::SharedKey;
 use cellbricks_epc::enb::Enb;
@@ -29,7 +24,6 @@ use cellbricks_epc::ue_nas::{UeNas, UeNasConfig};
 use cellbricks_net::{Driver, LinkConfig, NetWorld, Topology};
 use cellbricks_sim::{SimDuration, SimRng, SimTime};
 use cellbricks_telemetry as telemetry;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Where the SubscriberDB / brokerd runs (paper: local testbed or EC2).
@@ -290,121 +284,48 @@ pub fn run_cellbricks(
     trials: u32,
     seed: u64,
 ) -> Fig7Row {
-    let (topology, [ue_node, enb_node, agw_node, cloud_node]) = build_topology(placement);
-    let mut world = NetWorld::new(topology, SimRng::new(seed));
-    let mut rng = SimRng::new(seed + 10);
-
-    let ca = CertificateAuthority::from_seed([0xCA; 32]);
-    let broker_keys = BrokerKeys::generate("broker.example", &ca, &mut rng);
-    let telco_keys = TelcoKeys::generate("tower-1.example", &ca, &mut rng);
-    let ue_keys = UeKeys::generate(&mut rng);
-
-    let mut brokerd = Brokerd::new(
-        cloud_node,
-        BrokerdConfig {
-            ip: CLOUD_IP,
-            keys: broker_keys.clone(),
-            ca: ca.public_key(),
-            proc_delay: profile.cb_brokerd,
-            epsilon: 0.005,
-            session_retention: SimDuration::from_secs(86_400),
-        },
-        rng.fork(),
-    );
-    let (sign_pk, encrypt_pk) = ue_keys.public();
-    brokerd.provision(ue_keys.identity(), sign_pk, encrypt_pk, 50_000_000);
-
-    let mut brokers = HashMap::new();
-    brokers.insert(
-        "broker.example".to_string(),
-        BrokerContact {
-            ctrl_ip: CLOUD_IP,
-            encrypt_pk: broker_keys.encrypt.public_key(),
-        },
-    );
-    let mut telco = BTelcoGateway::new(
-        agw_node,
-        BTelcoGatewayConfig {
-            sig_ip: AGW_SIG,
-            pool_base: Ipv4Addr::new(10, 1, 0, 0),
-            keys: telco_keys,
-            ca: ca.public_key(),
-            brokers,
-            qos_cap: QosCap {
-                max_mbr_bps: 100_000_000,
-                qci_supported: vec![9],
-                li_capable: true,
-            },
-            proc_delay: profile.cb_agw,
-            report_interval: SimDuration::from_secs(3_600),
-        },
-        rng.fork(),
-    );
-    let mut enb = Enb::new(enb_node, profile.enb);
-    let mut ue = UeDevice::new(
-        ue_node,
-        UeDeviceConfig {
-            ue_sig: UE_SIG,
-            keys: ue_keys,
-            broker_name: "broker.example".to_string(),
-            broker_sign_pk: broker_keys.sign.verifying_key(),
-            broker_encrypt_pk: broker_keys.encrypt.public_key(),
-            brokers: vec![BrokerReplica {
-                name: "broker.example".to_string(),
-                ctrl_ip: CLOUD_IP,
-                rtt: SimDuration::ZERO,
-            }],
-            proc_delay: profile.cb_ue_request,
-            verify_delay: profile.cb_ue_verify,
-            report_interval: SimDuration::from_secs(3_600),
-            attach_max_tries: 3,
-        },
-        rng.fork(),
-    );
+    let mut w = Scenario {
+        seed: seed + 10,
+        brokers: Brokers::Each(vec![placement.one_way]),
+        radio: LinkConfig::delay_only(SimDuration::from_micros(100)),
+        backhaul: SimDuration::from_micros(100),
+        ue_request: profile.cb_ue_request,
+        ue_verify: profile.cb_ue_verify,
+        enb_delay: profile.enb,
+        telco_delay: profile.cb_agw,
+        broker_delay: profile.cb_brokerd,
+        epsilon: 0.005,
+        ..Scenario::default()
+    }
+    .build();
+    let ledgers = |w: &World| {
+        [
+            w.ues[0].proc_time(),
+            w.enbs[0].proc_time(),
+            w.telcos[0].proc_time() + w.brokers[0].proc_time(),
+        ]
+    };
 
     let mut cursor = SimTime::ZERO;
-    let mut driver = Driver::new();
     let mut cell = Cell::register(placement.name, "CB", 1);
     for i in 0..trials {
-        let before = [
-            ue.proc_time(),
-            enb.proc_time(),
-            telco.proc_time() + brokerd.proc_time(),
-        ];
-        ue.start_attach(cursor, "tower-1.example", AGW_SIG);
+        let before = ledgers(&w);
+        w.ues[0].start_attach(cursor, &telco_name(0), telco_sig(0));
         let until = cursor + SimDuration::from_secs(2);
         // Step, and read the ledgers when the attach window closes.
         let mut t = cursor;
-        while !ue.is_attached() && t < until {
-            let next = t + SimDuration::from_millis(1);
-            driver.run_to(
-                &mut world,
-                &mut [&mut ue, &mut enb, &mut telco, &mut brokerd],
-                next,
-            );
-            t = next;
+        while !w.ues[0].is_attached() && t < until {
+            t += SimDuration::from_millis(1);
+            w.run_to(t);
         }
-        assert!(ue.is_attached(), "cellbricks attach {i} failed");
-        let after = [
-            ue.proc_time(),
-            enb.proc_time(),
-            telco.proc_time() + brokerd.proc_time(),
-        ];
-        cell.record_trial(cursor, ue.last_attach_latency, before, after);
-        driver.run_to(
-            &mut world,
-            &mut [&mut ue, &mut enb, &mut telco, &mut brokerd],
-            until,
-        );
-        ue.detach(until);
+        assert!(w.ues[0].is_attached(), "cellbricks attach {i} failed");
+        cell.record_trial(cursor, w.ues[0].last_attach_latency, before, ledgers(&w));
+        w.run_to(until);
+        w.ues[0].detach(until);
         cursor = until + SimDuration::from_secs(1);
-        driver.run_to(
-            &mut world,
-            &mut [&mut ue, &mut enb, &mut telco, &mut brokerd],
-            cursor,
-        );
+        w.run_to(cursor);
     }
-    cell.row(ue.attach_latency_ms.mean(), trials)
+    cell.row(w.ues[0].attach_latency_ms.mean(), trials)
 }
 
 /// Produce the full Fig. 7 data set: BL and CB at each placement.

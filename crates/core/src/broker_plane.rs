@@ -21,7 +21,7 @@
 
 use crate::brokerd::{BrokerStore, Brokerd, BrokerdConfig};
 use crate::btelco::BrokerContact;
-use crate::principal::{BrokerKeys, Identity};
+use crate::principal::Identity;
 use crate::ue::BrokerReplica;
 use cellbricks_crypto::ed25519::VerifyingKey;
 use cellbricks_crypto::x25519::X25519PublicKey;
@@ -39,25 +39,6 @@ pub struct ReplicaSite {
     pub ip: Ipv4Addr,
 }
 
-/// Configuration shared by both replicas.
-#[derive(Clone)]
-pub struct BrokerPairConfig {
-    /// The operator name UEs SIM-pin (e.g. `broker.example`); replica
-    /// directory names derive from it.
-    pub base_name: String,
-    /// One key bundle for the pair: both replicas sign and unseal as the
-    /// same operator, so SIM-pinned keys verify against either.
-    pub keys: BrokerKeys,
-    /// The CA all certificates chain to.
-    pub ca: VerifyingKey,
-    /// Per-request processing delay of each instance.
-    pub proc_delay: SimDuration,
-    /// Fig. 5 tolerance ratio ε.
-    pub epsilon: f64,
-    /// Idle-session retention (see [`BrokerdConfig::session_retention`]).
-    pub session_retention: SimDuration,
-}
-
 /// A primary/standby pair of [`Brokerd`] instances over a shared store.
 pub struct BrokerPair {
     /// The lower-RTT instance UEs prefer while it answers.
@@ -66,50 +47,48 @@ pub struct BrokerPair {
     pub standby: ControlEndpoint<Brokerd>,
     primary_site: ReplicaSite,
     standby_site: ReplicaSite,
-    cfg: BrokerPairConfig,
+    /// The operator name UEs SIM-pin; replica names derive from it.
+    base_name: String,
+    /// The operator encryption key both replicas unseal with.
+    encrypt_pk: X25519PublicKey,
 }
 
 impl BrokerPair {
-    /// Build the pair; the replica RNGs fork from `rng`, primary first.
+    /// Build the pair: two instances of `cfg` (one key bundle, so
+    /// SIM-pinned keys verify against either), each at its site's
+    /// address. The replica RNGs fork from `rng`, primary first.
     #[must_use]
     pub fn build(
-        cfg: BrokerPairConfig,
+        base_name: String,
+        cfg: &BrokerdConfig,
         primary_site: ReplicaSite,
         standby_site: ReplicaSite,
         rng: &mut SimRng,
     ) -> Self {
         let store = BrokerStore::shared();
-        let bcfg = |ip| BrokerdConfig {
-            ip,
-            keys: cfg.keys.clone(),
-            ca: cfg.ca,
-            proc_delay: cfg.proc_delay,
-            epsilon: cfg.epsilon,
-            session_retention: cfg.session_retention,
+        let at = |site: ReplicaSite| BrokerdConfig {
+            ip: site.ip,
+            ..cfg.clone()
         };
         Self {
             primary: Brokerd::with_store(
                 primary_site.node,
-                bcfg(primary_site.ip),
+                at(primary_site),
                 store.clone(),
                 rng.fork(),
             ),
-            standby: Brokerd::with_store(
-                standby_site.node,
-                bcfg(standby_site.ip),
-                store,
-                rng.fork(),
-            ),
+            standby: Brokerd::with_store(standby_site.node, at(standby_site), store, rng.fork()),
             primary_site,
             standby_site,
-            cfg,
+            base_name,
+            encrypt_pk: cfg.keys.encrypt.public_key(),
         }
     }
 
     /// The two replicas' directory names and sites, primary first.
     fn replicas(&self) -> [(String, ReplicaSite); 2] {
         [("a", self.primary_site), ("b", self.standby_site)]
-            .map(|(tag, site)| (format!("{}#{tag}", self.cfg.base_name), site))
+            .map(|(tag, site)| (format!("{}#{tag}", self.base_name), site))
     }
 
     /// Provision a subscriber in the shared store.
@@ -128,7 +107,7 @@ impl BrokerPair {
     /// contact — both replicas, under the same operator encryption key.
     #[must_use]
     pub fn directory(&self) -> HashMap<String, BrokerContact> {
-        let encrypt_pk = self.cfg.keys.encrypt.public_key();
+        let encrypt_pk = self.encrypt_pk;
         self.replicas()
             .into_iter()
             .map(|(name, site)| {

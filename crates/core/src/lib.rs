@@ -20,8 +20,9 @@
 //!   reports sealed on the UE baseband and at the bTelco PGW, the
 //!   broker-side Fig. 5 discrepancy check, and the [`reputation`] system.
 //!
-//! The [`attach_bench`] harness builds the paper's §6.1 testbed
-//! (baseline vs. CellBricks attach latency, Fig. 7). The §6.2 drive-test
+//! [`scenario`] assembles every CellBricks world from UEs, bTelcos and
+//! brokers; the [`attach_bench`] harness builds the paper's §6.1 testbed
+//! on it (baseline vs. CellBricks attach latency, Fig. 7). The §6.2 drive-test
 //! emulation (Table 1, Figs. 8–10) lives in `cellbricks-apps`, which
 //! supplies the application workloads it measures.
 
@@ -38,6 +39,7 @@ pub mod btelco;
 pub mod principal;
 pub mod reputation;
 pub mod sap;
+pub mod scenario;
 pub mod ue;
 
 pub use broker_core::{AuthState, BrokerCore};

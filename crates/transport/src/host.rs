@@ -5,7 +5,7 @@
 use crate::mptcp::{MpConfig, MpConn};
 use crate::tcp::{Tcp, TcpConfig};
 use bytes::Bytes;
-use cellbricks_net::{EndpointAddr, MpSignal, NodeId, Packet, PacketKind, TcpSegment};
+use cellbricks_net::{Endpoint, EndpointAddr, MpSignal, NodeId, Packet, PacketKind, TcpSegment};
 use cellbricks_sim::SimTime;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -430,10 +430,28 @@ impl Host {
     }
 }
 
+/// A host alone on its node (a server, say) is an engine endpoint.
+impl Endpoint for Host {
+    fn node(&self) -> NodeId {
+        self.node
+    }
+    fn handle_packet(&mut self, now: SimTime, pkt: Packet, out: &mut Vec<Packet>) {
+        Host::handle_packet(self, now, pkt);
+        self.drain_out(out);
+    }
+    fn poll_at(&self) -> Option<SimTime> {
+        Host::poll_at(self)
+    }
+    fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        Host::poll(self, now);
+        self.drain_out(out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellbricks_net::{Driver, Endpoint, LinkConfig, NetWorld, Topology};
+    use cellbricks_net::{Driver, LinkConfig, NetWorld, Topology};
     use cellbricks_sim::{SimDuration, SimRng};
 
     const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);

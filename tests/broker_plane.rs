@@ -13,20 +13,16 @@
 //!   session count at a steady state bounded by the retention window,
 //!   not by run length.
 
-use cellbricks::core::broker_plane::{BrokerPair, BrokerPairConfig, ReplicaSite};
-use cellbricks::core::btelco::{BTelcoGateway, BTelcoGatewayConfig};
-use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
-use cellbricks::core::sap::QosCap;
-use cellbricks::core::ue::{UeDevice, UeDeviceConfig};
-use cellbricks::crypto::cert::CertificateAuthority;
+use cellbricks::core::broker_plane::BrokerPair;
+use cellbricks::core::btelco::BTelcoGateway;
+use cellbricks::core::scenario::{telco_sig, Brokers, Scenario, World};
+use cellbricks::core::ue::UeDevice;
 use cellbricks::epc::enb::Enb;
-use cellbricks::net::{
-    ControlEndpoint, Driver, Endpoint, FaultPlan, LinkConfig, NetWorld, NodeId, Router, Topology,
-};
-use cellbricks::sim::{SimDuration, SimRng, SimTime};
+use cellbricks::net::{ControlEndpoint, Driver, Endpoint, FaultPlan, NetWorld, NodeId, Router};
+use cellbricks::sim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
-const AGW_SIG: Ipv4Addr = Ipv4Addr::new(172, 16, 1, 1);
+const AGW_SIG: Ipv4Addr = telco_sig(0);
 const TELCO: &str = "tower-1.example";
 
 struct PlaneWorld {
@@ -44,123 +40,53 @@ struct PlaneWorld {
 /// sits behind a 2 ms cloud link, the standby behind 5 ms, so lowest-RTT
 /// selection has a right answer.
 fn build(n: usize, seed: u64, retention: SimDuration) -> PlaneWorld {
-    let mut rng = SimRng::new(seed);
-    let ca = CertificateAuthority::from_seed([0xCA; 32]);
-    let broker_keys = BrokerKeys::generate("broker.example", &ca, &mut rng);
-    let telco_keys = TelcoKeys::generate(TELCO, &ca, &mut rng);
     let ms = SimDuration::from_millis;
-
-    let mut t = Topology::new();
-    let enb_node = t.add_node("enb");
-    let agw_node = t.add_node("agw");
-    let inet_node = t.add_node("inet");
-    let back = t.add_symmetric_link(enb_node, agw_node, LinkConfig::delay_only(ms(1)));
-    let core = t.add_symmetric_link(agw_node, inet_node, LinkConfig::delay_only(ms(2)));
-    t.add_default_route(enb_node, back);
-    t.add_default_route(agw_node, core);
-    t.add_route(inet_node, AGW_SIG, 32, core);
-
-    let mut site = |tag: &str, ip_last: u8, latency| {
-        let node = t.add_node(tag);
-        let ip = Ipv4Addr::new(172, 16, 10, ip_last);
-        let link = t.add_symmetric_link(inet_node, node, LinkConfig::delay_only(latency));
-        t.add_route(inet_node, ip, 32, link);
-        t.add_default_route(node, link);
-        ReplicaSite { node, ip }
-    };
-    let primary = site("broker-a", 1, ms(2));
-    let standby = site("broker-b", 2, ms(5));
-
-    let mut pair = BrokerPair::build(
-        BrokerPairConfig {
-            base_name: "broker.example".to_string(),
-            keys: broker_keys.clone(),
-            ca: ca.public_key(),
-            proc_delay: ms(2),
-            epsilon: 0.05,
-            session_retention: retention,
-        },
-        primary,
-        standby,
-        &mut rng,
-    );
-
-    let telco = BTelcoGateway::new(
-        agw_node,
-        BTelcoGatewayConfig {
-            sig_ip: AGW_SIG,
-            pool_base: Ipv4Addr::new(10, 1, 0, 0),
-            keys: telco_keys,
-            ca: ca.public_key(),
-            brokers: pair.directory(),
-            qos_cap: QosCap {
-                max_mbr_bps: 100_000_000,
-                qci_supported: vec![9],
-                li_capable: true,
-            },
-            proc_delay: SimDuration::from_micros(500),
-            report_interval: SimDuration::from_secs(3_600),
-        },
-        rng.fork(),
-    );
-    let enb = Enb::new(enb_node, SimDuration::from_micros(100));
-
-    let mut ues = Vec::with_capacity(n);
-    for i in 0..n {
-        let ue_sig = Ipv4Addr::new(169, 254, 1, u8::try_from(i + 1).expect("at most 255 UEs"));
-        let ue_node = t.add_node(&format!("ue{i}"));
-        let radio = t.add_symmetric_link(ue_node, enb_node, LinkConfig::delay_only(ms(4)));
-        t.add_default_route(ue_node, radio);
-        t.add_route(enb_node, ue_sig, 32, radio);
-        t.add_route(agw_node, ue_sig, 32, back);
-
-        let keys = UeKeys::generate(&mut rng);
-        let (sign_pk, encrypt_pk) = keys.public();
-        pair.provision(keys.identity(), sign_pk, encrypt_pk, 50_000_000);
-        let brokers =
-            pair.ue_replicas(|node| t.path_latency(ue_node, node).expect("replica reachable"));
-        ues.push(UeDevice::new(
-            ue_node,
-            UeDeviceConfig {
-                ue_sig,
-                keys,
-                broker_name: "broker.example".to_string(),
-                broker_sign_pk: broker_keys.sign.verifying_key(),
-                broker_encrypt_pk: broker_keys.encrypt.public_key(),
-                brokers,
-                proc_delay: SimDuration::from_millis(1),
-                verify_delay: SimDuration::from_millis(1),
-                report_interval: SimDuration::from_secs(3_600),
-                attach_max_tries: 5,
-            },
-            rng.fork(),
-        ));
+    let World {
+        net,
+        driver,
+        ues,
+        mut enbs,
+        mut telcos,
+        pair,
+        internet,
+        ..
+    } = Scenario {
+        seed,
+        ues: n,
+        brokers: Brokers::Pair(ms(2), ms(5)),
+        core: Some(ms(2)),
+        enb_delay: SimDuration::from_micros(100),
+        session_retention: retention,
+        attach_max_tries: 5,
+        ..Scenario::default()
     }
-
+    .build();
+    let pair = pair.expect("a replica pair");
     PlaneWorld {
-        world: NetWorld::new(t, rng.fork()),
-        enb,
-        telco,
-        internet: Router::new(inet_node, SimDuration::ZERO),
+        world: net,
+        enb: enbs.remove(0),
+        telco: telcos.remove(0),
+        internet: internet.expect("internet router"),
+        primary_node: pair.primary.node(),
         pair,
         ues,
-        driver: Driver::new(),
-        primary_node: primary.node,
+        driver,
     }
 }
 
 impl PlaneWorld {
+    /// Advance to `until`, in `core::scenario`'s endpoint order.
     fn run_to(&mut self, until: SimTime) {
         let mut endpoints: Vec<&mut dyn Endpoint> = Vec::new();
-        endpoints.push(&mut self.enb);
-        endpoints.push(&mut self.telco);
-        endpoints.push(&mut self.internet);
-        for b in self.pair.endpoints_mut() {
-            endpoints.push(b);
-        }
         for ue in &mut self.ues {
             endpoints.push(ue);
         }
+        endpoints.push(&mut self.enb);
+        endpoints.push(&mut self.telco);
+        for b in self.pair.endpoints_mut() {
+            endpoints.push(b);
+        }
+        endpoints.push(&mut self.internet);
         self.driver.run_to(&mut self.world, &mut endpoints, until);
     }
 

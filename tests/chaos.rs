@@ -8,14 +8,15 @@
 
 mod common;
 
-use cellbricks::core::principal::{BrokerKeys, UeKeys};
-use cellbricks::core::ue::{BrokerReplica, RecoveryConfig, UeDevice, UeDeviceConfig};
-use cellbricks::crypto::cert::CertificateAuthority;
+use cellbricks::core::scenario::Scenario;
+use cellbricks::core::ue::{RecoveryConfig, UeDevice};
 use cellbricks::epc::nas::NasMessage;
-use cellbricks::net::{BurstLoss, Endpoint, EndpointAddr, FaultPlan, NodeId, Packet, PacketKind};
-use cellbricks::sim::{SimDuration, SimRng, SimTime};
+use cellbricks::net::{
+    BurstLoss, ControlEndpoint, Endpoint, EndpointAddr, FaultPlan, Packet, PacketKind,
+};
+use cellbricks::sim::{SimDuration, SimTime};
 use cellbricks::transport::MpId;
-use common::{CellBricksWorld, AGW1_SIG, BROKER_IP, SERVER_IP, TELCO1, UE_SIG};
+use common::{CellBricksWorld, AGW1_SIG, SERVER_IP, TELCO1};
 
 const SECS: fn(u64) -> SimTime = SimTime::from_secs;
 
@@ -275,33 +276,25 @@ fn mptcp_fails_over_under_scripted_flaps() {
     );
 }
 
+/// A UE polled by hand with no network around it: its world is
+/// dropped, so every request it sends is lost.
+fn lone_ue(seed: u64, attach_max_tries: u32) -> ControlEndpoint<UeDevice> {
+    let mut w = Scenario {
+        seed,
+        ue_request: SimDuration::ZERO,
+        ue_verify: SimDuration::ZERO,
+        report_interval: SimDuration::from_secs(5),
+        attach_max_tries,
+        ..Scenario::default()
+    }
+    .build();
+    w.ues.remove(0)
+}
+
 /// Drive a UE with no network at all: every request is lost, so each
 /// retry fires on deadline — the emission times expose the backoff shape.
 fn attach_request_times(recovery: RecoveryConfig, max_tries: u32) -> Vec<SimTime> {
-    let mut rng = SimRng::new(77);
-    let ca = CertificateAuthority::from_seed([0xCA; 32]);
-    let broker_keys = BrokerKeys::generate("broker.example", &ca, &mut rng);
-    let ue_keys = UeKeys::generate(&mut rng);
-    let mut ue = UeDevice::new(
-        NodeId(0),
-        UeDeviceConfig {
-            ue_sig: UE_SIG,
-            keys: ue_keys,
-            broker_name: "broker.example".to_string(),
-            broker_sign_pk: broker_keys.sign.verifying_key(),
-            broker_encrypt_pk: broker_keys.encrypt.public_key(),
-            brokers: vec![BrokerReplica {
-                name: "broker.example".to_string(),
-                ctrl_ip: BROKER_IP,
-                rtt: SimDuration::ZERO,
-            }],
-            proc_delay: SimDuration::ZERO,
-            verify_delay: SimDuration::ZERO,
-            report_interval: SimDuration::from_secs(5),
-            attach_max_tries: max_tries,
-        },
-        rng.fork(),
-    );
+    let mut ue = lone_ue(77, max_tries);
     ue.set_recovery(recovery);
     ue.start_attach(SimTime::ZERO, TELCO1, AGW1_SIG);
     let mut times = Vec::new();
@@ -391,30 +384,7 @@ fn detach_during_pending_attach_clears_retry_state() {
     // The satellite bugfix: detaching mid-attach used to leave the retry
     // timer armed, so the UE kept signing fresh SAP requests at a telco it
     // deliberately left.
-    let mut rng = SimRng::new(78);
-    let ca = CertificateAuthority::from_seed([0xCA; 32]);
-    let broker_keys = BrokerKeys::generate("broker.example", &ca, &mut rng);
-    let ue_keys = UeKeys::generate(&mut rng);
-    let mut ue = UeDevice::new(
-        NodeId(0),
-        UeDeviceConfig {
-            ue_sig: UE_SIG,
-            keys: ue_keys,
-            broker_name: "broker.example".to_string(),
-            broker_sign_pk: broker_keys.sign.verifying_key(),
-            broker_encrypt_pk: broker_keys.encrypt.public_key(),
-            brokers: vec![BrokerReplica {
-                name: "broker.example".to_string(),
-                ctrl_ip: BROKER_IP,
-                rtt: SimDuration::ZERO,
-            }],
-            proc_delay: SimDuration::ZERO,
-            verify_delay: SimDuration::ZERO,
-            report_interval: SimDuration::from_secs(5),
-            attach_max_tries: 5,
-        },
-        rng.fork(),
-    );
+    let mut ue = lone_ue(78, 5);
     ue.start_attach(SimTime::ZERO, TELCO1, AGW1_SIG);
     // Drain the initial request.
     let mut out = Vec::new();

@@ -12,6 +12,7 @@ use cellbricks::core::brokerd::{Brokerd, BrokerdConfig};
 use cellbricks::core::btelco::{BTelcoGateway, BTelcoGatewayConfig, BrokerContact};
 use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
 use cellbricks::core::sap::QosCap;
+use cellbricks::core::scenario::{Brokers, Scenario};
 use cellbricks::core::ue::{BrokerReplica, UeDevice, UeDeviceConfig};
 use cellbricks::crypto::cert::CertificateAuthority;
 use cellbricks::epc::agw::{Agw, AgwConfig};
@@ -38,154 +39,29 @@ fn qos() -> QosCap {
 
 #[test]
 fn one_btelco_serves_two_brokers() {
-    let mut rng = SimRng::new(21);
-    let ca = CertificateAuthority::from_seed([0xCA; 32]);
-    let broker_a_keys = BrokerKeys::generate("broker-a.example", &ca, &mut rng);
-    let broker_b_keys = BrokerKeys::generate("broker-b.example", &ca, &mut rng);
-    let telco_keys = TelcoKeys::generate("tower-1.example", &ca, &mut rng);
-    let ue1_keys = UeKeys::generate(&mut rng);
-    let ue2_keys = UeKeys::generate(&mut rng);
-
-    const BROKER_A_IP: Ipv4Addr = Ipv4Addr::new(172, 16, 0, 1);
-    const BROKER_B_IP: Ipv4Addr = Ipv4Addr::new(172, 16, 0, 2);
-    const UE1_SIG: Ipv4Addr = Ipv4Addr::new(169, 254, 0, 1);
-    const UE2_SIG: Ipv4Addr = Ipv4Addr::new(169, 254, 0, 2);
-
-    let mut t = Topology::new();
-    let ue1_node = t.add_node("ue1");
-    let ue2_node = t.add_node("ue2");
-    let enb_node = t.add_node("enb");
-    let agw_node = t.add_node("agw");
-    let cloud_a = t.add_node("broker-a");
-    let cloud_b = t.add_node("broker-b");
+    // UE i subscribes to broker i; the bTelco's directory holds both —
+    // that is the entire "integration" a multi-tenant bTelco needs.
     let ms = SimDuration::from_millis;
-    let r1 = t.add_symmetric_link(ue1_node, enb_node, LinkConfig::delay_only(ms(5)));
-    let r2 = t.add_symmetric_link(ue2_node, enb_node, LinkConfig::delay_only(ms(5)));
-    let back = t.add_symmetric_link(enb_node, agw_node, LinkConfig::delay_only(ms(1)));
-    let ca_link = t.add_symmetric_link(agw_node, cloud_a, LinkConfig::delay_only(ms(3)));
-    let cb_link = t.add_symmetric_link(agw_node, cloud_b, LinkConfig::delay_only(ms(3)));
-    t.add_default_route(ue1_node, r1);
-    t.add_default_route(ue2_node, r2);
-    t.add_route(enb_node, UE1_SIG, 32, r1);
-    t.add_route(enb_node, UE2_SIG, 32, r2);
-    t.add_default_route(enb_node, back);
-    t.add_route(agw_node, UE1_SIG, 32, back);
-    t.add_route(agw_node, UE2_SIG, 32, back);
-    t.add_route(agw_node, BROKER_A_IP, 32, ca_link);
-    t.add_route(agw_node, BROKER_B_IP, 32, cb_link);
-    t.add_default_route(cloud_a, ca_link);
-    t.add_default_route(cloud_b, cb_link);
-
-    let mk_broker = |node, ip, keys: &BrokerKeys, rng: &mut SimRng| {
-        Brokerd::new(
-            node,
-            BrokerdConfig {
-                ip,
-                keys: keys.clone(),
-                ca: ca.public_key(),
-                proc_delay: ms(2),
-                epsilon: 0.05,
-                session_retention: SimDuration::from_secs(86_400),
-            },
-            rng.fork(),
-        )
+    let mut w = Scenario {
+        seed: 21,
+        ues: 2,
+        brokers: Brokers::Each(vec![ms(3), ms(3)]),
+        radio: LinkConfig::delay_only(ms(5)),
+        telco_delay: ms(1),
+        ..Scenario::default()
+    }
+    .build();
+    for ue in &mut w.ues {
+        ue.start_attach(SimTime::ZERO, "tower-1.example", AGW_SIG);
+    }
+    w.run_to(SimTime::from_secs(2));
+    let [ue1, ue2] = &w.ues[..] else {
+        unreachable!()
     };
-    let mut broker_a = mk_broker(cloud_a, BROKER_A_IP, &broker_a_keys, &mut rng);
-    let mut broker_b = mk_broker(cloud_b, BROKER_B_IP, &broker_b_keys, &mut rng);
-    let (s1, e1) = ue1_keys.public();
-    broker_a.provision(ue1_keys.identity(), s1, e1, 50_000_000);
-    let (s2, e2) = ue2_keys.public();
-    broker_b.provision(ue2_keys.identity(), s2, e2, 50_000_000);
-
-    // The bTelco knows how to reach BOTH brokers — that is the entire
-    // "integration" a multi-tenant bTelco needs.
-    let mut brokers = HashMap::new();
-    brokers.insert(
-        "broker-a.example".to_string(),
-        BrokerContact {
-            ctrl_ip: BROKER_A_IP,
-            encrypt_pk: broker_a_keys.encrypt.public_key(),
-        },
-    );
-    brokers.insert(
-        "broker-b.example".to_string(),
-        BrokerContact {
-            ctrl_ip: BROKER_B_IP,
-            encrypt_pk: broker_b_keys.encrypt.public_key(),
-        },
-    );
-    let mut telco = BTelcoGateway::new(
-        agw_node,
-        BTelcoGatewayConfig {
-            sig_ip: AGW_SIG,
-            pool_base: Ipv4Addr::new(10, 1, 0, 0),
-            keys: telco_keys,
-            ca: ca.public_key(),
-            brokers,
-            qos_cap: qos(),
-            proc_delay: ms(1),
-            report_interval: SimDuration::from_secs(3_600),
-        },
-        rng.fork(),
-    );
-    let mut enb = Enb::new(enb_node, SimDuration::from_micros(500));
-    let mk_ue =
-        |node, sig, keys: UeKeys, bname: &str, bkeys: &BrokerKeys, bip, rng: &mut SimRng| {
-            UeDevice::new(
-                node,
-                UeDeviceConfig {
-                    ue_sig: sig,
-                    keys,
-                    broker_name: bname.to_string(),
-                    broker_sign_pk: bkeys.sign.verifying_key(),
-                    broker_encrypt_pk: bkeys.encrypt.public_key(),
-                    brokers: vec![BrokerReplica {
-                        name: bname.to_string(),
-                        ctrl_ip: bip,
-                        rtt: SimDuration::ZERO,
-                    }],
-                    proc_delay: ms(1),
-                    verify_delay: ms(1),
-                    report_interval: SimDuration::from_secs(3_600),
-                    attach_max_tries: 3,
-                },
-                rng.fork(),
-            )
-        };
-    let mut ue1 = mk_ue(
-        ue1_node,
-        UE1_SIG,
-        ue1_keys,
-        "broker-a.example",
-        &broker_a_keys,
-        BROKER_A_IP,
-        &mut rng,
-    );
-    let mut ue2 = mk_ue(
-        ue2_node,
-        UE2_SIG,
-        ue2_keys,
-        "broker-b.example",
-        &broker_b_keys,
-        BROKER_B_IP,
-        &mut rng,
-    );
-
-    let mut world = NetWorld::new(t, rng.fork());
-    ue1.start_attach(SimTime::ZERO, "tower-1.example", AGW_SIG);
-    ue2.start_attach(SimTime::ZERO, "tower-1.example", AGW_SIG);
-    Driver::new().run_to(
-        &mut world,
-        &mut [
-            &mut ue1,
-            &mut ue2,
-            &mut enb,
-            &mut telco,
-            &mut broker_a,
-            &mut broker_b,
-        ],
-        SimTime::from_secs(2),
-    );
+    let [broker_a, broker_b] = &w.brokers[..] else {
+        unreachable!()
+    };
+    let telco = &w.telcos[0];
 
     // Both users attached through the same tower, each authorized by
     // their own broker; the bTelco holds two isolated bearers.
@@ -231,6 +107,8 @@ impl Endpoint for DualStackUe {
     }
 }
 
+/// Built by hand, not as a `core::scenario` world: the legacy MNO's AGW
+/// and HSS and the two-stack UE are parties no other world has.
 #[test]
 fn dual_stack_ue_roams_from_legacy_mno_to_btelco() {
     let mut rng = SimRng::new(22);

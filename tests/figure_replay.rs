@@ -1,4 +1,4 @@
-//! Figure replay: each committed `results/<figure>.txt` must be exactly
+//! Figure replay: each committed figure under `results/` must be exactly
 //! what its seed-42 cells render today. Every cell is a pure function of
 //! its seed, so any drift in the simulation, transport or
 //! congestion-control paths — deliberate or not — fails here until the
@@ -38,9 +38,9 @@ fn replay(family: Family) -> telemetry::MetricsSnapshot {
         )
     };
     let path = format!(
-        "{}/results/{}.txt",
+        "{}/results/{}",
         env!("CARGO_MANIFEST_DIR"),
-        family.name()
+        family.results_file()
     );
     let committed = std::fs::read_to_string(&path).expect("committed figure");
     assert!(
@@ -89,4 +89,9 @@ fn cc_replays() {
 #[test]
 fn reputation_replays() {
     replay(Family::Reputation);
+}
+
+#[test]
+fn scale_replays() {
+    replay(Family::Scale);
 }
